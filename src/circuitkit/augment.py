@@ -22,6 +22,7 @@ from .errors import (
     CircuitKitError,
     DimensionMismatch,
     InfeasibleSystem,
+    InternalError,
     NoAugmentingCircuit,
     TargetNotBasic,
     UnbalancedDemands,
@@ -257,7 +258,8 @@ def ratio_circuit(A: RatMatrix, c, w) -> ElementaryVector:
         for pos, i in enumerate(finite):
             g[i] -= ray[n + pos]
         raise UnboundedDirection("weighted system is unbounded", ray=tuple(g))
-    assert res.status == OPTIMAL
+    if res.status != OPTIMAL:
+        raise InternalError("weighted circuit LP is infeasible")
     if res.objective >= 0:
         raise NoAugmentingCircuit("the weighted system has no negative circuit")
     z = [res.x[i] for i in range(n)]
@@ -283,7 +285,7 @@ def ratio_circuit(A: RatMatrix, c, w) -> ElementaryVector:
         if best is None or key < best[0]:
             best = (key, ElementaryVector(support, gint), ratio)
     if best is None:
-        raise CircuitKitError("internal error: negative optimum without negative term")
+        raise InternalError("negative optimum without negative term")
     # cross-oracle: exhaustive scan over oriented circuits
     scan = None
     for ev in W.circuit_list:
@@ -370,7 +372,8 @@ def epsilon_of(A: RatMatrix, c, x, u=None) -> Fraction:
     res = solve(lp)
     if res.status == UNBOUNDED:
         return Fraction(0)
-    assert res.status == OPTIMAL
+    if res.status != OPTIMAL:
+        raise InternalError("epsilon LP is infeasible")
     return res.objective
 
 

@@ -1,7 +1,8 @@
 """Command-line front door.
 
 Exit codes: 0 success, 1 mathematical finding (a verified bound failed or
-the decomposition conjecture is violated), 2 input or usage error.
+the decomposition conjecture is violated), 2 input or usage error, 3
+internal error (a broken invariant, i.e. a bug).
 Infeasible or unbounded instances are ordinary results, reported with
 exit 0.
 """
@@ -20,6 +21,7 @@ from .errors import (
     CircuitKitError,
     InfeasibleSystem,
     InputFormatError,
+    InternalError,
     OracleInfeasible,
     UnboundedDirection,
     UnboundedRegion,
@@ -433,6 +435,9 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except CircuitKitError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -144,3 +144,7 @@ class AuditFailure(CircuitKitError):
 
 class InputFormatError(CircuitKitError):
     """Malformed external input (JSON/CSV)."""
+
+
+class InternalError(CircuitKitError):
+    """A broken internal invariant: a bug in circuitkit, never a bad input."""

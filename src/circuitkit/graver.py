@@ -20,6 +20,7 @@ from .errors import (
     BoxTooLarge,
     DimensionMismatch,
     InfeasibleSystem,
+    InternalError,
     NonIntegerMatrix,
     NotIntegerKernelVector,
     UnboundedDirection,
@@ -382,7 +383,8 @@ def _column_basis_containing(A: RatMatrix, seed_cols) -> list[int]:
     """Extend an independent column set to a basis of the column space."""
     picked = list(seed_cols)
     r = rank(A.take_cols(picked)) if picked else 0
-    assert r == len(picked)
+    if r != len(picked):
+        raise InternalError("seed columns of a basis are dependent")
     target = rank(A)
     for j in range(A.cols):
         if r == target:
@@ -434,8 +436,8 @@ def hk_check(W: Subspace, trials: int, seed: int) -> HKReport:
             x = [Fraction(0)] * n
             for j in basis_cols:
                 x[j] = t + g[j]
-            assert A.matvec(vec(x)) == A.matvec(vec(d))
-            assert all(v >= 0 for v in x)
+            if A.matvec(vec(x)) != A.matvec(vec(d)) or any(v < 0 for v in x):
+                raise InternalError("kappa_dot witness point is not in W + d and >= 0")
             for v in x:
                 witness_lcm = lcm(witness_lcm, v.denominator)
     if witness_lcm != kd:

@@ -24,6 +24,7 @@ from .errors import (
     BadParameters,
     CircuitKitError,
     DeskScaleExceeded,
+    InternalError,
     NonIntegerMatrix,
     RankDeficient,
     SeparableInput,
@@ -291,7 +292,7 @@ def kappa_star(W: Subspace) -> KappaStarResult:
         best_cycle = ()
     else:
         if G.cycle_product(best_cycle) != best_prod:
-            raise CircuitKitError("internal error: witness cycle product mismatch")
+            raise InternalError("witness cycle product mismatch")
         value = GeoMeanValue(best_prod, len(best_cycle)).normalized()
 
     d_rat = None
@@ -338,11 +339,11 @@ def _check_feasible(G: CircuitRatioDigraph, d, rho: Fraction, power: int):
         lhs = (k**power) * d[j]
         rhs = rho * d[i]
         if lhs > rhs:
-            raise CircuitKitError("internal error: rescaling infeasible")
+            raise InternalError("rescaling infeasible")
         if lhs == rhs:
             tight = True
     if not tight:
-        raise CircuitKitError("internal error: rescaling does not attain the optimum")
+        raise InternalError("rescaling does not attain the optimum")
 
 
 def rescale(W: Subspace, d: Sequence) -> Subspace:
@@ -427,9 +428,7 @@ def check_kappa_star_one(A: RatMatrix) -> RescaleCheckResult:
         if tu:
             kd = report.kappa_dot
             if any(kd % s != 0 for s in scaling):
-                raise CircuitKitError(
-                    "internal error: scaling entries must divide kappa_dot"
-                )
+                raise InternalError("scaling entries must divide kappa_dot")
             return RescaleCheckResult(True, scaling, None, None)
     # Witness branch: some 2-cycle has product > 1 whenever kappa_star > 1.
     best = None
@@ -445,7 +444,7 @@ def check_kappa_star_one(A: RatMatrix) -> RescaleCheckResult:
             if prod > 1 and (best is None or prod > best[1]):
                 best = ((i, j), prod)
     if best is None:
-        raise CircuitKitError("internal error: no witness cycle despite TU failure")
+        raise InternalError("no witness cycle despite TU failure")
     return RescaleCheckResult(False, None, best[0], best[1])
 
 
@@ -542,7 +541,7 @@ def int_representation(W: Subspace) -> RatMatrix:
     M = RatMatrix.from_rows(rows, cols=n)
     _assert_divides(M, kd)
     if Subspace.from_kernel_matrix(M) != W:
-        raise CircuitKitError("internal error: representation changed the kernel")
+        raise InternalError("representation changed the kernel")
     return M
 
 
@@ -550,9 +549,7 @@ def _assert_divides(M: RatMatrix, kd: int):
     for r in M.data:
         for x in r:
             if x != 0 and kd % int(x) != 0 and kd % -int(x) != 0:
-                raise CircuitKitError(
-                    f"internal error: entry {x} does not divide kappa_dot {kd}"
-                )
+                raise InternalError(f"entry {x} does not divide kappa_dot {kd}")
 
 
 # ---------------------------------------------------------------------------

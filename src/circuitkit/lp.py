@@ -1,6 +1,11 @@
 """Exact rational linear programming.
 
-Two-phase primal simplex with Bland's rule over Fractions.  Instances come
+Two-phase primal simplex with Bland's rule on a fraction-free integer
+tableau: rows are scaled to integers once, each pivot is an Edmonds-Bareiss
+step over one common denominator, and the reduced costs are carried as one
+more tableau row.  The pivots are exactly those of Bland's rule on the
+rational tableau, so x, y, bases and certificates are the same; they become
+Fractions only when the result is read off.  Instances come
 in three flavors: standard form (min cx, Ax = b, x >= 0), upper-bounded
 standard form (0 <= x <= u, with None entries meaning unbounded), and the
 affine-subspace form (x in W + d, x >= 0) which standardizes immediately.
@@ -18,9 +23,9 @@ from fractions import Fraction
 
 from .errors import (
     BadParameters,
-    CircuitKitError,
     DimensionMismatch,
     InfeasibleSystem,
+    InternalError,
     UnboundedRegion,
 )
 from .ratmat import (
@@ -75,15 +80,6 @@ class LPInstance:
     def n(self) -> int:
         return self.A.cols
 
-    @property
-    def is_bounded_form(self) -> bool:
-        return self.u is not None
-
-    def upper(self, i: int):
-        if self.u is None:
-            return None
-        return self.u[i]
-
     def standardized(self):
         """(rows, b, c, n_orig, bounded_idx) with slack rows for finite bounds."""
         rows = [list(r) for r in self.A.data]
@@ -119,102 +115,131 @@ class LPResult:
 
 
 class _Tableau:
-    """Dense simplex tableau with artificial columns kept for dual extraction."""
+    """Fraction-free simplex tableau over the integers.
+
+    Row i of the input, sign-flipped so that its right-hand side is >= 0, is
+    scaled by the least positive integer s_i that clears its denominators,
+    and gets the artificial column n + i.  The tableau entry is T[r][k] / D
+    for one common denominator D > 0, the absolute value of the current
+    basis determinant; a pivot is one Edmonds-Bareiss step, so every entry
+    stays an integer minor.  The reduced costs of the current phase are one
+    more integer row, `reduced`, holding L * D times the reduced cost, where L
+    clears the denominators of the cost vector.
+
+    The scaling substitutes s_i * a_i for artificial a_i, so artificial i
+    costs 1/s_i in phase 1.  Every reduced cost keeps its sign and every
+    ratio-test quotient keeps its order, so Bland's rule takes the same
+    pivots as it would over the unscaled rational tableau.
+    """
 
     def __init__(self, rows: list[list[Fraction]], b: list[Fraction]):
         self.m = len(rows)
         self.n = len(rows[0]) if rows else 0
-        self.flip = [Fraction(1)] * self.m
-        self.T: list[list[Fraction]] = []
+        self.flip: list[int] = []
+        self.scale: list[int] = []
+        self.T: list[list[int]] = []
         for i in range(self.m):
-            r = list(rows[i])
-            rhs = b[i]
-            if rhs < 0:
-                r = [-x for x in r]
-                rhs = -rhs
-                self.flip[i] = Fraction(-1)
-            art = [Fraction(0)] * self.m
-            art[i] = Fraction(1)
-            self.T.append(r + art + [rhs])
+            row = list(rows[i]) + [b[i]]
+            sign = -1 if b[i] < 0 else 1
+            s = math.lcm(*(x.denominator for x in row))
+            ints = [sign * x.numerator * (s // x.denominator) for x in row]
+            art = [0] * self.m
+            art[i] = 1
+            self.T.append(ints[:-1] + art + ints[-1:])
+            self.flip.append(sign)
+            self.scale.append(s)
+        self.D = 1
+        self.costs: list[Fraction] = []
+        self.reduced: list[int] | None = None
+        self.cost_scale = 1
         self.basis = [self.n + i for i in range(self.m)]
-        self.orig_row = list(range(self.m))  # live row -> original row index
         self.pivots = 0
 
     @property
     def width(self) -> int:
         return self.n + self.m
 
-    def rhs(self, r: int) -> Fraction:
-        return self.T[r][-1]
+    def set_costs(self, costs: list[Fraction]):
+        """Install the reduced-cost row of `costs` for the current basis."""
+        L = math.lcm(*(c.denominator for c in costs))
+        C = [c.numerator * (L // c.denominator) for c in costs]
+        red = [self.D * v for v in C] + [0]
+        for r, row in enumerate(self.T):
+            cb = C[self.basis[r]]
+            if cb:
+                red = [a - cb * x for a, x in zip(red, row)]
+        self.costs, self.reduced, self.cost_scale = list(costs), red, L
 
     def pivot(self, r: int, j: int):
-        piv = self.T[r][j]
-        self.T[r] = [x / piv for x in self.T[r]]
-        for i in range(len(self.T)):
-            if i != r and self.T[i][j] != 0:
-                f = self.T[i][j]
-                row_r = self.T[r]
-                self.T[i] = [a - f * b for a, b in zip(self.T[i], row_r)]
+        prow = self.T[r]
+        p, D = prow[j], self.D
+        psum = sum(prow)
+
+        def step(row):
+            # Most entries are zero in both rows, and most rows have f = 0;
+            # skipping those is worth the test.
+            f = row[j]
+            if f:
+                out = [(p * a - f * b) // D if a or b else 0 for a, b in zip(row, prow)]
+            elif p != D:
+                out = [p * a // D if a else 0 for a in row]
+            else:
+                return row
+            # Floor remainders lie in [0, D), so they all vanish iff their
+            # sum does.
+            if D * sum(out) != p * sum(row) - f * psum:
+                raise InternalError(f"inexact Bareiss step pivoting on ({r}, {j})")
+            return out
+
+        self.T = [row if i == r else step(row) for i, row in enumerate(self.T)]
+        if self.reduced is not None:
+            self.reduced = step(self.reduced)
+        if p < 0:
+            self.T = [[-a for a in row] for row in self.T]
+            if self.reduced is not None:
+                self.reduced = [-a for a in self.reduced]
+            p = -p
+        self.D = p
         self.basis[r] = j
         self.pivots += 1
 
-    def reduced_costs(self, costs: list[Fraction]) -> list[Fraction]:
-        cb = [costs[j] for j in self.basis]
-        out = []
-        for j in range(self.width):
-            acc = costs[j]
-            for r in range(len(self.T)):
-                if cb[r] != 0 and self.T[r][j] != 0:
-                    acc -= cb[r] * self.T[r][j]
-            out.append(acc)
-        return out
+    def objective(self) -> Fraction:
+        return Fraction(-self.reduced[-1], self.cost_scale * self.D)
 
-    def objective(self, costs: list[Fraction]) -> Fraction:
-        return sum(
-            (costs[self.basis[r]] * self.rhs(r) for r in range(len(self.T))),
-            Fraction(0),
-        )
+    def duals(self) -> list[Fraction]:
+        """y with y_i = (c_B B^{-1})_i per original row, read off the cost row.
 
-    def duals(self, costs: list[Fraction]) -> list[Fraction]:
-        """y with y_i = (c_B B^{-1})_i per original row, zeros for dropped rows."""
-        y = [Fraction(0)] * self.m
-        for orig in range(self.m):
-            col = self.n + orig
-            acc = Fraction(0)
-            for r in range(len(self.T)):
-                cb = costs[self.basis[r]]
-                if cb != 0 and self.T[r][col] != 0:
-                    acc += cb * self.T[r][col]
-            y[orig] = acc * self.flip[orig]
-        return y
+        With w = c_B B^{-1} over the sign-flipped, unscaled rows, the reduced
+        cost of scaled artificial i is costs[n + i] - w_i / s_i, and
+        y_i = flip_i * w_i.
+        """
+        LD = self.cost_scale * self.D
+        n = self.n
+        return [
+            f * s * (c - Fraction(rc, LD))
+            for f, s, c, rc in zip(self.flip, self.scale, self.costs[n:], self.reduced[n:])
+        ]
 
-    def run(self, costs: list[Fraction], allow_artificial: bool, track=None):
+    def run(self, allow_artificial: bool):
         """Bland iterations to optimality or unboundedness."""
-        limit = self.width
+        limit = self.width if allow_artificial else self.n
         while True:
-            if track is not None:
-                key = tuple(sorted(self.basis))
-                if key in track:
-                    raise CircuitKitError("Bland's rule revisited a basis")
-                track.add(key)
-            red = self.reduced_costs(costs)
-            enter = None
-            for j in range(limit if allow_artificial else self.n):
-                if red[j] < 0:
-                    enter = j
-                    break
+            reduced = self.reduced
+            enter = next((j for j in range(limit) if reduced[j] < 0), None)
             if enter is None:
                 return OPTIMAL, None
+            # Least rhs_r / a_r over a_r > 0, ties to the lower basic index;
+            # quotients are compared by cross-multiplying.
             leave = None
-            best = None
-            for r in range(len(self.T)):
-                a = self.T[r][enter]
-                if a > 0:
-                    ratio = self.rhs(r) / a
-                    key = (ratio, self.basis[r])
-                    if best is None or key < best:
-                        best = key
-                        leave = r
+            for r, row in enumerate(self.T):
+                a = row[enter]
+                if a <= 0:
+                    continue
+                if leave is not None:
+                    here, there = row[-1] * best_a, best_rhs * a
+                    if here > there or (here == there and self.basis[r] > self.basis[leave]):
+                        continue
+                leave, best_rhs, best_a = r, row[-1], a
             if leave is None:
                 return UNBOUNDED, enter
             self.pivot(leave, enter)
@@ -228,19 +253,18 @@ class _Tableau:
                 if col is None:
                     del self.T[r]
                     del self.basis[r]
-                    del self.orig_row[r]
                     continue
                 self.pivot(r, col)
             r += 1
 
     def solution(self) -> list[Fraction]:
         x = [Fraction(0)] * self.width
-        for r in range(len(self.T)):
-            x[self.basis[r]] = self.rhs(r)
+        for r, row in enumerate(self.T):
+            x[self.basis[r]] = Fraction(row[-1], self.D)
         return x
 
 
-def _solve_standard(rows, b, c, track_bases=False):
+def _solve_standard(rows, b, c):
     """Two-phase simplex on min c x, rows x = b, x >= 0 (lists of Fractions)."""
     m = len(rows)
     n = len(rows[0]) if rows else len(c)
@@ -259,44 +283,46 @@ def _solve_standard(rows, b, c, track_bases=False):
             "pivots": 0,
         }
     tab = _Tableau(rows, b)
-    phase1 = [Fraction(0)] * tab.n + [Fraction(1)] * tab.m
-    status, _ = tab.run(
-        phase1, allow_artificial=True, track=set() if track_bases else None
-    )
-    assert status == OPTIMAL
-    if tab.objective(phase1) > 0:
-        farkas = tab.duals(phase1)
-        return {"status": INFEASIBLE, "certificate": farkas, "pivots": tab.pivots}
+    tab.set_costs([Fraction(0)] * tab.n + [Fraction(1, s) for s in tab.scale])
+    status, _ = tab.run(allow_artificial=True)
+    if status != OPTIMAL:
+        raise InternalError("phase 1 of the simplex reported an unbounded objective")
+    if tab.objective() > 0:
+        return {"status": INFEASIBLE, "certificate": tab.duals(), "pivots": tab.pivots}
+    tab.reduced = None  # phase 2 installs its own cost row after drive-out
     tab.drive_out_artificials()
-    costs = list(c) + [Fraction(0)] * tab.m
-    status, enter = tab.run(
-        costs, allow_artificial=False, track=set() if track_bases else None
-    )
+    tab.set_costs(list(c) + [Fraction(0)] * tab.m)
+    status, enter = tab.run(allow_artificial=False)
     if status == UNBOUNDED:
         ray = [Fraction(0)] * tab.width
         ray[enter] = Fraction(1)
-        for r in range(len(tab.T)):
-            ray[tab.basis[r]] = -tab.T[r][enter]
+        for r, row in enumerate(tab.T):
+            ray[tab.basis[r]] = Fraction(-row[enter], tab.D)
         return {"status": UNBOUNDED, "certificate": ray[: tab.n], "pivots": tab.pivots}
     x = tab.solution()
     return {
         "status": OPTIMAL,
         "x": x[: tab.n],
-        "objective": tab.objective(costs),
+        "objective": tab.objective(),
         "basis": sorted(tab.basis),
-        "y": tab.duals(costs),
+        "y": tab.duals(),
         "pivots": tab.pivots,
     }
 
 
-def solve(lp: LPInstance, track_bases: bool = False) -> LPResult:
+def solve(lp: LPInstance) -> LPResult:
     """Exact optimum with duals and certificates.
 
     infeasible -> certificate y with y^T A_std <= 0 and y^T b_std > 0;
     unbounded  -> certificate d >= 0 with A d = 0, c d < 0 (original coords).
     """
-    rows, b, c, n, bounded_idx = lp.standardized()
-    out = _solve_standard(rows, b, c, track_bases=track_bases)
+    rows, b, c, _, bounded_idx = lp.standardized()
+    return _result(lp, bounded_idx, _solve_standard(rows, b, c))
+
+
+def _result(lp: LPInstance, bounded_idx, out: dict) -> LPResult:
+    """The LPResult of `lp` from a solve of its standardized system."""
+    n = lp.n
     if out["status"] == INFEASIBLE:
         return LPResult(
             status=INFEASIBLE, certificate=tuple(out["certificate"]), pivots=out["pivots"]
@@ -401,7 +427,8 @@ def _region_is_unbounded(lp: LPInstance) -> bool:
         tuple(Fraction(1) for _ in range(width)),
     )
     res = solve(box)
-    assert res.status == OPTIMAL
+    if res.status != OPTIMAL:
+        raise InternalError("recession-cone box LP is not optimal")
     return res.objective < 0
 
 
@@ -453,7 +480,7 @@ def edge_graph_diameter(lp: LPInstance) -> int:
                     dist[w] = dist[v] + 1
                     queue.append(w)
         if len(dist) < k:
-            raise CircuitKitError("internal error: polytope graph disconnected")
+            raise InternalError("polytope graph disconnected")
         diam = max(diam, max(dist.values()))
     return diam
 

@@ -21,6 +21,7 @@ from .errors import (
     BadParameters,
     DimensionMismatch,
     InfeasibleSystem,
+    InternalError,
     NegativeCost,
     NotOptimalPair,
     OracleInfeasible,
@@ -156,7 +157,8 @@ def _nearest_point(rows, b, anchor):
         cost[n + i] = one
         cost[2 * n + i] = one
     res2 = solve(LPInstance.standard(RatMatrix.from_rows(ext_rows, cols=width), ext_b, cost))
-    assert res2.status == OPTIMAL
+    if res2.status != OPTIMAL:
+        raise InternalError("nearest-point stage 2 LP is not optimal")
     x = vec(res2.x[:n])
     return x, tau
 
@@ -232,7 +234,8 @@ def _dual_face_max(W: Subspace, cost: Vec, x_opt: Vec, i: int) -> Fraction:
     res = solve(LPInstance.standard(RatMatrix.from_rows(rows, cols=len(keep)), b, c))
     if res.status == UNBOUNDED:
         raise AuditFailure("transfer-dual", detail=f"s_{i} unbounded over the dual face")
-    assert res.status == OPTIMAL
+    if res.status != OPTIMAL:
+        raise InternalError(f"dual face LP for s_{i} is infeasible")
     return -res.objective
 
 
@@ -266,7 +269,8 @@ def transfer_bound(W: Subspace, x_tilde, s, d) -> tuple[Fraction, tuple[int, ...
     res = solve(LPInstance.standard(A, b, sv))
     if res.status == INFEASIBLE:
         raise InfeasibleSystem("no nonnegative point in W + d", certificate=res.certificate)
-    assert res.status == OPTIMAL  # s >= 0 dual-feasible, so never unbounded
+    if res.status != OPTIMAL:  # s >= 0 dual-feasible, so never unbounded
+        raise InternalError("optimality LP with s >= 0 is unbounded")
     face_rows = list(A.data) + [list(sv)]
     face_b = list(b) + [res.objective]
     x_star, tau = _nearest_point(face_rows, face_b, xt)
@@ -329,14 +333,16 @@ def fixing_sets_bounds(A, b, u, c1, c2, x1, y1) -> tuple[tuple[int, ...], tuple[
         c = [Fraction(0)] * n
         c[i] = Fraction(-1)
         top = solve(LPInstance.bounded(face_A, face_b, c, uv))
-        assert top.status == OPTIMAL
+        if top.status != OPTIMAL:
+            raise InternalError(f"max x_{i} over the optimal face is not optimal")
         if -top.objective != 0:
             raise AuditFailure("fixing-zero", detail=f"max x_{i} over the face is {-top.objective}")
     for i in Ru:
         c = [Fraction(0)] * n
         c[i] = Fraction(1)
         bot = solve(LPInstance.bounded(face_A, face_b, c, uv))
-        assert bot.status == OPTIMAL
+        if bot.status != OPTIMAL:
+            raise InternalError(f"min x_{i} over the optimal face is not optimal")
         if bot.objective != uv[i]:
             raise AuditFailure("fixing-upper", detail=f"min x_{i} over the face is {bot.objective}")
     return R0, Ru
@@ -409,7 +415,8 @@ def _feasibility_rec(W: Subspace, d: Vec, eps: Fraction, seed: int, depth: int, 
         # spent): fall back to the exact solve the oracle already proved
         # feasible.
         res = solve(LPInstance.standard(W.kernel_rep, W.kernel_rep.matvec(d), vec_zero(n)))
-        assert res.status == OPTIMAL
+        if res.status != OPTIMAL:
+            raise InternalError("exact fallback LP is infeasible though the oracle found a point")
         return res.x
     J = [i for i in range(n) if i not in I]
     WJ = minor(W, J, "project")
@@ -422,9 +429,11 @@ def _feasibility_rec(W: Subspace, d: Vec, eps: Fraction, seed: int, depth: int, 
         # recursion does not enforce the proximity condition that would rule
         # this out, so use the exact fallback rather than fail.
         res = solve(LPInstance.standard(W.kernel_rep, W.kernel_rep.matvec(d), vec_zero(n)))
-        assert res.status == OPTIMAL
+        if res.status != OPTIMAL:
+            raise InternalError("exact fallback LP is infeasible though the oracle found a point")
         return res.x
-    assert W.kernel_rep.matvec(x) == W.kernel_rep.matvec(d)
+    if W.kernel_rep.matvec(x) != W.kernel_rep.matvec(d):
+        raise InternalError("lifted point left W + d")
     return x
 
 

@@ -18,6 +18,7 @@ from .errors import (
     CircuitKitError,
     DimensionMismatch,
     EmptyIndexSet,
+    InternalError,
     NotInProjection,
     NotInSubspace,
     ZeroVector,
@@ -248,7 +249,7 @@ def conformal_decompose(W: Subspace, z: Vec, rule: str = "greedy-maximal") -> Co
         r = tuple(a - alpha * b for a, b in zip(r, g))
     dec = ConformalDecomposition(target=zv, terms=tuple(terms))
     if not dec.verify():
-        raise CircuitKitError("internal error: decomposition failed verification")
+        raise InternalError("decomposition failed verification")
     return dec
 
 
@@ -316,9 +317,8 @@ def lift_min_norm(W: Subspace, I: Sequence[int], p: Vec) -> Vec:
         gram = V0.mul(V0.transpose())
         mu = solve_linear(gram, V0.matvec(z0))
         z0 = vec_sub(z0, V0.vecmat(mu))
-    for pos, i in enumerate(I):
-        assert z0[i] == p[pos]
-    assert W.contains(z0)
+    if any(z0[i] != p[pos] for pos, i in enumerate(I)) or not W.contains(z0):
+        raise InternalError("minimum-norm lift misses p or leaves W")
     return z0
 
 

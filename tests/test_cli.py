@@ -3,6 +3,7 @@ import json
 import pytest
 
 from circuitkit import cli
+from circuitkit.errors import InternalError
 from circuitkit.graver import ConjectureReport
 from circuitkit.serialize import dumps, loads
 
@@ -210,6 +211,15 @@ def test_float_literal_is_input_error(tmp_path, capsys):
     path.write_text('{"schema_version": "1", "A": [[1.5, 1]]}')
     code = cli.main(["analyze", "--input", str(path)])
     assert code == 2
+
+
+def test_internal_error_exits_three(capsys, monkeypatch):
+    def broken():
+        raise InternalError("decomposition failed verification")
+
+    monkeypatch.setattr(cli.graver, "appendix_counterexample", broken)
+    assert cli.main(["appendix"]) == 3
+    assert capsys.readouterr().err == "internal error: decomposition failed verification\n"
 
 
 def test_unknown_flag_usage_error(capsys):

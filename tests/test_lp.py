@@ -3,13 +3,16 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from circuitkit.errors import InfeasibleSystem, UnboundedRegion
+from circuitkit.errors import InfeasibleSystem, InternalError, UnboundedRegion
 from circuitkit.lp import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     LPInstance,
+    _Tableau,
     edge_graph,
     edge_graph_diameter,
     fractionality,
@@ -18,7 +21,7 @@ from circuitkit.lp import (
 )
 from circuitkit.ratmat import RatMatrix, vec
 from circuitkit.subspace import Subspace
-from util import random_int_matrix
+from util import oracle_solve, random_int_matrix
 
 
 def simplex3():
@@ -162,3 +165,64 @@ def test_solve_agrees_with_vertex_scan():
             assert any(
                 sum(ci * xi for ci, xi in zip(c, v)) == res.objective for v, _ in vs
             )
+
+
+small_fracs = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 5]))
+
+
+@st.composite
+def lp_instances(draw):
+    """Standard or bounded LPs with fractional data, any sign of b, and
+    scaled copies of earlier rows (consistent or not) so that phase 1 ends
+    with redundant rows to drop."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    row = st.lists(small_fracs, min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=m, max_size=m))
+    b = draw(st.lists(small_fracs, min_size=m, max_size=m))
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(rows) - 1))
+        f = draw(small_fracs.filter(bool))
+        rows.append([f * x for x in rows[k]])
+        b.append(f * b[k] + draw(st.sampled_from([0, 0, 0, 1])))
+    c = draw(row)
+    A = RatMatrix.from_rows(rows, cols=n)
+    if draw(st.booleans()):
+        u = draw(st.lists(st.none() | small_fracs.map(abs), min_size=n, max_size=n))
+        return LPInstance.bounded(A, b, c, u)
+    return LPInstance.standard(A, b, c)
+
+
+@given(lp_instances())
+@settings(max_examples=300, deadline=None)
+def test_integer_tableau_matches_fraction_simplex(lp):
+    assert solve(lp) == oracle_solve(lp)
+
+
+@pytest.mark.parametrize(
+    "rows, b, c, status",
+    [
+        # phase 1 ends with a redundant row that is dropped
+        ([[1, 2, 0], [2, 4, 0], [0, 1, 1]], [2, 4, 1], [1, -1, 3], OPTIMAL),
+        # drive-out pivots on a negative entry
+        ([[1, 2, 2], [-1, -2, 0]], [1, 0], [1, 1, 1], OPTIMAL),
+        # fractional rows with negative right-hand sides
+        ([["1/2", "-1/3", 1], ["2/5", 1, "-3/4"]], ["-1/2", "7/3"], [1, "1/2", -1], OPTIMAL),
+        # inconsistent copy of a row: Farkas certificate
+        ([[1, 1, 0], [2, 2, 0]], [1, 3], [0, 0, 0], INFEASIBLE),
+        ([[1, -1, 0], [0, 1, -1]], [0, 0], [0, 0, -1], UNBOUNDED),
+    ],
+)
+def test_integer_tableau_matches_fraction_simplex_by_status(rows, b, c, status):
+    lp = LPInstance.standard(RatMatrix.from_rows(rows, cols=len(c)), b, c)
+    res = solve(lp)
+    assert res.status == status
+    assert res == oracle_solve(lp)
+
+
+def test_inexact_bareiss_step_is_an_internal_error():
+    tab = _Tableau([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]], [Fraction(1)] * 2)
+    tab.pivot(0, 0)
+    tab.T[1][1] += 1  # no longer an integer minor, so the next step cannot divide
+    with pytest.raises(InternalError):
+        tab.pivot(1, 1)

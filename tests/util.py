@@ -1,8 +1,9 @@
 """Independent oracles used to cross-check the package's exact routines.
 
 Everything here is deliberately naive: cofactor determinants, support-set
-circuit search, augmenting-path max flow.  Slow is fine, different is the
-point.
+circuit search, augmenting-path max flow, a Fraction simplex tableau that
+recomputes every reduced cost on every iteration.  Slow is fine, different
+is the point.
 """
 
 from fractions import Fraction
@@ -10,6 +11,7 @@ from itertools import combinations
 from math import gcd, lcm
 import random
 
+from circuitkit import lp as lpmod
 from circuitkit.ratmat import RatMatrix
 
 
@@ -163,3 +165,119 @@ def random_int_matrix(rng: random.Random, m: int, n: int, lo=-4, hi=4) -> RatMat
         rows = [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
         if any(any(v for v in row) for row in rows):
             return RatMatrix.from_rows(rows, cols=n)
+
+
+class _FractionTableau:
+    """Dense Fraction simplex tableau with artificial columns kept for duals."""
+
+    def __init__(self, rows, b):
+        self.m = len(rows)
+        self.n = len(rows[0])
+        self.flip = [Fraction(1)] * self.m
+        self.T = []
+        for i in range(self.m):
+            r = list(rows[i])
+            rhs = b[i]
+            if rhs < 0:
+                r = [-x for x in r]
+                rhs = -rhs
+                self.flip[i] = Fraction(-1)
+            art = [Fraction(0)] * self.m
+            art[i] = Fraction(1)
+            self.T.append(r + art + [rhs])
+        self.basis = [self.n + i for i in range(self.m)]
+        self.pivots = 0
+
+    @property
+    def width(self):
+        return self.n + self.m
+
+    def pivot(self, r, j):
+        piv = self.T[r][j]
+        self.T[r] = [x / piv for x in self.T[r]]
+        for i in range(len(self.T)):
+            if i != r and self.T[i][j] != 0:
+                f = self.T[i][j]
+                self.T[i] = [a - f * b for a, b in zip(self.T[i], self.T[r])]
+        self.basis[r] = j
+        self.pivots += 1
+
+    def _cb_dot(self, costs, k):
+        """Sum over the rows of c_B[r] * T[r][k]."""
+        return sum((costs[self.basis[r]] * row[k] for r, row in enumerate(self.T)), Fraction(0))
+
+    def reduced_costs(self, costs):
+        return [costs[j] - self._cb_dot(costs, j) for j in range(self.width)]
+
+    def objective(self, costs):
+        return self._cb_dot(costs, -1)
+
+    def duals(self, costs):
+        return [self.flip[i] * self._cb_dot(costs, self.n + i) for i in range(self.m)]
+
+    def run(self, costs, allow_artificial):
+        while True:
+            red = self.reduced_costs(costs)
+            limit = self.width if allow_artificial else self.n
+            enter = next((j for j in range(limit) if red[j] < 0), None)
+            if enter is None:
+                return lpmod.OPTIMAL, None
+            cands = [
+                (row[-1] / row[enter], self.basis[r], r)
+                for r, row in enumerate(self.T)
+                if row[enter] > 0
+            ]
+            if not cands:
+                return lpmod.UNBOUNDED, enter
+            self.pivot(min(cands)[2], enter)
+
+    def drive_out_artificials(self):
+        r = 0
+        while r < len(self.T):
+            if self.basis[r] >= self.n:
+                col = next((j for j in range(self.n) if self.T[r][j] != 0), None)
+                if col is None:
+                    del self.T[r]
+                    del self.basis[r]
+                    continue
+                self.pivot(r, col)
+            r += 1
+
+
+def fraction_simplex(rows, b, c):
+    """Two-phase Bland simplex over Fractions, same contract as lp._solve_standard."""
+    if not rows:
+        return lpmod._solve_standard(rows, b, c)
+    tab = _FractionTableau(rows, b)
+    phase1 = [Fraction(0)] * tab.n + [Fraction(1)] * tab.m
+    status, _ = tab.run(phase1, allow_artificial=True)
+    if status != lpmod.OPTIMAL:
+        raise AssertionError("phase 1 cannot be unbounded")
+    if tab.objective(phase1) > 0:
+        return {"status": lpmod.INFEASIBLE, "certificate": tab.duals(phase1), "pivots": tab.pivots}
+    tab.drive_out_artificials()
+    costs = list(c) + [Fraction(0)] * tab.m
+    status, enter = tab.run(costs, allow_artificial=False)
+    if status == lpmod.UNBOUNDED:
+        ray = [Fraction(0)] * tab.width
+        ray[enter] = Fraction(1)
+        for r, row in enumerate(tab.T):
+            ray[tab.basis[r]] = -row[enter]
+        return {"status": lpmod.UNBOUNDED, "certificate": ray[: tab.n], "pivots": tab.pivots}
+    x = [Fraction(0)] * tab.width
+    for r, row in enumerate(tab.T):
+        x[tab.basis[r]] = row[-1]
+    return {
+        "status": lpmod.OPTIMAL,
+        "x": x[: tab.n],
+        "objective": tab.objective(costs),
+        "basis": sorted(tab.basis),
+        "y": tab.duals(costs),
+        "pivots": tab.pivots,
+    }
+
+
+def oracle_solve(lp):
+    """lp.solve with the Fraction simplex above in place of the integer tableau."""
+    rows, b, c, _, bounded_idx = lp.standardized()
+    return lpmod._result(lp, bounded_idx, fraction_simplex(rows, b, c))
