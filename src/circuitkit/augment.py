@@ -28,10 +28,9 @@ from .errors import (
     UnbalancedDemands,
     UnboundedDirection,
 )
-from .imbalance import imbalances
-from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPInstance, LPResult, solve
+from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPInstance, solve
 from .ratmat import RatMatrix, norm1, rank, vec, vec_dot
-from .subspace import ElementaryVector, Subspace, conformal_decompose
+from .subspace import ElementaryVector, Subspace, conformal_decompose, oriented_circuits
 
 STEEPEST = "steepest"
 DANTZIG = "dantzig"
@@ -81,29 +80,16 @@ class AuditReport:
     freezing: tuple  # (coordinate, first step frozen, "zero" | "upper")
 
 
-def _oriented(ev: ElementaryVector, sign: int) -> ElementaryVector:
-    if sign == 1:
-        return ev
-    return ElementaryVector(ev.support, tuple(-v for v in ev.vector))
-
-
 def _feasible_directions(W: Subspace, x, u):
-    """Oriented circuits g with g_i >= 0 where x_i = 0, g_i <= 0 where x_i = u_i."""
-    out = []
-    for ev in W.circuit_list:
-        for sign in (1, -1):
-            g = ev.as_fractions(sign)
-            ok = True
-            for i, gi in enumerate(g):
-                if x[i] == 0 and gi < 0:
-                    ok = False
-                    break
-                if u is not None and u[i] is not None and x[i] == u[i] and gi > 0:
-                    ok = False
-                    break
-            if ok:
-                out.append((ev, sign, g))
-    return out
+    """Oriented circuits g with g_i >= 0 where x_i = 0, g_i <= 0 where x_i = u_i,
+    as (circuit, Fraction vector)."""
+    for g, gv in oriented_circuits(W):
+        if not any(
+            (gi < 0 and x[i] == 0)
+            or (gi > 0 and u is not None and u[i] is not None and x[i] == u[i])
+            for i, gi in enumerate(gv)
+        ):
+            yield g, gv
 
 
 def _residual_set(x, u, n: int) -> list:
@@ -152,14 +138,14 @@ def steepest_direction(W: Subspace, c, x, u=None):
     cv = vec(c)
     xv = vec(x)
     best = None
-    for ev, sign, g in _feasible_directions(W, xv, u):
-        cg = vec_dot(cv, g)
+    for g, gv in _feasible_directions(W, xv, u):
+        cg = vec_dot(cv, gv)
         if cg >= 0:
             continue
-        steep = -cg / norm1(g)
-        key = (-steep, ev.support, _oriented(ev, sign).vector)
+        steep = -cg / norm1(gv)
+        key = (-steep, g.support, g.vector)
         if best is None or key < best[0]:
-            best = (key, _oriented(ev, sign), steep)
+            best = (key, g, steep)
     if best is None:
         raise AlreadyOptimal("no augmenting circuit improves the objective")
     lp, _ = _split_lp(W.kernel_rep, cv, xv, u, with_norm_row=True)
@@ -179,12 +165,11 @@ def dantzig_direction(W: Subspace, c, x, u=None) -> ElementaryVector:
     cv = vec(c)
     xv = vec(x)
     best = None
-    for ev, sign, _ in _feasible_directions(W, xv, u):
-        g = _oriented(ev, sign)
-        cg = vec_dot(cv, g.as_fractions())
+    for g, gv in _feasible_directions(W, xv, u):
+        cg = vec_dot(cv, gv)
         if cg >= 0:
             continue
-        key = (cg, ev.support, g.vector)
+        key = (cg, g.support, g.vector)
         if best is None or key < best[0]:
             best = (key, g)
     if best is None:
@@ -212,30 +197,46 @@ def deepest_direction(W: Subspace, c, x, u=None):
     cv = vec(c)
     xv = vec(x)
     best = None
-    for ev, sign, g in _feasible_directions(W, xv, u):
-        cg = vec_dot(cv, g)
+    for g, gv in _feasible_directions(W, xv, u):
+        cg = vec_dot(cv, gv)
         if cg >= 0:
             continue
-        alpha = maximal_step(xv, g, u)  # UnboundedDirection flags LP unboundedness
+        alpha = maximal_step(xv, gv, u)  # UnboundedDirection flags LP unboundedness
         depth = -alpha * cg
-        key = (-depth, ev.support, _oriented(ev, sign).vector)
+        key = (-depth, g.support, g.vector)
         if best is None or key < best[0]:
-            best = (key, _oriented(ev, sign), alpha)
+            best = (key, g, alpha)
     if best is None:
         raise AlreadyOptimal("no augmenting circuit improves the objective")
     return best[1], best[2]
 
 
-def ratio_circuit(A: RatMatrix, c, w) -> ElementaryVector:
+def _cost_per_weight(cv, gv, w):
+    """<c,g> over the weight <w, g^-> of g's decreases; None unless <c,g> < 0."""
+    cg = vec_dot(cv, gv)
+    if cg >= 0:
+        return None
+    wneg = sum(
+        (Fraction(w[i]) * -gi for i, gi in enumerate(gv) if gi < 0 and w[i] is not None),
+        Fraction(0),
+    )
+    if wneg == 0:
+        raise UnboundedDirection("circuit decreases cost with no weight to pay", ray=gv)
+    return cg / wneg
+
+
+def ratio_circuit(W: Subspace, c, w) -> ElementaryVector:
     """Minimum cost-to-weight circuit: basic optimum of the weighted system.
 
-    The system is min <c,z> over Az = 0 with <w, z^-> <= 1; w_i may be None
-    (infinite weight), which forbids decreasing coordinate i.  The optimal
-    basic solution is reduced to a single circuit by conformal decomposition
-    (choosing the term with the smallest cost/weight ratio) and cross-checked
-    against an exhaustive scan over circuits.
+    The system is min <c,z> over Az = 0 with <w, z^-> <= 1, A the kernel
+    representation of W; w_i may be None (infinite weight), which forbids
+    decreasing coordinate i.  The optimal basic solution is reduced to a
+    single circuit by conformal decomposition (choosing the term with the
+    smallest cost/weight ratio) and cross-checked against an exhaustive scan
+    over circuits.
     """
     cv = vec(c)
+    A = W.kernel_rep
     n = A.cols
     finite = [i for i in range(n) if w[i] is not None]
     # variables: p (n increases), q (len(finite) decreases), slack r
@@ -265,21 +266,12 @@ def ratio_circuit(A: RatMatrix, c, w) -> ElementaryVector:
     z = [res.x[i] for i in range(n)]
     for pos, i in enumerate(finite):
         z[i] -= res.x[n + pos]
-    W = Subspace.from_kernel_matrix(A)
     decomp = conformal_decompose(W, tuple(z))
     best = None
     for coeff, gint in decomp.terms:
-        gfrac = tuple(Fraction(v) for v in gint)
-        cg = vec_dot(cv, gfrac)
-        if cg >= 0:
+        ratio = _cost_per_weight(cv, tuple(Fraction(v) for v in gint), w)
+        if ratio is None:
             continue
-        wneg = sum(
-            (Fraction(w[i]) * -gfrac[i] for i in range(n) if gfrac[i] < 0 and w[i] is not None),
-            Fraction(0),
-        )
-        if wneg == 0:
-            raise UnboundedDirection("circuit decreases cost with no weight to pay", ray=gfrac)
-        ratio = cg / wneg
         support = tuple(i for i in range(n) if gint[i] != 0)
         key = (ratio, support, gint)
         if best is None or key < best[0]:
@@ -288,21 +280,12 @@ def ratio_circuit(A: RatMatrix, c, w) -> ElementaryVector:
         raise InternalError("negative optimum without negative term")
     # cross-oracle: exhaustive scan over oriented circuits
     scan = None
-    for ev in W.circuit_list:
-        for sign in (1, -1):
-            g = ev.as_fractions(sign)
-            if any(g[i] < 0 and w[i] is None for i in range(n)):
-                continue
-            cg = vec_dot(cv, g)
-            if cg >= 0:
-                continue
-            wneg = sum(
-                (Fraction(w[i]) * -g[i] for i in range(n) if g[i] < 0 and w[i] is not None),
-                Fraction(0),
-            )
-            if wneg == 0:
-                raise UnboundedDirection("circuit decreases cost with no weight to pay", ray=g)
-            scan = min(scan, cg / wneg) if scan is not None else cg / wneg
+    for _, gv in oriented_circuits(W):
+        if any(gv[i] < 0 and w[i] is None for i in range(n)):
+            continue
+        ratio = _cost_per_weight(cv, gv, w)
+        if ratio is not None:
+            scan = ratio if scan is None else min(scan, ratio)
     if scan != res.objective or best[2] != scan:
         raise AuditFailure(
             "ratio-circuit",
@@ -312,28 +295,25 @@ def ratio_circuit(A: RatMatrix, c, w) -> ElementaryVector:
     return best[1]
 
 
-def support_circuit(A: RatMatrix, c, x) -> ElementaryVector:
+def support_circuit(W: Subspace, c, x) -> ElementaryVector:
     """A circuit inside supp(x) with <c,g> <= 0, oriented to zero a coordinate."""
     cv = vec(c)
     xv = vec(x)
     supp = frozenset(i for i, v in enumerate(xv) if v != 0)
-    W = Subspace.from_kernel_matrix(A)
     best = None
-    for ev in W.circuit_list:
-        if not set(ev.support) <= supp:
+    for g, gv in oriented_circuits(W):
+        if not supp.issuperset(g.support):
             continue
-        for sign in (1, -1):
-            g = ev.as_fractions(sign)
-            cg = vec_dot(cv, g)
-            if cg > 0:
-                continue
-            if all(v >= 0 for v in g):
-                if cg < 0:
-                    raise UnboundedDirection("nonnegative circuit decreases cost", ray=g)
-                continue  # <c,g> = 0 with nothing to zero; the flip covers it
-            key = (cg, ev.support, _oriented(ev, sign).vector)
-            if best is None or key < best[0]:
-                best = (key, _oriented(ev, sign))
+        cg = vec_dot(cv, gv)
+        if cg > 0:
+            continue
+        if all(v >= 0 for v in gv):
+            if cg < 0:
+                raise UnboundedDirection("nonnegative circuit decreases cost", ray=gv)
+            continue  # <c,g> = 0 with nothing to zero; the flip covers it
+        key = (cg, g.support, g.vector)
+        if best is None or key < best[0]:
+            best = (key, g)
     if best is None:
         raise AlreadyBasic("supp(x) holds no circuit; x is a basic solution")
     return best[1]
@@ -378,7 +358,7 @@ def epsilon_of(A: RatMatrix, c, x, u=None) -> Fraction:
 
 
 def _default_cap(lp: LPInstance, W: Subspace) -> int:
-    kappa = imbalances(W).kappa
+    kappa = W.measures.kappa
     n = lp.n
     m = lp.A.rows
     return 1 + int(10 * n * n * max(m, 1) * float(kappa) * (math.log2(float(kappa) + n) + 1))
@@ -431,9 +411,9 @@ def run(lp: LPInstance, rule: str, cap: int | None = None, x0=None) -> Augmentat
                 g, _alpha = deepest_direction(W, cv, x, u)
             elif rule == RATIO:
                 wvec = tuple(None if xi == 0 else 1 / xi for xi in x)
-                g = ratio_circuit(lp.A, cv, wvec)
+                g = ratio_circuit(W, cv, wvec)
             else:
-                g = support_circuit(lp.A, cv, x)
+                g = support_circuit(W, cv, x)
         except AlreadyOptimal:
             terminated = "optimal"
             break
@@ -494,13 +474,12 @@ def audit_trace(trace: AugmentationTrace, A: RatMatrix, c, u=None) -> AuditRepor
     if trace.rule != STEEPEST:
         raise BadParameters("audit_trace expects a steepest-descent trace")
     cv = vec(c)
-    W = Subspace.from_kernel_matrix(A)
     eps = list(trace.epsilons) if trace.epsilons else [
         epsilon_of(A, cv, it, u) for it in trace.iterates()
     ]
     n = A.cols
     m = A.rows
-    kappa = imbalances(W).kappa
+    kappa = Subspace.from_kernel_matrix(A).measures.kappa
     factor = 1 - 1 / (1 + (m - 1) * Fraction(kappa))
     for t in range(len(eps) - 1):
         if eps[t + 1] > eps[t]:
@@ -560,17 +539,13 @@ def audit_trace(trace: AugmentationTrace, A: RatMatrix, c, u=None) -> AuditRepor
 def steepness_spectrum(W: Subspace, c) -> frozenset:
     """All values of <c,g>/||g||_1 over oriented elementary vectors."""
     cv = vec(c)
-    values = set()
-    for ev in W.circuit_list:
-        for sign in (1, -1):
-            g = ev.as_fractions(sign)
-            values.add(vec_dot(cv, g) / norm1(g))
+    values = {vec_dot(cv, gv) / norm1(gv) for _, gv in oriented_circuits(W)}
     n = W.ambient_dim
     m = W.codim
     if values and all(x.denominator == 1 for x in cv):
         ninf = max(abs(x) for x in cv) if any(cv) else Fraction(0)
         if ninf > 0 and norm1(cv) <= (n - m + 1) * ninf:
-            kbar = imbalances(W).kappa_bar
+            kbar = W.measures.kappa_bar
             bound = Fraction(1, 2) * ninf * (n - m + 1) * kbar * ((n - m + 1) * kbar + 1)
             if len(values) > bound:
                 raise AuditFailure(

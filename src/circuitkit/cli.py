@@ -26,7 +26,7 @@ from .errors import (
     UnboundedDirection,
     UnboundedRegion,
 )
-from .imbalance import diameter_bound, imbalances, is_TU, kappa_star
+from .imbalance import diameter_bound, is_TU, kappa_star
 from .subspace import Subspace
 
 _INPUT_ERRORS = (
@@ -78,7 +78,7 @@ def _parse_epsilon(text: str) -> Fraction:
 def _cmd_analyze(args) -> int:
     A = _load_matrix(args.input)
     W = Subspace.from_kernel_matrix(A)
-    rep = imbalances(W)
+    rep = W.measures
     star = kappa_star(W)
     payload = {
         "ambient_dim": A.cols,
@@ -161,69 +161,47 @@ def _cmd_prox(args) -> int:
     A = serialize.load_matrix(doc)
     W = Subspace.from_kernel_matrix(A)
     n = A.cols
-    if args.check == "feasibility":
+    payload = {"check": args.check}
+    if args.check in ("feasibility", "optimal"):
         d = _load_vector("d", doc, length=n)
+        c = _load_vector("c", doc, length=n) if args.check == "optimal" else None
         try:
-            wit = proximity.hoffman_feasibility_witness(W, d)
+            if c is None:
+                wit = proximity.hoffman_feasibility_witness(W, d)
+            else:
+                wit = proximity.hoffman_opt_witness(W, d, c)
         except InfeasibleSystem as exc:
-            payload = {"check": "feasibility", "status": "infeasible"}
+            payload["status"] = "infeasible"
             if exc.certificate is not None:
                 payload["certificate"] = serialize.vec_to_obj(exc.certificate)
-            _emit(args, serialize.make_report("prox", payload))
-            return 0
-        payload = {
-            "check": "feasibility",
-            "status": "feasible",
-            "point": serialize.vec_to_obj(wit.point),
-            "bound": serialize.frac_str(wit.bound),
-            "distance": serialize.frac_str(wit.distance),
-        }
-        _emit(args, serialize.make_report("prox", payload))
-        return 0
-    if args.check == "optimal":
-        d = _load_vector("d", doc, length=n)
-        c = _load_vector("c", doc, length=n)
-        try:
-            wit = proximity.hoffman_opt_witness(W, d, c)
-        except InfeasibleSystem as exc:
-            payload = {"check": "optimal", "status": "infeasible"}
-            if exc.certificate is not None:
-                payload["certificate"] = serialize.vec_to_obj(exc.certificate)
-            _emit(args, serialize.make_report("prox", payload))
-            return 0
-        payload = {
-            "check": "optimal",
-            "lambda_set": list(proximity.lambda_set(d, c)),
-            "point": serialize.vec_to_obj(wit.point),
-            "bound": serialize.frac_str(wit.bound),
-            "distance": serialize.frac_str(wit.distance),
-        }
-        _emit(args, serialize.make_report("prox", payload))
-        return 0
-    if args.check == "transfer":
+        else:
+            if c is None:
+                payload["status"] = "feasible"
+            else:
+                payload["lambda_set"] = list(proximity.lambda_set(d, c))
+            payload["point"] = serialize.vec_to_obj(wit.point)
+            payload["bound"] = serialize.frac_str(wit.bound)
+            payload["distance"] = serialize.frac_str(wit.distance)
+    elif args.check == "transfer":
         d = _load_vector("d", doc, length=n)
         x_tilde = _load_vector("x_tilde", doc, length=n)
         s = _load_vector("s", doc, length=n)
         bound, R = proximity.transfer_bound(W, x_tilde, s, d)
-        payload = {
-            "check": "transfer",
-            "bound": serialize.frac_str(bound),
-            "fixed_to_zero": list(R),
-        }
-        _emit(args, serialize.make_report("prox", payload))
-        return 0
-    # fixing
-    for key in ("b", "u", "c1", "c2", "x1", "y1"):
-        if key not in doc:
-            raise InputFormatError(f"fixing check needs {key!r}")
-    b = serialize.vec_from_obj(doc["b"], length=A.rows)
-    u = serialize.vec_from_obj(doc["u"], length=n)
-    c1 = serialize.vec_from_obj(doc["c1"], length=n)
-    c2 = serialize.vec_from_obj(doc["c2"], length=n)
-    x1 = serialize.vec_from_obj(doc["x1"], length=n)
-    y1 = serialize.vec_from_obj(doc["y1"], length=A.rows)
-    R0, Ru = proximity.fixing_sets_bounds(A, b, u, c1, c2, x1, y1)
-    payload = {"check": "fixing", "fixed_to_zero": list(R0), "fixed_to_upper": list(Ru)}
+        payload["bound"] = serialize.frac_str(bound)
+        payload["fixed_to_zero"] = list(R)
+    else:
+        for key in ("b", "u", "c1", "c2", "x1", "y1"):
+            if key not in doc:
+                raise InputFormatError(f"fixing check needs {key!r}")
+        b = serialize.vec_from_obj(doc["b"], length=A.rows)
+        u = serialize.vec_from_obj(doc["u"], length=n)
+        c1 = serialize.vec_from_obj(doc["c1"], length=n)
+        c2 = serialize.vec_from_obj(doc["c2"], length=n)
+        x1 = serialize.vec_from_obj(doc["x1"], length=n)
+        y1 = serialize.vec_from_obj(doc["y1"], length=A.rows)
+        R0, Ru = proximity.fixing_sets_bounds(A, b, u, c1, c2, x1, y1)
+        payload["fixed_to_zero"] = list(R0)
+        payload["fixed_to_upper"] = list(Ru)
     _emit(args, serialize.make_report("prox", payload))
     return 0
 
@@ -327,8 +305,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_diameter(args) -> int:
     lp = _load_lp(args.input)
-    W = Subspace.from_kernel_matrix(lp.A)
-    rep = imbalances(W)
+    rep = Subspace.from_kernel_matrix(lp.A).measures
     n = lp.A.cols
     m = lp.A.rows
     try:

@@ -53,10 +53,6 @@ class RankDeficient(CircuitKitError):
     pass
 
 
-class NotPointed(CircuitKitError):
-    pass
-
-
 class UnboundedRegion(CircuitKitError):
     pass
 

@@ -25,18 +25,18 @@ from .errors import (
     NotIntegerKernelVector,
     UnboundedDirection,
 )
-from .imbalance import imbalances
-from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPInstance, fractionality, solve
+from .lp import INFEASIBLE, UNBOUNDED, LPInstance, fractionality, solve
 from .ratmat import (
     RatMatrix,
     bareiss_det,
     invert,
+    is_conformal,
     norm1,
     rank,
     vec,
     vec_zero,
 )
-from .subspace import Subspace
+from .subspace import Subspace, oriented_circuits
 
 _BOX_LIMIT = 10**6
 
@@ -146,7 +146,7 @@ def graver_basis(A: RatMatrix) -> GraverBasis:
         raise NonIntegerMatrix("the Graver basis is defined for integer matrices")
     m, n = A.shape
     W = Subspace.from_kernel_matrix(A)
-    kappa_bar = imbalances(W).kappa_bar
+    kappa_bar = W.measures.kappa_bar
     entry_cap = n * kappa_bar
     basis = _integer_kernel_basis(A)
     if not basis:
@@ -270,7 +270,7 @@ def ip_proximity_check(A: RatMatrix, b, c):
     if res.status == UNBOUNDED:
         raise UnboundedDirection("LP relaxation is unbounded", ray=res.certificate)
     x_lp = res.x
-    kappa_bar = imbalances(Subspace.from_kernel_matrix(A)).kappa_bar
+    kappa_bar = Subspace.from_kernel_matrix(A).measures.kappa_bar
     bound = Fraction(n * kappa_bar)
     lo = [max(0, ceil(x_lp[i] - bound)) for i in range(n)]
     hi = [floor(x_lp[i] + bound) for i in range(n)]
@@ -317,20 +317,12 @@ def conjecture_decompose(W: Subspace, z) -> ConjectureReport:
     if not W.contains(zv):
         raise NotIntegerKernelVector("target must lie in the subspace")
     n = W.ambient_dim
-    kd = imbalances(W).kappa_dot
+    kd = W.measures.kappa_dot
     if all(v == 0 for v in zv):
         return ConjectureReport(target=tuple(int(v) for v in zv), status="holds",
                                 decomposition=(), searched=0)
 
-    oriented = []
-    for ev in W.circuit_list:
-        for sign in (1, -1):
-            g = tuple(sign * v for v in ev.vector)
-            if all(gi * zi >= 0 for gi, zi in zip(g, zv)) and all(
-                zi != 0 for gi, zi in zip(g, zv) if gi != 0
-            ):
-                oriented.append(g)
-    oriented.sort()
+    oriented = sorted(g.vector for g, gv in oriented_circuits(W) if is_conformal(gv, zv))
     searched = 0
 
     def attempt(start, remaining, depth, limit, acc):
@@ -406,7 +398,7 @@ def hk_check(W: Subspace, trials: int, seed: int) -> HKReport:
     normalized coordinate) must realize kappa_dot exactly as the lcm of its
     vertex denominators.
     """
-    kd = imbalances(W).kappa_dot
+    kd = W.measures.kappa_dot
     n = W.ambient_dim
     rng = random.Random(seed)
     A = W.kernel_rep
@@ -476,7 +468,7 @@ def appendix_counterexample() -> AppendixReport:
     inverse is not 1/5850-integral.
     """
     A = COUNTEREXAMPLE_MATRIX
-    kd = imbalances(Subspace.from_kernel_matrix(A)).kappa_dot
+    kd = Subspace.from_kernel_matrix(A).measures.kappa_dot
     if kd != _COUNTEREXAMPLE_KD:
         raise AuditFailure("appendix-kappa-dot", detail=f"enumerated {kd}")
 
@@ -563,7 +555,7 @@ def ej_check(A: RatMatrix) -> bool:
     for j in range(n):
         if sum(abs(int(A.entry(r, j))) for r in range(m)) > 2:
             return False
-    kd = imbalances(Subspace.from_kernel_matrix(A)).kappa_dot
+    kd = Subspace.from_kernel_matrix(A).measures.kappa_dot
     if kd not in (1, 2):
         raise AuditFailure("edmonds-johnson", detail=f"kappa_dot {kd} outside {{1, 2}}")
     return True

@@ -16,16 +16,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
     BadParameters,
     CircuitKitError,
-    DeskScaleExceeded,
     InternalError,
-    NonIntegerMatrix,
     RankDeficient,
     SeparableInput,
 )
@@ -42,9 +40,8 @@ from .ratmat import (
     rref_nonzero,
     solve_linear,
     vec,
-    vec_dot,
 )
-from .subspace import ElementaryVector, Subspace, components, dual, is_separable
+from .subspace import Subspace, components, is_separable
 
 
 @dataclass(frozen=True)
@@ -123,22 +120,30 @@ def imbalances(W: Subspace) -> ImbalanceReport:
     )
 
 
+def _basis_forms(A: RatMatrix):
+    """A_B^{-1} A for every nonsingular basis B, in lexicographic order of B.
+
+    The desk-scale check runs on the call, before the first form is asked for.
+    """
+    m, n = A.shape
+    check_desk_scale(n, "basis enumeration")
+    return (
+        basis_form(A, B)
+        for B in itertools.combinations(range(n), m)
+        if bareiss_det(A.take_cols(B)) != 0
+    )
+
+
 def kappa_via_basis_forms(A: RatMatrix) -> Fraction:
     """max over nonsingular bases B of the largest |entry| of A_B^{-1} A.
 
     Independent route to kappa(ker A); must agree with the circuit route.
     """
-    m, n = A.shape
-    if rank(A) != m:
+    if rank(A) != A.rows:
         raise RankDeficient("basis-form scan needs a full row rank matrix")
-    check_desk_scale(n, "basis enumeration")
     best = Fraction(0)
-    for B in itertools.combinations(range(n), m):
-        if bareiss_det(A.take_cols(B)) == 0:
-            continue
-        M = basis_form(A, B)
-        cand = max(abs(x) for r in M.data for x in r)
-        best = max(best, cand)
+    for M in _basis_forms(A):
+        best = max(best, max(abs(x) for r in M.data for x in r))
     if best == 0:
         raise RankDeficient("no nonsingular basis found")
     return best
@@ -166,16 +171,11 @@ def pairwise(W: Subspace) -> CircuitRatioDigraph:
     """
     if W.ambient_dim >= 2 and is_separable(W):
         raise SeparableInput("pairwise ratios need a non-separable subspace")
-    sets: dict = {}
-    for ev in W.circuit_list:
-        for i in ev.support:
-            for j in ev.support:
-                if i != j:
-                    sets.setdefault((i, j), set()).add(ev.ratio(i, j))
+    table = W.pair_ratios
     return CircuitRatioDigraph(
         n=W.ambient_dim,
-        kappa={k: max(v) for k, v in sets.items()},
-        sets={k: frozenset(v) for k, v in sets.items()},
+        kappa={k: p.largest for k, p in table.items()},
+        sets={k: p.ratios for k, p in table.items()},
     )
 
 
@@ -207,22 +207,12 @@ class GeoMeanValue:
     def __ge__(self, other):
         return self._cmp(other) >= 0
 
-    def equivalent(self, other: "GeoMeanValue") -> bool:
-        return self._cmp(other) == 0
-
     def normalized(self) -> "GeoMeanValue":
         """Reduce to length 1 when the root is rational."""
         root = fraction_nth_root(self.product, self.length)
         if root is not None:
             return GeoMeanValue(root, 1)
         return self
-
-    def as_rational(self) -> Fraction | None:
-        norm = self.normalized()
-        return norm.product if norm.length == 1 else None
-
-    def to_float(self) -> float:
-        return float(self.product) ** (1.0 / self.length)
 
 
 @dataclass(frozen=True)
@@ -367,12 +357,7 @@ def estimate_kappa(W: Subspace):
     """
     if W.ambient_dim >= 2 and is_separable(W):
         raise SeparableInput("pair estimates need a non-separable subspace")
-    table: dict = {}
-    for ev in sorted(W.circuit_list, key=lambda e: e.support):
-        for i in ev.support:
-            for j in ev.support:
-                if i != j and (i, j) not in table:
-                    table[(i, j)] = (ev.ratio(i, j), ev)
+    table = {k: (p.first_ratio, p.first_circuit) for k, p in W.pair_ratios.items()}
     xi = max((r for r, _ in table.values()), default=Fraction(1))
     return xi, table
 
@@ -402,15 +387,9 @@ def check_kappa_star_one(A: RatMatrix) -> RescaleCheckResult:
     """
     W = Subspace.from_kernel_matrix(A)
     n = W.ambient_dim
-    report = imbalances(W)
+    table = W.pair_ratios
     d = [Fraction(1)] * n
-    ok = True
-    for block in components(W):
-        block_circuits = [ev for ev in W.circuit_list if set(ev.support) <= set(block)]
-        if not _propagate_block(block, block_circuits, d):
-            ok = False
-            break
-    if ok:
+    if all(_propagate_block(block, table, d) for block in components(W)):
         # d solves hat_kappa_ij d_j = d_i; undoing it means scaling column i
         # of A by something proportional to 1/d_i.
         den = math.lcm(*(x.denominator for x in d))
@@ -426,21 +405,15 @@ def check_kappa_star_one(A: RatMatrix) -> RescaleCheckResult:
         M = rref_nonzero(scaled)
         tu, _ = is_TU(M) if _entries_tu_candidate(M) else (False, None)
         if tu:
-            kd = report.kappa_dot
+            kd = W.measures.kappa_dot
             if any(kd % s != 0 for s in scaling):
                 raise InternalError("scaling entries must divide kappa_dot")
             return RescaleCheckResult(True, scaling, None, None)
     # Witness branch: some 2-cycle has product > 1 whenever kappa_star > 1.
     best = None
-    G_sets: dict = {}
-    for ev in W.circuit_list:
-        for i in ev.support:
-            for j in ev.support:
-                if i != j:
-                    G_sets.setdefault((i, j), set()).add(ev.ratio(i, j))
-    for (i, j), vals in G_sets.items():
+    for (i, j), p in table.items():
         if i < j:
-            prod = max(vals) * max(G_sets[(j, i)])
+            prod = p.largest * table[(j, i)].largest
             if prod > 1 and (best is None or prod > best[1]):
                 best = ((i, j), prod)
     if best is None:
@@ -448,17 +421,15 @@ def check_kappa_star_one(A: RatMatrix) -> RescaleCheckResult:
     return RescaleCheckResult(False, None, best[0], best[1])
 
 
-def _propagate_block(block, block_circuits, d) -> bool:
+def _propagate_block(block, table, d) -> bool:
     """BFS-propagate hat_kappa_ij d_j = d_i within one component.
 
-    Returns False when the estimate system is inconsistent.
+    hat_kappa_ij is the smallest-support estimate of the pair-ratio table.
+    The estimates of a component connect it, so a consistent system has one
+    solution with d_root = 1 whatever the visiting order.  Returns False when
+    the estimate system is inconsistent.
     """
-    est: dict = {}
-    for ev in sorted(block_circuits, key=lambda e: e.support):
-        for i in ev.support:
-            for j in ev.support:
-                if i != j and (i, j) not in est:
-                    est[(i, j)] = ev.ratio(i, j)
+    est = {k: p.first_ratio for k, p in table.items() if k[0] in block}
     if not est:
         return True
     root = block[0]
@@ -517,14 +488,11 @@ def int_representation(W: Subspace) -> RatMatrix:
     if W.is_trivial():
         raise BadParameters("integer representation needs a proper subspace")
     A = W.kernel_rep
-    m, n = A.shape
-    check_desk_scale(n, "basis enumeration")
-    kd = imbalances(W).kappa_dot
+    n = A.cols
+    forms = _basis_forms(A)  # checks the basis scan's scale before circuits are enumerated
+    kd = W.measures.kappa_dot
     fallback = None
-    for B in itertools.combinations(range(n), m):
-        if bareiss_det(A.take_cols(B)) == 0:
-            continue
-        M = basis_form(A, B)
+    for M in forms:
         if M.is_integral():
             _assert_divides(M, kd)
             return M
@@ -585,15 +553,10 @@ def _power_iteration_sq(M: list[list[float]], tol: float = 1e-9) -> float:
 
 def chibar(A: RatMatrix) -> float:
     """max over bases of the spectral norm of A_B^{-1} A (power iteration)."""
-    m, n = A.shape
-    if rank(A) != m:
+    if rank(A) != A.rows:
         raise RankDeficient("spectral scan needs a full row rank matrix")
-    check_desk_scale(n, "basis enumeration")
     best = 0.0
-    for B in itertools.combinations(range(n), m):
-        if bareiss_det(A.take_cols(B)) == 0:
-            continue
-        M = basis_form(A, B)
+    for M in _basis_forms(A):
         flo = [[float(x) for x in r] for r in M.data]
         best = max(best, math.sqrt(_power_iteration_sq(flo)))
     return best

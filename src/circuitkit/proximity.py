@@ -27,7 +27,6 @@ from .errors import (
     OracleInfeasible,
     UnboundedDirection,
 )
-from .imbalance import imbalances
 from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPInstance, solve
 from .ratmat import (
     RatMatrix,
@@ -87,6 +86,25 @@ def lambda_set(d, c) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
+def _stage(rows, b, width, coord_rows, cost_cols):
+    """Solve min of the sum of the cost_cols variables over x >= 0 subject to
+    the given rows, padded with zero columns to `width`, and then coord_rows,
+    each a ({column: coefficient}, right-hand side) pair."""
+    # Fraction entries with one shared zero: RatMatrix.from_rows passes a
+    # Fraction through but builds one per int, and these rows are mostly zeros.
+    zero = Fraction(0)
+    ext_rows = [[Fraction(v) for v in row] + [zero] * (width - len(row)) for row in rows]
+    ext_b = list(b)
+    for entries, rhs in coord_rows:
+        row = [zero] * width
+        for col, coeff in entries.items():
+            row[col] = Fraction(coeff)
+        ext_rows.append(row)
+        ext_b.append(rhs)
+    cost = [Fraction(1) if j in cost_cols else zero for j in range(width)]
+    return solve(LPInstance.standard(RatMatrix.from_rows(ext_rows, cols=width), ext_b, cost))
+
+
 def _nearest_point(rows, b, anchor):
     """Two-stage exact minimization of ||x - anchor|| over Ax = b, x >= 0.
 
@@ -96,71 +114,32 @@ def _nearest_point(rows, b, anchor):
     screwed up, so it raises rather than certifying.
     """
     n = len(anchor)
-    m = len(rows)
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    # Stage 1: variables x (n), tau (1), p (n), q (n).
-    width = 3 * n + 1
-    ext_rows = []
-    ext_b = []
-    for r in range(m):
-        row = [zero] * width
-        row[:n] = [Fraction(v) for v in rows[r]]
-        ext_rows.append(row)
-        ext_b.append(b[r])
-    for i in range(n):
-        row = [zero] * width
-        row[i] = one
-        row[n] = -one
-        row[n + 1 + i] = one
-        ext_rows.append(row)
-        ext_b.append(anchor[i])
-        row = [zero] * width
-        row[i] = one
-        row[n] = one
-        row[2 * n + 1 + i] = -one
-        ext_rows.append(row)
-        ext_b.append(anchor[i])
-    cost = [zero] * width
-    cost[n] = one
-    res = solve(LPInstance.standard(RatMatrix.from_rows(ext_rows, cols=width), ext_b, cost))
+    # Stage 1: variables x (n), tau (1), p (n), q (n); minimize tau with
+    # x_i - tau + p_i = anchor_i and x_i + tau - q_i = anchor_i.
+    res = _stage(rows, b, 3 * n + 1, [
+        row
+        for i in range(n)
+        for row in (
+            ({i: 1, n: -1, n + 1 + i: 1}, anchor[i]),
+            ({i: 1, n: 1, 2 * n + 1 + i: -1}, anchor[i]),
+        )
+    ], {n})
     if res.status != OPTIMAL:
         raise InfeasibleSystem("distance stage on an empty region", certificate=res.certificate)
     tau = res.objective
-
-    # Stage 2: variables x (n), r (n), s (n), w (n); minimize 1-norm subject
-    # to the stage-1 sup-norm.
-    width = 4 * n
-    ext_rows = []
-    ext_b = []
-    for r in range(m):
-        row = [zero] * width
-        row[:n] = [Fraction(v) for v in rows[r]]
-        ext_rows.append(row)
-        ext_b.append(b[r])
-    for i in range(n):
-        row = [zero] * width
-        row[i] = one
-        row[n + i] = -one
-        row[2 * n + i] = one
-        ext_rows.append(row)
-        ext_b.append(anchor[i])
-        row = [zero] * width
-        row[n + i] = one
-        row[2 * n + i] = one
-        row[3 * n + i] = one
-        ext_rows.append(row)
-        ext_b.append(tau)
-    cost = [zero] * width
-    for i in range(n):
-        cost[n + i] = one
-        cost[2 * n + i] = one
-    res2 = solve(LPInstance.standard(RatMatrix.from_rows(ext_rows, cols=width), ext_b, cost))
+    # Stage 2: variables x (n), r (n), s (n), w (n); minimize sum(r + s)
+    # with x_i - r_i + s_i = anchor_i and r_i + s_i + w_i = tau.
+    res2 = _stage(rows, b, 4 * n, [
+        row
+        for i in range(n)
+        for row in (
+            ({i: 1, n + i: -1, 2 * n + i: 1}, anchor[i]),
+            ({n + i: 1, 2 * n + i: 1, 3 * n + i: 1}, tau),
+        )
+    ], range(n, 3 * n))
     if res2.status != OPTIMAL:
         raise InternalError("nearest-point stage 2 LP is not optimal")
-    x = vec(res2.x[:n])
-    return x, tau
+    return vec(res2.x[:n]), tau
 
 
 def hoffman_feasibility_witness(W: Subspace, d) -> ProximityWitness:
@@ -177,7 +156,7 @@ def hoffman_feasibility_witness(W: Subspace, d) -> ProximityWitness:
     feas = solve(LPInstance.standard(A, b, vec_zero(len(d))))
     if feas.status == INFEASIBLE:
         raise InfeasibleSystem("no nonnegative point in W + d", certificate=feas.certificate)
-    kappa = imbalances(W).kappa
+    kappa = W.measures.kappa
     bound = kappa * norm1(neg_part(d))
     x, tau = _nearest_point(list(A.data), list(b), d)
     if tau > bound:
@@ -202,7 +181,7 @@ def hoffman_opt_witness(W: Subspace, d, c) -> ProximityWitness:
     if res.status == UNBOUNDED:  # unreachable with c >= 0, kept for safety
         raise UnboundedDirection("objective unbounded below", ray=res.certificate)
     lam = lambda_set(d, c)
-    kappa = imbalances(W).kappa
+    kappa = W.measures.kappa
     bound = kappa * sum((abs(d[i]) for i in lam), Fraction(0))
     face_rows = list(A.data) + [list(c)]
     face_b = list(b) + [res.objective]
@@ -260,7 +239,7 @@ def transfer_bound(W: Subspace, x_tilde, s, d) -> tuple[Fraction, tuple[int, ...
         raise DimensionMismatch("vector length mismatch")
     if any(v < 0 for v in xt) or any(v < 0 for v in sv) or vec_dot(xt, sv) != 0:
         raise NotOptimalPair("need x >= 0, s >= 0 and <x, s> = 0")
-    kappa = imbalances(W).kappa
+    kappa = W.measures.kappa
     bound = (kappa + 1) * norm1(W.project_onto_perp(vec_sub(dv, xt)))
     R = tuple(i for i in range(n) if xt[i] > bound)
 
@@ -317,7 +296,7 @@ def fixing_sets_bounds(A, b, u, c1, c2, x1, y1) -> tuple[tuple[int, ...], tuple[
         if x1[i] > 0 and col_costs[i] < c1[i]:
             raise NotOptimalPair(f"dual surplus at {i} with x positive")
 
-    kappa = imbalances(Subspace.from_kernel_matrix(A)).kappa
+    kappa = Subspace.from_kernel_matrix(A).measures.kappa
     thr = (kappa + 1) * norm1(vec_sub(c1, c2))
     R0 = tuple(i for i in range(n) if col_costs[i] < c1[i] - thr)
     Ru = tuple(i for i in range(n) if col_costs[i] > c1[i] + thr)
@@ -407,7 +386,7 @@ def _feasibility_rec(W: Subspace, d: Vec, eps: Fraction, seed: int, depth: int, 
     xt = apx.x_tilde
     if all(v >= 0 for v in xt):
         return xt
-    kappa = imbalances(W).kappa
+    kappa = W.measures.kappa
     neg_sq = norm2_sq(neg_part(xt))
     I = [i for i in range(n) if xt[i] >= 0 and xt[i] * xt[i] >= kappa * kappa * neg_sq]
     if not I or budget == 0:
@@ -451,7 +430,7 @@ def feasibility_simplified(W: Subspace, d, epsilon=None, seed: int = 0) -> Vec:
     n = W.ambient_dim
     if len(d) != n:
         raise DimensionMismatch("shift vector length mismatch")
-    kappa_bar = imbalances(W).kappa_bar
+    kappa_bar = W.measures.kappa_bar
     ceiling = Fraction(1, (kappa_bar + n) ** 3)
     eps = ceiling if epsilon is None else Fraction(epsilon)
     if eps < 0 or eps > ceiling:

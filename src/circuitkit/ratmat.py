@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 from .errors import (
     DeskScaleExceeded,
     DimensionMismatch,
+    InternalError,
     NonIntegerMatrix,
     NotSquare,
     SingularBasis,
@@ -71,11 +72,6 @@ def vec_add(a: Vec, b: Vec) -> Vec:
 
 def vec_sub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vec_scale(a: Vec, s) -> Vec:
-    s = as_fraction(s)
-    return tuple(s * x for x in a)
 
 
 def vec_dot(a: Vec, b: Vec) -> Fraction:
@@ -211,9 +207,6 @@ class RatMatrix:
 
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for r in self.data for x in r)
-
-    def to_int_rows(self) -> list[list[int]]:
-        return [[int(x) for x in r] for r in self.data]
 
 
 def _rref_rows(rows: list[list[Fraction]], ncols: int):
@@ -405,17 +398,29 @@ def integer_normalize(v: Vec):
 
 
 def int_nth_root(x: int, n: int):
-    """Floor of the n-th root of a nonnegative integer, plus exactness flag."""
+    """Floor of the n-th root of a nonnegative integer, plus exactness flag.
+
+    Integer Newton iteration from r = 2^ceil(bits(x)/n), which lies in
+    (x^(1/n), 2 x^(1/n)].  Each step keeps r >= floor(x^(1/n)) and, while r
+    is above the root, cuts the excess r - x^(1/n) by at least the factor
+    (n-1)/n.  So the excess is below 1 within n * ln(2^ceil(bits/n)) <
+    bits + n steps, one more step lands on the floor and one more sees no
+    decrease: the loop allows bits + n + 2.
+    """
     if x < 0 or n < 1:
         raise ValueError("int_nth_root needs x >= 0, n >= 1")
     if x in (0, 1) or n == 1:
         return x, True
-    r = int(round(x ** (1.0 / n)))
-    while r > 0 and r**n > x:
-        r -= 1
-    while (r + 1) ** n <= x:
-        r += 1
-    return r, r**n == x
+    if n == 2:
+        r = math.isqrt(x)
+        return r, r * r == x
+    r = 1 << -(-x.bit_length() // n)
+    for _ in range(x.bit_length() + n + 2):
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            return r, r**n == x
+        r = s
+    raise InternalError(f"integer {n}-th root did not converge")
 
 
 def fraction_nth_root(q: Fraction, n: int):

@@ -9,10 +9,11 @@ nonzero vectors of W) drive everything in `imbalance` and `augment`.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     CircuitKitError,
@@ -21,7 +22,6 @@ from .errors import (
     InternalError,
     NotInProjection,
     NotInSubspace,
-    ZeroVector,
 )
 from .ratmat import (
     RatMatrix,
@@ -29,13 +29,10 @@ from .ratmat import (
     check_desk_scale,
     integer_normalize,
     is_conformal,
-    rank,
     rref_kernel,
     rref_nonzero,
     solve_linear,
     vec,
-    vec_dot,
-    vec_scale,
     vec_sub,
     vec_zero,
 )
@@ -54,26 +51,15 @@ class ElementaryVector:
     support: tuple
     vector: tuple
 
-    def as_fractions(self, sign: int = 1) -> Vec:
-        return tuple(Fraction(sign * x) for x in self.vector)
+    def as_fractions(self) -> Vec:
+        return tuple(Fraction(x) for x in self.vector)
 
     def ratio(self, i: int, j: int) -> Fraction:
         """|v_j / v_i| for i, j in the support."""
         return Fraction(abs(self.vector[j]), abs(self.vector[i]))
 
-    def max_abs(self) -> int:
-        return max(abs(x) for x in self.vector)
-
-    def min_abs_nonzero(self) -> int:
-        return min(abs(self.vector[i]) for i in self.support)
-
     def entries_lcm(self) -> int:
-        import math
-
         return math.lcm(*(abs(self.vector[i]) for i in self.support))
-
-    def has_unit_entry(self) -> bool:
-        return any(abs(self.vector[i]) == 1 for i in self.support)
 
 
 @dataclass(frozen=True)
@@ -97,8 +83,28 @@ class ConformalDecomposition:
 
 
 @dataclass(frozen=True)
+class PairRatios:
+    """The ratio set K_ij of one ordered pair i != j of a circuit family.
+
+    `ratios` holds |g_j / g_i| over every circuit g with i, j in its support
+    and `largest` is its maximum; `first_ratio` and `first_circuit` come from
+    the circuit with the lexicographically smallest support.
+    """
+
+    ratios: frozenset
+    largest: Fraction
+    first_ratio: Fraction
+    first_circuit: ElementaryVector
+
+
+@dataclass(frozen=True)
 class Subspace:
-    """A rational subspace, canonically ker(kernel_rep) with kernel_rep in RREF."""
+    """A rational subspace, canonically ker(kernel_rep) with kernel_rep in RREF.
+
+    The circuits and everything computed from them alone (the imbalance
+    report and the pair-ratio table) are computed once per object, on first
+    use.  Pass the same object along to reuse them.
+    """
 
     ambient_dim: int
     kernel_rep: RatMatrix
@@ -147,6 +153,35 @@ class Subspace:
     def circuit_list(self) -> tuple:
         return _enumerate_circuits(self)
 
+    @cached_property
+    def measures(self):
+        """The `imbalance.imbalances` report of this subspace."""
+        from .imbalance import imbalances  # imbalance builds on this module
+
+        return imbalances(self)
+
+    @cached_property
+    def pair_ratios(self) -> dict:
+        """(i, j) -> PairRatios for every ordered pair i != j sharing a circuit.
+
+        Keys are in order of first appearance in `circuit_list`.
+        """
+        sets: dict = {}
+        first: dict = {}
+        for ev in self.circuit_list:
+            for i in ev.support:
+                for j in ev.support:
+                    if i == j:
+                        continue
+                    r = ev.ratio(i, j)
+                    sets.setdefault((i, j), set()).add(r)
+                    if (i, j) not in first or ev.support < first[(i, j)][1].support:
+                        first[(i, j)] = (r, ev)
+        return {
+            k: PairRatios(frozenset(v), max(v), first[k][0], first[k][1])
+            for k, v in sets.items()
+        }
+
     def project_onto_perp(self, v: Vec) -> Vec:
         """Orthogonal projection of v onto W-perp, computed exactly."""
         B = self.kernel_rep  # rows span W-perp
@@ -156,9 +191,6 @@ class Subspace:
         rhs = B.matvec(vec(v))
         mu = solve_linear(gram, rhs)
         return B.vecmat(mu)
-
-    def project_onto(self, v: Vec) -> Vec:
-        return vec_sub(vec(v), self.project_onto_perp(v))
 
 
 def dual(W: Subspace) -> Subspace:
@@ -203,64 +235,56 @@ def circuits(W: Subspace) -> tuple:
     return W.circuit_list
 
 
-def conformal_circuit(W: Subspace, z: Vec):
-    """Smallest-support circuit conformal to z, as an oriented fraction vector.
+def oriented_circuits(W: Subspace):
+    """Every circuit of W in both orientations, as (circuit, Fraction vector).
 
-    Returns (ElementaryVector, sign) or None when z = 0.
+    Circuits come in `circuit_list` order, each with its canonical sign
+    first, so a scan that keeps its first match is deterministic.
     """
-    zv = vec(z)
-    best = None
     for ev in W.circuit_list:
         for sign in (1, -1):
-            g = ev.as_fractions(sign)
-            if is_conformal(g, zv):
-                key = ev.support
-                if best is None or key < best[0].support:
-                    best = (ev, sign)
-                break
+            g = ev if sign == 1 else ElementaryVector(ev.support, tuple(-x for x in ev.vector))
+            yield g, g.as_fractions()
+
+
+def conformal_circuit(W: Subspace, z: Vec):
+    """The oriented circuit conformal to z with the smallest support, or None
+    when z = 0."""
+    zv = vec(z)
+    best = None
+    for g, gv in oriented_circuits(W):
+        if is_conformal(gv, zv) and (best is None or g.support < best.support):
+            best = g
     return best
 
 
-def conformal_decompose(W: Subspace, z: Vec, rule: str = "greedy-maximal") -> ConformalDecomposition:
+def conformal_decompose(W: Subspace, z: Vec) -> ConformalDecomposition:
     """Write z in W as a positive combination of sign-agreeing circuits.
 
-    greedy-maximal: at each step take the conformal circuit with the
-    lexicographically smallest support and the largest coefficient that keeps
-    the remainder in the same orthant.  The remainder loses at least one
-    support element per step, so there are at most n terms.
+    At each step take the conformal circuit with the lexicographically
+    smallest support and the largest coefficient that keeps the remainder in
+    the same orthant.  The remainder loses at least one support element per
+    step, so there are at most n terms.
     """
     zv = vec(z)
     if len(zv) != W.ambient_dim:
         raise DimensionMismatch("vector has the wrong ambient dimension")
     if not W.contains(zv):
         raise NotInSubspace("conformal decomposition needs z in W")
-    if rule not in ("greedy-maximal", "any"):
-        raise CircuitKitError(f"unknown decomposition rule {rule!r}")
     terms = []
     r = zv
     while any(x != 0 for x in r):
-        pick = _pick_conformal(W, r, rule)
-        if pick is None:
+        g = conformal_circuit(W, r)
+        if g is None:
             raise CircuitKitError("no conformal circuit found for a nonzero remainder")
-        ev, sign = pick
-        g = ev.as_fractions(sign)
-        alpha = min(r[i] / g[i] for i in ev.support)
-        terms.append((alpha, tuple(sign * x for x in ev.vector)))
-        r = tuple(a - alpha * b for a, b in zip(r, g))
+        gv = g.as_fractions()
+        alpha = min(r[i] / gv[i] for i in g.support)
+        terms.append((alpha, g.vector))
+        r = tuple(a - alpha * b for a, b in zip(r, gv))
     dec = ConformalDecomposition(target=zv, terms=tuple(terms))
     if not dec.verify():
         raise InternalError("decomposition failed verification")
     return dec
-
-
-def _pick_conformal(W: Subspace, r: Vec, rule: str):
-    if rule == "any":
-        for ev in W.circuit_list:
-            for sign in (1, -1):
-                if is_conformal(ev.as_fractions(sign), r):
-                    return (ev, sign)
-        return None
-    return conformal_circuit(W, r)
 
 
 def minor(W: Subspace, J: Sequence[int], mode: str) -> Subspace:
@@ -351,11 +375,3 @@ def components(W: Subspace) -> tuple:
 
 def is_separable(W: Subspace) -> bool:
     return len(components(W)) > 1
-
-
-def is_anchored(W: Subspace):
-    """True when every circuit vector carries an entry of absolute value 1."""
-    for ev in W.circuit_list:
-        if not ev.has_unit_entry():
-            return False, ev
-    return True, None

@@ -1,0 +1,122 @@
+"""One analysis per subspace: circuits, measures and the pair-ratio table are
+computed once per Subspace and read by every consumer."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from circuitkit import imbalance, subspace
+from circuitkit.augment import run
+from circuitkit.errors import SeparableInput
+from circuitkit.generate import GeneratorSpec, generate
+from circuitkit.imbalance import check_kappa_star_one, estimate_kappa, pairwise
+from circuitkit.lp import LPInstance
+from circuitkit.proximity import (
+    hoffman_feasibility_witness,
+    hoffman_opt_witness,
+    transfer_bound,
+)
+from circuitkit.ratmat import RatMatrix, vec
+from circuitkit.subspace import Subspace
+from util import brute_circuits, brute_kappa
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "rule, size, seed, capped, steps",
+    [("support", 6, 7, True, 3), ("ratio", 7, 4, False, 2)],
+)
+def test_a_walk_enumerates_circuits_once(monkeypatch, rule, size, seed, capped, steps):
+    lp = generate(GeneratorSpec("flow", size=size, seed=seed))
+    if not capped:
+        lp = LPInstance.standard(lp.A, lp.b, lp.c)
+    calls = _counting(monkeypatch, subspace, "_enumerate_circuits")
+    trace = run(lp, rule=rule)
+    assert len(trace.steps) == steps
+    assert len(calls) == 1
+
+
+def test_witnesses_on_one_subspace_compute_imbalances_once(monkeypatch):
+    A = RatMatrix.from_rows([[1, 1, 0], [0, 1, 1]], cols=3)
+    W = Subspace.from_kernel_matrix(A)
+    calls = _counting(monkeypatch, imbalance, "imbalances")
+    d = vec([1, 1, 1])
+    hoffman_feasibility_witness(W, d)
+    hoffman_opt_witness(W, d, vec([1, 0, 1]))
+    transfer_bound(W, vec([0, 2, 0]), vec([1, 0, 1]), d)
+    assert len(calls) == 1
+
+
+def _oracle(A):
+    """Pair-ratio sets, smallest-support picks and components from brute_circuits."""
+    n = A.cols
+    sets, first = {}, {}
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for g in sorted(brute_circuits(A), key=lambda g: tuple(i for i, v in enumerate(g) if v)):
+        supp = [i for i, v in enumerate(g) if v]
+        for i in supp:
+            parent[find(i)] = find(supp[0])
+            for j in supp:
+                if i != j:
+                    r = Fraction(abs(g[j]), abs(g[i]))
+                    sets.setdefault((i, j), set()).add(r)
+                    first.setdefault((i, j), (r, g))
+    separable = len({find(i) for i in range(n)}) > 1
+    return sets, first, separable
+
+
+@st.composite
+def small_matrices(draw):
+    m = draw(st.integers(2, 3))
+    n = draw(st.integers(4, 6))
+    rows = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(m)]
+    return RatMatrix.from_rows(rows, cols=n)
+
+
+@given(small_matrices())
+@settings(max_examples=150, deadline=None)
+def test_pair_ratio_readers_match_brute_force(A):
+    sets, first, separable = _oracle(A)
+    W = Subspace.from_kernel_matrix(A)
+    if separable:
+        with pytest.raises(SeparableInput):
+            pairwise(W)
+        with pytest.raises(SeparableInput):
+            estimate_kappa(W)
+    else:
+        G = pairwise(W)
+        assert G.sets == {k: frozenset(v) for k, v in sets.items()}
+        assert G.kappa == {k: max(v) for k, v in sets.items()}
+        xi, table = estimate_kappa(W)
+        assert {k: (r, ev.vector) for k, (r, ev) in table.items()} == first
+        assert xi == max((r for r, _ in first.values()), default=Fraction(1))
+    # kappa_star = 1 exactly when every 2-cycle of largest ratios has product 1
+    products = {(i, j): max(v) * max(sets[(j, i)]) for (i, j), v in sets.items() if i < j}
+    res = check_kappa_star_one(A)
+    assert res.rescaled_tu == all(p == 1 for p in products.values())
+    if res.rescaled_tu:
+        scaled = RatMatrix.from_rows(
+            [[x * s for x, s in zip(row, res.scaling)] for row in A.data], cols=A.cols
+        )
+        assert brute_kappa(scaled) == 1
+    else:
+        assert res.witness_product == max(products.values()) == products[res.witness_cycle]

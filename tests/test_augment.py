@@ -144,13 +144,13 @@ def test_ratio_rule_rejects_caps():
 
 def test_ratio_circuit_weighted_optimum():
     lp, W = interior_instance()
-    g = ratio_circuit(lp.A, lp.c, vec([1, 1, 1]))
+    g = ratio_circuit(W, lp.c, vec([1, 1, 1]))
     assert tuple(g.vector) == (-1, 1, -1)
 
 
 def test_support_circuit_shrinks_support():
     A = RatMatrix.from_rows([[1, 1, 0], [0, 1, 1]], cols=3)
-    g = support_circuit(A, vec([0, 0, 0]), vec([1, 1, 1]))
+    g = support_circuit(Subspace.from_kernel_matrix(A), vec([0, 0, 0]), vec([1, 1, 1]))
     x = vec([1, 1, 1])
     alpha = maximal_step(x, g.as_fractions())
     moved = tuple(a + alpha * b for a, b in zip(x, g.as_fractions()))

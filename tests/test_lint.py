@@ -15,3 +15,28 @@ def test_no_assert_statements_in_the_package():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
     assert found == []
+
+
+def _imported_names(tree):
+    """(name, line) for each name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.partition(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield (alias.asname or alias.name), node.lineno
+
+
+def test_no_unused_imports_in_the_package():
+    # __init__.py imports to re-export, so it is the one module left out.
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    assert paths
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        found += [
+            f"{path.name}:{line} {name}" for name, line in _imported_names(tree) if name not in used
+        ]
+    assert found == []

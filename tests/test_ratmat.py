@@ -151,6 +151,22 @@ def test_int_nth_root():
     assert fraction_nth_root(Fraction(2, 3), 2) is None
 
 
+@given(st.integers(0, 10**400), st.integers(1, 12))
+@settings(max_examples=300, deadline=None)
+def test_int_nth_root_brackets_the_root(x, n):
+    r, exact = int_nth_root(x, n)
+    assert r**n <= x < (r + 1) ** n
+    assert exact == (r**n == x)
+
+
+def test_int_nth_root_of_huge_values():
+    # A float seed overflowed on the first and stepped by 1 from a seed
+    # about 10^134 off on the second.
+    r, exact = int_nth_root(10**400, 3)
+    assert r**3 <= 10**400 < (r + 1) ** 3 and not exact
+    assert int_nth_root(10**300, 2) == (10**150, True)
+
+
 def test_desk_scale_cap(monkeypatch):
     monkeypatch.setenv("CIRCUITKIT_MAX_COLS", "3")
     M = RatMatrix.identity(4)
