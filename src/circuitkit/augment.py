@@ -19,7 +19,6 @@ from .errors import (
     AlreadyOptimal,
     AuditFailure,
     BadParameters,
-    CircuitKitError,
     DimensionMismatch,
     InfeasibleSystem,
     InternalError,
@@ -614,7 +613,7 @@ def guided_walk(lp: LPInstance, x_start, x_target) -> AugmentationTrace:
             )
         )
         if len(steps) > 4 * n * n * (n + 2):
-            raise CircuitKitError("guided walk failed to converge")
+            raise InternalError("guided walk failed to converge")
     return AugmentationTrace(
         rule=GUIDED,
         start=vec(x_start),

@@ -93,11 +93,14 @@ def imbalances(W: Subspace) -> ImbalanceReport:
     entry_wit = None
     acc = 1
     for ev in circuits:
-        for i in ev.support:
-            for j in ev.support:
-                r = ev.ratio(i, j)
-                if r > best_ratio:
-                    best_ratio, ratio_wit = r, (ev, (i, j))
+        # The first smallest |entry| over the first largest one is the first
+        # pair (i, j), i outer, to reach this circuit's largest ratio.
+        mags = [abs(ev.vector[j]) for j in ev.support]
+        i = ev.support[mags.index(min(mags))]
+        j = ev.support[mags.index(max(mags))]
+        r = ev.ratio(i, j)
+        if r > best_ratio:
+            best_ratio, ratio_wit = r, (ev, (i, j))
         for j in ev.support:
             if abs(ev.vector[j]) > best_entry:
                 best_entry, entry_wit = abs(ev.vector[j]), (ev, j)
@@ -229,7 +232,8 @@ def kappa_star(W: Subspace) -> KappaStarResult:
 
     Equal to the maximum over simple cycles H of the circuit ratio digraph
     of (prod of kappa along H)^(1/|H|).  The maximum is found by an exact
-    bitmask DP over simple paths; comparisons cross-power, never float.
+    bitmask DP over simple paths that runs on integers (`_max_mean_cycle`);
+    the value and the rescaling are returned as Fractions.
 
     The rescaling d satisfies kappa_ij * d_j / d_i <= value for every pair,
     with equality along the witness cycle.  When value is rational, d is the
@@ -237,53 +241,68 @@ def kappa_star(W: Subspace) -> KappaStarResult:
     `rescaling_pow` carries the exact vector of d_i^length.
     """
     G = pairwise(W)
-    n = W.ambient_dim
     nodes = sorted({i for (i, _) in G.kappa})
-    if not nodes:
-        one = GeoMeanValue(Fraction(1), 1)
-        return KappaStarResult(one, (), (Fraction(1),) * n, (Fraction(1),) * n, 1)
+    return _kappa_star_result(G, nodes, W.ambient_dim, *_max_mean_cycle(G, nodes))
 
-    best_prod: Fraction | None = None
+
+def _max_mean_cycle(G: CircuitRatioDigraph, nodes: list):
+    """(product, cycle) of a simple cycle with the largest geometric mean.
+
+    For each start s, a DP over (visited mask of later nodes, end node)
+    keeps the path of largest product; the first cycle to beat the best so
+    far wins.  With L the lcm of the denominators of the kappa_ij, arc ij
+    weighs the integer a_ij = L * kappa_ij.  The paths compared at one state
+    have the same length, so their integer products compare as the rational
+    ones do; cycles of lengths l1 and l2 compare as P1^l2 > P2^l1, the common
+    factor L^(l1 * l2) cancelling.  Returns (None, ()) without arcs.
+    """
+    L = math.lcm(*(k.denominator for k in G.kappa.values()))
+    weight = {arc: k.numerator * (L // k.denominator) for arc, k in G.kappa.items()}
+    best_prod: int | None = None
     best_cycle: tuple = ()
-
     for s_pos, s in enumerate(nodes):
         later = nodes[s_pos + 1 :]
+        succ = {
+            v: [(1 << idx, u, weight[(v, u)]) for idx, u in enumerate(later) if (v, u) in weight]
+            for v in later
+        }
         # dp: (visited mask over `later`, end node) -> (max product, path)
         dp: dict = {}
         for idx, v in enumerate(later):
-            if (s, v) in G.kappa:
-                dp[(1 << idx, v)] = (G.kappa[(s, v)], (s, v))
+            if (s, v) in weight:
+                dp[(1 << idx, v)] = (weight[(s, v)], (s, v))
         frontier = dict(dp)
         while frontier:
             upd: dict = {}
             for (mask, v), (prod, path) in frontier.items():
-                if (v, s) in G.kappa:
-                    cyc_prod = prod * G.kappa[(v, s)]
-                    length = len(path)
-                    if best_prod is None or GeoMeanValue(cyc_prod, length) > GeoMeanValue(
-                        best_prod, len(best_cycle)
-                    ):
+                back = weight.get((v, s))
+                if back is not None:
+                    cyc_prod = prod * back
+                    if best_prod is None or cyc_prod ** len(best_cycle) > best_prod ** len(path):
                         best_prod, best_cycle = cyc_prod, path
-                for idx, u in enumerate(later):
-                    if mask & (1 << idx):
+                for bit, u, a in succ[v]:
+                    if mask & bit:
                         continue
-                    if (v, u) not in G.kappa:
-                        continue
-                    cand = prod * G.kappa[(v, u)]
-                    state = (mask | (1 << idx), u)
+                    cand = prod * a
+                    state = (mask | bit, u)
                     cur = dp.get(state)
                     if cur is None or cand > cur[0]:
                         dp[state] = (cand, path + (u,))
                         upd[state] = dp[state]
             frontier = upd
-
     if best_prod is None:
-        value = GeoMeanValue(Fraction(1), 1)
-        best_cycle = ()
-    else:
-        if G.cycle_product(best_cycle) != best_prod:
-            raise InternalError("witness cycle product mismatch")
-        value = GeoMeanValue(best_prod, len(best_cycle)).normalized()
+        return None, ()
+    return Fraction(best_prod, L ** len(best_cycle)), best_cycle
+
+
+def _kappa_star_result(G: CircuitRatioDigraph, nodes, n, best_prod, best_cycle) -> KappaStarResult:
+    """The `kappa_star` value of a best cycle, with its audited rescalings."""
+    if best_prod is None:
+        one = GeoMeanValue(Fraction(1), 1)
+        return KappaStarResult(one, (), (Fraction(1),) * n, (Fraction(1),) * n, 1)
+    if G.cycle_product(best_cycle) != best_prod:
+        raise InternalError("witness cycle product mismatch")
+    value = GeoMeanValue(best_prod, len(best_cycle)).normalized()
 
     d_rat = None
     if value.length == 1:
@@ -318,8 +337,8 @@ def _mult_bellman_ford(G: CircuitRatioDigraph, nodes, n, rho: Fraction, power: i
                 changed = True
         if not changed:
             break
-    else:  # pragma: no cover - guarded by the max-cycle optimality of rho
-        raise CircuitKitError("rescaling system failed to converge")
+    else:  # guarded by the max-cycle optimality of rho
+        raise InternalError("rescaling system failed to converge")
     return tuple(d.get(i, Fraction(1)) for i in range(n))
 
 

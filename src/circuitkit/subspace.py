@@ -27,6 +27,7 @@ from .ratmat import (
     RatMatrix,
     Vec,
     check_desk_scale,
+    int_kernel_line,
     integer_normalize,
     is_conformal,
     rref_kernel,
@@ -203,31 +204,35 @@ def _enumerate_circuits(W: Subspace) -> tuple:
 
     A support S is a circuit support exactly when ker(A_S) is a line whose
     vector has no zero inside S.  Supersets of found circuits are skipped.
+    Candidates come by size, then lexicographically.  Each row of A is
+    scaled to integers once, which keeps its kernel, so every candidate is
+    one fraction-free elimination over int.
     """
     n = W.ambient_dim
     check_desk_scale(n, "circuit enumeration")
     A = W.kernel_rep
     r = A.rows  # matroid rank of the column matroid of A
+    int_rows = [integer_normalize(row)[0] for row in A.data]
     found: list[ElementaryVector] = []
-    found_supports: list[frozenset] = []
+    found_masks: list[int] = []
     for size in range(1, min(n, r + 1) + 1):
         for S in itertools.combinations(range(n), size):
-            sset = frozenset(S)
-            if any(fs <= sset for fs in found_supports):
+            mask = sum(1 << j for j in S)
+            if any(fm & mask == fm for fm in found_masks):
                 continue
-            sub = A.take_cols(S)
-            _, _, kb = rref_kernel(sub)
-            if kb.rows != 1:
+            v = int_kernel_line([[row[j] for j in S] for row in int_rows], size)
+            if v is None or 0 in v:
                 continue
-            v = kb.row(0)
-            if any(x == 0 for x in v):
-                continue
-            full = [Fraction(0)] * n
-            for idx, j in enumerate(S):
-                full[j] = v[idx]
-            ints, _ = integer_normalize(full)
-            found.append(ElementaryVector(support=tuple(S), vector=ints))
-            found_supports.append(sset)
+            if any(sum(row[j] * x for j, x in zip(S, v)) for row in int_rows):
+                raise InternalError(f"kernel line of support {S} is not in the kernel")
+            g = math.gcd(*v)
+            if v[0] < 0:
+                g = -g
+            full = [0] * n
+            for j, x in zip(S, v):
+                full[j] = x // g
+            found.append(ElementaryVector(support=S, vector=tuple(full)))
+            found_masks.append(mask)
     return tuple(found)
 
 
@@ -276,7 +281,7 @@ def conformal_decompose(W: Subspace, z: Vec) -> ConformalDecomposition:
     while any(x != 0 for x in r):
         g = conformal_circuit(W, r)
         if g is None:
-            raise CircuitKitError("no conformal circuit found for a nonzero remainder")
+            raise InternalError("no conformal circuit found for a nonzero remainder")
         gv = g.as_fractions()
         alpha = min(r[i] / gv[i] for i in g.support)
         terms.append((alpha, g.vector))

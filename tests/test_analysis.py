@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from circuitkit import imbalance, subspace
 from circuitkit.augment import run
@@ -20,7 +19,7 @@ from circuitkit.proximity import (
 )
 from circuitkit.ratmat import RatMatrix, vec
 from circuitkit.subspace import Subspace
-from util import brute_circuits, brute_kappa
+from util import brute_circuits, brute_kappa, small_int_matrices
 
 
 def _counting(monkeypatch, module, name):
@@ -84,15 +83,7 @@ def _oracle(A):
     return sets, first, separable
 
 
-@st.composite
-def small_matrices(draw):
-    m = draw(st.integers(2, 3))
-    n = draw(st.integers(4, 6))
-    rows = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(m)]
-    return RatMatrix.from_rows(rows, cols=n)
-
-
-@given(small_matrices())
+@given(small_int_matrices())
 @settings(max_examples=150, deadline=None)
 def test_pair_ratio_readers_match_brute_force(A):
     sets, first, separable = _oracle(A)

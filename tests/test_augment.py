@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from circuitkit import augment
 from circuitkit.augment import (
     AugmentStep,
     AugmentationTrace,
@@ -23,13 +24,14 @@ from circuitkit.augment import (
 from circuitkit.errors import (
     AlreadyOptimal,
     AuditFailure,
+    InternalError,
     UnboundedDirection,
 )
 from circuitkit.generate import GeneratorSpec, generate
 from circuitkit.imbalance import imbalances
 from circuitkit.lp import OPTIMAL, LPInstance, solve
 from circuitkit.ratmat import RatMatrix, vec
-from circuitkit.subspace import Subspace
+from circuitkit.subspace import ConformalDecomposition, Subspace
 from util import ford_fulkerson
 
 # Diamond digraph: s=0, t=3, two disjoint unit-capacity paths.
@@ -166,6 +168,21 @@ def test_guided_walk_reaches_target():
     n = lp.A.cols
     for step in trace.steps:
         pass  # alphas validated inside guided_walk; reaching here means they held
+
+
+def test_guided_walk_over_its_step_bound_is_an_internal_error(monkeypatch):
+    # Half of a conformal term, one unit at a time: every step halves part of
+    # the gap and the walk never lands on the target.
+    decompose = augment.conformal_decompose
+
+    def halved(W, z):
+        return ConformalDecomposition(z, tuple((c / 2, g) for c, g in decompose(W, z).terms))
+
+    monkeypatch.setattr(augment, "conformal_decompose", halved)
+    monkeypatch.setattr(augment, "maximal_step", lambda x, h, u: Fraction(1))
+    lp, _ = interior_instance()
+    with pytest.raises(InternalError, match="guided walk failed to converge"):
+        guided_walk(lp, vec([1, 1, 1]), solve(lp).x)
 
 
 def test_steepness_spectrum():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from circuitkit import cli
+from circuitkit import cli, imbalance, subspace
 from circuitkit.errors import InternalError
 from circuitkit.graver import ConjectureReport
 from circuitkit.serialize import dumps, loads
@@ -220,6 +220,27 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     monkeypatch.setattr(cli.graver, "appendix_counterexample", broken)
     assert cli.main(["appendix"]) == 3
     assert capsys.readouterr().err == "internal error: decomposition failed verification\n"
+
+
+def test_unconverged_rescaling_exits_three(capsys, monkeypatch, app_matrix_file):
+    # Below the optimum some cycle of the rescaling system stays too heavy,
+    # so Bellman-Ford keeps lowering it past its round bound.
+    def halved(value):
+        return imbalance.GeoMeanValue(value.product / 2, value.length)
+
+    monkeypatch.setattr(imbalance.GeoMeanValue, "normalized", halved)
+    assert cli.main(["analyze", "--input", app_matrix_file]) == 3
+    assert capsys.readouterr().err == "internal error: rescaling system failed to converge\n"
+
+
+def test_missing_conformal_circuit_exits_three(tmp_path, capsys, monkeypatch):
+    lp_path = tmp_path / "flow.json"
+    run_cli(capsys, ["generate", "--family", "flow", "--size", "4", "--seed", "3",
+                     "--output", str(lp_path)])
+    monkeypatch.setattr(subspace, "conformal_circuit", lambda W, z: None)
+    assert cli.main(["solve", "--input", str(lp_path), "--rule", "guided"]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: no conformal circuit found for a nonzero remainder\n"
 
 
 def test_unknown_flag_usage_error(capsys):

@@ -1,13 +1,16 @@
+import functools
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from circuitkit.errors import SeparableInput
 from circuitkit.imbalance import (
+    CircuitRatioDigraph,
     GeoMeanValue,
     chibar,
     check_kappa_star_one,
@@ -25,7 +28,17 @@ from circuitkit.imbalance import (
 )
 from circuitkit.ratmat import RatMatrix
 from circuitkit.subspace import Subspace, dual, is_separable, minor
-from util import brute_kappa, brute_kappa_bar, brute_kappa_dot, random_int_matrix
+from util import (
+    brute_circuits,
+    brute_kappa,
+    brute_kappa_bar,
+    brute_kappa_dot,
+    oracle_imbalances,
+    oracle_kappa_star,
+    random_int_matrix,
+    rational_matrices,
+    small_int_matrices,
+)
 
 
 def test_app_measures(A_app):
@@ -266,3 +279,49 @@ def test_minor_monotone(seed):
         J = sorted(rng.sample(range(4), 3))
         sub = minor(W, J, mode)
         assert imbalances(sub).kappa <= kap
+
+
+@given(rational_matrices(rows=(2, 4), cols=(3, 8)))
+@settings(max_examples=100, deadline=None)
+def test_imbalances_match_the_pairwise_scan(A):
+    W = Subspace.from_kernel_matrix(A)
+    assert imbalances(W) == oracle_imbalances(W)
+
+
+@given(rational_matrices(rows=(2, 4), cols=(4, 8)))
+@settings(max_examples=100, deadline=None)
+def test_kappa_star_matches_the_fraction_dp(A):
+    W = Subspace.from_kernel_matrix(A)
+    if is_separable(W):
+        with pytest.raises(SeparableInput):
+            kappa_star(W)
+        with pytest.raises(SeparableInput):
+            oracle_kappa_star(W)
+    else:
+        assert kappa_star(W) == oracle_kappa_star(W)
+
+
+@given(small_int_matrices())
+@settings(max_examples=100, deadline=None)
+def test_kappa_star_is_the_best_simple_cycle(A):
+    W = Subspace.from_kernel_matrix(A)
+    assume(not is_separable(W))
+    kappa = {}
+    for g in brute_circuits(A):
+        supp = [i for i, v in enumerate(g) if v]
+        for i, j in itertools.permutations(supp, 2):
+            kappa[(i, j)] = max(kappa.get((i, j), 0), Fraction(abs(g[j]), abs(g[i])))
+    G = CircuitRatioDigraph(A.cols, kappa, {})
+    best = max(
+        (
+            GeoMeanValue(G.cycle_product(cyc), k)
+            for k in range(2, A.cols + 1)
+            for cyc in itertools.permutations(range(A.cols), k)
+        ),
+        key=functools.cmp_to_key(GeoMeanValue._cmp),
+    )
+    res = kappa_star(W)
+    assert res.value._cmp(best) == 0
+    cyc = res.witness_cycle
+    assert len(set(cyc)) == len(cyc) >= 2
+    assert res.value._cmp(GeoMeanValue(G.cycle_product(cyc), len(cyc))) == 0

@@ -11,6 +11,7 @@ from circuitkit.ratmat import (
     bareiss_det,
     basis_form,
     fraction_nth_root,
+    int_kernel_line,
     int_nth_root,
     integer_normalize,
     invert,
@@ -189,3 +190,25 @@ def test_pos_neg_split(entries):
 def test_det_transpose_invariant(rows):
     M = RatMatrix.from_rows(rows, cols=3)
     assert bareiss_det(M) == bareiss_det(M.transpose())
+
+
+@st.composite
+def int_rows(draw):
+    m = draw(st.integers(0, 5))
+    n = draw(st.integers(1, 7))
+    return [[draw(st.integers(-6, 6)) for _ in range(n)] for _ in range(m)], n
+
+
+@given(int_rows())
+@settings(max_examples=300, deadline=None)
+def test_int_kernel_line_matches_the_rational_kernel(case):
+    rows, n = case
+    _, _, K = rref_kernel(RatMatrix.from_rows(rows, cols=n))
+    v = int_kernel_line([list(r) for r in rows], n)
+    if K.rows != 1:
+        assert v is None
+    else:
+        # a positive multiple of the RREF kernel vector, which has some entry 1
+        scale = Fraction(v[K.row(0).index(1)])
+        assert scale > 0
+        assert tuple(Fraction(x) for x in v) == tuple(scale * x for x in K.row(0))

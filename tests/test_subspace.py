@@ -9,6 +9,7 @@ from circuitkit.errors import EmptyIndexSet, NotInProjection, NotInSubspace
 from circuitkit.ratmat import RatMatrix, is_conformal, norm2_sq, vec
 from circuitkit.subspace import (
     Subspace,
+    _enumerate_circuits,
     circuits,
     components,
     conformal_circuit,
@@ -18,7 +19,7 @@ from circuitkit.subspace import (
     lift_min_norm,
     minor,
 )
-from util import brute_circuits, random_int_matrix
+from util import brute_circuits, fraction_enumerate_circuits, random_int_matrix, rational_matrices
 
 
 def canon(v):
@@ -173,3 +174,20 @@ def test_dual_involution(seed):
     assert DD.dim == W.dim
     for row in W.span_rep.data:
         assert DD.contains(row)
+
+
+@given(rational_matrices(rows=(2, 5), cols=(4, 9)))
+@settings(max_examples=100, deadline=None)
+def test_integer_enumeration_matches_fraction_enumeration(A):
+    W = Subspace.from_kernel_matrix(A)
+    assert _enumerate_circuits(W) == fraction_enumerate_circuits(W)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[0, 0, 0, 0]], [[1, 2], [3, 4]], [[2, 0, 1], [4, 0, 2]]],
+    ids=["whole-space", "zero-space", "rank-one-zero-column"],
+)
+def test_integer_enumeration_on_degenerate_kernels(rows):
+    W = Subspace.from_kernel_matrix(RatMatrix.from_rows(rows))
+    assert _enumerate_circuits(W) == fraction_enumerate_circuits(W)

@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: cofactor determinants, support-set
 circuit search, augmenting-path max flow, a Fraction simplex tableau that
-recomputes every reduced cost on every iteration.  Slow is fine, different
-is the point.
+recomputes every reduced cost on every iteration, and the Fraction forms of
+the circuit enumeration, the imbalance scan and the kappa_star path search
+that the package runs over integers.  Slow is fine, different is the point.
 """
 
 from fractions import Fraction
@@ -11,8 +12,12 @@ from itertools import combinations
 from math import gcd, lcm
 import random
 
+from hypothesis import strategies as st
+
+from circuitkit import imbalance as imbmod
 from circuitkit import lp as lpmod
-from circuitkit.ratmat import RatMatrix
+from circuitkit.ratmat import RatMatrix, check_desk_scale, integer_normalize, rref_kernel
+from circuitkit.subspace import ElementaryVector
 
 
 def naive_det(M: RatMatrix) -> Fraction:
@@ -167,6 +172,33 @@ def random_int_matrix(rng: random.Random, m: int, n: int, lo=-4, hi=4) -> RatMat
             return RatMatrix.from_rows(rows, cols=n)
 
 
+@st.composite
+def rational_matrices(draw, rows, cols):
+    """Matrices with entries p/q, |p/q| <= 4 and q <= 3, shape in the given
+    ranges; some have a row that is a combination of two others (rank
+    deficient) and some have zero columns."""
+    m = draw(st.integers(*rows))
+    n = draw(st.integers(*cols))
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    data = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    if m >= 3 and draw(st.booleans()):
+        a, b = draw(entry), draw(entry)
+        data[-1] = [a * x + b * y for x, y in zip(data[0], data[1])]
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        for row in data:
+            row[j] = Fraction(0)
+    return RatMatrix.from_rows(data, cols=n)
+
+
+@st.composite
+def small_int_matrices(draw):
+    """2-3 x 4-6 matrices with integer entries in [-3, 3]."""
+    m = draw(st.integers(2, 3))
+    n = draw(st.integers(4, 6))
+    rows = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(m)]
+    return RatMatrix.from_rows(rows, cols=n)
+
+
 class _FractionTableau:
     """Dense Fraction simplex tableau with artificial columns kept for duals."""
 
@@ -281,3 +313,112 @@ def oracle_solve(lp):
     """lp.solve with the Fraction simplex above in place of the integer tableau."""
     rows, b, c, _, bounded_idx = lp.standardized()
     return lpmod._result(lp, bounded_idx, fraction_simplex(rows, b, c))
+
+
+def fraction_enumerate_circuits(W):
+    """`subspace._enumerate_circuits` with one Fraction RREF kernel per
+    candidate support and frozenset superset tests."""
+    n = W.ambient_dim
+    check_desk_scale(n, "circuit enumeration")
+    A = W.kernel_rep
+    r = A.rows
+    found = []
+    found_supports = []
+    for size in range(1, min(n, r + 1) + 1):
+        for S in combinations(range(n), size):
+            sset = frozenset(S)
+            if any(fs <= sset for fs in found_supports):
+                continue
+            _, _, kb = rref_kernel(A.take_cols(S))
+            if kb.rows != 1:
+                continue
+            v = kb.row(0)
+            if any(x == 0 for x in v):
+                continue
+            full = [Fraction(0)] * n
+            for idx, j in enumerate(S):
+                full[j] = v[idx]
+            ints, _ = integer_normalize(full)
+            found.append(ElementaryVector(support=tuple(S), vector=ints))
+            found_supports.append(sset)
+    return tuple(found)
+
+
+def oracle_imbalances(W):
+    """`imbalance.imbalances` with one Fraction ratio per ordered pair of
+    each circuit, i = j included."""
+    circuits = W.circuit_list
+    if not circuits:
+        return imbmod.ImbalanceReport(Fraction(1), 1, 1, imbmod.MeasureWitnesses(None, None))
+    best_ratio = Fraction(0)
+    ratio_wit = None
+    best_entry = 0
+    entry_wit = None
+    acc = 1
+    for ev in circuits:
+        for i in ev.support:
+            for j in ev.support:
+                r = ev.ratio(i, j)
+                if r > best_ratio:
+                    best_ratio, ratio_wit = r, (ev, (i, j))
+        for j in ev.support:
+            if abs(ev.vector[j]) > best_entry:
+                best_entry, entry_wit = abs(ev.vector[j]), (ev, j)
+        acc = lcm(acc, ev.entries_lcm())
+    dot_wits = []
+    for p, a in sorted(imbmod._prime_factors(acc).items()):
+        pa = p**a
+        found = next((ev, j) for ev in circuits for j in ev.support if ev.vector[j] % pa == 0)
+        dot_wits.append((p, a, found[0], found[1]))
+    return imbmod.ImbalanceReport(
+        kappa=best_ratio,
+        kappa_dot=acc,
+        kappa_bar=best_entry,
+        witnesses=imbmod.MeasureWitnesses(ratio_wit, entry_wit, tuple(dot_wits)),
+    )
+
+
+def fraction_max_mean_cycle(G, nodes):
+    """`imbalance._max_mean_cycle` over Fractions: the bitmask DP over simple
+    paths from each start s through later nodes, comparing cycles by
+    cross-powering through GeoMeanValue."""
+    GeoMeanValue = imbmod.GeoMeanValue
+    best_prod = None
+    best_cycle = ()
+    for s_pos, s in enumerate(nodes):
+        later = nodes[s_pos + 1 :]
+        dp = {}
+        for idx, v in enumerate(later):
+            if (s, v) in G.kappa:
+                dp[(1 << idx, v)] = (G.kappa[(s, v)], (s, v))
+        frontier = dict(dp)
+        while frontier:
+            upd = {}
+            for (mask, v), (prod, path) in frontier.items():
+                if (v, s) in G.kappa:
+                    cyc_prod = prod * G.kappa[(v, s)]
+                    length = len(path)
+                    if best_prod is None or GeoMeanValue(cyc_prod, length) > GeoMeanValue(
+                        best_prod, len(best_cycle)
+                    ):
+                        best_prod, best_cycle = cyc_prod, path
+                for idx, u in enumerate(later):
+                    if mask & (1 << idx):
+                        continue
+                    if (v, u) not in G.kappa:
+                        continue
+                    cand = prod * G.kappa[(v, u)]
+                    state = (mask | (1 << idx), u)
+                    cur = dp.get(state)
+                    if cur is None or cand > cur[0]:
+                        dp[state] = (cand, path + (u,))
+                        upd[state] = dp[state]
+            frontier = upd
+    return best_prod, best_cycle
+
+
+def oracle_kappa_star(W):
+    """`imbalance.kappa_star` with the Fraction path DP above."""
+    G = imbmod.pairwise(W)
+    nodes = sorted({i for (i, _) in G.kappa})
+    return imbmod._kappa_star_result(G, nodes, W.ambient_dim, *fraction_max_mean_cycle(G, nodes))
