@@ -357,10 +357,11 @@ def epsilon_of(A: RatMatrix, c, x, u=None) -> Fraction:
 
 
 def _default_cap(lp: LPInstance, W: Subspace) -> int:
-    kappa = W.measures.kappa
+    # 10 n^2 m kappa (log2(kappa + n) + 1), rounded up in exact integers
+    kappa = math.ceil(W.measures.kappa)
     n = lp.n
     m = lp.A.rows
-    return 1 + int(10 * n * n * max(m, 1) * float(kappa) * (math.log2(float(kappa) + n) + 1))
+    return 1 + 10 * n * n * max(m, 1) * kappa * ((kappa + n).bit_length() + 1)
 
 
 def run(lp: LPInstance, rule: str, cap: int | None = None, x0=None) -> AugmentationTrace:

@@ -6,6 +6,13 @@ programs are solved by scanning the proximity ball around the LP optimum
 (with a full-box rescan as an independent oracle), and the conjecture
 checker searches decompositions fewest-terms-first so a Holds verdict is a
 minimal certificate and a Violated verdict is a real finding.
+
+The box scan, its minimality filter, the conjecture search and the
+appendix scan run on Python ints: lattice combinations are carried down
+the scan, the filter tests candidates in 1-norm order against the minimal
+elements kept so far, the search holds kappa_dot times the remainder, and
+the appendix forms v^T A from int rows.  Fractions are built only for the
+results.
 """
 
 from __future__ import annotations
@@ -90,6 +97,9 @@ def _integer_kernel_basis(A: RatMatrix) -> list[list[int]]:
     Column operations on A are mirrored on an identity; once a row keeps a
     single nonzero among the live columns that column is frozen as a pivot,
     and the still-live identity columns at the end span the kernel lattice.
+    Each Euclidean round on a row that is not its last leaves a nonzero
+    remainder below the round's smallest |M[r][j]|, so a row takes at most
+    as many rounds as its smallest nonzero live entry at the start.
     """
     m, n = A.shape
     M = [[int(A.entry(r, j)) for j in range(n)] for r in range(m)]
@@ -109,24 +119,19 @@ def _integer_kernel_basis(A: RatMatrix) -> list[list[int]]:
 
     live = list(range(n))
     for r in range(m):
-        while True:
-            nz = [j for j in live if M[r][j] != 0]
-            if len(nz) <= 1:
-                break
+        nz = [j for j in live if M[r][j] != 0]
+        rounds = min((abs(M[r][j]) for j in nz), default=0)
+        while len(nz) > 1:
+            if rounds == 0:
+                raise InternalError("kernel lattice reduction exceeded its round bound")
+            rounds -= 1
             j0 = min(nz, key=lambda j: abs(M[r][j]))
             if M[r][j0] < 0:
                 colneg(j0)
-            done = True
             for j in nz:
-                if j == j0:
-                    continue
-                q = M[r][j] // M[r][j0]
-                colsub(j, j0, q)
-                if M[r][j] != 0:
-                    done = False
-            if done:
-                break
-        nz = [j for j in live if M[r][j] != 0]
+                if j != j0:
+                    colsub(j, j0, M[r][j] // M[r][j0])
+            nz = [j for j in live if M[r][j] != 0]
         if nz:
             live.remove(nz[0])
     return [[U[i][j] for i in range(n)] for j in live]
@@ -171,31 +176,30 @@ def graver_basis(A: RatMatrix) -> GraverBasis:
         )
 
     candidates = set()
-    lam = [0] * k
 
-    def scan(i):
-        if i == k:
-            x = tuple(
-                sum(lam[t] * basis[t][j] for t in range(k)) for j in range(n)
-            )
-            if any(x) and max(abs(v) for v in x) <= entry_cap:
-                candidates.add(x)
-            return
-        for v in range(-caps[i], caps[i] + 1):
-            lam[i] = v
-            scan(i + 1)
-        lam[i] = 0
+    def scan(i, partial):
+        # partial is sum_{t < i} lam[t] * basis[t]; step lam[i] up its range
+        row, cap = basis[i], caps[i]
+        x = [p - cap * b for p, b in zip(partial, row)]
+        for _ in range(2 * cap + 1):
+            if i + 1 < k:
+                scan(i + 1, x)
+            elif any(x) and max(map(abs, x)) <= entry_cap:
+                candidates.add(tuple(x))
+            x = [p + b for p, b in zip(x, row)]
 
-    scan(0)
+    scan(0, [0] * n)
 
-    def dominates(h, g):
-        return h != g and all(
-            hi * gi >= 0 and abs(hi) <= abs(gi) for hi, gi in zip(h, g)
-        )
-
-    elements = tuple(
-        sorted(g for g in candidates if not any(dominates(h, g) for h in candidates))
-    )
+    # A conformal h under g with h != g has a strictly smaller 1-norm, and
+    # conformal domination is transitive, so in 1-norm order a candidate is
+    # dominated iff some minimal element kept before it dominates it.
+    minimal = []
+    for g in sorted(candidates, key=lambda g: sum(map(abs, g))):
+        if not any(
+            all(hi * gi >= 0 and abs(hi) <= abs(gi) for hi, gi in zip(h, g)) for h in minimal
+        ):
+            minimal.append(g)
+    elements = tuple(sorted(minimal))
     g1 = max(sum(abs(v) for v in g) for g in elements)
     ginf = max(max(abs(v) for v in g) for g in elements)
 
@@ -318,40 +322,40 @@ def conjecture_decompose(W: Subspace, z) -> ConjectureReport:
         raise NotIntegerKernelVector("target must lie in the subspace")
     n = W.ambient_dim
     kd = W.measures.kappa_dot
-    if all(v == 0 for v in zv):
-        return ConjectureReport(target=tuple(int(v) for v in zv), status="holds",
-                                decomposition=(), searched=0)
+    zi = tuple(int(v) for v in zv)
+    if not any(zi):
+        return ConjectureReport(target=zi, status="holds", decomposition=(), searched=0)
 
     oriented = sorted(g.vector for g, gv in oriented_circuits(W) if is_conformal(gv, zv))
     searched = 0
 
-    def attempt(start, remaining, depth, limit, acc):
+    def attempt(start, R, depth, limit, acc):
+        # R is kd times the remainder, so coefficient a/kd is the integer a
         nonlocal searched
-        if all(v == 0 for v in remaining):
+        if not any(R):
             return list(acc)
         if depth == limit:
             return None
         for idx in range(start, len(oriented)):
             g = oriented[idx]
-            if any(gi != 0 and ri == 0 for gi, ri in zip(g, remaining)):
+            if any(gi != 0 and ri == 0 for gi, ri in zip(g, R)):
                 continue
             # largest multiple of 1/kd keeping the remainder in the orthant
-            top = min(Fraction(ri, gi) for gi, ri in zip(g, remaining) if gi != 0)
-            amax = floor(top * kd)
+            amax = min(ri // gi for gi, ri in zip(g, R) if gi != 0)
             for a in range(amax, 0, -1):
-                lamk = Fraction(a, kd)
                 searched += 1
-                rest = tuple(ri - lamk * gi for gi, ri in zip(g, remaining))
-                if any(rest_i * zi < 0 for rest_i, zi in zip(rest, zv)):
+                rest = tuple(ri - a * gi for gi, ri in zip(g, R))
+                if any(rest_i * z < 0 for rest_i, z in zip(rest, zi)):
                     continue
-                found = attempt(idx + 1, rest, depth + 1, limit, acc + [(lamk, g)])
+                found = attempt(idx + 1, rest, depth + 1, limit, acc + [(a, g)])
                 if found is not None:
                     return found
         return None
 
     for limit in range(1, n + 1):
-        found = attempt(0, zv, 0, limit, [])
+        found = attempt(0, tuple(kd * z for z in zi), 0, limit, [])
         if found is not None:
+            found = [(Fraction(a, kd), g) for a, g in found]
             total = vec_zero(n)
             for lamk, g in found:
                 if any((lamk * gi * kd).denominator != 1 for gi in g):
@@ -360,15 +364,9 @@ def conjecture_decompose(W: Subspace, z) -> ConjectureReport:
             if total != zv:
                 raise AuditFailure("conjecture-sum", detail="decomposition does not sum back")
             return ConjectureReport(
-                target=tuple(int(v) for v in zv),
-                status="holds",
-                decomposition=tuple((lamk, g) for lamk, g in found),
-                searched=searched,
+                target=zi, status="holds", decomposition=tuple(found), searched=searched
             )
-    return ConjectureReport(
-        target=tuple(int(v) for v in zv), status="violated",
-        decomposition=None, searched=searched,
-    )
+    return ConjectureReport(target=zi, status="violated", decomposition=None, searched=searched)
 
 
 def _column_basis_containing(A: RatMatrix, seed_cols) -> list[int]:
@@ -454,10 +452,6 @@ _COUNTEREXAMPLE_PAIRS = (
 )
 
 
-def _divides(a: int, k: int) -> bool:
-    return a != 0 and k % a == 0
-
-
 def appendix_counterexample() -> AppendixReport:
     """Reproduce the three computational legs of the 5850 counterexample.
 
@@ -479,17 +473,17 @@ def appendix_counterexample() -> AppendixReport:
     # an integer scales the corresponding inverse column down, which keeps a
     # non-1/5850-integral inverse non-integral.  Non-primitive qualifiers do
     # occur and must all be multiples of the primitive ones.
+    cols = [(int(A.entry(0, j)), int(A.entry(1, j))) for j in range(4)]
     divisors = [d for d in range(1, kd + 1) if kd % d == 0]
     v1_range = [0] + [s * d for d in divisors for s in (1, -1)]
     found = set()
     for v1 in v1_range:
-        lo = ceil(Fraction(-kd - 3 * v1, 13))
-        hi = floor(Fraction(kd - 3 * v1, 13))
-        for v2 in range(lo, hi + 1):
+        # ceil((-kd - 3 v1) / 13) and floor((kd - 3 v1) / 13)
+        for v2 in range(-((kd + 3 * v1) // 13), (kd - 3 * v1) // 13 + 1):
             if v1 == 0 and v2 == 0:
                 continue
-            entries = [v1 * A.entry(0, j) + v2 * A.entry(1, j) for j in range(4)]
-            if all(e == 0 or _divides(abs(int(e)), kd) for e in entries):
+            # kd % e == 0 iff the nonzero integer e divides kd, of either sign
+            if all(e == 0 or kd % e == 0 for e in (v1 * a0 + v2 * a1 for a0, a1 in cols)):
                 found.add((v1, v2))
     primitive = {v for v in found if gcd(abs(v[0]), abs(v[1])) == 1}
     canonical = set()
@@ -510,10 +504,7 @@ def appendix_counterexample() -> AppendixReport:
     products = []
     witnesses = []
     for v, w in _COUNTEREXAMPLE_PAIRS:
-        rows = [
-            [v[0] * A.entry(0, j) + v[1] * A.entry(1, j) for j in range(4)],
-            [w[0] * A.entry(0, j) + w[1] * A.entry(1, j) for j in range(4)],
-        ]
+        rows = [[u[0] * a0 + u[1] * a1 for a0, a1 in cols] for u in (v, w)]
         M = RatMatrix.from_rows(rows, cols=4)
         witness = None
         for i in range(4):
@@ -533,7 +524,7 @@ def appendix_counterexample() -> AppendixReport:
                 break
         if witness is None:
             raise AuditFailure("appendix-inverse", detail=f"pair {v}, {w} has no witness")
-        products.append((v, w, tuple(tuple(int(e) for e in row) for row in rows)))
+        products.append((v, w, tuple(tuple(row) for row in rows)))
         witnesses.append(witness)
     return AppendixReport(
         kappa_dot=kd,

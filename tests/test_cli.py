@@ -108,6 +108,19 @@ def test_solve_infeasible_is_ordinary(tmp_path, capsys):
     assert "certificate" in doc
 
 
+@pytest.mark.parametrize("rule", ["steepest", "dantzig"])
+def test_solve_with_a_huge_kappa(tmp_path, capsys, rule):
+    # kappa is 10^400, far past the float range; the walk's step cap is exact
+    lp_path = write_json(
+        tmp_path / "huge.json",
+        {"schema_version": "1", "A": [["1", str(10**400), "0"], ["0", "1", "1"]],
+         "b": ["1", "1"], "c": ["1", "1", "1"], "u": None},
+    )
+    code, out = run_cli(capsys, ["solve", "--input", lp_path, "--rule", rule])
+    assert code == 0
+    assert loads(out)["terminated"] == "optimal"
+
+
 def test_prox_feasibility(tmp_path, capsys):
     doc = {
         "schema_version": "1",

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from circuitkit.errors import (
     AuditFailure,
@@ -8,8 +10,16 @@ from circuitkit.errors import (
     NonIntegerMatrix,
     NotIntegerKernelVector,
 )
+from circuitkit.generate import (
+    GeneratorSpec,
+    complete_graph_incidence,
+    dumbbell_incidence,
+    generate,
+)
 from circuitkit.graver import (
+    _BOX_LIMIT,
     COUNTEREXAMPLE_MATRIX,
+    _integer_kernel_basis,
     appendix_counterexample,
     conjecture_decompose,
     ej_check,
@@ -18,8 +28,14 @@ from circuitkit.graver import (
     ip_proximity_check,
 )
 from circuitkit.imbalance import imbalances
-from circuitkit.ratmat import RatMatrix, vec
+from circuitkit.ratmat import RatMatrix, rank, vec
 from circuitkit.subspace import Subspace
+from util import (
+    fraction_appendix_counterexample,
+    fraction_conjecture_decompose,
+    graver_box,
+    oracle_graver_basis,
+)
 
 
 def test_graver_single_circuit(A_int):
@@ -173,3 +189,65 @@ def test_ej_rejects_fractions():
     A = RatMatrix.from_rows([[Fraction(1, 2), 1]], cols=2)
     with pytest.raises(NonIntegerMatrix):
         ej_check(A)
+
+
+@st.composite
+def tiny_int_matrices(draw, rows, cols, bound):
+    """Integer matrices of the given shape ranges, entries in [-bound, bound],
+    with up to two columns forced to zero."""
+    m = draw(st.integers(*rows))
+    n = draw(st.integers(*cols))
+    data = [[draw(st.integers(-bound, bound)) for _ in range(n)] for _ in range(m)]
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        for row in data:
+            row[j] = 0
+    return RatMatrix.from_rows(data, cols=n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tiny_int_matrices((1, 3), (1, 6), 4))
+def test_integer_kernel_basis_spans_the_kernel(A):
+    basis = _integer_kernel_basis(A)
+    assert len(basis) == A.cols - rank(A)
+    for x in basis:
+        assert all(v == 0 for v in A.matvec(vec(x)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tiny_int_matrices((1, 2), (3, 5), 2))
+@example(RatMatrix.from_rows([[2, 2, 3, 3, -2], [-1, 2, 2, 3, -3]], cols=5))
+def test_graver_basis_matches_the_all_pairs_oracle(A):
+    points = graver_box(A)[3]
+    if points > _BOX_LIMIT:
+        with pytest.raises(BoxTooLarge):
+            oracle_graver_basis(A)
+        with pytest.raises(BoxTooLarge):
+            graver_basis(A)
+        return
+    # the all-pairs oracle is quadratic in the box; a few thousand points
+    # keep it to a fraction of a second
+    assume(points <= 4000)
+    assert graver_basis(A) == oracle_graver_basis(A)
+
+
+CONJECTURE_FIXTURES = [
+    COUNTEREXAMPLE_MATRIX,
+    complete_graph_incidence(4),
+    dumbbell_incidence(),
+    generate(GeneratorSpec("tu-network", size=5, seed=0)),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_conjecture_decompose_matches_the_fraction_oracle(data):
+    A = data.draw(st.sampled_from(CONJECTURE_FIXTURES))
+    basis = _integer_kernel_basis(A)
+    coeffs = data.draw(st.lists(st.integers(-1, 1), min_size=len(basis), max_size=len(basis)))
+    z = [sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(A.cols)]
+    W = Subspace.from_kernel_matrix(A)
+    assert conjecture_decompose(W, z) == fraction_conjecture_decompose(W, z)
+
+
+def test_appendix_matches_the_fraction_oracle():
+    assert appendix_counterexample() == fraction_appendix_counterexample()

@@ -43,14 +43,11 @@ def test_no_unused_imports_in_the_package():
 
 
 # Where the package may call float(): the two spectral estimators and the
-# log factor of diameter_bound, whose values are irrational by nature, and
-# augment._default_cap, a known remaining float (it sizes the walk's step
-# cap from kappa in floating point) left for a change of its own.
+# log factor of diameter_bound, whose values are irrational by nature.
 FLOAT_ALLOWED = {
     ("imbalance.py", "chibar"),
     ("imbalance.py", "delta_min_angle"),
     ("imbalance.py", "diameter_bound"),
-    ("augment.py", "_default_cap"),
 }
 
 

@@ -2,22 +2,36 @@
 
 Everything here is deliberately naive: cofactor determinants, support-set
 circuit search, augmenting-path max flow, a Fraction simplex tableau that
-recomputes every reduced cost on every iteration, and the Fraction forms of
-the circuit enumeration, the imbalance scan and the kappa_star path search
-that the package runs over integers.  Slow is fine, different is the point.
+recomputes every reduced cost on every iteration, and the Fraction or
+all-pairs forms of what the package runs over integers: the circuit
+enumeration, the imbalance scan, the kappa_star path search, the Graver box
+scan and its minimality filter, the decomposition search and the appendix
+scan.  Slow is fine, different is the point.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import ceil, floor, gcd, lcm
 import random
 
 from hypothesis import strategies as st
 
+from circuitkit import graver as gmod
 from circuitkit import imbalance as imbmod
 from circuitkit import lp as lpmod
-from circuitkit.ratmat import RatMatrix, check_desk_scale, integer_normalize, rref_kernel
-from circuitkit.subspace import ElementaryVector
+from circuitkit.errors import BoxTooLarge
+from circuitkit.ratmat import (
+    RatMatrix,
+    bareiss_det,
+    check_desk_scale,
+    integer_normalize,
+    invert,
+    is_conformal,
+    norm1,
+    rref_kernel,
+    vec,
+)
+from circuitkit.subspace import ElementaryVector, Subspace, oriented_circuits
 
 
 def naive_det(M: RatMatrix) -> Fraction:
@@ -422,3 +436,147 @@ def oracle_kappa_star(W):
     G = imbmod.pairwise(W)
     nodes = sorted({i for (i, _) in G.kappa})
     return imbmod._kappa_star_result(G, nodes, W.ambient_dim, *fraction_max_mean_cycle(G, nodes))
+
+
+def graver_box(A):
+    """The coefficient box `graver.graver_basis` scans: (kernel lattice
+    basis, coefficient caps, entry cap n * kappa_bar, number of points)."""
+    n = A.cols
+    entry_cap = n * Subspace.from_kernel_matrix(A).measures.kappa_bar
+    basis = gmod._integer_kernel_basis(A)
+    if not basis:
+        return basis, [], entry_cap, 1
+    B = RatMatrix.from_rows(basis, cols=n)
+    P = invert(B.mul(B.transpose())).mul(B)
+    caps = [floor(norm1(P.row(i)) * entry_cap) for i in range(len(basis))]
+    points = 1
+    for cap in caps:
+        points *= 2 * cap + 1
+    return basis, caps, entry_cap, points
+
+
+def oracle_graver_basis(A):
+    """`graver.graver_basis` with the coefficient combination summed afresh
+    at every leaf of the box scan and the all-pairs minimality filter."""
+    m, n = A.shape
+    basis, caps, entry_cap, points = graver_box(A)
+    if not basis:
+        return gmod.GraverBasis(elements=(), g1=0, ginf=0)
+    k = len(basis)
+    if points > gmod._BOX_LIMIT:
+        a_max = max((abs(int(A.entry(r, j))) for r in range(m) for j in range(n)), default=0)
+        ew_bound = (2 * m * a_max + 1) ** m if m else 1
+        raise BoxTooLarge(f"coefficient box has {points} points; 1-norm bound {ew_bound}",
+                          bound=ew_bound)
+    candidates = set()
+    lam = [0] * k
+
+    def scan(i):
+        if i == k:
+            x = tuple(sum(lam[t] * basis[t][j] for t in range(k)) for j in range(n))
+            if any(x) and max(abs(v) for v in x) <= entry_cap:
+                candidates.add(x)
+            return
+        for v in range(-caps[i], caps[i] + 1):
+            lam[i] = v
+            scan(i + 1)
+        lam[i] = 0
+
+    scan(0)
+
+    def dominates(h, g):
+        return h != g and all(hi * gi >= 0 and abs(hi) <= abs(gi) for hi, gi in zip(h, g))
+
+    elements = tuple(
+        sorted(g for g in candidates if not any(dominates(h, g) for h in candidates))
+    )
+    return gmod.GraverBasis(
+        elements=elements,
+        g1=max(sum(abs(v) for v in g) for g in elements),
+        ginf=max(max(abs(v) for v in g) for g in elements),
+    )
+
+
+def fraction_conjecture_decompose(W, z):
+    """`graver.conjecture_decompose` searching over the Fraction remainder,
+    with one Fraction coefficient a/kd per candidate term."""
+    zv = vec(z)
+    n = W.ambient_dim
+    kd = W.measures.kappa_dot
+    target = tuple(int(v) for v in zv)
+    if all(v == 0 for v in zv):
+        return gmod.ConjectureReport(target=target, status="holds", decomposition=(), searched=0)
+    oriented = sorted(g.vector for g, gv in oriented_circuits(W) if is_conformal(gv, zv))
+    searched = 0
+
+    def attempt(start, remaining, depth, limit, acc):
+        nonlocal searched
+        if all(v == 0 for v in remaining):
+            return list(acc)
+        if depth == limit:
+            return None
+        for idx in range(start, len(oriented)):
+            g = oriented[idx]
+            if any(gi != 0 and ri == 0 for gi, ri in zip(g, remaining)):
+                continue
+            top = min(Fraction(ri, gi) for gi, ri in zip(g, remaining) if gi != 0)
+            for a in range(floor(top * kd), 0, -1):
+                lamk = Fraction(a, kd)
+                searched += 1
+                rest = tuple(ri - lamk * gi for gi, ri in zip(g, remaining))
+                if any(rest_i * zi < 0 for rest_i, zi in zip(rest, zv)):
+                    continue
+                found = attempt(idx + 1, rest, depth + 1, limit, acc + [(lamk, g)])
+                if found is not None:
+                    return found
+        return None
+
+    for limit in range(1, n + 1):
+        found = attempt(0, zv, 0, limit, [])
+        if found is not None:
+            return gmod.ConjectureReport(target=target, status="holds",
+                                    decomposition=tuple(found), searched=searched)
+    return gmod.ConjectureReport(target=target, status="violated", decomposition=None,
+                            searched=searched)
+
+
+def fraction_appendix_counterexample():
+    """`graver.appendix_counterexample` with every entry of v^T A formed from
+    the Fraction entries of the matrix."""
+    A = gmod.COUNTEREXAMPLE_MATRIX
+    kd = Subspace.from_kernel_matrix(A).measures.kappa_dot
+    divisors = [d for d in range(1, kd + 1) if kd % d == 0]
+    found = set()
+    for v1 in [0] + [s * d for d in divisors for s in (1, -1)]:
+        lo = ceil(Fraction(-kd - 3 * v1, 13))
+        hi = floor(Fraction(kd - 3 * v1, 13))
+        for v2 in range(lo, hi + 1):
+            if v1 == 0 and v2 == 0:
+                continue
+            entries = [v1 * A.entry(0, j) + v2 * A.entry(1, j) for j in range(4)]
+            if all(e == 0 or kd % abs(int(e)) == 0 for e in entries):
+                found.add((v1, v2))
+    primitive = {v for v in found if gcd(abs(v[0]), abs(v[1])) == 1}
+    canonical = {v if (v[0] if v[0] != 0 else v[1]) > 0 else (-v[0], -v[1]) for v in primitive}
+    if sorted(canonical) != sorted(gmod._COUNTEREXAMPLE_VECTORS) or len(primitive) != 8:
+        raise AssertionError(f"search found {sorted(canonical)}")
+    products = []
+    witnesses = []
+    for v, w in gmod._COUNTEREXAMPLE_PAIRS:
+        rows = [[u[0] * A.entry(0, j) + u[1] * A.entry(1, j) for j in range(4)] for u in (v, w)]
+        M = RatMatrix.from_rows(rows, cols=4)
+        witness = None
+        for i, j in combinations(range(4), 2):
+            S = M.submatrix([0, 1], [i, j])
+            if bareiss_det(S) == 0:
+                continue
+            inv = invert(S)
+            if any((kd * inv.entry(r, s)).denominator != 1 for r in range(2) for s in range(2)):
+                witness = (i, j)
+                break
+        products.append((v, w, tuple(tuple(int(e) for e in row) for row in rows)))
+        witnesses.append(witness)
+    return gmod.AppendixReport(
+        kappa_dot=kd, vectors=gmod._COUNTEREXAMPLE_VECTORS,
+        products=tuple(products), witnesses=tuple(witnesses),
+    )
