@@ -6,10 +6,12 @@ Three exact measures are computed from the enumerated circuits:
 * kappa_dot  -- lcm of the entries of the gcd-normalized circuit vectors
 * kappa_bar  -- largest absolute entry of a normalized circuit vector
 
-plus the optimal-rescaling value kappa_star (a geometric mean over cycles
-of the circuit ratio digraph), a rescaled-total-unimodularity decision
-procedure, and two floating-point estimators (spectral norm analogue,
-minimum principal angle) that are this package's only inexact paths.
+plus the optimal-rescaling value kappa_star (the largest geometric mean of a
+cycle of the circuit ratio digraph, found by Karp's maximum-mean-cycle
+algorithm on the integer pair maxima, per component of the subspace), a
+rescaled-total-unimodularity decision procedure, and two floating-point
+estimators (spectral norm analogue, minimum principal angle) that are this
+package's only inexact paths.
 """
 
 from __future__ import annotations
@@ -161,10 +163,14 @@ class CircuitRatioDigraph:
     sets: dict  # (i, j) -> frozenset of Fraction
 
     def cycle_product(self, cycle: Sequence[int]) -> Fraction:
-        prod = Fraction(1)
-        for a, b in zip(cycle, list(cycle[1:]) + [cycle[0]]):
-            prod *= self.kappa[(a, b)]
-        return prod
+        return _cycle_product(self.kappa, cycle)
+
+
+def _cycle_product(kappa: dict, cycle: Sequence[int]) -> Fraction:
+    prod = Fraction(1)
+    for a, b in zip(cycle, list(cycle[1:]) + [cycle[0]]):
+        prod *= kappa[(a, b)]
+    return prod
 
 
 def pairwise(W: Subspace) -> CircuitRatioDigraph:
@@ -174,11 +180,10 @@ def pairwise(W: Subspace) -> CircuitRatioDigraph:
     """
     if W.ambient_dim >= 2 and is_separable(W):
         raise SeparableInput("pairwise ratios need a non-separable subspace")
-    table = W.pair_ratios
     return CircuitRatioDigraph(
         n=W.ambient_dim,
-        kappa={k: p.largest for k, p in table.items()},
-        sets={k: p.ratios for k, p in table.items()},
+        kappa={k: Fraction(p, q) for k, (p, q) in W.pair_maxima.items()},
+        sets={k: p.ratios for k, p in W.pair_ratios.items()},
     )
 
 
@@ -217,6 +222,14 @@ class GeoMeanValue:
             return GeoMeanValue(root, 1)
         return self
 
+    def shortest(self) -> "GeoMeanValue":
+        """The same value at the shortest length with a rational product."""
+        for g in range(self.length, 1, -1):
+            root = fraction_nth_root(self.product, g) if self.length % g == 0 else None
+            if root is not None:
+                return GeoMeanValue(root, self.length // g)
+        return self
+
 
 @dataclass(frozen=True)
 class KappaStarResult:
@@ -231,8 +244,13 @@ def kappa_star(W: Subspace) -> KappaStarResult:
     """Best achievable kappa over positive diagonal rescalings.
 
     Equal to the maximum over simple cycles H of the circuit ratio digraph
-    of (prod of kappa along H)^(1/|H|).  The maximum is found by an exact
-    bitmask DP over simple paths that runs on integers (`_max_mean_cycle`);
+    of (prod of kappa along H)^(1/|H|).  A rescaling acts on each component
+    of W separately and every circuit lies in one, so this is the maximum
+    over the components; a W with no two elements in a common circuit
+    (trivial, or all loops and coloops) has value 1 and an empty cycle.
+    The maximum comes from Karp's maximum-mean-cycle algorithm on the
+    integer pair maxima (`_max_mean`), the witness from the tight arcs of
+    the rescaling at that maximum (`_tight_witness`); both are audited, and
     the value and the rescaling are returned as Fractions.
 
     The rescaling d satisfies kappa_ij * d_j / d_i <= value for every pair,
@@ -240,98 +258,181 @@ def kappa_star(W: Subspace) -> KappaStarResult:
     returned rational vector; otherwise `rescaling` is None and
     `rescaling_pow` carries the exact vector of d_i^length.
     """
-    G = pairwise(W)
-    nodes = sorted({i for (i, _) in G.kappa})
-    return _kappa_star_result(G, nodes, W.ambient_dim, *_max_mean_cycle(G, nodes))
+    n = W.ambient_dim
+    maxima = W.pair_maxima
+    kappa = {arc: Fraction(p, q) for arc, (p, q) in maxima.items()}
+    nodes = sorted({i for i, _ in maxima})
+    best = _max_mean(maxima, nodes)
+    if best is None:
+        return _kappa_star_result(kappa, nodes, n, None, ())
+    d = _mult_bellman_ford(kappa, nodes, n, best.product, best.length)
+    cycle = _tight_witness(kappa, d, best.product, best.length, nodes)
+    prod = _cycle_product(kappa, cycle)
+    if GeoMeanValue(prod, len(cycle))._cmp(best) != 0:
+        raise InternalError("witness cycle misses the maximum mean")
+    return _kappa_star_result(kappa, nodes, n, prod, cycle, (best, d))
 
 
-def _max_mean_cycle(G: CircuitRatioDigraph, nodes: list):
-    """(product, cycle) of a simple cycle with the largest geometric mean.
+def _max_mean(maxima: dict, nodes: list):
+    """The largest geometric mean of a cycle of the pair-maxima digraph, at
+    its shortest length (`GeoMeanValue.shortest`), or None without arcs.
 
-    For each start s, a DP over (visited mask of later nodes, end node)
-    keeps the path of largest product; the first cycle to beat the best so
-    far wins.  With L the lcm of the denominators of the kappa_ij, arc ij
-    weighs the integer a_ij = L * kappa_ij.  The paths compared at one state
-    have the same length, so their integer products compare as the rational
-    ones do; cycles of lengths l1 and l2 compare as P1^l2 > P2^l1, the common
-    factor L^(l1 * l2) cancelling.  Returns (None, ()) without arcs.
+    Karp's algorithm (1978) in product form on each strongly connected
+    component, which here is a component of W.  With L the lcm of the
+    denominators in the component, arc ij weighs the integer a_ij = L *
+    kappa_ij.  From a source s, D_k(v) is the largest product of a k-arc
+    walk from s to v, and with N nodes the best mean is
+    max_v min_k (D_N(v) / D_k(v))^(1 / (N - k)), each root compared by
+    cross-powering, the common factor L cancelling.  O(N^3) products per
+    component.
     """
-    L = math.lcm(*(k.denominator for k in G.kappa.values()))
-    weight = {arc: k.numerator * (L // k.denominator) for arc, k in G.kappa.items()}
-    best_prod: int | None = None
-    best_cycle: tuple = ()
-    for s_pos, s in enumerate(nodes):
-        later = nodes[s_pos + 1 :]
-        succ = {
-            v: [(1 << idx, u, weight[(v, u)]) for idx, u in enumerate(later) if (v, u) in weight]
-            for v in later
+    succ: dict = {v: [] for v in nodes}
+    for i, j in maxima:
+        succ[i].append(j)
+    best = None
+    seen: set = set()
+    for root in nodes:
+        if root in seen:
+            continue
+        comp = [root]
+        seen.add(root)
+        for u in comp:
+            for v in succ[u]:
+                if v not in seen:
+                    seen.add(v)
+                    comp.append(v)
+        L = math.lcm(*(maxima[(u, v)][1] for u in comp for v in succ[u]))
+        weight = {
+            (u, v): maxima[(u, v)][0] * (L // maxima[(u, v)][1]) for u in comp for v in succ[u]
         }
-        # dp: (visited mask over `later`, end node) -> (max product, path)
-        dp: dict = {}
-        for idx, v in enumerate(later):
-            if (s, v) in weight:
-                dp[(1 << idx, v)] = (weight[(s, v)], (s, v))
-        frontier = dict(dp)
-        while frontier:
-            upd: dict = {}
-            for (mask, v), (prod, path) in frontier.items():
-                back = weight.get((v, s))
-                if back is not None:
-                    cyc_prod = prod * back
-                    if best_prod is None or cyc_prod ** len(best_cycle) > best_prod ** len(path):
-                        best_prod, best_cycle = cyc_prod, path
-                for bit, u, a in succ[v]:
-                    if mask & bit:
-                        continue
-                    cand = prod * a
-                    state = (mask | bit, u)
-                    cur = dp.get(state)
-                    if cur is None or cand > cur[0]:
-                        dp[state] = (cand, path + (u,))
-                        upd[state] = dp[state]
-            frontier = upd
-    if best_prod is None:
-        return None, ()
-    return Fraction(best_prod, L ** len(best_cycle)), best_cycle
+        N = len(comp)
+        D = [{root: 1}]
+        for _ in range(N):
+            nxt: dict = {}
+            for u, du in D[-1].items():
+                for v in succ[u]:
+                    x = du * weight[(u, v)]
+                    if x > nxt.get(v, 0):
+                        nxt[v] = x
+            D.append(nxt)
+        top = max(
+            min(GeoMeanValue(Fraction(dn, D[k][v]), N - k) for k in range(N) if v in D[k])
+            for v, dn in D[N].items()
+        )
+        value = GeoMeanValue(top.product / L**top.length, top.length)
+        if best is None or value > best:
+            best = value
+    return None if best is None else best.shortest()
 
 
-def _kappa_star_result(G: CircuitRatioDigraph, nodes, n, best_prod, best_cycle) -> KappaStarResult:
-    """The `kappa_star` value of a best cycle, with its audited rescalings."""
+def _tight_witness(kappa: dict, d: tuple, rho: Fraction, power: int, nodes: list) -> tuple:
+    """The witness cycle among the cycles of largest geometric mean.
+
+    Under the rescaling d at the optimum, kappa_ij^power * d_j <= rho * d_i
+    holds on every arc, and the optimal cycles are exactly the cycles of the
+    arcs where it is tight.  The witness is the least minimum node s first,
+    then the shortest cycle through s inside the nodes >= s, then the least
+    sorted tuple of its nodes before the last one, then the least last node
+    (for at most three nodes, the lexicographically least cycle).  That is
+    the order in which a DP over (visited set, end node) states meets the
+    optimal cycles, so the witness is the one that search returns (kept as
+    a test oracle).  A shortest
+    cycle through s meets each node x at position dist(s, x), so the cycles
+    of length L are the paths through layers 1..L-1 of the nodes with
+    dist(s, x) + dist(x, s) = L, and the tie-breaks are fixed one node at a
+    time, each by a reachability pass over the layers.
+    """
+    tight = {
+        (i, j) for (i, j), k in kappa.items() if k**power * d[j] == rho * d[i]
+    }
+    succ: dict = {v: [] for v in nodes}
+    pred: dict = {v: [] for v in nodes}
+    for i, j in tight:
+        succ[i].append(j)
+        pred[j].append(i)
+
+    def dist(s, adj):
+        out = {s: 0}
+        queue = [s]
+        for u in queue:
+            for v in adj[u]:
+                if v > s and v not in out:
+                    out[v] = out[u] + 1
+                    queue.append(v)
+        return out
+
+    for s in nodes:
+        fwd = dist(s, succ)
+        ends = [x for x in pred[s] if x in fwd and x != s]
+        if not ends:
+            continue
+        back = dist(s, pred)
+        L = 1 + min(fwd[x] for x in ends)
+        layer = {
+            x: fwd[x] for x in sorted(fwd) if x != s and x in back and fwd[x] + back[x] == L
+        }
+
+        def feasible(fixed):
+            reach = [s]
+            for pos in range(1, L):
+                allowed = [fixed[pos]] if pos in fixed else [x for x in layer if layer[x] == pos]
+                reach = [y for y in allowed if any((x, y) in tight for x in reach)]
+                if not reach:
+                    return False
+            return True  # layer L-1 is at distance 1 from s
+
+        # One ascending pass fixes the least feasible node of each layer
+        # before the last, then the last: a node passed over stays
+        # infeasible once more layers are fixed.
+        fixed: dict = {}
+        for x in [x for x in layer if layer[x] < L - 1] + [x for x in layer if layer[x] == L - 1]:
+            if layer[x] not in fixed and feasible({**fixed, layer[x]: x}):
+                fixed[layer[x]] = x
+        if len(fixed) != L - 1:
+            raise InternalError("tight layers lost their shortest cycle")
+        return (s,) + tuple(fixed[pos] for pos in range(1, L))
+    raise InternalError("no tight cycle at the maximum mean")
+
+
+def _kappa_star_result(kappa: dict, nodes, n, best_prod, best_cycle, known=None) -> KappaStarResult:
+    """The `kappa_star` value of a best cycle, with its audited rescalings.
+
+    `known` is an optional (GeoMeanValue, rescaling) pair already computed
+    by `_mult_bellman_ford`, reused when it is the value's own system.
+    """
     if best_prod is None:
         one = GeoMeanValue(Fraction(1), 1)
         return KappaStarResult(one, (), (Fraction(1),) * n, (Fraction(1),) * n, 1)
-    if G.cycle_product(best_cycle) != best_prod:
+    if _cycle_product(kappa, best_cycle) != best_prod:
         raise InternalError("witness cycle product mismatch")
     value = GeoMeanValue(best_prod, len(best_cycle)).normalized()
-
-    d_rat = None
-    if value.length == 1:
-        t = value.product
-        d_rat = _mult_bellman_ford(G, nodes, n, t, power=1)
-        _check_feasible(G, d_rat, t, 1)
     ell = value.length
-    d_pow = _mult_bellman_ford(G, nodes, n, value.product, power=ell)
-    _check_feasible(G, d_pow, value.product, ell)
+    if known is not None and known[0] == value:
+        d_pow = known[1]
+    else:
+        d_pow = _mult_bellman_ford(kappa, nodes, n, value.product, ell)
+    _check_feasible(kappa, d_pow, value.product, ell)
     return KappaStarResult(
         value=value,
         witness_cycle=best_cycle,
-        rescaling=d_rat,
+        rescaling=d_pow if ell == 1 else None,
         rescaling_pow=d_pow,
         power=ell,
     )
 
 
-def _mult_bellman_ford(G: CircuitRatioDigraph, nodes, n, rho: Fraction, power: int):
+def _mult_bellman_ford(kappa: dict, nodes, n, rho: Fraction, power: int):
     """Feasible point of kappa_ij^power * e_j <= rho * e_i via min path products.
 
     All cycles of the powered system have product >= 1 by optimality of rho,
     so the Bellman-Ford fixpoint exists and is reached within n rounds.
     """
+    steps = [(i, j, rho / k**power) for (i, j), k in kappa.items()]
     d = {v: Fraction(1) for v in nodes}
     for _ in range(len(nodes)):
         changed = False
-        for (i, j), k in G.kappa.items():
-            cand = d[i] * rho / (k**power)
+        for i, j, f in steps:
+            cand = d[i] * f
             if cand < d[j]:
                 d[j] = cand
                 changed = True
@@ -342,9 +443,9 @@ def _mult_bellman_ford(G: CircuitRatioDigraph, nodes, n, rho: Fraction, power: i
     return tuple(d.get(i, Fraction(1)) for i in range(n))
 
 
-def _check_feasible(G: CircuitRatioDigraph, d, rho: Fraction, power: int):
+def _check_feasible(kappa: dict, d, rho: Fraction, power: int):
     tight = False
-    for (i, j), k in G.kappa.items():
+    for (i, j), k in kappa.items():
         lhs = (k**power) * d[j]
         rhs = rho * d[i]
         if lhs > rhs:
@@ -408,15 +509,20 @@ def check_kappa_star_one(A: RatMatrix) -> RescaleCheckResult:
     n = W.ambient_dim
     table = W.pair_ratios
     d = [Fraction(1)] * n
-    if all(_propagate_block(block, table, d) for block in components(W)):
+    blocks = components(W)
+    if all(_propagate_block(block, table, d) for block in blocks):
         # d solves hat_kappa_ij d_j = d_i; undoing it means scaling column i
-        # of A by something proportional to 1/d_i.
-        den = math.lcm(*(x.denominator for x in d))
-        ints = [int(x * den) for x in d]
-        g = math.gcd(*ints)
-        ints = [x // g for x in ints]
-        L = math.lcm(*ints)
-        scaling = tuple(L // x for x in ints)
+        # of A by something proportional to 1/d_i.  Each component fixes d
+        # up to its own factor, so each is scaled to coprime integers alone.
+        scaling = [1] * n
+        for block in blocks:
+            den = math.lcm(*(d[i].denominator for i in block))
+            ints = [int(d[i] * den) for i in block]
+            g = math.gcd(*ints)
+            L = math.lcm(*(x // g for x in ints))
+            for i, x in zip(block, ints):
+                scaling[i] = L // (x // g)
+        scaling = tuple(scaling)
         scaled = RatMatrix.from_rows(
             [tuple(x * scaling[j] for j, x in enumerate(r)) for r in A.data],
             cols=n,
@@ -429,10 +535,12 @@ def check_kappa_star_one(A: RatMatrix) -> RescaleCheckResult:
                 raise InternalError("scaling entries must divide kappa_dot")
             return RescaleCheckResult(True, scaling, None, None)
     # Witness branch: some 2-cycle has product > 1 whenever kappa_star > 1.
+    maxima = W.pair_maxima
     best = None
-    for (i, j), p in table.items():
+    for (i, j), (p, q) in maxima.items():
         if i < j:
-            prod = p.largest * table[(j, i)].largest
+            r, s = maxima[(j, i)]
+            prod = Fraction(p * r, q * s)
             if prod > 1 and (best is None or prod > best[1]):
                 best = ((i, j), prod)
     if best is None:

@@ -2,11 +2,12 @@
 
 Everything here and downstream is exact.  Vectors and matrices at the API
 are `fractions.Fraction`; the hot loops run fraction-free over Python ints
-with the same results: the simplex tableau in `lp`, the per-support kernel
-of the circuit enumeration (`int_kernel_line`) and the kappa_star path
-search in `imbalance`.  Floating point appears only in the two explicitly
-inexact estimators in `imbalance` (spectral norm, angle minimum) and in
-logarithms (`diameter_bound`, the walk step cap).
+with the same results: the simplex tableau in `lp`, the Gauss-Jordan
+tableau of the circuit enumeration in `subspace`, and the pair maxima and
+Karp's maximum-mean-cycle search behind kappa_star in `imbalance`.
+Floating point appears only in the two explicitly inexact estimators in
+`imbalance` (spectral norm, angle minimum) and in the log factor of
+`diameter_bound`.
 
 Vectors are plain tuples of Fractions; matrices are immutable row tuples.
 """
@@ -332,67 +333,6 @@ def _int_bareiss(rows: list[list[int]]) -> int:
             rows[i][k] = 0
         prev = rows[k][k]
     return sign * rows[n - 1][n - 1]
-
-
-def int_kernel_line(rows: list[list[int]], ncols: int) -> list[int] | None:
-    """The kernel of an integer matrix when it is a line, else None.
-
-    Fraction-free Gauss-Jordan elimination in place (Edmonds' form of
-    Bareiss): every row is held over one common denominator D > 0, so the
-    rows are D times the RREF and each pivot entry equals D.  Pivoting on
-    p = T[r][j] replaces every other row by (p * row - row[j] * T[r]) // D,
-    which is exact; a pivot row with p < 0 is negated first, which keeps
-    the kernel and makes the next D = p positive.  The kernel line of the
-    one free column f is then D at f and -T[i][f] at the pivot of row i, an
-    integer multiple of the rational RREF kernel vector.  An inexact
-    division raises InternalError.
-    """
-    pivots: list[int] = []
-    free: list[int] = []
-    D = 1
-    r = 0
-    for j in range(ncols):
-        if r == len(rows):
-            free.extend(range(j, ncols))
-            break
-        k = next((i for i in range(r, len(rows)) if rows[i][j]), None)
-        if k is None:
-            free.append(j)
-            if len(free) > 1:
-                return None
-            continue
-        rows[r], rows[k] = rows[k], rows[r]
-        if rows[r][j] < 0:
-            rows[r] = [-a for a in rows[r]]
-        prow = rows[r]
-        p = prow[j]
-        psum = sum(prow)
-        for i, row in enumerate(rows):
-            if i == r:
-                continue
-            f = row[j]
-            if f:
-                out = [(p * a - f * b) // D for a, b in zip(row, prow)]
-            elif p != D:
-                out = [p * a // D for a in row]
-            else:
-                continue
-            # Floor remainders lie in [0, D), so they all vanish iff their
-            # sum does.
-            if D * sum(out) != p * sum(row) - f * psum:
-                raise InternalError(f"inexact Bareiss step pivoting on ({r}, {j})")
-            rows[i] = out
-        D = p
-        pivots.append(j)
-        r += 1
-    if len(free) != 1:
-        return None
-    f = free[0]
-    v = [0] * ncols
-    v[f] = D
-    for i, pc in enumerate(pivots):
-        v[pc] = -rows[i][f]
-    return v
 
 
 def bareiss_det(M: RatMatrix) -> Fraction:

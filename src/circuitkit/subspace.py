@@ -8,7 +8,6 @@ nonzero vectors of W) drive everything in `imbalance` and `augment`.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +26,6 @@ from .ratmat import (
     RatMatrix,
     Vec,
     check_desk_scale,
-    int_kernel_line,
     integer_normalize,
     is_conformal,
     rref_kernel,
@@ -87,13 +85,13 @@ class ConformalDecomposition:
 class PairRatios:
     """The ratio set K_ij of one ordered pair i != j of a circuit family.
 
-    `ratios` holds |g_j / g_i| over every circuit g with i, j in its support
-    and `largest` is its maximum; `first_ratio` and `first_circuit` come from
-    the circuit with the lexicographically smallest support.
+    `ratios` holds |g_j / g_i| over every circuit g with i, j in its support;
+    `first_ratio` and `first_circuit` come from the circuit with the
+    lexicographically smallest support.  The largest ratio is in
+    `Subspace.pair_maxima`.
     """
 
     ratios: frozenset
-    largest: Fraction
     first_ratio: Fraction
     first_circuit: ElementaryVector
 
@@ -162,9 +160,38 @@ class Subspace:
         return imbalances(self)
 
     @cached_property
+    def pair_maxima(self) -> dict:
+        """(i, j) -> (num, den), the largest |g_j / g_i| over the circuits g
+        with i, j in the support, for every ordered pair i != j sharing a
+        circuit.
+
+        One integer pass over `circuit_list`: ratios are compared by
+        cross-multiplying and each maximum is reduced once at the end.  Keys
+        are in order of first appearance in `circuit_list`.
+        """
+        best: dict = {}
+        for ev in self.circuit_list:
+            mags = [(i, abs(ev.vector[i])) for i in ev.support]
+            for i, a in mags:
+                for j, b in mags:
+                    if i == j:
+                        continue
+                    cur = best.get((i, j))
+                    if cur is None or b * cur[1] > cur[0] * a:
+                        best[(i, j)] = (b, a)
+        out = {}
+        for k, (b, a) in best.items():
+            g = math.gcd(b, a)
+            out[k] = (b // g, a // g)
+        return out
+
+    @cached_property
     def pair_ratios(self) -> dict:
         """(i, j) -> PairRatios for every ordered pair i != j sharing a circuit.
 
+        The whole ratio sets, as Fractions, for the readers that need more
+        than the maxima (`pairwise(W).sets`, `estimate_kappa`,
+        `check_kappa_star_one`); `kappa_star` reads `pair_maxima` only.
         Keys are in order of first appearance in `circuit_list`.
         """
         sets: dict = {}
@@ -178,10 +205,7 @@ class Subspace:
                     sets.setdefault((i, j), set()).add(r)
                     if (i, j) not in first or ev.support < first[(i, j)][1].support:
                         first[(i, j)] = (r, ev)
-        return {
-            k: PairRatios(frozenset(v), max(v), first[k][0], first[k][1])
-            for k, v in sets.items()
-        }
+        return {k: PairRatios(frozenset(v), first[k][0], first[k][1]) for k, v in sets.items()}
 
     def project_onto_perp(self, v: Vec) -> Vec:
         """Orthogonal projection of v onto W-perp, computed exactly."""
@@ -200,39 +224,80 @@ def dual(W: Subspace) -> Subspace:
 
 
 def _enumerate_circuits(W: Subspace) -> tuple:
-    """All circuits of W by candidate-support enumeration.
+    """All circuits of W, ordered by size, then lexicographically by support.
 
-    A support S is a circuit support exactly when ker(A_S) is a line whose
-    vector has no zero inside S.  Supersets of found circuits are skipped.
-    Candidates come by size, then lexicographically.  Each row of A is
-    scaled to integers once, which keeps its kernel, so every candidate is
-    one fraction-free elimination over int.
+    Independent column sets I of A are grown depth-first in lexicographic
+    order, each by one Edmonds-Bareiss pivot of a fraction-free Gauss-Jordan
+    tableau of the integer rows (each row of A scaled to integers once,
+    which keeps its kernel).  Every row is held over one common
+    denominator D > 0: pivot rows read D at their pivot column, and a
+    column e with no nonzero entry in the rows without a pivot is dependent
+    on I.  Then I + e holds exactly one circuit, whose kernel line is D at
+    e and -T[p][e] at the pivot column of each row p; it is I + e itself
+    exactly when no entry on I is zero.  A circuit C is found only from
+    I = C minus its largest element, so each is found once.  The subtree
+    under I only reads columns after max(I), so each tableau keeps those
+    alone.  There are at most 2^n sets, n within the desk-scale cap, and
+    the recursion is at most rank A deep.  An inexact division raises
+    InternalError.
     """
     n = W.ambient_dim
     check_desk_scale(n, "circuit enumeration")
-    A = W.kernel_rep
-    r = A.rows  # matroid rank of the column matroid of A
-    int_rows = [integer_normalize(row)[0] for row in A.data]
+    int_rows = [integer_normalize(row)[0] for row in W.kernel_rep.data]
     found: list[ElementaryVector] = []
-    found_masks: list[int] = []
-    for size in range(1, min(n, r + 1) + 1):
-        for S in itertools.combinations(range(n), size):
-            mask = sum(1 << j for j in S)
-            if any(fm & mask == fm for fm in found_masks):
+
+    def grow(I: tuple, pivoted: list, rest: list, D: int, start: int):
+        # pivoted: the rows holding a pivot, in the order of I; rest: the
+        # others.  Both hold the columns start..n-1 only.
+        for k in range(n - start):
+            e = start + k
+            row = next((row for row in rest if row[k]), None)
+            if row is None:
+                v = [-prow[k] for prow in pivoted]
+                if 0 in v:
+                    continue
+                v.append(D)
+                S = I + (e,)
+                if any(sum(r[j] * x for j, x in zip(S, v)) for r in int_rows):
+                    raise InternalError(f"kernel line of support {S} is not in the kernel")
+                g = math.gcd(*v)
+                if v[0] < 0:
+                    g = -g
+                full = [0] * n
+                for j, x in zip(S, v):
+                    full[j] = x // g
+                found.append(ElementaryVector(support=S, vector=tuple(full)))
                 continue
-            v = int_kernel_line([[row[j] for j in S] for row in int_rows], size)
-            if v is None or 0 in v:
-                continue
-            if any(sum(row[j] * x for j, x in zip(S, v)) for row in int_rows):
-                raise InternalError(f"kernel line of support {S} is not in the kernel")
-            g = math.gcd(*v)
-            if v[0] < 0:
-                g = -g
-            full = [0] * n
-            for j, x in zip(S, v):
-                full[j] = x // g
-            found.append(ElementaryVector(support=S, vector=tuple(full)))
-            found_masks.append(mask)
+            prow = row if row[k] > 0 else [-a for a in row]
+            p = prow[k]
+            tail = prow[k + 1 :]
+            tsum = sum(tail)
+
+            def eliminate(old):
+                f = old[k]
+                a_tail = old[k + 1 :]
+                if f:
+                    out = [(p * a - f * b) // D for a, b in zip(a_tail, tail)]
+                elif p != D:
+                    out = [p * a // D for a in a_tail]
+                else:
+                    return a_tail
+                # Floor remainders lie in [0, D), so they all vanish iff
+                # their sum does.
+                if D * sum(out) != p * sum(a_tail) - f * tsum:
+                    raise InternalError(f"inexact Bareiss step pivoting on column {e}")
+                return out
+
+            grow(
+                I + (e,),
+                [eliminate(old) for old in pivoted] + [tail],
+                [eliminate(old) for old in rest if old is not row],
+                p,
+                e + 1,
+            )
+
+    grow((), [], int_rows, 1, 0)
+    found.sort(key=lambda ev: (len(ev.support), ev.support))
     return tuple(found)
 
 

@@ -56,6 +56,23 @@ def test_generate_analyze_pipeline(tmp_path, capsys):
     assert loads(out)["kappa_dot"] == "2"
 
 
+@pytest.mark.parametrize(
+    "rows, power, cycle",
+    [
+        ([["1", "2", "0", "0"], ["0", "0", "1", "3"]], {"product": "1", "length": 1}, [0, 1]),
+        ([["1", "0"], ["0", "1"]], {"product": "1", "length": 1}, []),
+    ],
+    ids=["block-diagonal", "identity"],
+)
+def test_analyze_answers_separable_and_trivial_kernels(tmp_path, capsys, rows, power, cycle):
+    path = write_json(tmp_path / "m.json", {"schema_version": "1", "A": rows})
+    code, out = run_cli(capsys, ["analyze", "--input", path])
+    assert code == 0
+    doc = loads(out)
+    assert doc["kappa_star_power"] == power
+    assert doc["kappa_star_cycle"] == cycle
+
+
 def test_generate_flow_solve(tmp_path, capsys):
     lp_path = tmp_path / "flow.json"
     code, _ = run_cli(

@@ -5,13 +5,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from circuitkit.errors import SeparableInput
 from circuitkit.imbalance import (
     CircuitRatioDigraph,
     GeoMeanValue,
+    _max_mean,
+    _mult_bellman_ford,
+    _tight_witness,
     chibar,
     check_kappa_star_one,
     delta_min_angle,
@@ -33,6 +36,8 @@ from util import (
     brute_kappa,
     brute_kappa_bar,
     brute_kappa_dot,
+    brute_kappa_star,
+    int_max_mean_cycle,
     oracle_imbalances,
     oracle_kappa_star,
     random_int_matrix,
@@ -249,6 +254,10 @@ def test_geo_mean_ordering():
     b = GeoMeanValue(Fraction(3), 1)
     assert not a < b and not b < a
     assert GeoMeanValue(Fraction(8), 2) < b
+    assert GeoMeanValue(Fraction(16), 4).shortest() == GeoMeanValue(Fraction(2), 1)
+    assert GeoMeanValue(Fraction(4), 4).shortest() == GeoMeanValue(Fraction(2), 2)
+    assert GeoMeanValue(Fraction(8, 27), 6).shortest() == GeoMeanValue(Fraction(2, 3), 2)
+    assert GeoMeanValue(Fraction(2), 2).shortest() == GeoMeanValue(Fraction(2), 2)
 
 
 @given(st.integers(0, 2**30 - 1))
@@ -292,13 +301,57 @@ def test_imbalances_match_the_pairwise_scan(A):
 @settings(max_examples=100, deadline=None)
 def test_kappa_star_matches_the_fraction_dp(A):
     W = Subspace.from_kernel_matrix(A)
+    res = kappa_star(W)
+    assert res == oracle_kappa_star(W) == oracle_kappa_star(W, int_max_mean_cycle)
     if is_separable(W):
+        # the maximum over the components, against every simple cycle
+        best = brute_kappa_star(A)
+        if best is None:
+            assert res.value == GeoMeanValue(Fraction(1), 1) and res.witness_cycle == ()
+        else:
+            assert res.value._cmp(best) == 0
         with pytest.raises(SeparableInput):
-            kappa_star(W)
-        with pytest.raises(SeparableInput):
-            oracle_kappa_star(W)
-    else:
-        assert kappa_star(W) == oracle_kappa_star(W)
+            pairwise(W)
+
+
+@st.composite
+def ratio_digraphs(draw):
+    """Pair maxima on one or two complete digraphs, with few distinct
+    values, so that many cycles tie for the largest mean."""
+    n = draw(st.integers(2, 7))
+    pool = st.sampled_from([(1, 1), (2, 1), (1, 2), (4, 1), (3, 2)])
+    values = draw(st.lists(pool, min_size=1, max_size=3))
+    side = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    maxima = {}
+    for i in range(n):
+        for j in range(n):
+            if i != j and side[i] == side[j]:
+                maxima[(i, j)] = draw(st.sampled_from(values))
+    return n, maxima
+
+
+# The only optimal cycles are (0, 3, 5, 1) and (0, 4, 2, 1): the DP meets
+# the second first, whose nodes before the last sort as (2, 4) < (3, 5),
+# though the first is lexicographically smaller.
+TIE_ARCS = {(0, 3), (3, 5), (5, 1), (1, 0), (0, 4), (4, 2), (2, 1)}
+
+
+@given(ratio_digraphs())
+@settings(max_examples=300, deadline=None)
+@example((6, {(i, j): (2, 1) if (i, j) in TIE_ARCS else (1, 2)
+              for i in range(6) for j in range(6) if i != j}))
+def test_karp_and_the_tight_witness_match_the_path_dp(case):
+    n, maxima = case
+    kappa = {k: Fraction(p, q) for k, (p, q) in maxima.items()}
+    nodes = sorted({i for i, _ in maxima})
+    prod, cycle = int_max_mean_cycle(kappa, nodes)
+    best = _max_mean(maxima, nodes)
+    if prod is None:
+        assert best is None
+        return
+    assert best._cmp(GeoMeanValue(prod, len(cycle))) == 0
+    d = _mult_bellman_ford(kappa, nodes, n, best.product, best.length)
+    assert _tight_witness(kappa, d, best.product, best.length, nodes) == cycle
 
 
 @given(small_int_matrices())

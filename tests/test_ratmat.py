@@ -11,7 +11,6 @@ from circuitkit.ratmat import (
     bareiss_det,
     basis_form,
     fraction_nth_root,
-    int_kernel_line,
     int_nth_root,
     integer_normalize,
     invert,
@@ -27,7 +26,7 @@ from circuitkit.ratmat import (
     subdet_stats,
     vec,
 )
-from util import naive_det, random_int_matrix
+from util import int_kernel_line, naive_det, random_int_matrix
 
 fracs = st.fractions(
     min_value=-20, max_value=20, max_denominator=6

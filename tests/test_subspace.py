@@ -19,7 +19,13 @@ from circuitkit.subspace import (
     lift_min_norm,
     minor,
 )
-from util import brute_circuits, fraction_enumerate_circuits, random_int_matrix, rational_matrices
+from util import (
+    brute_circuits,
+    fraction_enumerate_circuits,
+    int_enumerate_circuits,
+    random_int_matrix,
+    rational_matrices,
+)
 
 
 def canon(v):
@@ -191,3 +197,32 @@ def test_integer_enumeration_matches_fraction_enumeration(A):
 def test_integer_enumeration_on_degenerate_kernels(rows):
     W = Subspace.from_kernel_matrix(RatMatrix.from_rows(rows))
     assert _enumerate_circuits(W) == fraction_enumerate_circuits(W)
+
+
+@st.composite
+def degenerate_int_matrices(draw):
+    """1-4 x 1-9 integer matrices with entries in [-3, 3], some zero
+    columns, some columns parallel to another and some rows that are
+    combinations of two others."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 9))
+    rows = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(m)]
+    for j, k, f in draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-3, 3)),
+                 max_size=3)
+    ):
+        for row in rows:
+            row[j] = f * row[k]
+    for i in draw(st.sets(st.integers(0, m - 1), max_size=2)):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows[i] = [a * x + b * y for x, y in zip(rows[(i + 1) % m], rows[(i + 2) % m])]
+    if not any(any(row) for row in rows):
+        rows[0][0] = 1
+    return RatMatrix.from_rows(rows, cols=n)
+
+
+@given(degenerate_int_matrices())
+@settings(max_examples=300, deadline=None)
+def test_independent_set_growth_matches_both_support_enumerators(A):
+    W = Subspace.from_kernel_matrix(A)
+    assert W.circuit_list == int_enumerate_circuits(W) == fraction_enumerate_circuits(W)

@@ -2,15 +2,17 @@
 
 Everything here is deliberately naive: cofactor determinants, support-set
 circuit search, augmenting-path max flow, a Fraction simplex tableau that
-recomputes every reduced cost on every iteration, and the Fraction or
-all-pairs forms of what the package runs over integers: the circuit
-enumeration, the imbalance scan, the kappa_star path search, the Graver box
-scan and its minimality filter, the decomposition search and the appendix
-scan.  Slow is fine, different is the point.
+recomputes every reduced cost on every iteration, and the slower forms of
+what the package runs faster: the circuit enumeration support by support
+(over Fractions, and over ints with `int_kernel_line`), the imbalance scan,
+the kappa_star bitmask DP over simple paths (over Fractions and over ints)
+that Karp's algorithm replaced, the Graver box scan and its minimality
+filter, the decomposition search and the appendix scan.  Slow is fine,
+different is the point.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import ceil, floor, gcd, lcm
 import random
 
@@ -190,7 +192,8 @@ def random_int_matrix(rng: random.Random, m: int, n: int, lo=-4, hi=4) -> RatMat
 def rational_matrices(draw, rows, cols):
     """Matrices with entries p/q, |p/q| <= 4 and q <= 3, shape in the given
     ranges; some have a row that is a combination of two others (rank
-    deficient) and some have zero columns."""
+    deficient), some a column that is a multiple of another (parallel) and
+    some have zero columns."""
     m = draw(st.integers(*rows))
     n = draw(st.integers(*cols))
     entry = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -198,6 +201,11 @@ def rational_matrices(draw, rows, cols):
     if m >= 3 and draw(st.booleans()):
         a, b = draw(entry), draw(entry)
         data[-1] = [a * x + b * y for x, y in zip(data[0], data[1])]
+    if n >= 2 and draw(st.booleans()):
+        j, k = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        f = draw(entry)
+        for row in data:
+            row[j] = f * row[k]
     for j in draw(st.sets(st.integers(0, n - 1), max_size=2)):
         for row in data:
             row[j] = Fraction(0)
@@ -358,6 +366,85 @@ def fraction_enumerate_circuits(W):
     return tuple(found)
 
 
+def int_kernel_line(rows, ncols):
+    """The kernel of an integer matrix when it is a line, else None.
+
+    Fraction-free Gauss-Jordan elimination in place (Edmonds' form of
+    Bareiss): every row is held over one common denominator D > 0, so the
+    rows are D times the RREF and each pivot entry equals D.  Pivoting on
+    p = T[r][j] replaces every other row by (p * row - row[j] * T[r]) // D,
+    which is exact; a pivot row with p < 0 is negated first, which keeps
+    the kernel and makes the next D = p positive.  The kernel line of the
+    one free column f is then D at f and -T[i][f] at the pivot of row i, an
+    integer multiple of the rational RREF kernel vector.
+    """
+    pivots = []
+    free = []
+    D = 1
+    r = 0
+    for j in range(ncols):
+        if r == len(rows):
+            free.extend(range(j, ncols))
+            break
+        k = next((i for i in range(r, len(rows)) if rows[i][j]), None)
+        if k is None:
+            free.append(j)
+            if len(free) > 1:
+                return None
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        if rows[r][j] < 0:
+            rows[r] = [-a for a in rows[r]]
+        prow = rows[r]
+        p = prow[j]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[j]
+                out = [(p * a - f * b) // D for a, b in zip(row, prow)]
+                if any((p * a - f * b) % D for a, b in zip(row, prow)):
+                    raise ValueError(f"inexact Bareiss step pivoting on ({r}, {j})")
+                rows[i] = out
+        D = p
+        pivots.append(j)
+        r += 1
+    if len(free) != 1:
+        return None
+    f = free[0]
+    v = [0] * ncols
+    v[f] = D
+    for i, pc in enumerate(pivots):
+        v[pc] = -rows[i][f]
+    return v
+
+
+def int_enumerate_circuits(W):
+    """`subspace._enumerate_circuits` support by support: one integer
+    kernel line per candidate support, by size and then lexicographically,
+    skipping supersets of the circuits found."""
+    n = W.ambient_dim
+    check_desk_scale(n, "circuit enumeration")
+    int_rows = [integer_normalize(row)[0] for row in W.kernel_rep.data]
+    found = []
+    found_masks = []
+    for size in range(1, min(n, W.kernel_rep.rows + 1) + 1):
+        for S in combinations(range(n), size):
+            mask = sum(1 << j for j in S)
+            if any(fm & mask == fm for fm in found_masks):
+                continue
+            v = int_kernel_line([[row[j] for j in S] for row in int_rows], size)
+            if v is None or 0 in v:
+                continue
+            g = gcd(*v)
+            if v[0] < 0:
+                g = -g
+            full = [0] * n
+            for j, x in zip(S, v):
+                full[j] = x // g
+            found.append(ElementaryVector(support=S, vector=tuple(full)))
+            found_masks.append(mask)
+    return tuple(found)
+
+
 def oracle_imbalances(W):
     """`imbalance.imbalances` with one Fraction ratio per ordered pair of
     each circuit, i = j included."""
@@ -392,10 +479,11 @@ def oracle_imbalances(W):
     )
 
 
-def fraction_max_mean_cycle(G, nodes):
-    """`imbalance._max_mean_cycle` over Fractions: the bitmask DP over simple
-    paths from each start s through later nodes, comparing cycles by
-    cross-powering through GeoMeanValue."""
+def fraction_max_mean_cycle(kappa, nodes):
+    """The bitmask DP over simple paths over Fractions: for each start s,
+    through later nodes only, keep the path of largest product per (visited
+    mask, end node); the first cycle to beat the best so far, compared by
+    cross-powering through GeoMeanValue, wins."""
     GeoMeanValue = imbmod.GeoMeanValue
     best_prod = None
     best_cycle = ()
@@ -403,14 +491,14 @@ def fraction_max_mean_cycle(G, nodes):
         later = nodes[s_pos + 1 :]
         dp = {}
         for idx, v in enumerate(later):
-            if (s, v) in G.kappa:
-                dp[(1 << idx, v)] = (G.kappa[(s, v)], (s, v))
+            if (s, v) in kappa:
+                dp[(1 << idx, v)] = (kappa[(s, v)], (s, v))
         frontier = dict(dp)
         while frontier:
             upd = {}
             for (mask, v), (prod, path) in frontier.items():
-                if (v, s) in G.kappa:
-                    cyc_prod = prod * G.kappa[(v, s)]
+                if (v, s) in kappa:
+                    cyc_prod = prod * kappa[(v, s)]
                     length = len(path)
                     if best_prod is None or GeoMeanValue(cyc_prod, length) > GeoMeanValue(
                         best_prod, len(best_cycle)
@@ -419,9 +507,9 @@ def fraction_max_mean_cycle(G, nodes):
                 for idx, u in enumerate(later):
                     if mask & (1 << idx):
                         continue
-                    if (v, u) not in G.kappa:
+                    if (v, u) not in kappa:
                         continue
-                    cand = prod * G.kappa[(v, u)]
+                    cand = prod * kappa[(v, u)]
                     state = (mask | (1 << idx), u)
                     cur = dp.get(state)
                     if cur is None or cand > cur[0]:
@@ -431,11 +519,80 @@ def fraction_max_mean_cycle(G, nodes):
     return best_prod, best_cycle
 
 
-def oracle_kappa_star(W):
-    """`imbalance.kappa_star` with the Fraction path DP above."""
-    G = imbmod.pairwise(W)
-    nodes = sorted({i for (i, _) in G.kappa})
-    return imbmod._kappa_star_result(G, nodes, W.ambient_dim, *fraction_max_mean_cycle(G, nodes))
+def int_max_mean_cycle(kappa, nodes):
+    """The same DP over ints: with L the lcm of the denominators, arc ij
+    weighs L * kappa_ij, and cycles of lengths l1, l2 compare as
+    P1^l2 > P2^l1, the common factor L^(l1 * l2) cancelling."""
+    L = lcm(*(k.denominator for k in kappa.values()))
+    weight = {arc: k.numerator * (L // k.denominator) for arc, k in kappa.items()}
+    best_prod = None
+    best_cycle = ()
+    for s_pos, s in enumerate(nodes):
+        later = nodes[s_pos + 1 :]
+        dp = {}
+        for idx, v in enumerate(later):
+            if (s, v) in weight:
+                dp[(1 << idx, v)] = (weight[(s, v)], (s, v))
+        frontier = dict(dp)
+        while frontier:
+            upd = {}
+            for (mask, v), (prod, path) in frontier.items():
+                back = weight.get((v, s))
+                if back is not None:
+                    cyc_prod = prod * back
+                    if best_prod is None or cyc_prod ** len(best_cycle) > best_prod ** len(path):
+                        best_prod, best_cycle = cyc_prod, path
+                for idx, u in enumerate(later):
+                    bit = 1 << idx
+                    if mask & bit or (v, u) not in weight:
+                        continue
+                    cand = prod * weight[(v, u)]
+                    state = (mask | bit, u)
+                    cur = dp.get(state)
+                    if cur is None or cand > cur[0]:
+                        dp[state] = (cand, path + (u,))
+                        upd[state] = dp[state]
+            frontier = upd
+    if best_prod is None:
+        return None, ()
+    return Fraction(best_prod, L ** len(best_cycle)), best_cycle
+
+
+def oracle_kappa_star(W, dp=fraction_max_mean_cycle):
+    """`imbalance.kappa_star` with a path DP above in place of Karp's
+    algorithm and the tight-arc witness."""
+    kappa = {k: Fraction(p, q) for k, (p, q) in W.pair_maxima.items()}
+    nodes = sorted({i for (i, _) in kappa})
+    return imbmod._kappa_star_result(kappa, nodes, W.ambient_dim, *dp(kappa, nodes))
+
+
+def brute_kappa_star(A):
+    """The largest geometric mean of a simple cycle of the circuit ratio
+    digraph built from `brute_circuits`, as a GeoMeanValue, or None when no
+    two columns share a circuit.  Every simple cycle is walked once, from
+    its least node."""
+    kappa = {}
+    for g in brute_circuits(A):
+        supp = [i for i, v in enumerate(g) if v]
+        for i, j in permutations(supp, 2):
+            kappa[(i, j)] = max(kappa.get((i, j), 0), Fraction(abs(g[j]), abs(g[i])))
+    best = None
+
+    def walk(path, prod):
+        nonlocal best
+        s = path[0]
+        back = kappa.get((path[-1], s))
+        if back is not None and len(path) > 1:
+            value = imbmod.GeoMeanValue(prod * back, len(path))
+            if best is None or value > best:
+                best = value
+        for (a, b), k in kappa.items():
+            if a == path[-1] and b > s and b not in path:
+                walk(path + (b,), prod * k)
+
+    for s in range(A.cols):
+        walk((s,), Fraction(1))
+    return best
 
 
 def graver_box(A):
