@@ -1,25 +1,17 @@
-"""Exact circuit-imbalance analysis for rational subspaces."""
+"""Exact circuit-imbalance analysis for rational subspaces.
 
-from .augment import (
-    AugmentationTrace,
-    audit_trace,
-    epsilon_of,
-    flow_to_lp,
-    guided_walk,
-    max_flow_encoding,
-    run,
-    steepest_direction,
-)
+The core layers load with the package: `errors`, `ratmat`, `subspace`,
+`lp`, `imbalance` and `proximity`.  The consumers `augment`, `graver` and
+`generate` load on first use of one of their names (PEP 562), so a process
+that never walks, scans a Graver basis or generates an instance does not
+compile them.  `from circuitkit import X` returns the same object either way.
+"""
+
+import importlib
+import sys
+import types
+
 from .errors import AuditFailure, CircuitKitError, InternalError
-from .generate import GeneratorSpec, generate
-from .graver import (
-    appendix_counterexample,
-    conjecture_decompose,
-    ej_check,
-    graver_basis,
-    hk_check,
-    ip_proximity_check,
-)
 from .imbalance import (
     ImbalanceReport,
     chibar,
@@ -50,6 +42,64 @@ from .proximity import (
 )
 from .ratmat import RatMatrix
 from .subspace import Subspace, circuits, conformal_decompose, dual, lift_min_norm, minor
+
+# name -> the consumer module that defines it, imported on first access
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "AugmentationTrace",
+            "audit_trace",
+            "epsilon_of",
+            "flow_to_lp",
+            "guided_walk",
+            "max_flow_encoding",
+            "run",
+            "steepest_direction",
+        ),
+        "augment",
+    ),
+    **dict.fromkeys(
+        (
+            "appendix_counterexample",
+            "conjecture_decompose",
+            "ej_check",
+            "graver_basis",
+            "hk_check",
+            "ip_proximity_check",
+        ),
+        "graver",
+    ),
+    **dict.fromkeys(("GeneratorSpec", "generate"), "generate"),
+}
+_CONSUMERS = ("augment", "graver")  # `generate` is the function, as a name
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is not None:
+        value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    elif name in _CONSUMERS:
+        value = importlib.import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY) | set(_CONSUMERS))
+
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name, value):
+        # Importing a submodule binds it on its package, which would let the
+        # module `circuitkit.generate` shadow the function `generate`.
+        if name == "generate" and isinstance(value, types.ModuleType):
+            value = value.generate
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
 
 __all__ = [
     "AuditFailure",

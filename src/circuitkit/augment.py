@@ -364,15 +364,22 @@ def _default_cap(lp: LPInstance, W: Subspace) -> int:
     return 1 + 10 * n * n * max(m, 1) * kappa * ((kappa + n).bit_length() + 1)
 
 
-def run(lp: LPInstance, rule: str, cap: int | None = None, x0=None) -> AugmentationTrace:
-    """Instrumented circuit walk under the given rule, from x0 or a phase-1 point."""
+def run(
+    lp: LPInstance, rule: str, cap: int | None = None, x0=None, W: Subspace | None = None
+) -> AugmentationTrace:
+    """Instrumented circuit walk under the given rule, from x0 or a phase-1 point.
+
+    W is ker(lp.A) when the caller already holds it, so that its circuits
+    are enumerated once for every walk given the same object.
+    """
     if rule not in (STEEPEST, DANTZIG, DEEPEST, RATIO, SUPPORT):
         raise BadParameters(f"run does not drive rule {rule!r}")
     if rule == RATIO and lp.u is not None and any(ui is not None for ui in lp.u):
         # The weighted system only prices decreases, so a coordinate parked
         # at its cap can stall the walk; the rule is for uncapped instances.
         raise BadParameters("the weighted rule needs an instance without upper bounds")
-    W = Subspace.from_kernel_matrix(lp.A)
+    if W is None:
+        W = Subspace.from_kernel_matrix(lp.A)
     u = lp.u
     if x0 is None:
         feas = solve(LPInstance(A=lp.A, b=lp.b, c=tuple(Fraction(0) for _ in range(lp.n)), u=u))
@@ -536,30 +543,13 @@ def audit_trace(trace: AugmentationTrace, A: RatMatrix, c, u=None) -> AuditRepor
     )
 
 
-def steepness_spectrum(W: Subspace, c) -> frozenset:
-    """All values of <c,g>/||g||_1 over oriented elementary vectors."""
-    cv = vec(c)
-    values = {vec_dot(cv, gv) / norm1(gv) for _, gv in oriented_circuits(W)}
-    n = W.ambient_dim
-    m = W.codim
-    if values and all(x.denominator == 1 for x in cv):
-        ninf = max(abs(x) for x in cv) if any(cv) else Fraction(0)
-        if ninf > 0 and norm1(cv) <= (n - m + 1) * ninf:
-            kbar = W.measures.kappa_bar
-            bound = Fraction(1, 2) * ninf * (n - m + 1) * kbar * ((n - m + 1) * kbar + 1)
-            if len(values) > bound:
-                raise AuditFailure(
-                    "spectrum-bound", 0, f"{len(values)} distinct values exceed {bound}"
-                )
-    return frozenset(values)
-
-
-def guided_walk(lp: LPInstance, x_start, x_target) -> AugmentationTrace:
+def guided_walk(lp: LPInstance, x_start, x_target, W: Subspace | None = None) -> AugmentationTrace:
     """Walk to a basic solution along conformal pieces of the remaining gap.
 
     Each step decomposes x_target - x conformally, picks the term with the
     largest mass on the non-basic coordinates, and steps maximally.  The
-    step length in units of the chosen term must land in [1, n].
+    step length in units of the chosen term must land in [1, n].  W is
+    ker(lp.A) when the caller already holds it, as in `run`.
     """
     A = lp.A
     u = lp.u
@@ -580,7 +570,8 @@ def guided_walk(lp: LPInstance, x_start, x_target) -> AugmentationTrace:
         if rank(A.take_cols(sorted(B + [j]))) > len(B):
             B.append(j)
     Bset = set(B)
-    W = Subspace.from_kernel_matrix(A)
+    if W is None:
+        W = Subspace.from_kernel_matrix(A)
     cost = tuple(Fraction(0) if i in Bset else Fraction(1) for i in range(n))
     obj = vec_dot(cost, x)
     steps = []

@@ -1,5 +1,10 @@
 """Command-line front door.
 
+Each verb imports what it runs: this module loads `serialize`, `errors` and
+the core layers (`ratmat`, `subspace`, `lp`, `imbalance`, `proximity`), and
+`augment`, `graver` and `generate` are imported inside the commands that
+use them, so that `analyze` or `prox` never compiles them.
+
 Exit codes: 0 success, 1 mathematical finding (a verified bound failed or
 the decomposition conjecture is violated), 2 input or usage error, 3
 internal error (a broken invariant, i.e. a bug).
@@ -13,8 +18,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from . import augment, graver, lp as lpmod, proximity, serialize
-from .generate import FAMILIES, GeneratorSpec, generate as _generate
+from . import lp as lpmod, proximity, serialize
 from .errors import (
     AuditFailure,
     BadParameters,
@@ -26,7 +30,7 @@ from .errors import (
     UnboundedDirection,
     UnboundedRegion,
 )
-from .imbalance import diameter_bound, is_TU, kappa_star
+from .imbalance import diameter_within, is_TU, kappa_star
 from .subspace import Subspace
 
 _INPUT_ERRORS = (
@@ -35,6 +39,9 @@ _INPUT_ERRORS = (
 )
 
 RULES = ("steepest", "dantzig", "deepest", "ratio", "support", "guided")
+# generate.FAMILIES, spelled out so that building the parser does not import
+# `generate` (and `augment` under it); tests/test_cli.py checks they agree.
+FAMILIES = ("flow", "incidence", "dumbbell", "tu-network", "random-rational")
 
 
 def _read_json(path: str):
@@ -122,14 +129,18 @@ def _cmd_solve(args) -> int:
         res = lpmod.solve(lp)
         _emit(args, serialize.make_report("solve", _result_payload(res)))
         return 0
+    from . import augment
+
     try:
         if args.rule == "guided":
             res = lpmod.solve(lp)
             if res.status != lpmod.OPTIMAL:
                 _emit(args, serialize.make_report("solve", _result_payload(res)))
                 return 0
-            start = augment.run(lp, rule="support").final_x
-            trace = augment.guided_walk(lp, start, res.x)
+            # one subspace, so both walks share one circuit enumeration
+            W = Subspace.from_kernel_matrix(lp.A)
+            start = augment.run(lp, rule="support", W=W).final_x
+            trace = augment.guided_walk(lp, start, res.x, W=W)
         else:
             trace = augment.run(lp, rule=args.rule, cap=args.cap)
     except InfeasibleSystem:
@@ -229,6 +240,8 @@ def _cmd_blackbox(args) -> int:
 
 
 def _cmd_graver(args) -> int:
+    from . import graver
+
     A = _load_matrix(args.input)
     basis = graver.graver_basis(A)
     payload = {
@@ -242,6 +255,8 @@ def _cmd_graver(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
+    from . import graver
+
     A = _load_matrix(args.input)
     W = Subspace.from_kernel_matrix(A)
     doc = _read_json(args.target)
@@ -264,6 +279,8 @@ def _cmd_conjecture(args) -> int:
 
 
 def _cmd_appendix(args) -> int:
+    from . import graver
+
     rep = graver.appendix_counterexample()
     payload = {
         "kappa_dot": str(rep.kappa_dot),
@@ -279,10 +296,12 @@ def _cmd_appendix(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from .generate import GeneratorSpec, generate
+
     spec = GeneratorSpec(
         family=args.family, size=args.size, rows=args.rows, seed=args.seed
     )
-    made = _generate(spec)
+    made = generate(spec)
     if isinstance(made, lpmod.LPInstance):
         text = (
             serialize.lp_to_csv(made)
@@ -316,15 +335,15 @@ def _cmd_diameter(args) -> int:
     except InfeasibleSystem:
         _emit(args, serialize.make_report("diameter", {"status": "infeasible"}))
         return 0
-    bound = diameter_bound(n, m, rep.kappa)
+    within, bound = diameter_within(diam, n, m, rep.kappa)
     payload = {
         "status": "ok",
         "diameter": diam,
         "bound": serialize.frac_str(bound),
-        "within": diam <= bound,
+        "within": within,
     }
     _emit(args, serialize.make_report("diameter", payload))
-    return 1 if diam > bound else 0
+    return 0 if within else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

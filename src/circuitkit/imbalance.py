@@ -9,9 +9,9 @@ Three exact measures are computed from the enumerated circuits:
 plus the optimal-rescaling value kappa_star (the largest geometric mean of a
 cycle of the circuit ratio digraph, found by Karp's maximum-mean-cycle
 algorithm on the integer pair maxima, per component of the subspace), a
-rescaled-total-unimodularity decision procedure, and two floating-point
-estimators (spectral norm analogue, minimum principal angle) that are this
-package's only inexact paths.
+total-unimodularity test, the diameter bound with its logarithm enclosed
+in exact rationals, and one floating-point estimator (`chibar`, the
+spectral norm analogue), this package's only inexact path.
 """
 
 from __future__ import annotations
@@ -24,26 +24,20 @@ from typing import Sequence
 
 from .errors import (
     BadParameters,
-    CircuitKitError,
     InternalError,
     RankDeficient,
     SeparableInput,
 )
 from .ratmat import (
     RatMatrix,
-    Vec,
     bareiss_det,
     basis_form,
     check_desk_scale,
     fraction_nth_root,
-    integer_normalize,
     rank,
-    rref,
-    rref_nonzero,
-    solve_linear,
     vec,
 )
-from .subspace import Subspace, components, is_separable
+from .subspace import Subspace, is_separable
 
 
 @dataclass(frozen=True)
@@ -139,21 +133,6 @@ def _basis_forms(A: RatMatrix):
     )
 
 
-def kappa_via_basis_forms(A: RatMatrix) -> Fraction:
-    """max over nonsingular bases B of the largest |entry| of A_B^{-1} A.
-
-    Independent route to kappa(ker A); must agree with the circuit route.
-    """
-    if rank(A) != A.rows:
-        raise RankDeficient("basis-form scan needs a full row rank matrix")
-    best = Fraction(0)
-    for M in _basis_forms(A):
-        best = max(best, max(abs(x) for r in M.data for x in r))
-    if best == 0:
-        raise RankDeficient("no nonsingular basis found")
-    return best
-
-
 @dataclass
 class CircuitRatioDigraph:
     """Complete digraph on the ground set with K_ij ratio sets as arc data."""
@@ -180,10 +159,16 @@ def pairwise(W: Subspace) -> CircuitRatioDigraph:
     """
     if W.ambient_dim >= 2 and is_separable(W):
         raise SeparableInput("pairwise ratios need a non-separable subspace")
+    sets: dict = {}
+    for ev in W.circuit_list:
+        for i in ev.support:
+            for j in ev.support:
+                if i != j:
+                    sets.setdefault((i, j), set()).add(ev.ratio(i, j))
     return CircuitRatioDigraph(
         n=W.ambient_dim,
         kappa={k: Fraction(p, q) for k, (p, q) in W.pair_maxima.items()},
-        sets={k: p.ratios for k, p in W.pair_ratios.items()},
+        sets={k: frozenset(v) for k, v in sets.items()},
     )
 
 
@@ -468,134 +453,28 @@ def rescale(W: Subspace, d: Sequence) -> Subspace:
     return Subspace.from_span_matrix(RatMatrix.from_rows(rows, cols=W.ambient_dim))
 
 
-def estimate_kappa(W: Subspace):
-    """One-circuit-per-pair lower estimate.
-
-    For each ordered pair, the circuit with lexicographically smallest
-    support containing both indices supplies |g_j/g_i|.  Returns the max
-    over pairs and the per-pair table {(i, j): (ratio, circuit)}.
-    """
-    if W.ambient_dim >= 2 and is_separable(W):
-        raise SeparableInput("pair estimates need a non-separable subspace")
-    table = {k: (p.first_ratio, p.first_circuit) for k, p in W.pair_ratios.items()}
-    xi = max((r for r, _ in table.values()), default=Fraction(1))
-    return xi, table
-
-
-@dataclass(frozen=True)
-class RescaleCheckResult:
-    """Outcome of the rescaled-TU decision.
-
-    Either `rescaled_tu` with an integer diagonal `scaling` (kappa of the
-    column-scaled matrix is 1), or a cycle witness with product > 1.
-    """
-
-    rescaled_tu: bool
-    scaling: tuple | None
-    witness_cycle: tuple | None
-    witness_product: Fraction | None
-
-
-def check_kappa_star_one(A: RatMatrix) -> RescaleCheckResult:
-    """Decide kappa_star(ker A) = 1 without computing kappa_star.
-
-    Estimates a single ratio per pair, propagates a candidate rescaling
-    along the estimates, and confirms with a total-unimodularity test of a
-    basis form of the rescaled matrix.  On failure a 2-cycle of exact
-    pairwise ratios with product > 1 is returned (such a 2-cycle always
-    exists when kappa_star > 1).
-    """
-    W = Subspace.from_kernel_matrix(A)
-    n = W.ambient_dim
-    table = W.pair_ratios
-    d = [Fraction(1)] * n
-    blocks = components(W)
-    if all(_propagate_block(block, table, d) for block in blocks):
-        # d solves hat_kappa_ij d_j = d_i; undoing it means scaling column i
-        # of A by something proportional to 1/d_i.  Each component fixes d
-        # up to its own factor, so each is scaled to coprime integers alone.
-        scaling = [1] * n
-        for block in blocks:
-            den = math.lcm(*(d[i].denominator for i in block))
-            ints = [int(d[i] * den) for i in block]
-            g = math.gcd(*ints)
-            L = math.lcm(*(x // g for x in ints))
-            for i, x in zip(block, ints):
-                scaling[i] = L // (x // g)
-        scaling = tuple(scaling)
-        scaled = RatMatrix.from_rows(
-            [tuple(x * scaling[j] for j, x in enumerate(r)) for r in A.data],
-            cols=n,
-        )
-        M = rref_nonzero(scaled)
-        tu, _ = is_TU(M) if _entries_tu_candidate(M) else (False, None)
-        if tu:
-            kd = W.measures.kappa_dot
-            if any(kd % s != 0 for s in scaling):
-                raise InternalError("scaling entries must divide kappa_dot")
-            return RescaleCheckResult(True, scaling, None, None)
-    # Witness branch: some 2-cycle has product > 1 whenever kappa_star > 1.
-    maxima = W.pair_maxima
-    best = None
-    for (i, j), (p, q) in maxima.items():
-        if i < j:
-            r, s = maxima[(j, i)]
-            prod = Fraction(p * r, q * s)
-            if prod > 1 and (best is None or prod > best[1]):
-                best = ((i, j), prod)
-    if best is None:
-        raise InternalError("no witness cycle despite TU failure")
-    return RescaleCheckResult(False, None, best[0], best[1])
-
-
-def _propagate_block(block, table, d) -> bool:
-    """BFS-propagate hat_kappa_ij d_j = d_i within one component.
-
-    hat_kappa_ij is the smallest-support estimate of the pair-ratio table.
-    The estimates of a component connect it, so a consistent system has one
-    solution with d_root = 1 whatever the visiting order.  Returns False when
-    the estimate system is inconsistent.
-    """
-    est = {k: p.first_ratio for k, p in table.items() if k[0] in block}
-    if not est:
-        return True
-    root = block[0]
-    val = {root: Fraction(1)}
-    queue = [root]
-    while queue:
-        i = queue.pop()
-        for (a, b), r in est.items():
-            if a == i and b not in val:
-                # hat_kappa_ab * d_b = d_a
-                val[b] = val[a] / r
-                queue.append(b)
-            elif b == i and a not in val:
-                val[a] = val[b] * r
-                queue.append(a)
-    for (a, b), r in est.items():
-        if val[a] != r * val[b]:
-            return False
-    for i in block:
-        d[i] = val.get(i, Fraction(1))
-    return True
-
-
-def _entries_tu_candidate(M: RatMatrix) -> bool:
-    return all(x in (0, 1, -1) for r in M.data for x in r)
+def _network_lines(lines) -> bool:
+    """Every line holds at most one +1 and at most one -1."""
+    return all(line.count(1) <= 1 and line.count(-1) <= 1 for line in lines)
 
 
 def is_TU(A: RatMatrix):
-    """Brute-force total unimodularity test.
+    """Total unimodularity test.
 
     Returns (True, None) or (False, (rows, cols, det)) with the smallest
     offending submatrix.  Entries outside {0, +1, -1} fail immediately with
-    a 1x1 witness.
+    a 1x1 witness.  A {0, +1, -1} matrix with at most one +1 and one -1 in
+    every column, or in every row, is a network matrix or its transpose and
+    TU (Poincare); any other matrix gets the brute-force scan of its square
+    submatrices, within the desk-scale cap.
     """
-    check_desk_scale(A.cols, "unimodularity enumeration")
     for i, r in enumerate(A.data):
         for j, x in enumerate(r):
             if x not in (0, 1, -1):
                 return False, ((i,), (j,), x)
+    if _network_lines(A.data) or _network_lines(zip(*A.data)):
+        return True, None
+    check_desk_scale(A.cols, "unimodularity enumeration")
     for k in range(2, min(A.rows, A.cols) + 1):
         for ri in itertools.combinations(range(A.rows), k):
             for ci in itertools.combinations(range(A.cols), k):
@@ -605,51 +484,9 @@ def is_TU(A: RatMatrix):
     return True, None
 
 
-def int_representation(W: Subspace) -> RatMatrix:
-    """An integer kernel matrix for W whose nonzero entries divide kappa_dot.
-
-    Prefers an integral basis form (exists whenever the dual is anchored);
-    otherwise scales each basis form row by its denominator.  Either way the
-    rows are elementary vectors of the dual, so divisibility holds.
-    """
-    if W.is_trivial():
-        raise BadParameters("integer representation needs a proper subspace")
-    A = W.kernel_rep
-    n = A.cols
-    forms = _basis_forms(A)  # checks the basis scan's scale before circuits are enumerated
-    kd = W.measures.kappa_dot
-    fallback = None
-    for M in forms:
-        if M.is_integral():
-            _assert_divides(M, kd)
-            return M
-        if fallback is None:
-            fallback = M
-    if fallback is None:
-        raise RankDeficient("kernel representation lost rank")
-    rows = []
-    for r in fallback.data:
-        ints, scale = integer_normalize(r)
-        if scale < 0:
-            ints = tuple(-x for x in ints)
-        rows.append(ints)
-    M = RatMatrix.from_rows(rows, cols=n)
-    _assert_divides(M, kd)
-    if Subspace.from_kernel_matrix(M) != W:
-        raise InternalError("representation changed the kernel")
-    return M
-
-
-def _assert_divides(M: RatMatrix, kd: int):
-    for r in M.data:
-        for x in r:
-            if x != 0 and kd % int(x) != 0 and kd % -int(x) != 0:
-                raise InternalError(f"entry {x} does not divide kappa_dot {kd}")
-
-
 # ---------------------------------------------------------------------------
-# Floating-point estimators.  These two functions and diameter_bound's log
-# factor are the only places the package leaves exact arithmetic.
+# The floating-point estimator.  `chibar` and its power iteration are the
+# only place the package leaves exact arithmetic.
 # ---------------------------------------------------------------------------
 
 
@@ -689,84 +526,79 @@ def chibar(A: RatMatrix) -> float:
     return best
 
 
-def delta_min_angle(vectors: Sequence[Vec]) -> float:
-    """min over independent subsets I and v not in span(I) of sin(angle).
+# ---------------------------------------------------------------------------
+# The diameter bound, with its logarithm enclosed in exact rationals.
+# ---------------------------------------------------------------------------
 
-    Residuals are computed exactly (rational normal equations); only the
-    final square root is floating point.
+
+def _log2_enclosure(x: Fraction, bits: int) -> tuple:
+    """(lo, hi) with lo <= log2(x) <= hi and hi - lo <= 2^-bits, for a
+    rational x >= 1; lo == hi when x is a power of two.
+
+    With x = 2^e * y and 1 <= y < 2, each further bit of log2(y) says
+    whether y^2 >= 2, and then y^2 / 2 carries on.  y is held as an integer
+    interval [a, b] / 2^P, squared with floor and ceiling so that it always
+    contains y; a bit is read only when the whole interval lies on one side
+    of 2.  Otherwise P doubles and the bits start over.  That ends, since a
+    square landing on 2 exactly would make log2(x) rational, and x a power
+    of two.
     """
-    vs = [vec(v) for v in vectors]
-    if not vs:
-        raise BadParameters("need at least one vector")
-    nonzero = [v for v in vs if any(x != 0 for x in v)]
-    if len(nonzero) != len(vs):
-        raise BadParameters("zero vectors have no direction")
-    best = None
-    idx = range(len(vs))
-    for size in range(1, len(vs)):
-        for I in itertools.combinations(idx, size):
-            B = RatMatrix.from_rows([vs[i] for i in I])
-            if rank(B) != size:
-                continue
-            gram = B.mul(B.transpose())
-            for j in idx:
-                if j in I:
-                    continue
-                target = vs[j]
-                mu = solve_linear(gram, B.matvec(target))
-                resid = tuple(a - b for a, b in zip(target, B.vecmat(mu)))
-                r2 = sum((x * x for x in resid), Fraction(0))
-                if r2 == 0:
-                    continue  # v_j in span(I)
-                sin2 = r2 / sum((x * x for x in target), Fraction(0))
-                s = math.sqrt(float(sin2))
-                if best is None or s < best:
-                    best = s
-    return 1.0 if best is None else best
-
-
-def knuth_basis(A: RatMatrix, mu) -> tuple:
-    """Local determinant maximization: swap while some |entry| > mu.
-
-    Every swap multiplies |det A_B| by more than mu, so the loop terminates.
-    Returns (basis, basis_form, swap_count).
-    """
-    mu = Fraction(mu)
-    if mu < 1:
-        raise BadParameters("mu must be at least 1")
-    m, n = A.shape
-    if rank(A) != m:
-        raise RankDeficient("basis search needs a full row rank matrix")
-    _, pivots, _ = rref(A)
-    B = list(pivots)
-    swaps = 0
-    limit = 10000
+    p, q = x.numerator, x.denominator
+    e = p.bit_length() - q.bit_length()
+    if p < q << e:
+        e -= 1
+    if q == 1 and p == 1 << e:
+        return Fraction(e), Fraction(e)
+    P = 2 * bits + 16
     while True:
-        M = basis_form(A, B)
-        swap = None
-        for i in range(m):
-            for j in range(n):
-                if abs(M.entry(i, j)) > mu:
-                    swap = (i, j)
-                    break
-            if swap:
+        a, r = divmod(p << P, q << e)
+        b = a + (r != 0)
+        two = 1 << (P + 1)
+        digits = 0
+        for _ in range(bits):
+            a, b = (a * a) >> P, -(-(b * b) >> P)
+            digits <<= 1
+            if a >= two:
+                digits |= 1
+                a, b = a >> 1, -(-b >> 1)
+            elif b >= two:
                 break
-        if swap is None:
-            return tuple(B), M, swaps
-        B[swap[0]] = swap[1]
-        swaps += 1
-        if swaps > limit:  # pragma: no cover
-            raise CircuitKitError("swap budget exhausted; mu too close to 1?")
+        else:
+            lo = e + Fraction(digits, 1 << bits)
+            return lo, lo + Fraction(1, 1 << bits)
+        P *= 2
 
 
-def diameter_bound(n: int, m: int, kappa) -> Fraction:
-    """(n - m)^3 * m * kappa * log2(kappa + n).
-
-    The log factor is evaluated in floating point and embedded exactly, so
-    repeated calls are deterministic and comparisons downstream stay exact.
-    """
+def _diameter_enclosure(n: int, m: int, kappa, bits: int) -> tuple:
     kappa = Fraction(kappa)
     if n < m or m < 1 or kappa < 1:
         raise BadParameters("need n >= m >= 1 and kappa >= 1")
-    log_term = Fraction(math.log2(float(kappa) + n))
-    return Fraction((n - m) ** 3 * m) * kappa * log_term
+    coeff = (n - m) ** 3 * m * kappa
+    lo, hi = _log2_enclosure(kappa + n, bits)
+    return coeff * lo, coeff * hi
+
+
+def diameter_bound(n: int, m: int, kappa) -> Fraction:
+    """(n - m)^3 * m * kappa * log2(kappa + n), from below.
+
+    The log factor is the lower end of an exact enclosure of width 2^-64
+    (`_log2_enclosure`), so the bound is exact when kappa + n is a power of
+    two and otherwise at most (n - m)^3 * m * kappa * 2^-64 below it.
+    """
+    return _diameter_enclosure(n, m, kappa, 64)[0]
+
+
+def diameter_within(diameter: int, n: int, m: int, kappa) -> tuple:
+    """Decide diameter <= (n - m)^3 * m * kappa * log2(kappa + n) exactly.
+
+    The enclosure of the log factor is refined (64, 128, ... bits) until the
+    diameter lies on one side of it.  Returns the decision and the lower end
+    of the deciding enclosure, so the diameter is within exactly when it is
+    at most the returned bound.
+    """
+    bits = 64
+    while True:
+        lo, hi = _diameter_enclosure(n, m, kappa, bits)
+        if diameter <= lo or diameter > hi:
+            return diameter <= lo, lo
+        bits *= 2

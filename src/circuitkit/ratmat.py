@@ -5,16 +5,14 @@ are `fractions.Fraction`; the hot loops run fraction-free over Python ints
 with the same results: the simplex tableau in `lp`, the Gauss-Jordan
 tableau of the circuit enumeration in `subspace`, and the pair maxima and
 Karp's maximum-mean-cycle search behind kappa_star in `imbalance`.
-Floating point appears only in the two explicitly inexact estimators in
-`imbalance` (spectral norm, angle minimum) and in the log factor of
-`diameter_bound`.
+Floating point appears only in the explicitly inexact spectral estimator
+`imbalance.chibar`.
 
 Vectors are plain tuples of Fractions; matrices are immutable row tuples.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -25,7 +23,6 @@ from .errors import (
     DeskScaleExceeded,
     DimensionMismatch,
     InternalError,
-    NonIntegerMatrix,
     NotSquare,
     SingularBasis,
     ZeroVector,
@@ -89,10 +86,6 @@ def vec_zero(n: int) -> Vec:
 
 def norm1(a: Vec) -> Fraction:
     return sum((abs(x) for x in a), Fraction(0))
-
-
-def norminf(a: Vec) -> Fraction:
-    return max((abs(x) for x in a), default=Fraction(0))
 
 
 def norm2_sq(a: Vec) -> Fraction:
@@ -348,38 +341,6 @@ def bareiss_det(M: RatMatrix) -> Fraction:
         scale *= den
         int_rows.append([int(x * den) for x in r])
     return Fraction(_int_bareiss(int_rows), 1) / scale
-
-
-@dataclass(frozen=True)
-class SubdetStats:
-    """Largest absolute subdeterminant and the lcm of all nonzero ones."""
-
-    delta_max: Fraction
-    delta_lcm: int
-    witness_max: tuple  # (row index tuple, col index tuple)
-
-
-def subdet_stats(A: RatMatrix) -> SubdetStats:
-    """Exhaustive statistics over every square submatrix (desk scale only)."""
-    check_desk_scale(A.cols, "subdeterminant enumeration")
-    if not A.is_integral():
-        # The lcm statistic is only meaningful for integer matrices.
-        raise NonIntegerMatrix("subdeterminant statistics need an integer matrix")
-    best = Fraction(0)
-    witness = ((), ())
-    acc_lcm = 1
-    for k in range(1, min(A.rows, A.cols) + 1):
-        for ri in itertools.combinations(range(A.rows), k):
-            for ci in itertools.combinations(range(A.cols), k):
-                d = bareiss_det(A.submatrix(ri, ci))
-                if d == 0:
-                    continue
-                ad = abs(d)
-                acc_lcm = math.lcm(acc_lcm, int(ad))
-                if ad > best:
-                    best = ad
-                    witness = (ri, ci)
-    return SubdetStats(delta_max=best, delta_lcm=acc_lcm, witness_max=witness)
 
 
 def integer_normalize(v: Vec):

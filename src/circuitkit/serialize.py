@@ -170,11 +170,6 @@ def matrix_to_csv(M: RatMatrix) -> str:
     return buf.getvalue()
 
 
-def matrix_from_csv(text: str) -> RatMatrix:
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
-    return matrix_from_obj(rows)
-
-
 def lp_to_csv(lp: LPInstance) -> str:
     """Sectioned CSV: header cell naming the block, then its rows."""
     buf = io.StringIO()
@@ -192,29 +187,3 @@ def lp_to_csv(lp: LPInstance) -> str:
     return buf.getvalue()
 
 
-def lp_from_csv(text: str) -> LPInstance:
-    sections: dict[str, list] = {}
-    current = None
-    for row in csv.reader(io.StringIO(text)):
-        if not row:
-            continue
-        if len(row) == 1 and row[0] in ("A", "b", "c", "u"):
-            current = row[0]
-            sections[current] = []
-            continue
-        if current is None:
-            raise InputFormatError("CSV data before any section header")
-        sections[current].append(row)
-    for key in ("A", "b", "c"):
-        if key not in sections or not sections[key]:
-            raise InputFormatError(f"CSV document is missing section {key!r}")
-    A = matrix_from_obj(sections["A"])
-    b = vec_from_obj(sections["b"][0], length=A.rows)
-    c = vec_from_obj(sections["c"][0], length=A.cols)
-    if "u" not in sections:
-        return LPInstance.standard(A, b, c)
-    raw = sections["u"][0]
-    if len(raw) != A.cols:
-        raise InputFormatError("u row must have one entry per column")
-    u = tuple(None if x == "" else parse_frac(x) for x in raw)
-    return LPInstance.bounded(A, b, c, u)

@@ -82,27 +82,12 @@ class ConformalDecomposition:
 
 
 @dataclass(frozen=True)
-class PairRatios:
-    """The ratio set K_ij of one ordered pair i != j of a circuit family.
-
-    `ratios` holds |g_j / g_i| over every circuit g with i, j in its support;
-    `first_ratio` and `first_circuit` come from the circuit with the
-    lexicographically smallest support.  The largest ratio is in
-    `Subspace.pair_maxima`.
-    """
-
-    ratios: frozenset
-    first_ratio: Fraction
-    first_circuit: ElementaryVector
-
-
-@dataclass(frozen=True)
 class Subspace:
     """A rational subspace, canonically ker(kernel_rep) with kernel_rep in RREF.
 
     The circuits and everything computed from them alone (the imbalance
-    report and the pair-ratio table) are computed once per object, on first
-    use.  Pass the same object along to reuse them.
+    report and the pair maxima) are computed once per object, on first use.
+    Pass the same object along to reuse them.
     """
 
     ambient_dim: int
@@ -116,14 +101,6 @@ class Subspace:
     def from_span_matrix(cls, S: RatMatrix) -> "Subspace":
         _, _, kb = rref_kernel(S)
         return cls(ambient_dim=S.cols, kernel_rep=rref_nonzero(kb))
-
-    @classmethod
-    def from_span_rows(cls, rows: Sequence[Sequence], ambient: int | None = None) -> "Subspace":
-        if rows:
-            return cls.from_span_matrix(RatMatrix.from_rows(rows))
-        if ambient is None:
-            raise DimensionMismatch("empty span needs an ambient dimension")
-        return cls.from_span_matrix(RatMatrix.zeros(1, ambient))
 
     @property
     def dim(self) -> int:
@@ -184,28 +161,6 @@ class Subspace:
             g = math.gcd(b, a)
             out[k] = (b // g, a // g)
         return out
-
-    @cached_property
-    def pair_ratios(self) -> dict:
-        """(i, j) -> PairRatios for every ordered pair i != j sharing a circuit.
-
-        The whole ratio sets, as Fractions, for the readers that need more
-        than the maxima (`pairwise(W).sets`, `estimate_kappa`,
-        `check_kappa_star_one`); `kappa_star` reads `pair_maxima` only.
-        Keys are in order of first appearance in `circuit_list`.
-        """
-        sets: dict = {}
-        first: dict = {}
-        for ev in self.circuit_list:
-            for i in ev.support:
-                for j in ev.support:
-                    if i == j:
-                        continue
-                    r = ev.ratio(i, j)
-                    sets.setdefault((i, j), set()).add(r)
-                    if (i, j) not in first or ev.support < first[(i, j)][1].support:
-                        first[(i, j)] = (r, ev)
-        return {k: PairRatios(frozenset(v), first[k][0], first[k][1]) for k, v in sets.items()}
 
     def project_onto_perp(self, v: Vec) -> Vec:
         """Orthogonal projection of v onto W-perp, computed exactly."""

@@ -28,7 +28,7 @@ def A_db() -> RatMatrix:
 
 
 def W_M(M: int) -> Subspace:
-    return Subspace.from_span_rows([[0, 1, 1, M], [1, 0, M, 1]])
+    return Subspace.from_span_matrix(RatMatrix.from_rows([[0, 1, 1, M], [1, 0, M, 1]]))
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from circuitkit import cli
+from circuitkit import cli, graver
 from circuitkit.augment import (
     audit_trace,
     guided_walk,
@@ -202,7 +202,7 @@ def test_05_spectral_sandwich():
 
 
 def test_06_rescaling_value_dominates_every_cycle():
-    W3 = Subspace.from_span_rows([[0, 1, 1, 3], [1, 0, 3, 1]])
+    W3 = Subspace.from_span_matrix(RatMatrix.from_rows([[0, 1, 1, 3], [1, 0, 3, 1]]))
     star = kappa_star(W3)
     table = pairwise(W3).kappa
     n = W3.ambient_dim
@@ -520,7 +520,7 @@ def test_13_decomposition_sweep_holds_and_violations_exit_one(tmp_path, monkeypa
             target=(2, -2, 2), status="violated", decomposition=(), searched=7
         )
 
-    monkeypatch.setattr(cli.graver, "conjecture_decompose", fake)
+    monkeypatch.setattr(graver, "conjecture_decompose", fake)
     code = cli.main(
         ["conjecture", "--input", str(mat), "--target", str(target)]
     )

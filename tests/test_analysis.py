@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 
-from circuitkit import imbalance, subspace
+from circuitkit import cli, imbalance, subspace
 from circuitkit.augment import run
 from circuitkit.errors import SeparableInput
 from circuitkit.generate import GeneratorSpec, generate
-from circuitkit.imbalance import check_kappa_star_one, estimate_kappa, pairwise
+from circuitkit.imbalance import pairwise
 from circuitkit.lp import LPInstance
 from circuitkit.proximity import (
     hoffman_feasibility_witness,
@@ -18,8 +18,15 @@ from circuitkit.proximity import (
     transfer_bound,
 )
 from circuitkit.ratmat import RatMatrix, vec
+from circuitkit.serialize import dumps, loads, lp_to_obj
 from circuitkit.subspace import Subspace
-from util import brute_circuits, brute_kappa, small_int_matrices
+from util import (
+    brute_circuits,
+    brute_kappa,
+    check_kappa_star_one,
+    estimate_kappa,
+    small_int_matrices,
+)
 
 
 def _counting(monkeypatch, module, name):
@@ -45,6 +52,17 @@ def test_a_walk_enumerates_circuits_once(monkeypatch, rule, size, seed, capped, 
     calls = _counting(monkeypatch, subspace, "_enumerate_circuits")
     trace = run(lp, rule=rule)
     assert len(trace.steps) == steps
+    assert len(calls) == 1
+
+
+def test_a_guided_solve_enumerates_circuits_once(monkeypatch, tmp_path, capsys):
+    # the support walk to the start and the guided walk share one subspace
+    lp = generate(GeneratorSpec("flow", size=6, seed=4))
+    path = tmp_path / "flow.json"
+    path.write_text(dumps(lp_to_obj(lp)))
+    calls = _counting(monkeypatch, subspace, "_enumerate_circuits")
+    assert cli.main(["solve", "--input", str(path), "--rule", "guided"]) == 0
+    assert loads(capsys.readouterr().out)["steps"] > 0
     assert len(calls) == 1
 
 

@@ -18,7 +18,6 @@ from circuitkit.augment import (
     ratio_circuit,
     run,
     steepest_direction,
-    steepness_spectrum,
     support_circuit,
 )
 from circuitkit.errors import (
@@ -32,7 +31,7 @@ from circuitkit.imbalance import imbalances
 from circuitkit.lp import OPTIMAL, LPInstance, solve
 from circuitkit.ratmat import RatMatrix, vec
 from circuitkit.subspace import ConformalDecomposition, Subspace
-from util import ford_fulkerson
+from util import ford_fulkerson, steepness_spectrum
 
 # Diamond digraph: s=0, t=3, two disjoint unit-capacity paths.
 DIAMOND_ARCS = [(0, 1), (1, 3), (0, 2), (2, 3)]

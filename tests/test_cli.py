@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from circuitkit import cli, imbalance, subspace
+from circuitkit import cli, graver, imbalance, subspace
 from circuitkit.errors import InternalError
 from circuitkit.graver import ConjectureReport
-from circuitkit.serialize import dumps, loads
+from circuitkit.serialize import dumps, loads, parse_frac
 
 
 def write_json(path, obj):
@@ -199,7 +199,7 @@ def test_conjecture_violated_exits_one(tmp_path, capsys, monkeypatch):
             target=(2, -2, 2), status="violated", decomposition=(), searched=99
         )
 
-    monkeypatch.setattr(cli.graver, "conjecture_decompose", fake)
+    monkeypatch.setattr(graver, "conjecture_decompose", fake)
     code, out = run_cli(capsys, ["conjecture", "--input", mat, "--target", target])
     assert code == 1
     assert loads(out)["status"] == "violated"
@@ -231,6 +231,33 @@ def test_diameter(tmp_path, capsys):
     assert rep["within"] is True
 
 
+def test_diameter_with_a_huge_kappa(tmp_path, capsys):
+    # float(kappa) overflowed here once, and the traceback exited 1
+    big = str(10**400)
+    lp = write_json(
+        tmp_path / "big.json",
+        {
+            "schema_version": "1",
+            "A": [["1", big, "0"], ["0", "1", "1"]],
+            "b": ["1", "1"],
+            "c": ["1", "1", "1"],
+        },
+    )
+    code, out = run_cli(capsys, ["diameter", "--input", lp])
+    assert code == 0
+    rep = loads(out)
+    assert rep["status"] == "ok"
+    assert rep["within"] is True
+    assert rep["diameter"] <= parse_frac(rep["bound"])
+    assert parse_frac(rep["bound"]) > 10**400
+
+
+def test_the_generate_choices_are_the_generator_families():
+    from circuitkit.generate import FAMILIES
+
+    assert cli.FAMILIES == FAMILIES
+
+
 def test_missing_file_is_input_error(capsys):
     code = cli.main(["analyze", "--input", "/nonexistent/nope.json"])
     assert code == 2
@@ -247,7 +274,7 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     def broken():
         raise InternalError("decomposition failed verification")
 
-    monkeypatch.setattr(cli.graver, "appendix_counterexample", broken)
+    monkeypatch.setattr(graver, "appendix_counterexample", broken)
     assert cli.main(["appendix"]) == 3
     assert capsys.readouterr().err == "internal error: decomposition failed verification\n"
 

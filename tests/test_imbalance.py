@@ -8,36 +8,40 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from circuitkit import imbalance
 from circuitkit.errors import SeparableInput
 from circuitkit.imbalance import (
     CircuitRatioDigraph,
     GeoMeanValue,
+    _log2_enclosure,
     _max_mean,
     _mult_bellman_ford,
     _tight_witness,
     chibar,
-    check_kappa_star_one,
-    delta_min_angle,
     diameter_bound,
-    estimate_kappa,
+    diameter_within,
     imbalances,
-    int_representation,
     is_TU,
     kappa_star,
-    kappa_via_basis_forms,
-    knuth_basis,
     pairwise,
     rescale,
 )
-from circuitkit.ratmat import RatMatrix
+from circuitkit.ratmat import RatMatrix, bareiss_det
 from circuitkit.subspace import Subspace, dual, is_separable, minor
 from util import (
     brute_circuits,
+    brute_is_TU,
     brute_kappa,
     brute_kappa_bar,
     brute_kappa_dot,
     brute_kappa_star,
+    check_kappa_star_one,
+    delta_min_angle,
+    estimate_kappa,
     int_max_mean_cycle,
+    int_representation,
+    kappa_via_basis_forms,
+    knuth_basis,
     oracle_imbalances,
     oracle_kappa_star,
     random_int_matrix,
@@ -378,3 +382,91 @@ def test_kappa_star_is_the_best_simple_cycle(A):
     cyc = res.witness_cycle
     assert len(set(cyc)) == len(cyc) >= 2
     assert res.value._cmp(GeoMeanValue(G.cycle_product(cyc), len(cyc))) == 0
+
+
+@st.composite
+def unit_matrices(draw):
+    """Small {0, +1, -1} matrices; half of them network matrices (at most one
+    +1 and one -1 per column), transposed half of those times."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        rows = draw(
+            st.lists(st.lists(st.sampled_from((0, 1, -1)), min_size=n, max_size=n),
+                     min_size=m, max_size=m)
+        )
+        return RatMatrix.from_rows(rows, cols=n)
+    cols = []
+    for _ in range(n):
+        col = [0] * m
+        plus = draw(st.none() | st.integers(0, m - 1))
+        minus = draw(st.none() | st.integers(0, m - 1))
+        if plus is not None:
+            col[plus] = 1
+        if minus is not None and minus != plus:
+            col[minus] = -1
+        cols.append(col)
+    if draw(st.booleans()):
+        return RatMatrix.from_rows(cols, cols=m)
+    return RatMatrix.from_rows([list(r) for r in zip(*cols)], cols=n)
+
+
+@given(unit_matrices())
+@settings(max_examples=200, deadline=None)
+def test_is_TU_matches_the_brute_force_scan(A):
+    tu, witness = is_TU(A)
+    assert tu == brute_is_TU(A)
+    if not tu:
+        rows, cols, det = witness
+        assert det not in (0, 1, -1) and bareiss_det(A.submatrix(rows, cols)) == det
+
+
+def test_is_TU_answers_a_network_matrix_without_the_scan(monkeypatch):
+    # the 7-node directed graph whose incidence matrix took 5 s to scan
+    arcs = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0),
+            (0, 3), (1, 4), (2, 5), (3, 6), (4, 0)]
+    rows = [[1 if u == v else -1 if w == v else 0 for u, w in arcs] for v in range(7)]
+    A = RatMatrix.from_rows(rows, cols=12)
+    monkeypatch.setenv("CIRCUITKIT_MAX_COLS", "3")  # the cap binds the scan alone
+    dets = []
+    monkeypatch.setattr(imbalance, "bareiss_det", lambda M: dets.append(M) or 0)
+    assert is_TU(A) == (True, None)
+    assert is_TU(A.transpose()) == (True, None)
+    assert dets == []
+
+
+@given(
+    st.integers(1, 10**6), st.integers(1, 10**3), st.integers(1, 6)
+)
+@settings(max_examples=200, deadline=None)
+@example(1, 1, 3)
+@example(2**40, 1, 5)
+@example(10**400 + 3, 1, 2)
+def test_log2_enclosure_brackets_the_log(p, q, bits):
+    x = Fraction(max(p, q), min(p, q))
+    lo, hi = _log2_enclosure(x, bits)
+    # 2^lo <= x <= 2^hi, raised to the power 2^bits to stay in integers
+    k = 1 << bits
+    N = lo * k
+    assert N.denominator == 1
+    assert 2 ** int(N) * x.denominator**k <= x.numerator**k
+    if lo == hi:
+        assert 2 ** int(N) * x.denominator**k == x.numerator**k
+    else:
+        assert hi - lo == Fraction(1, k)
+        assert x.numerator**k <= 2 ** int(hi * k) * x.denominator**k
+
+
+def test_diameter_within_refines_until_decided():
+    # kappa = 2^70 makes the 64-bit enclosure about 2^6 wide, wider than 1
+    kappa = 2**70
+    lo, hi = imbalance._diameter_enclosure(2, 1, kappa, 64)
+    assert hi - lo > 1
+    fine, _ = imbalance._diameter_enclosure(2, 1, kappa, 256)
+    d = int(fine)  # the floor of the bound
+    within, bound = diameter_within(d, 2, 1, kappa)
+    assert within and d <= bound <= fine
+    within, bound = diameter_within(d + 1, 2, 1, kappa)
+    assert not within and bound < d + 1
+    assert diameter_within(16, 3, 1, 1) == (True, 16)  # 8 * log2(4), exact
+    assert diameter_within(17, 3, 1, 1) == (False, 16)

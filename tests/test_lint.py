@@ -42,12 +42,10 @@ def test_no_unused_imports_in_the_package():
     assert found == []
 
 
-# Where the package may call float(): the two spectral estimators and the
-# log factor of diameter_bound, whose values are irrational by nature.
+# Where the package may call float(): the spectral estimator, whose value
+# is irrational by nature.
 FLOAT_ALLOWED = {
     ("imbalance.py", "chibar"),
-    ("imbalance.py", "delta_min_angle"),
-    ("imbalance.py", "diameter_bound"),
 }
 
 

@@ -13,17 +13,16 @@ from circuitkit.serialize import (
     dumps,
     frac_str,
     loads,
-    lp_from_csv,
     lp_from_obj,
     lp_to_csv,
     lp_to_obj,
     make_report,
-    matrix_from_csv,
     matrix_from_obj,
     matrix_to_csv,
     matrix_to_obj,
     parse_frac,
 )
+from util import lp_from_csv, matrix_from_csv
 
 fractions = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=97

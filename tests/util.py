@@ -8,12 +8,18 @@ what the package runs faster: the circuit enumeration support by support
 the kappa_star bitmask DP over simple paths (over Fractions and over ints)
 that Karp's algorithm replaced, the Graver box scan and its minimality
 filter, the decomposition search and the appendix scan.  Slow is fine,
-different is the point.
+different is the point.  The routines at the end are ones no verb runs,
+kept here as oracles: the brute-force unimodularity scan, the basis-form
+route to kappa, the pair estimates and rescaled-TU decision built on them,
+and the CSV readers that check what the CSV writers emit.
 """
 
+import csv
+import io
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import ceil, floor, gcd, lcm
+from math import ceil, floor, gcd, lcm, sqrt
 import random
 
 from hypothesis import strategies as st
@@ -21,19 +27,40 @@ from hypothesis import strategies as st
 from circuitkit import graver as gmod
 from circuitkit import imbalance as imbmod
 from circuitkit import lp as lpmod
-from circuitkit.errors import BoxTooLarge
+from circuitkit.errors import (
+    AuditFailure,
+    BadParameters,
+    BoxTooLarge,
+    InternalError,
+    NonIntegerMatrix,
+    RankDeficient,
+    SeparableInput,
+)
 from circuitkit.ratmat import (
     RatMatrix,
     bareiss_det,
+    basis_form,
     check_desk_scale,
     integer_normalize,
     invert,
     is_conformal,
     norm1,
+    rank,
+    rref,
     rref_kernel,
+    rref_nonzero,
+    solve_linear,
     vec,
+    vec_dot,
 )
-from circuitkit.subspace import ElementaryVector, Subspace, oriented_circuits
+from circuitkit.serialize import matrix_from_obj, parse_frac, vec_from_obj
+from circuitkit.subspace import (
+    ElementaryVector,
+    Subspace,
+    components,
+    is_separable,
+    oriented_circuits,
+)
 
 
 def naive_det(M: RatMatrix) -> Fraction:
@@ -737,3 +764,330 @@ def fraction_appendix_counterexample():
         kappa_dot=kd, vectors=gmod._COUNTEREXAMPLE_VECTORS,
         products=tuple(products), witnesses=tuple(witnesses),
     )
+
+
+# ---------------------------------------------------------------------------
+# Routines no verb runs, kept as test oracles: the basis-form route to kappa,
+# the one-circuit-per-pair estimate and the rescaled-TU decision built on it,
+# an integer kernel representation, subdeterminant statistics, a local basis
+# search, the angle minimum, the steepness spectrum and the CSV readers.
+# ---------------------------------------------------------------------------
+
+
+def brute_is_TU(A: RatMatrix) -> bool:
+    """Every square submatrix has determinant 0, +1 or -1."""
+    return all(
+        bareiss_det(A.submatrix(ri, ci)) in (0, 1, -1)
+        for k in range(1, min(A.rows, A.cols) + 1)
+        for ri in combinations(range(A.rows), k)
+        for ci in combinations(range(A.cols), k)
+    )
+
+
+def kappa_via_basis_forms(A: RatMatrix) -> Fraction:
+    """max over nonsingular bases B of the largest |entry| of A_B^{-1} A.
+
+    Independent route to kappa(ker A); must agree with the circuit route.
+    """
+    if rank(A) != A.rows:
+        raise RankDeficient("basis-form scan needs a full row rank matrix")
+    best = Fraction(0)
+    for M in imbmod._basis_forms(A):
+        best = max(best, max(abs(x) for r in M.data for x in r))
+    if best == 0:
+        raise RankDeficient("no nonsingular basis found")
+    return best
+
+
+def _first_pair_ratios(W: Subspace) -> dict:
+    """(i, j) -> (|g_j / g_i|, g) for g the circuit with the lexicographically
+    smallest support holding i and j; keys in first-appearance order."""
+    first: dict = {}
+    for ev in W.circuit_list:
+        for i in ev.support:
+            for j in ev.support:
+                if i != j and ((i, j) not in first or ev.support < first[(i, j)][1].support):
+                    first[(i, j)] = (ev.ratio(i, j), ev)
+    return first
+
+
+def estimate_kappa(W: Subspace):
+    """One-circuit-per-pair lower estimate.
+
+    For each ordered pair, the circuit with lexicographically smallest
+    support containing both indices supplies |g_j/g_i|.  Returns the max
+    over pairs and the per-pair table {(i, j): (ratio, circuit)}.
+    """
+    if W.ambient_dim >= 2 and is_separable(W):
+        raise SeparableInput("pair estimates need a non-separable subspace")
+    table = _first_pair_ratios(W)
+    xi = max((r for r, _ in table.values()), default=Fraction(1))
+    return xi, table
+
+
+@dataclass(frozen=True)
+class RescaleCheckResult:
+    """Outcome of the rescaled-TU decision.
+
+    Either `rescaled_tu` with an integer diagonal `scaling` (kappa of the
+    column-scaled matrix is 1), or a cycle witness with product > 1.
+    """
+
+    rescaled_tu: bool
+    scaling: tuple | None
+    witness_cycle: tuple | None
+    witness_product: Fraction | None
+
+
+def check_kappa_star_one(A: RatMatrix) -> RescaleCheckResult:
+    """Decide kappa_star(ker A) = 1 without computing kappa_star.
+
+    Estimates a single ratio per pair, propagates a candidate rescaling
+    along the estimates, and confirms with a total-unimodularity test of a
+    basis form of the rescaled matrix.  On failure a 2-cycle of exact
+    pairwise ratios with product > 1 is returned (such a 2-cycle always
+    exists when kappa_star > 1).
+    """
+    W = Subspace.from_kernel_matrix(A)
+    n = W.ambient_dim
+    est = {k: r for k, (r, _) in _first_pair_ratios(W).items()}
+    d = [Fraction(1)] * n
+    blocks = components(W)
+    if all(_propagate_block(block, est, d) for block in blocks):
+        # d solves hat_kappa_ij d_j = d_i; undoing it means scaling column i
+        # of A by something proportional to 1/d_i.  Each component fixes d
+        # up to its own factor, so each is scaled to coprime integers alone.
+        scaling = [1] * n
+        for block in blocks:
+            den = lcm(*(d[i].denominator for i in block))
+            ints = [int(d[i] * den) for i in block]
+            g = gcd(*ints)
+            L = lcm(*(x // g for x in ints))
+            for i, x in zip(block, ints):
+                scaling[i] = L // (x // g)
+        scaling = tuple(scaling)
+        scaled = RatMatrix.from_rows(
+            [tuple(x * scaling[j] for j, x in enumerate(r)) for r in A.data],
+            cols=n,
+        )
+        M = rref_nonzero(scaled)
+        if all(x in (0, 1, -1) for r in M.data for x in r) and imbmod.is_TU(M)[0]:
+            kd = W.measures.kappa_dot
+            if any(kd % s != 0 for s in scaling):
+                raise InternalError("scaling entries must divide kappa_dot")
+            return RescaleCheckResult(True, scaling, None, None)
+    # Witness branch: some 2-cycle has product > 1 whenever kappa_star > 1.
+    maxima = W.pair_maxima
+    best = None
+    for (i, j), (p, q) in maxima.items():
+        if i < j:
+            r, s = maxima[(j, i)]
+            prod = Fraction(p * r, q * s)
+            if prod > 1 and (best is None or prod > best[1]):
+                best = ((i, j), prod)
+    if best is None:
+        raise InternalError("no witness cycle despite TU failure")
+    return RescaleCheckResult(False, None, best[0], best[1])
+
+
+def _propagate_block(block, est, d) -> bool:
+    """BFS-propagate hat_kappa_ij d_j = d_i within one component.
+
+    hat_kappa_ij is the smallest-support estimate of the pair.  The
+    estimates of a component connect it, so a consistent system has one
+    solution with d_root = 1 whatever the visiting order.  Returns False when
+    the estimate system is inconsistent.
+    """
+    est = {k: r for k, r in est.items() if k[0] in block}
+    if not est:
+        return True
+    root = block[0]
+    val = {root: Fraction(1)}
+    queue = [root]
+    while queue:
+        i = queue.pop()
+        for (a, b), r in est.items():
+            if a == i and b not in val:
+                # hat_kappa_ab * d_b = d_a
+                val[b] = val[a] / r
+                queue.append(b)
+            elif b == i and a not in val:
+                val[a] = val[b] * r
+                queue.append(a)
+    for (a, b), r in est.items():
+        if val[a] != r * val[b]:
+            return False
+    for i in block:
+        d[i] = val.get(i, Fraction(1))
+    return True
+
+
+def int_representation(W: Subspace) -> RatMatrix:
+    """An integer kernel matrix for W whose nonzero entries divide kappa_dot.
+
+    Prefers an integral basis form (exists whenever the dual is anchored);
+    otherwise scales each basis form row by its denominator.  Either way the
+    rows are elementary vectors of the dual, so divisibility holds.
+    """
+    if W.is_trivial():
+        raise BadParameters("integer representation needs a proper subspace")
+    A = W.kernel_rep
+    kd = W.measures.kappa_dot
+    fallback = None
+    for M in imbmod._basis_forms(A):
+        if M.is_integral():
+            _assert_divides(M, kd)
+            return M
+        if fallback is None:
+            fallback = M
+    if fallback is None:
+        raise RankDeficient("kernel representation lost rank")
+    rows = []
+    for r in fallback.data:
+        ints, scale = integer_normalize(r)
+        rows.append(tuple(-x for x in ints) if scale < 0 else ints)
+    M = RatMatrix.from_rows(rows, cols=A.cols)
+    _assert_divides(M, kd)
+    if Subspace.from_kernel_matrix(M) != W:
+        raise InternalError("representation changed the kernel")
+    return M
+
+
+def _assert_divides(M: RatMatrix, kd: int):
+    for r in M.data:
+        for x in r:
+            if x != 0 and kd % int(x) != 0 and kd % -int(x) != 0:
+                raise InternalError(f"entry {x} does not divide kappa_dot {kd}")
+
+
+@dataclass(frozen=True)
+class SubdetStats:
+    """Largest absolute subdeterminant and the lcm of all nonzero ones."""
+
+    delta_max: Fraction
+    delta_lcm: int
+    witness_max: tuple  # (row index tuple, col index tuple)
+
+
+def subdet_stats(A: RatMatrix) -> SubdetStats:
+    """Exhaustive statistics over every square submatrix (desk scale only)."""
+    check_desk_scale(A.cols, "subdeterminant enumeration")
+    if not A.is_integral():
+        # The lcm statistic is only meaningful for integer matrices.
+        raise NonIntegerMatrix("subdeterminant statistics need an integer matrix")
+    best = Fraction(0)
+    witness = ((), ())
+    acc_lcm = 1
+    for k in range(1, min(A.rows, A.cols) + 1):
+        for ri in combinations(range(A.rows), k):
+            for ci in combinations(range(A.cols), k):
+                d = bareiss_det(A.submatrix(ri, ci))
+                if d == 0:
+                    continue
+                ad = abs(d)
+                acc_lcm = lcm(acc_lcm, int(ad))
+                if ad > best:
+                    best = ad
+                    witness = (ri, ci)
+    return SubdetStats(delta_max=best, delta_lcm=acc_lcm, witness_max=witness)
+
+
+def knuth_basis(A: RatMatrix, mu) -> tuple:
+    """Local determinant maximization: swap while some |entry| > mu.
+
+    Every swap multiplies |det A_B| by more than mu, so the loop terminates.
+    Returns (basis, basis_form, swap_count).
+    """
+    mu = Fraction(mu)
+    if mu < 1:
+        raise BadParameters("mu must be at least 1")
+    m, n = A.shape
+    if rank(A) != m:
+        raise RankDeficient("basis search needs a full row rank matrix")
+    _, pivots, _ = rref(A)
+    B = list(pivots)
+    swaps = 0
+    while True:
+        M = basis_form(A, B)
+        swap = next(
+            ((i, j) for i in range(m) for j in range(n) if abs(M.entry(i, j)) > mu), None
+        )
+        if swap is None:
+            return tuple(B), M, swaps
+        B[swap[0]] = swap[1]
+        swaps += 1
+
+
+def delta_min_angle(vectors) -> float:
+    """min over independent subsets I and v not in span(I) of sin(angle).
+
+    Residuals are computed exactly (rational normal equations); only the
+    final square root is floating point.
+    """
+    vs = [vec(v) for v in vectors]
+    if not vs:
+        raise BadParameters("need at least one vector")
+    if any(all(x == 0 for x in v) for v in vs):
+        raise BadParameters("zero vectors have no direction")
+    best = None
+    idx = range(len(vs))
+    for size in range(1, len(vs)):
+        for I in combinations(idx, size):
+            B = RatMatrix.from_rows([vs[i] for i in I])
+            if rank(B) != size:
+                continue
+            gram = B.mul(B.transpose())
+            for j in idx:
+                if j in I:
+                    continue
+                target = vs[j]
+                mu = solve_linear(gram, B.matvec(target))
+                resid = tuple(a - b for a, b in zip(target, B.vecmat(mu)))
+                r2 = sum((x * x for x in resid), Fraction(0))
+                if r2 == 0:
+                    continue  # v_j in span(I)
+                s = sqrt(r2 / sum((x * x for x in target), Fraction(0)))
+                if best is None or s < best:
+                    best = s
+    return 1.0 if best is None else best
+
+
+def steepness_spectrum(W: Subspace, c) -> frozenset:
+    """All values of <c,g>/||g||_1 over oriented elementary vectors."""
+    cv = vec(c)
+    values = {vec_dot(cv, gv) / norm1(gv) for _, gv in oriented_circuits(W)}
+    n = W.ambient_dim
+    m = W.codim
+    if values and all(x.denominator == 1 for x in cv):
+        ninf = max(abs(x) for x in cv) if any(cv) else Fraction(0)
+        if ninf > 0 and norm1(cv) <= (n - m + 1) * ninf:
+            kbar = W.measures.kappa_bar
+            bound = Fraction(1, 2) * ninf * (n - m + 1) * kbar * ((n - m + 1) * kbar + 1)
+            if len(values) > bound:
+                raise AuditFailure(
+                    "spectrum-bound", 0, f"{len(values)} distinct values exceed {bound}"
+                )
+    return frozenset(values)
+
+
+def matrix_from_csv(text: str) -> RatMatrix:
+    """Read `serialize.matrix_to_csv` output back: one matrix row per line."""
+    return matrix_from_obj([row for row in csv.reader(io.StringIO(text)) if row])
+
+
+def lp_from_csv(text: str) -> lpmod.LPInstance:
+    """Read `serialize.lp_to_csv` output back: a one-cell header row names
+    each block (A, b, c, then u when there are caps)."""
+    sections: dict = {}
+    for row in csv.reader(io.StringIO(text)):
+        if len(row) == 1 and row[0] in ("A", "b", "c", "u"):
+            current = sections.setdefault(row[0], [])
+        elif row:
+            current.append(row)
+    A = matrix_from_obj(sections["A"])
+    b = vec_from_obj(sections["b"][0], length=A.rows)
+    c = vec_from_obj(sections["c"][0], length=A.cols)
+    if "u" not in sections:
+        return lpmod.LPInstance.standard(A, b, c)
+    u = tuple(None if x == "" else parse_frac(x) for x in sections["u"][0])
+    return lpmod.LPInstance.bounded(A, b, c, u)
