@@ -173,46 +173,44 @@ def _cmd_prox(args) -> int:
     W = Subspace.from_kernel_matrix(A)
     n = A.cols
     payload = {"check": args.check}
-    if args.check in ("feasibility", "optimal"):
-        d = _load_vector("d", doc, length=n)
-        c = _load_vector("c", doc, length=n) if args.check == "optimal" else None
-        try:
+    try:
+        if args.check in ("feasibility", "optimal"):
+            d = _load_vector("d", doc, length=n)
+            c = _load_vector("c", doc, length=n) if args.check == "optimal" else None
             if c is None:
                 wit = proximity.hoffman_feasibility_witness(W, d)
-            else:
-                wit = proximity.hoffman_opt_witness(W, d, c)
-        except InfeasibleSystem as exc:
-            payload["status"] = "infeasible"
-            if exc.certificate is not None:
-                payload["certificate"] = serialize.vec_to_obj(exc.certificate)
-        else:
-            if c is None:
                 payload["status"] = "feasible"
             else:
+                wit = proximity.hoffman_opt_witness(W, d, c)
                 payload["lambda_set"] = list(proximity.lambda_set(d, c))
             payload["point"] = serialize.vec_to_obj(wit.point)
             payload["bound"] = serialize.frac_str(wit.bound)
             payload["distance"] = serialize.frac_str(wit.distance)
-    elif args.check == "transfer":
-        d = _load_vector("d", doc, length=n)
-        x_tilde = _load_vector("x_tilde", doc, length=n)
-        s = _load_vector("s", doc, length=n)
-        bound, R = proximity.transfer_bound(W, x_tilde, s, d)
-        payload["bound"] = serialize.frac_str(bound)
-        payload["fixed_to_zero"] = list(R)
-    else:
-        for key in ("b", "u", "c1", "c2", "x1", "y1"):
-            if key not in doc:
-                raise InputFormatError(f"fixing check needs {key!r}")
-        b = serialize.vec_from_obj(doc["b"], length=A.rows)
-        u = serialize.vec_from_obj(doc["u"], length=n)
-        c1 = serialize.vec_from_obj(doc["c1"], length=n)
-        c2 = serialize.vec_from_obj(doc["c2"], length=n)
-        x1 = serialize.vec_from_obj(doc["x1"], length=n)
-        y1 = serialize.vec_from_obj(doc["y1"], length=A.rows)
-        R0, Ru = proximity.fixing_sets_bounds(A, b, u, c1, c2, x1, y1)
-        payload["fixed_to_zero"] = list(R0)
-        payload["fixed_to_upper"] = list(Ru)
+        elif args.check == "transfer":
+            d = _load_vector("d", doc, length=n)
+            x_tilde = _load_vector("x_tilde", doc, length=n)
+            s = _load_vector("s", doc, length=n)
+            bound, R = proximity.transfer_bound(W, x_tilde, s, d)
+            payload["bound"] = serialize.frac_str(bound)
+            payload["fixed_to_zero"] = list(R)
+        else:
+            for key in ("b", "u", "c1", "c2", "x1", "y1"):
+                if key not in doc:
+                    raise InputFormatError(f"fixing check needs {key!r}")
+            b = serialize.vec_from_obj(doc["b"], length=A.rows)
+            u = serialize.vec_from_obj(doc["u"], length=n)
+            c1 = serialize.vec_from_obj(doc["c1"], length=n)
+            c2 = serialize.vec_from_obj(doc["c2"], length=n)
+            x1 = serialize.vec_from_obj(doc["x1"], length=n)
+            y1 = serialize.vec_from_obj(doc["y1"], length=A.rows)
+            R0, Ru = proximity.fixing_sets_bounds(A, b, u, c1, c2, x1, y1)
+            payload["fixed_to_zero"] = list(R0)
+            payload["fixed_to_upper"] = list(Ru)
+    except InfeasibleSystem as exc:
+        # W + d misses the nonnegative orthant: an answer, not an input error.
+        payload = {"check": args.check, "status": "infeasible"}
+        if exc.certificate is not None:
+            payload["certificate"] = serialize.vec_to_obj(exc.certificate)
     _emit(args, serialize.make_report("prox", payload))
     return 0
 

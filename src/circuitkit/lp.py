@@ -5,10 +5,11 @@ tableau: rows are scaled to integers once, each pivot is an Edmonds-Bareiss
 step over one common denominator, and the reduced costs are carried as one
 more tableau row.  The pivots are exactly those of Bland's rule on the
 rational tableau, so x, y, bases and certificates are the same; they become
-Fractions only when the result is read off.  Instances come
-in three flavors: standard form (min cx, Ax = b, x >= 0), upper-bounded
-standard form (0 <= x <= u, with None entries meaning unbounded), and the
-affine-subspace form (x in W + d, x >= 0) which standardizes immediately.
+Fractions only when the result is read off.  A tie-break cost adds a third,
+lexicographic stage on the optimal face.  Instances come in three flavors:
+standard form (min cx, Ax = b, x >= 0), upper-bounded standard form
+(0 <= x <= u, with None entries meaning unbounded), and the affine-subspace
+form (x in W + d, x >= 0) which standardizes immediately.
 
 Vertex enumeration, the vertex-edge graph, and fractionality (the lcm of
 vertex denominators) run over the standardized system and are exact.
@@ -220,12 +221,12 @@ class _Tableau:
             for f, s, c, rc in zip(self.flip, self.scale, self.costs[n:], self.reduced[n:])
         ]
 
-    def run(self, allow_artificial: bool):
-        """Bland iterations to optimality or unboundedness."""
-        limit = self.width if allow_artificial else self.n
+    def run(self, cols):
+        """Bland iterations over the ascending columns `cols` to optimality
+        or unboundedness."""
         while True:
             reduced = self.reduced
-            enter = next((j for j in range(limit) if reduced[j] < 0), None)
+            enter = next((j for j in cols if reduced[j] < 0), None)
             if enter is None:
                 return OPTIMAL, None
             # Least rhs_r / a_r over a_r > 0, ties to the lower basic index;
@@ -264,12 +265,18 @@ class _Tableau:
         return x
 
 
-def _solve_standard(rows, b, c):
-    """Two-phase simplex on min c x, rows x = b, x >= 0 (lists of Fractions)."""
+def _solve_standard(rows, b, c, c2=None):
+    """Two-phase simplex on min c x, rows x = b, x >= 0 (lists of Fractions).
+
+    A third stage minimizes c2 from the optimal basis, pricing only the
+    columns of reduced cost 0 under c: their pivots leave c's reduced-cost
+    row, so its face, objective and duals, unchanged."""
     m = len(rows)
     n = len(rows[0]) if rows else len(c)
     if m == 0:
         neg = next((j for j in range(n) if c[j] < 0), None)
+        if neg is None and c2 is not None:
+            neg = next((j for j in range(n) if c[j] == 0 and c2[j] < 0), None)
         if neg is not None:
             ray = [Fraction(0)] * n
             ray[neg] = Fraction(1)
@@ -284,7 +291,7 @@ def _solve_standard(rows, b, c):
         }
     tab = _Tableau(rows, b)
     tab.set_costs([Fraction(0)] * tab.n + [Fraction(1, s) for s in tab.scale])
-    status, _ = tab.run(allow_artificial=True)
+    status, _ = tab.run(range(tab.width))
     if status != OPTIMAL:
         raise InternalError("phase 1 of the simplex reported an unbounded objective")
     if tab.objective() > 0:
@@ -292,7 +299,13 @@ def _solve_standard(rows, b, c):
     tab.reduced = None  # phase 2 installs its own cost row after drive-out
     tab.drive_out_artificials()
     tab.set_costs(list(c) + [Fraction(0)] * tab.m)
-    status, enter = tab.run(allow_artificial=False)
+    status, enter = tab.run(range(tab.n))
+    if status == OPTIMAL:
+        objective, y = tab.objective(), tab.duals()
+        if c2 is not None:
+            face = [j for j in range(tab.n) if tab.reduced[j] == 0]
+            tab.set_costs(list(c2) + [Fraction(0)] * tab.m)
+            status, enter = tab.run(face)
     if status == UNBOUNDED:
         ray = [Fraction(0)] * tab.width
         ray[enter] = Fraction(1)
@@ -303,21 +316,28 @@ def _solve_standard(rows, b, c):
     return {
         "status": OPTIMAL,
         "x": x[: tab.n],
-        "objective": tab.objective(),
+        "objective": objective,
         "basis": sorted(tab.basis),
-        "y": tab.duals(),
+        "y": y,
         "pivots": tab.pivots,
     }
 
 
-def solve(lp: LPInstance) -> LPResult:
+def solve(lp: LPInstance, tiebreak=None) -> LPResult:
     """Exact optimum with duals and certificates.
 
     infeasible -> certificate y with y^T A_std <= 0 and y^T b_std > 0;
     unbounded  -> certificate d >= 0 with A d = 0, c d < 0 (original coords).
+
+    With a cost `tiebreak`, x minimizes it over the optimal face of c, while
+    `objective` and `y` stay those of c; unbounded there, the certificate is
+    a ray d >= 0 with A d = 0, c d = 0 and tiebreak d < 0.
     """
     rows, b, c, _, bounded_idx = lp.standardized()
-    return _result(lp, bounded_idx, _solve_standard(rows, b, c))
+    c2 = None if tiebreak is None else list(vec(tiebreak)) + [Fraction(0)] * (len(c) - lp.n)
+    if c2 is not None and len(c2) != len(c):
+        raise DimensionMismatch("tie-break cost has the wrong length")
+    return _result(lp, bounded_idx, _solve_standard(rows, b, c, c2))
 
 
 def _result(lp: LPInstance, bounded_idx, out: dict) -> LPResult:

@@ -1,10 +1,11 @@
 """Hoffman-type proximity bounds with exact verification.
 
-Every bound computed here is also checked: the attained distance comes from
-an independent exact LP minimization, and a distance exceeding its bound
-raises AuditFailure instead of returning quietly.  The black-box feasibility
-solver at the bottom composes the same pieces with a simulated approximate
-oracle whose error budget is rational and seed-deterministic.
+Every bound computed here is also checked: the attained distance is that of
+an exact nearest point, found by one lexicographic simplex solve and
+re-verified, and a distance exceeding its bound raises AuditFailure instead
+of returning quietly.  The black-box feasibility solver at the bottom
+composes the same pieces with a simulated approximate oracle whose error
+budget is rational and seed-deterministic.
 
 LP(W, d, c) throughout means: minimize <c, x> over x in W + d, x >= 0.
 """
@@ -86,60 +87,48 @@ def lambda_set(d, c) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def _stage(rows, b, width, coord_rows, cost_cols):
-    """Solve min of the sum of the cost_cols variables over x >= 0 subject to
-    the given rows, padded with zero columns to `width`, and then coord_rows,
-    each a ({column: coefficient}, right-hand side) pair."""
-    # Fraction entries with one shared zero: RatMatrix.from_rows passes a
-    # Fraction through but builds one per int, and these rows are mostly zeros.
-    zero = Fraction(0)
-    ext_rows = [[Fraction(v) for v in row] + [zero] * (width - len(row)) for row in rows]
-    ext_b = list(b)
-    for entries, rhs in coord_rows:
-        row = [zero] * width
-        for col, coeff in entries.items():
-            row[col] = Fraction(coeff)
-        ext_rows.append(row)
-        ext_b.append(rhs)
-    cost = [Fraction(1) if j in cost_cols else zero for j in range(width)]
-    return solve(LPInstance.standard(RatMatrix.from_rows(ext_rows, cols=width), ext_b, cost))
-
-
 def _nearest_point(rows, b, anchor):
-    """Two-stage exact minimization of ||x - anchor|| over Ax = b, x >= 0.
+    """Exact minimization of ||x - anchor|| over Ax = b, x >= 0: the sup-norm
+    distance tau, then the 1-norm among points attaining it.  Returns (x, tau).
 
-    Stage one minimizes the sup-norm distance, stage two the 1-norm among
-    points attaining it.  Returns (x, sup_distance).  The rows already
-    include any optimal-face equality; infeasibility here means the caller
-    screwed up, so it raises rather than certifying.
+    One lexicographic solve over (x, r, s, w, tau): the rows, then
+    x_i - r_i + s_i = anchor_i and r_i + s_i + w_i - tau = 0; objective tau,
+    tie-break sum(r + s).  The point is re-verified before it is returned.
+    The rows already include any optimal-face equality; infeasibility here
+    means the caller screwed up, so it raises rather than certifying.
     """
     n = len(anchor)
-    # Stage 1: variables x (n), tau (1), p (n), q (n); minimize tau with
-    # x_i - tau + p_i = anchor_i and x_i + tau - q_i = anchor_i.
-    res = _stage(rows, b, 3 * n + 1, [
-        row
-        for i in range(n)
-        for row in (
-            ({i: 1, n: -1, n + 1 + i: 1}, anchor[i]),
-            ({i: 1, n: 1, 2 * n + 1 + i: -1}, anchor[i]),
-        )
-    ], {n})
+    width = 4 * n + 1
+    # Fraction entries with one shared zero: RatMatrix.from_rows passes a
+    # Fraction through but builds one per int, and these rows are mostly zeros.
+    zero, one = Fraction(0), Fraction(1)
+    ext_rows = [[Fraction(v) for v in row] + [zero] * (width - len(row)) for row in rows]
+    ext_b = list(b)
+    for i in range(n):
+        dev, cap = [zero] * width, [zero] * width
+        dev[i], dev[n + i], dev[2 * n + i] = one, -one, one
+        cap[n + i] = cap[2 * n + i] = cap[3 * n + i] = one
+        cap[4 * n] = -one
+        ext_rows += [dev, cap]
+        ext_b += [anchor[i], zero]
+    tau_cost = [zero] * (4 * n) + [one]
+    l1_cost = [zero] * n + [one] * (2 * n) + [zero] * (n + 1)
+    lp = LPInstance.standard(RatMatrix.from_rows(ext_rows, cols=width), ext_b, tau_cost)
+    res = solve(lp, tiebreak=l1_cost)
+    if res.status == INFEASIBLE:
+        raise InfeasibleSystem("nearest point of an empty region", certificate=res.certificate)
     if res.status != OPTIMAL:
-        raise InfeasibleSystem("distance stage on an empty region", certificate=res.certificate)
-    tau = res.objective
-    # Stage 2: variables x (n), r (n), s (n), w (n); minimize sum(r + s)
-    # with x_i - r_i + s_i = anchor_i and r_i + s_i + w_i = tau.
-    res2 = _stage(rows, b, 4 * n, [
-        row
-        for i in range(n)
-        for row in (
-            ({i: 1, n + i: -1, 2 * n + i: 1}, anchor[i]),
-            ({n + i: 1, 2 * n + i: 1, 3 * n + i: 1}, tau),
-        )
-    ], range(n, 3 * n))
-    if res2.status != OPTIMAL:
-        raise InternalError("nearest-point stage 2 LP is not optimal")
-    return vec(res2.x[:n]), tau
+        raise InternalError("nearest-point LP is not optimal")
+    x, tau = res.x[:n], res.objective
+    dist = [abs(v - a) for v, a in zip(x, anchor)]
+    if (
+        any(v < 0 for v in x)
+        or any(vec_dot(row, x) != bi for row, bi in zip(rows, b))
+        or max(dist, default=zero) != tau
+        or sum(dist, zero) != sum(res.x[n : 3 * n], zero)
+    ):
+        raise InternalError("nearest point fails its re-verification")
+    return vec(x), tau
 
 
 def hoffman_feasibility_witness(W: Subspace, d) -> ProximityWitness:

@@ -9,6 +9,7 @@ nonzero vectors of W) drive everything in `imbalance` and `augment`.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -81,26 +82,36 @@ class ConformalDecomposition:
         return acc == vec(self.target) and len(self.terms) <= n
 
 
+# Canonical kernel_rep -> the live Subspace; an entry goes when its object does.
+_LIVE = weakref.WeakValueDictionary()
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A rational subspace, canonically ker(kernel_rep) with kernel_rep in RREF.
 
     The circuits and everything computed from them alone (the imbalance
     report and the pair maxima) are computed once per object, on first use.
-    Pass the same object along to reuse them.
+    The constructors below and `dual` return the live object with the same
+    kernel_rep when there is one, so every holder of a subspace shares them.
     """
 
     ambient_dim: int
     kernel_rep: RatMatrix
 
     @classmethod
+    def _live(cls, kernel_rep: RatMatrix) -> "Subspace":
+        """The live Subspace with this canonical kernel_rep, made if none is."""
+        return _LIVE.setdefault(kernel_rep, cls(ambient_dim=kernel_rep.cols, kernel_rep=kernel_rep))
+
+    @classmethod
     def from_kernel_matrix(cls, A: RatMatrix) -> "Subspace":
-        return cls(ambient_dim=A.cols, kernel_rep=rref_nonzero(A))
+        return cls._live(rref_nonzero(A))
 
     @classmethod
     def from_span_matrix(cls, S: RatMatrix) -> "Subspace":
         _, _, kb = rref_kernel(S)
-        return cls(ambient_dim=S.cols, kernel_rep=rref_nonzero(kb))
+        return cls._live(rref_nonzero(kb))
 
     @property
     def dim(self) -> int:
@@ -175,7 +186,7 @@ class Subspace:
 
 def dual(W: Subspace) -> Subspace:
     """The orthogonal complement; kernel and span representations swap."""
-    return Subspace(ambient_dim=W.ambient_dim, kernel_rep=W.span_rep)
+    return Subspace._live(W.span_rep)
 
 
 def _enumerate_circuits(W: Subspace) -> tuple:

@@ -1,6 +1,7 @@
 """One analysis per subspace: circuits, measures and the pair-ratio table are
 computed once per Subspace and read by every consumer."""
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,9 @@ from circuitkit.augment import run
 from circuitkit.errors import SeparableInput
 from circuitkit.generate import GeneratorSpec, generate
 from circuitkit.imbalance import pairwise
-from circuitkit.lp import LPInstance
+from circuitkit.lp import LPInstance, solve
 from circuitkit.proximity import (
+    fixing_sets_bounds,
     hoffman_feasibility_witness,
     hoffman_opt_witness,
     transfer_bound,
@@ -75,6 +77,34 @@ def test_witnesses_on_one_subspace_compute_imbalances_once(monkeypatch):
     hoffman_opt_witness(W, d, vec([1, 0, 1]))
     transfer_bound(W, vec([0, 2, 0]), vec([1, 0, 1]), d)
     assert len(calls) == 1
+
+
+def test_a_kernel_has_one_live_subspace():
+    A = RatMatrix.from_rows([[1, 2, 0, -1], [0, 1, 1, 3]], cols=4)
+    W = Subspace.from_kernel_matrix(A)
+    assert Subspace.from_kernel_matrix(W.kernel_rep) is W
+    # other rows with the same kernel, and the dual of the dual
+    B = RatMatrix.from_rows([[1, 3, 1, 2], [2, 4, 0, -2]], cols=4)
+    assert Subspace.from_kernel_matrix(B) is W
+    assert subspace.dual(subspace.dual(W)) is W
+    key = W.kernel_rep
+    assert subspace._LIVE[key] is W
+    del W
+    gc.collect()
+    assert key not in subspace._LIVE
+
+
+def test_fixing_sets_on_a_live_subspace_enumerate_no_circuits(monkeypatch):
+    # the caller holds W, so fixing_sets_bounds(W.kernel_rep, ...) reuses its measures
+    W = Subspace.from_kernel_matrix(RatMatrix.from_rows([[1, 1, 0, 1], [0, 1, 1, 2]], cols=4))
+    A = W.kernel_rep
+    W.measures  # computed before the count starts
+    b, u = vec([3, 4]), vec([9] * 4)
+    c1, c2 = vec([1, 0, 2, 1]), vec([1, 1, 2, 1])
+    res = solve(LPInstance.bounded(A, b, c1, u))
+    calls = _counting(monkeypatch, subspace, "_enumerate_circuits")
+    fixing_sets_bounds(A, b, u, c1, c2, res.x, res.y)
+    assert calls == []
 
 
 def _oracle(A):

@@ -152,6 +152,22 @@ def test_prox_feasibility(tmp_path, capsys):
     assert rep["kind"] == "prox"
 
 
+def test_prox_transfer_to_an_empty_shift_reports_infeasible(tmp_path, capsys):
+    # W + d misses the orthant: an answer with its certificate, as for feasibility
+    doc = {
+        "schema_version": "1",
+        "A": [["1", "1", "1"]],
+        "d": ["-1", "-1", "-1"],
+        "x_tilde": ["1", "0", "0"],
+        "s": ["0", "1", "1"],
+    }
+    path = write_json(tmp_path / "prox.json", doc)
+    code, out = run_cli(capsys, ["prox", "--input", path, "--check", "transfer"])
+    assert code == 0
+    rep = loads(out)
+    assert (rep["status"], rep["certificate"]) == ("infeasible", ["-1"])
+
+
 def test_blackbox(tmp_path, capsys):
     doc = {
         "schema_version": "1",

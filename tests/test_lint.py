@@ -77,3 +77,21 @@ def test_float_only_in_the_allowed_functions():
             if (path.name, function) not in FLOAT_ALLOWED
         ]
     assert found == []
+
+
+def test_only_lp_names_the_simplex_internals():
+    # One simplex: every solve, plain or lexicographic, goes through lp.solve.
+    internals = {"_Tableau", "_solve_standard"}
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "lp.py"]
+    assert paths
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        names = {name for name, _ in _imported_names(tree)}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                names.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                names.add(n.attr)
+        found += [f"{path.name} {name}" for name in sorted(names & internals)]
+    assert found == []

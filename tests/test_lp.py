@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -19,7 +20,7 @@ from circuitkit.lp import (
     solve,
     vertices,
 )
-from circuitkit.ratmat import RatMatrix, vec
+from circuitkit.ratmat import RatMatrix, vec, vec_dot
 from circuitkit.subspace import Subspace
 from util import oracle_solve, random_int_matrix
 
@@ -197,6 +198,56 @@ def lp_instances(draw):
 @settings(max_examples=300, deadline=None)
 def test_integer_tableau_matches_fraction_simplex(lp):
     assert solve(lp) == oracle_solve(lp)
+
+
+@st.composite
+def tiebreak_instances(draw):
+    """An LP from lp_instances and a tie-break cost.  Half the time the LP
+    is made feasible (b = A x0 with x0 within the bounds) with a sparse 0/1
+    cost, so that its optimal face is more than a vertex."""
+    lp = draw(lp_instances())
+    n = lp.n
+    if draw(st.booleans()):
+        x0 = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        if lp.u is not None:
+            x0 = [v if u is None else min(v, u) for v, u in zip(x0, lp.u)]
+        c = draw(st.lists(st.sampled_from([0, 0, 1]), min_size=n, max_size=n))
+        lp = replace(lp, b=lp.A.matvec(vec(x0)), c=vec(c))
+    return lp, vec(draw(st.lists(small_fracs, min_size=n, max_size=n)))
+
+
+@given(tiebreak_instances())
+@settings(max_examples=300, deadline=None)
+def test_tiebreak_matches_the_fraction_simplex_on_the_face_lp(inst):
+    lp, c2 = inst
+    plain = solve(lp)
+    res = solve(lp, tiebreak=c2)
+    if plain.status != OPTIMAL:
+        assert res == plain
+        return
+    face_A = lp.A.vstack(RatMatrix.from_rows([list(lp.c)], cols=lp.n))
+    face_b = lp.b + (plain.objective,)
+    if lp.u is None:
+        face = LPInstance.standard(face_A, face_b, c2)
+    else:
+        face = LPInstance.bounded(face_A, face_b, c2, lp.u)
+    ref = oracle_solve(face)
+    assert res.status == ref.status
+    if res.status == OPTIMAL:
+        # x is on the optimal face and minimizes c2 there; the objective and
+        # the duals are the first objective's
+        assert face_A.matvec(res.x) == vec(face_b)
+        assert all(v >= 0 for v in res.x)
+        assert lp.u is None or all(u is None or v <= u for v, u in zip(res.x, lp.u))
+        assert vec_dot(c2, res.x) == ref.objective
+        assert (res.objective, res.y, res.dual_upper) == (
+            plain.objective, plain.y, plain.dual_upper
+        )
+    else:
+        ray = res.certificate
+        assert all(v >= 0 for v in ray)
+        assert face_A.matvec(ray) == vec([0] * face_A.rows)
+        assert vec_dot(c2, ray) < 0
 
 
 @pytest.mark.parametrize(

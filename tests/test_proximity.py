@@ -1,18 +1,24 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from circuitkit import proximity
 from circuitkit.errors import (
     AuditFailure,
     BadParameters,
     InfeasibleSystem,
+    InternalError,
     NegativeCost,
     NotOptimalPair,
     OracleInfeasible,
 )
-from circuitkit.lp import INFEASIBLE, LPInstance, solve
+from circuitkit.lp import INFEASIBLE, OPTIMAL, LPInstance, solve
 from circuitkit.proximity import (
+    _nearest_point,
     apx_oracle,
     feasibility_simplified,
     fixing_sets_bounds,
@@ -23,7 +29,7 @@ from circuitkit.proximity import (
 )
 from circuitkit.ratmat import RatMatrix, vec
 from circuitkit.subspace import Subspace
-from util import random_int_matrix
+from util import random_int_matrix, two_stage_nearest_point
 
 
 def seeded_subspace_and_shift(seed, n=5, m=2):
@@ -195,3 +201,77 @@ def test_projection_idempotent():
     assert W.project_onto_perp(p) == p
     q = [a - b for a, b in zip(d, p)]
     assert W.contains(vec(q))
+
+
+@st.composite
+def nearest_point_instances(draw):
+    """(rows, b, anchor) for a nonempty region {rows x = b, x >= 0}.
+
+    Entries in {-1, 0, 1}, anchors drawn from a few values, and half the
+    time a face row c x = opt make ties between nearest points likely.
+    """
+    n = draw(st.integers(1, 5))
+    entries = st.sampled_from([-1, 0, 1])
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=min(3, n)))
+    x0 = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    b = [sum((a * x for a, x in zip(row, x0)), Fraction(0)) for row in rows]
+    values = st.sampled_from([-1, 0, Fraction(1, 2), 1, 2])
+    anchor = vec(draw(st.lists(values, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        c = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        res = solve(LPInstance.standard(RatMatrix.from_rows(rows, cols=n), b, c))
+        rows, b = rows + [c], b + [res.objective]
+    return [vec(row) for row in rows], vec(b), anchor
+
+
+@given(nearest_point_instances())
+@settings(max_examples=200, deadline=None)
+def test_nearest_point_matches_the_two_stage_oracle(inst):
+    rows, b, anchor = inst
+    x, tau = _nearest_point(rows, b, anchor)
+    _, otau, one_norm = two_stage_nearest_point(rows, b, anchor)
+    assert tau == otau
+    assert sum(abs(v - a) for v, a in zip(x, anchor)) == one_norm
+
+
+def test_nearest_point_with_no_rows():
+    # W = R^n: the feasible set is the orthant, so the point is d^+
+    W = Subspace.from_kernel_matrix(RatMatrix.zeros(0, 4))
+    d = vec([2, -1, 0, -3])
+    wit = hoffman_feasibility_witness(W, d)
+    assert (wit.point, wit.bound, wit.slack) == (vec([2, 0, 0, 0]), 4, 1)
+    # the optimal face of c fixes x_0, x_2, x_3 at 0; lambda is every index
+    owit = hoffman_opt_witness(W, d, vec([1, 0, 2, 1]))
+    assert (owit.point, owit.bound, owit.slack) == (vec([0, 0, 0, 0]), 6, 3)
+
+
+def test_nearest_point_in_the_zero_subspace():
+    # W = {0}: W + d = {d}
+    W = Subspace.from_kernel_matrix(RatMatrix.identity(3))
+    d = vec([1, 0, 2])
+    wit = hoffman_feasibility_witness(W, d)
+    assert (wit.point, wit.bound, wit.slack) == (d, 0, 0)
+    # lambda = supp(c^+) = {0, 1}, so the bound is |d_0| + |d_1|
+    owit = hoffman_opt_witness(W, d, vec([1, 1, 0]))
+    assert (owit.point, owit.bound, owit.slack) == (d, 1, 1)
+    with pytest.raises(InfeasibleSystem):
+        hoffman_feasibility_witness(W, vec([1, -1, 2]))
+
+
+@pytest.mark.parametrize("field", ["objective", "x"])
+def test_a_nearest_point_failing_its_recheck_is_an_internal_error(monkeypatch, field):
+    def tampered(lp, tiebreak=None):
+        res = solve(lp, tiebreak=tiebreak)
+        if res.status != OPTIMAL:
+            return res
+        if field == "objective":
+            return replace(res, objective=res.objective + 1)
+        n = len(tiebreak) // 4
+        x = list(res.x)
+        x[n] += 1  # r_0 and s_0 both up by one: same x, 1-norm off by 2
+        x[2 * n] += 1
+        return replace(res, x=tuple(x))
+
+    monkeypatch.setattr(proximity, "solve", tampered)
+    with pytest.raises(InternalError):
+        _nearest_point([vec([1, 1, 0])], vec([2]), vec([0, 3, 1]))

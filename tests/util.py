@@ -7,11 +7,12 @@ what the package runs faster: the circuit enumeration support by support
 (over Fractions, and over ints with `int_kernel_line`), the imbalance scan,
 the kappa_star bitmask DP over simple paths (over Fractions and over ints)
 that Karp's algorithm replaced, the Graver box scan and its minimality
-filter, the decomposition search and the appendix scan.  Slow is fine,
-different is the point.  The routines at the end are ones no verb runs,
-kept here as oracles: the brute-force unimodularity scan, the basis-form
-route to kappa, the pair estimates and rescaled-TU decision built on them,
-and the CSV readers that check what the CSV writers emit.
+filter, the decomposition search, the appendix scan, and the nearest point
+as two separate simplex solves.  Slow is fine, different is the point.  The
+routines at the end are ones no verb runs, kept here as oracles: the
+brute-force unimodularity scan, the basis-form route to kappa, the pair
+estimates and rescaled-TU decision built on them, and the CSV readers that
+check what the CSV writers emit.
 """
 
 import csv
@@ -362,6 +363,58 @@ def oracle_solve(lp):
     """lp.solve with the Fraction simplex above in place of the integer tableau."""
     rows, b, c, _, bounded_idx = lp.standardized()
     return lpmod._result(lp, bounded_idx, fraction_simplex(rows, b, c))
+
+
+def _stage(rows, b, width, coord_rows, cost_cols):
+    """Solve min of the sum of the cost_cols variables over x >= 0 subject to
+    the given rows, padded with zero columns to `width`, and then coord_rows,
+    each a ({column: coefficient}, right-hand side) pair."""
+    ext_rows = [[Fraction(v) for v in row] + [Fraction(0)] * (width - len(row)) for row in rows]
+    ext_b = list(b)
+    for entries, rhs in coord_rows:
+        row = [Fraction(0)] * width
+        for col, coeff in entries.items():
+            row[col] = Fraction(coeff)
+        ext_rows.append(row)
+        ext_b.append(rhs)
+    cost = [Fraction(1) if j in cost_cols else Fraction(0) for j in range(width)]
+    return lpmod.solve(
+        lpmod.LPInstance.standard(RatMatrix.from_rows(ext_rows, cols=width), ext_b, cost)
+    )
+
+
+def two_stage_nearest_point(rows, b, anchor):
+    """`proximity._nearest_point` as two separate solves, each with its own
+    phase 1: the sup-norm distance tau first, then the least 1-norm among
+    points within tau.  Returns (x, tau, one_norm), or None when the region
+    is empty."""
+    n = len(anchor)
+    # Stage 1: variables x (n), tau (1), p (n), q (n); minimize tau with
+    # x_i - tau + p_i = anchor_i and x_i + tau - q_i = anchor_i.
+    res = _stage(rows, b, 3 * n + 1, [
+        row
+        for i in range(n)
+        for row in (
+            ({i: 1, n: -1, n + 1 + i: 1}, anchor[i]),
+            ({i: 1, n: 1, 2 * n + 1 + i: -1}, anchor[i]),
+        )
+    ], {n})
+    if res.status != lpmod.OPTIMAL:
+        return None
+    tau = res.objective
+    # Stage 2: variables x (n), r (n), s (n), w (n); minimize sum(r + s)
+    # with x_i - r_i + s_i = anchor_i and r_i + s_i + w_i = tau.
+    res2 = _stage(rows, b, 4 * n, [
+        row
+        for i in range(n)
+        for row in (
+            ({i: 1, n + i: -1, 2 * n + i: 1}, anchor[i]),
+            ({n + i: 1, 2 * n + i: 1, 3 * n + i: 1}, tau),
+        )
+    ], range(n, 3 * n))
+    if res2.status != lpmod.OPTIMAL:
+        raise AssertionError("stage 2 of the nearest point is not optimal")
+    return vec(res2.x[:n]), tau, res2.objective
 
 
 def fraction_enumerate_circuits(W):
