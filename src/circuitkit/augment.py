@@ -28,7 +28,7 @@ from .errors import (
     UnboundedDirection,
 )
 from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPInstance, solve
-from .ratmat import RatMatrix, norm1, rank, vec, vec_dot
+from .ratmat import RatMatrix, greedy_basis, norm1, vec, vec_dot
 from .subspace import ElementaryVector, Subspace, conformal_decompose, oriented_circuits
 
 STEEPEST = "steepest"
@@ -79,18 +79,6 @@ class AuditReport:
     freezing: tuple  # (coordinate, first step frozen, "zero" | "upper")
 
 
-def _feasible_directions(W: Subspace, x, u):
-    """Oriented circuits g with g_i >= 0 where x_i = 0, g_i <= 0 where x_i = u_i,
-    as (circuit, Fraction vector)."""
-    for g, gv in oriented_circuits(W):
-        if not any(
-            (gi < 0 and x[i] == 0)
-            or (gi > 0 and u is not None and u[i] is not None and x[i] == u[i])
-            for i, gi in enumerate(gv)
-        ):
-            yield g, gv
-
-
 def _residual_set(x, u, n: int) -> list:
     """N(x) in [2n]: i while x_i is below its cap, n+j while x_j > 0."""
     N = []
@@ -127,6 +115,30 @@ def _split_lp(A: RatMatrix, c, x, u, with_norm_row: bool):
     return LPInstance.standard(M, b, cost), N
 
 
+def _best_direction(W: Subspace, c, x, u, score):
+    """Among the oriented circuits g that improve (<c, g> < 0) and are
+    feasible at x (g_i >= 0 where x_i = 0, g_i <= 0 where x_i = u_i), the
+    one with the least (score(gv, <c, g>), support, vector), gv its Fraction
+    vector, and that score; AlreadyOptimal when there is none."""
+    best = None
+    for g, gv in oriented_circuits(W):
+        if any(
+            (gi < 0 and x[i] == 0)
+            or (gi > 0 and u is not None and u[i] is not None and x[i] == u[i])
+            for i, gi in enumerate(gv)
+        ):
+            continue
+        cg = vec_dot(c, gv)
+        if cg >= 0:
+            continue
+        key = (score(gv, cg), g.support, g.vector)
+        if best is None or key < best[0]:
+            best = (key, g)
+    if best is None:
+        raise AlreadyOptimal("no augmenting circuit improves the objective")
+    return best[1], best[0][0]
+
+
 def steepest_direction(W: Subspace, c, x, u=None):
     """Most negative <c,g>/||g||_1 among augmenting circuits, plus that value.
 
@@ -136,44 +148,23 @@ def steepest_direction(W: Subspace, c, x, u=None):
     """
     cv = vec(c)
     xv = vec(x)
-    best = None
-    for g, gv in _feasible_directions(W, xv, u):
-        cg = vec_dot(cv, gv)
-        if cg >= 0:
-            continue
-        steep = -cg / norm1(gv)
-        key = (-steep, g.support, g.vector)
-        if best is None or key < best[0]:
-            best = (key, g, steep)
-    if best is None:
-        raise AlreadyOptimal("no augmenting circuit improves the objective")
+    g, score = _best_direction(W, cv, xv, u, lambda gv, cg: cg / norm1(gv))
+    steep = -score
     lp, _ = _split_lp(W.kernel_rep, cv, xv, u, with_norm_row=True)
     res = solve(lp)
-    if res.status != OPTIMAL or -res.objective != best[2]:
+    if res.status != OPTIMAL or -res.objective != steep:
         raise AuditFailure(
             "steepest-direction",
             0,
-            f"scan value {best[2]} vs LP value "
+            f"scan value {steep} vs LP value "
             f"{-res.objective if res.status == OPTIMAL else res.status}",
         )
-    return best[1], best[2]
+    return g, steep
 
 
 def dantzig_direction(W: Subspace, c, x, u=None) -> ElementaryVector:
     """Most negative <c,g> over gcd-normalized augmenting circuits."""
-    cv = vec(c)
-    xv = vec(x)
-    best = None
-    for g, gv in _feasible_directions(W, xv, u):
-        cg = vec_dot(cv, gv)
-        if cg >= 0:
-            continue
-        key = (cg, g.support, g.vector)
-        if best is None or key < best[0]:
-            best = (key, g)
-    if best is None:
-        raise AlreadyOptimal("no augmenting circuit improves the objective")
-    return best[1]
+    return _best_direction(W, vec(c), vec(x), u, lambda gv, cg: cg)[0]
 
 
 def maximal_step(x, g, u=None) -> Fraction:
@@ -193,21 +184,10 @@ def maximal_step(x, g, u=None) -> Fraction:
 
 def deepest_direction(W: Subspace, c, x, u=None):
     """Maximize -alpha*<c,g> over augmenting circuits, alpha the maximal step."""
-    cv = vec(c)
     xv = vec(x)
-    best = None
-    for g, gv in _feasible_directions(W, xv, u):
-        cg = vec_dot(cv, gv)
-        if cg >= 0:
-            continue
-        alpha = maximal_step(xv, gv, u)  # UnboundedDirection flags LP unboundedness
-        depth = -alpha * cg
-        key = (-depth, g.support, g.vector)
-        if best is None or key < best[0]:
-            best = (key, g, alpha)
-    if best is None:
-        raise AlreadyOptimal("no augmenting circuit improves the objective")
-    return best[1], best[2]
+    # maximal_step raises UnboundedDirection, which flags LP unboundedness
+    g, _ = _best_direction(W, vec(c), xv, u, lambda gv, cg: maximal_step(xv, gv, u) * cg)
+    return g, maximal_step(xv, g.as_fractions(), u)
 
 
 def _cost_per_weight(cv, gv, w):
@@ -378,6 +358,8 @@ def run(
         # The weighted system only prices decreases, so a coordinate parked
         # at its cap can stall the walk; the rule is for uncapped instances.
         raise BadParameters("the weighted rule needs an instance without upper bounds")
+    if cap is not None and cap < 0:
+        raise BadParameters(f"the iteration cap must be at least 0, got {cap}")
     if W is None:
         W = Subspace.from_kernel_matrix(lp.A)
     u = lp.u
@@ -560,15 +542,10 @@ def guided_walk(lp: LPInstance, x_start, x_target, W: Subspace | None = None) ->
         raise BadParameters("x_start is not feasible")
     if A.matvec(xt) != tuple(lp.b) or any(v < 0 for v in xt):
         raise TargetNotBasic("x_target is not feasible")
-    supp = [i for i, v in enumerate(xt) if v != 0]
-    if supp and rank(A.take_cols(supp)) < len(supp):
+    supp = tuple(i for i, v in enumerate(xt) if v != 0)
+    B = greedy_basis(A, supp + tuple(i for i, v in enumerate(xt) if v == 0))
+    if B[: len(supp)] != supp:
         raise TargetNotBasic("support columns of x_target are dependent")
-    B = list(supp)
-    for j in range(n):
-        if j in B:
-            continue
-        if rank(A.take_cols(sorted(B + [j]))) > len(B):
-            B.append(j)
     Bset = set(B)
     if W is None:
         W = Subspace.from_kernel_matrix(A)

@@ -21,7 +21,6 @@ from fractions import Fraction
 from . import lp as lpmod, proximity, serialize
 from .errors import (
     AuditFailure,
-    BadParameters,
     CircuitKitError,
     InfeasibleSystem,
     InputFormatError,
@@ -32,11 +31,6 @@ from .errors import (
 )
 from .imbalance import diameter_within, is_TU, kappa_star
 from .subspace import Subspace
-
-_INPUT_ERRORS = (
-    InputFormatError,
-    BadParameters,
-)
 
 RULES = ("steepest", "dantzig", "deepest", "ratio", "support", "guided")
 # generate.FAMILIES, spelled out so that building the parser does not import
@@ -76,10 +70,6 @@ def _load_vector(obj_or_key, doc, length=None):
     if obj_or_key not in doc:
         raise InputFormatError(f"document is missing {obj_or_key!r}")
     return serialize.vec_from_obj(doc[obj_or_key], length=length)
-
-
-def _parse_epsilon(text: str) -> Fraction:
-    return serialize.parse_frac(text)
 
 
 def _cmd_analyze(args) -> int:
@@ -220,7 +210,7 @@ def _cmd_blackbox(args) -> int:
     A = serialize.load_matrix(doc)
     W = Subspace.from_kernel_matrix(A)
     d = _load_vector("d", doc, length=A.cols)
-    eps = _parse_epsilon(args.epsilon) if args.epsilon else None
+    eps = serialize.parse_frac(args.epsilon) if args.epsilon else None
     try:
         x = proximity.feasibility_simplified(W, d, epsilon=eps, seed=args.seed)
     except OracleInfeasible as exc:
@@ -351,9 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, output=True):
-        if output:
-            p.add_argument("--output", help="write the report here (default stdout)")
+    def common(p):
+        p.add_argument("--output", help="write the report here (default stdout)")
 
     p = sub.add_parser("analyze", help="circuit imbalance measures of ker(A)")
     p.add_argument("--input", required=True, help="matrix JSON")
@@ -426,9 +415,6 @@ def main(argv=None) -> int:
     except AuditFailure as exc:
         print(f"finding: {exc}", file=sys.stderr)
         return 1
-    except _INPUT_ERRORS as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

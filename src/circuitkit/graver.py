@@ -36,10 +36,10 @@ from .lp import INFEASIBLE, UNBOUNDED, LPInstance, fractionality, solve
 from .ratmat import (
     RatMatrix,
     bareiss_det,
+    greedy_basis,
     invert,
     is_conformal,
     norm1,
-    rank,
     vec,
     vec_zero,
 )
@@ -369,25 +369,6 @@ def conjecture_decompose(W: Subspace, z) -> ConjectureReport:
     return ConjectureReport(target=zi, status="violated", decomposition=None, searched=searched)
 
 
-def _column_basis_containing(A: RatMatrix, seed_cols) -> list[int]:
-    """Extend an independent column set to a basis of the column space."""
-    picked = list(seed_cols)
-    r = rank(A.take_cols(picked)) if picked else 0
-    if r != len(picked):
-        raise InternalError("seed columns of a basis are dependent")
-    target = rank(A)
-    for j in range(A.cols):
-        if r == target:
-            break
-        if j in picked:
-            continue
-        attempt = picked + [j]
-        if rank(A.take_cols(attempt)) > r:
-            picked = attempt
-            r += 1
-    return sorted(picked)
-
-
 def hk_check(W: Subspace, trials: int, seed: int) -> HKReport:
     """Vertex denominators of {x in W + d, x >= 0} for integer shifts d.
 
@@ -417,7 +398,10 @@ def hk_check(W: Subspace, trials: int, seed: int) -> HKReport:
     for ev in W.circuit_list:
         for ell in ev.support:
             g = tuple(Fraction(v, ev.vector[ell]) for v in ev.vector)
-            basis_cols = _column_basis_containing(A, [i for i in ev.support if i != ell])
+            seed = tuple(i for i in ev.support if i != ell)
+            basis_cols = greedy_basis(A, seed + tuple(j for j in range(n) if j not in seed))
+            if basis_cols[: len(seed)] != seed:
+                raise InternalError("seed columns of a basis are dependent")
             t = ceil(max(abs(v) for v in g))
             d = [Fraction(0)] * n
             for j in basis_cols:

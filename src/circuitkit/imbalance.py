@@ -31,7 +31,7 @@ from .errors import (
 from .ratmat import (
     RatMatrix,
     bareiss_det,
-    basis_form,
+    bases,
     check_desk_scale,
     fraction_nth_root,
     rank,
@@ -116,20 +116,6 @@ def imbalances(W: Subspace) -> ImbalanceReport:
         kappa_dot=acc,
         kappa_bar=best_entry,
         witnesses=MeasureWitnesses(ratio_wit, entry_wit, tuple(dot_wits)),
-    )
-
-
-def _basis_forms(A: RatMatrix):
-    """A_B^{-1} A for every nonsingular basis B, in lexicographic order of B.
-
-    The desk-scale check runs on the call, before the first form is asked for.
-    """
-    m, n = A.shape
-    check_desk_scale(n, "basis enumeration")
-    return (
-        basis_form(A, B)
-        for B in itertools.combinations(range(n), m)
-        if bareiss_det(A.take_cols(B)) != 0
     )
 
 
@@ -520,7 +506,7 @@ def chibar(A: RatMatrix) -> float:
     if rank(A) != A.rows:
         raise RankDeficient("spectral scan needs a full row rank matrix")
     best = 0.0
-    for M in _basis_forms(A):
+    for _, M in bases(A):
         flo = [[float(x) for x in r] for r in M.data]
         best = max(best, math.sqrt(_power_iteration_sq(flo)))
     return best

@@ -17,7 +17,6 @@ vertex denominators) run over the standardized system and are exact.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,9 +30,10 @@ from .errors import (
 )
 from .ratmat import (
     RatMatrix,
-    bareiss_det,
+    _bases,
+    bareiss_step,
+    greedy_basis,
     rank,
-    solve_linear,
     vec,
     vec_zero,
 )
@@ -122,9 +122,10 @@ class _Tableau:
     scaled by the least positive integer s_i that clears its denominators,
     and gets the artificial column n + i.  The tableau entry is T[r][k] / D
     for one common denominator D > 0, the absolute value of the current
-    basis determinant; a pivot is one Edmonds-Bareiss step, so every entry
-    stays an integer minor.  The reduced costs of the current phase are one
-    more integer row, `reduced`, holding L * D times the reduced cost, where L
+    basis determinant; a pivot is one `ratmat.bareiss_step` per row, so
+    every entry stays an integer minor and an inexact division raises
+    InternalError.  The reduced costs of the current phase are one more
+    integer row, `reduced`, holding L * D times the reduced cost, where L
     clears the denominators of the cost vector.
 
     The scaling substitutes s_i * a_i for artificial a_i, so artificial i
@@ -175,26 +176,12 @@ class _Tableau:
         prow = self.T[r]
         p, D = prow[j], self.D
         psum = sum(prow)
-
-        def step(row):
-            # Most entries are zero in both rows, and most rows have f = 0;
-            # skipping those is worth the test.
-            f = row[j]
-            if f:
-                out = [(p * a - f * b) // D if a or b else 0 for a, b in zip(row, prow)]
-            elif p != D:
-                out = [p * a // D if a else 0 for a in row]
-            else:
-                return row
-            # Floor remainders lie in [0, D), so they all vanish iff their
-            # sum does.
-            if D * sum(out) != p * sum(row) - f * psum:
-                raise InternalError(f"inexact Bareiss step pivoting on ({r}, {j})")
-            return out
-
-        self.T = [row if i == r else step(row) for i, row in enumerate(self.T)]
+        self.T = [
+            row if i == r else bareiss_step(row, prow, row[j], p, D, psum)
+            for i, row in enumerate(self.T)
+        ]
         if self.reduced is not None:
-            self.reduced = step(self.reduced)
+            self.reduced = bareiss_step(self.reduced, prow, self.reduced[j], p, D, psum)
         if p < 0:
             self.T = [[-a for a in row] for row in self.T]
             if self.reduced is not None:
@@ -370,50 +357,29 @@ def _result(lp: LPInstance, bounded_idx, out: dict) -> LPResult:
     )
 
 
-def _row_basis(rows, width) -> list[int]:
-    """Indices of a maximal independent subset of rows, greedily."""
-    keep: list[int] = []
-    cur = 0
-    for i, r in enumerate(rows):
-        cand = [rows[k] for k in keep] + [r]
-        M = RatMatrix.from_rows(cand, cols=width)
-        if rank(M) > cur:
-            keep.append(i)
-            cur += 1
-    return keep
-
-
 def _std_vertices(lp: LPInstance):
-    """Vertices of the standardized region, as full standardized vectors."""
+    """Vertices of the standardized region, as full standardized vectors:
+    x_B is the last column of the form of [A_red | b] for each basis B."""
     rows, b, c, n, bounded_idx = lp.standardized()
     width = len(rows[0]) if rows else n
     if not rows:
         return {tuple([Fraction(0)] * n): ()}, n
-    keep = _row_basis(rows, width)
     A_full = RatMatrix.from_rows(rows, cols=width)
     bv = vec(b)
     # Consistency of dropped rows is checked per candidate solution below via
     # the full system, so redundant-but-inconsistent data cannot slip through.
-    A_red = RatMatrix.from_rows([rows[i] for i in keep], cols=width)
-    b_red = tuple(b[i] for i in keep)
-    m = A_red.rows
+    keep = greedy_basis(A_full.transpose(), range(len(rows)))
+    Ab_red = RatMatrix.from_rows([rows[i] + [b[i]] for i in keep], cols=width + 1)
     seen = {}
-    for B in itertools.combinations(range(width), m):
-        sub = A_red.take_cols(B)
-        if bareiss_det(sub) == 0:
-            continue
-        xb = solve_linear(sub, b_red)
-        if xb is None:
-            continue
+    # No desk-scale cap: the slack columns of upper bounds make a
+    # standardized system up to twice as wide as the LP's own matrix.
+    for B, form in _bases(Ab_red, range(width)):
         x = [Fraction(0)] * width
-        for pos, j in enumerate(B):
-            x[j] = xb[pos]
-        if any(v < 0 for v in x):
-            continue
+        for j, r in zip(B, form.data):
+            x[j] = r[-1]
         xt = tuple(x)
-        if A_full.matvec(xt) != bv:
-            continue
-        seen.setdefault(xt, B)
+        if all(v >= 0 for v in xt) and A_full.matvec(xt) == bv:
+            seen.setdefault(xt, B)
     return seen, n
 
 

@@ -378,31 +378,24 @@ def _feasibility_rec(W: Subspace, d: Vec, eps: Fraction, seed: int, depth: int, 
     kappa = W.measures.kappa
     neg_sq = norm2_sq(neg_part(xt))
     I = [i for i in range(n) if xt[i] >= 0 and xt[i] * xt[i] >= kappa * kappa * neg_sq]
-    if not I or budget == 0:
-        # No coordinate is confidently large (or the recursion allowance is
-        # spent): fall back to the exact solve the oracle already proved
-        # feasible.
-        res = solve(LPInstance.standard(W.kernel_rep, W.kernel_rep.matvec(d), vec_zero(n)))
-        if res.status != OPTIMAL:
-            raise InternalError("exact fallback LP is infeasible though the oracle found a point")
-        return res.x
-    J = [i for i in range(n) if i not in I]
-    WJ = minor(W, J, "project")
-    z = _feasibility_rec(WJ, vec(d[j] for j in J), eps, seed, depth + 1, budget - 1)
-    p = vec_sub(z, vec(xt[j] for j in J))
-    h = lift_min_norm(W, J, p)
-    x = vec_add(xt, h)
-    if any(v < 0 for v in x):
-        # The lifted correction overshot a coordinate in I; the simplified
-        # recursion does not enforce the proximity condition that would rule
-        # this out, so use the exact fallback rather than fail.
-        res = solve(LPInstance.standard(W.kernel_rep, W.kernel_rep.matvec(d), vec_zero(n)))
-        if res.status != OPTIMAL:
-            raise InternalError("exact fallback LP is infeasible though the oracle found a point")
-        return res.x
-    if W.kernel_rep.matvec(x) != W.kernel_rep.matvec(d):
-        raise InternalError("lifted point left W + d")
-    return x
+    if I and budget > 0:
+        J = [i for i in range(n) if i not in I]
+        WJ = minor(W, J, "project")
+        z = _feasibility_rec(WJ, vec(d[j] for j in J), eps, seed, depth + 1, budget - 1)
+        p = vec_sub(z, vec(xt[j] for j in J))
+        x = vec_add(xt, lift_min_norm(W, J, p))
+        if all(v >= 0 for v in x):
+            if W.kernel_rep.matvec(x) != W.kernel_rep.matvec(d):
+                raise InternalError("lifted point left W + d")
+            return x
+    # No coordinate is confidently large, the recursion allowance is spent,
+    # or the lift overshot a coordinate in I (the simplified recursion does
+    # not enforce the proximity condition that rules this out): fall back to
+    # the exact solve the oracle already proved feasible.
+    res = solve(LPInstance.standard(W.kernel_rep, W.kernel_rep.matvec(d), vec_zero(n)))
+    if res.status != OPTIMAL:
+        raise InternalError("exact fallback LP is infeasible though the oracle found a point")
+    return res.x
 
 
 def feasibility_simplified(W: Subspace, d, epsilon=None, seed: int = 0) -> Vec:

@@ -8,11 +8,18 @@ Karp's maximum-mean-cycle search behind kappa_star in `imbalance`.
 Floating point appears only in the explicitly inexact spectral estimator
 `imbalance.chibar`.
 
+Each elimination job is done here once: `bareiss_step` is the one
+fraction-free Edmonds-Bareiss row step (of the simplex, the circuit
+enumeration, the basis forms and `bareiss_det`), `greedy_basis` the one
+greedy column basis, and `bases` the one loop over bases with their
+forms A_B^{-1} A.
+
 Vectors are plain tuples of Fractions; matrices are immutable row tuples.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -295,21 +302,95 @@ def invert(M: RatMatrix) -> RatMatrix:
     return RatMatrix.from_rows([row[n:] for row in aug], cols=n)
 
 
+def greedy_basis(A: RatMatrix, order: Sequence[int]) -> tuple:
+    """Each column of `order` independent of those kept before it, in scan
+    order: the pivot columns of one RREF of A's columns taken in `order`."""
+    return tuple(order[j] for j in rref(A.take_cols(order))[1])
+
+
+def _int_rows(A: RatMatrix):
+    """(rows, scales): each row of A times the least positive integer
+    clearing its denominators, which keeps every basis form A_B^{-1} A."""
+    scales = [math.lcm(*(x.denominator for x in r)) for r in A.data]
+    return [[x.numerator * (s // x.denominator) for x in r] for r, s in zip(A.data, scales)], scales
+
+
+def _inverse_form(rows: list, cols: int, B: Sequence[int]):
+    """A_B^{-1} A from the `_int_rows` of A (`cols` wide), or None when the
+    columns B are singular: fraction-free Gauss-Jordan elimination on the
+    columns of B in turn, every row over one common denominator D > 0 (a
+    negative pivot row is negated first).  B is a basis exactly when each
+    of its columns finds a pivot, and the rows over D are then A_B^{-1} A."""
+    T = list(rows)
+    D = 1
+    for t, j in enumerate(B):
+        r = next((i for i in range(t, len(T)) if T[i][j]), None)
+        if r is None:
+            return None
+        prow = T[r] if T[r][j] > 0 else [-a for a in T[r]]
+        T[r] = T[t]
+        p, psum = prow[j], sum(prow)
+        T = [
+            prow if i == t else bareiss_step(row, prow, row[j], p, D, psum)
+            for i, row in enumerate(T)
+        ]
+        D = p
+    return RatMatrix(data=tuple(tuple(Fraction(a, D) for a in row) for row in T), cols=cols)
+
+
 def basis_form(A: RatMatrix, basis: Sequence[int]) -> RatMatrix:
     """A_B^{-1} A for the column subset `basis` (must be a nonsingular m x m block)."""
     basis = list(basis)
     if len(basis) != A.rows:
         raise SingularBasis(f"basis needs exactly {A.rows} columns, got {len(basis)}")
-    A_B = A.take_cols(basis)
-    try:
-        inv = invert(A_B)
-    except NotSquare as exc:  # pragma: no cover - guarded above
-        raise SingularBasis(str(exc)) from exc
-    return inv.mul(A)
+    form = _inverse_form(_int_rows(A)[0], A.cols, basis)
+    if form is None:
+        raise SingularBasis("matrix is singular")
+    return form
+
+
+def bases(A: RatMatrix, over: Sequence[int] | None = None):
+    """(B, A_B^{-1} A) for every nonsingular basis B of A drawn from the
+    columns `over` (default all), in lexicographic order of B.  The
+    desk-scale check runs on the call, before the first basis is asked for."""
+    over = range(A.cols) if over is None else over
+    check_desk_scale(len(over), "basis enumeration")
+    return _bases(A, over)
+
+
+def _bases(A: RatMatrix, over: Sequence[int]):
+    """`bases` without the desk-scale check."""
+    rows = _int_rows(A)[0]
+    for B in itertools.combinations(over, A.rows):
+        form = _inverse_form(rows, A.cols, B)
+        if form is not None:
+            yield B, form
+
+
+def bareiss_step(row: list, prow: list, f: int, p: int, D: int, psum: int) -> list:
+    """(p * row - f * prow) / D, one fraction-free Edmonds-Bareiss row step.
+
+    `prow` is the pivot row, p its pivot, f the entry of `row` in the pivot
+    column, D the previous pivot and psum = sum(prow).  Most entries are
+    zero in both rows and most rows have f = 0, so those skip the products.
+    Floor remainders all have the sign of D, so they vanish iff their sum
+    does: one comparison of row sums checks that every division is exact,
+    and an inexact step raises InternalError.
+    """
+    if f:
+        out = [(p * a - f * b) // D if a or b else 0 for a, b in zip(row, prow)]
+    elif p != D:
+        out = [p * a // D if a else 0 for a in row]
+    else:
+        return row
+    if D * sum(out) != p * sum(row) - f * psum:
+        raise InternalError(f"inexact Bareiss step: pivot {p} over {D}")
+    return out
 
 
 def _int_bareiss(rows: list[list[int]]) -> int:
-    """Fraction-free Bareiss elimination on an integer matrix; returns det."""
+    """Fraction-free Bareiss elimination on an integer matrix; returns det.
+    Step k updates only the columns after k, the ones read again."""
     n = len(rows)
     sign = 1
     prev = 1
@@ -320,11 +401,11 @@ def _int_bareiss(rows: list[list[int]]) -> int:
                 return 0
             rows[k], rows[swap] = rows[swap], rows[k]
             sign = -sign
+        p, tail = rows[k][k], rows[k][k + 1 :]
+        tsum = sum(tail)
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = rows[k][k]
+            rows[i][k + 1 :] = bareiss_step(rows[i][k + 1 :], tail, rows[i][k], p, prev, tsum)
+        prev = p
     return sign * rows[n - 1][n - 1]
 
 
@@ -334,13 +415,8 @@ def bareiss_det(M: RatMatrix) -> Fraction:
         raise NotSquare("determinant needs a square matrix")
     if M.rows == 0:
         return Fraction(1)
-    scale = Fraction(1)
-    int_rows = []
-    for r in M.data:
-        den = math.lcm(*(x.denominator for x in r))
-        scale *= den
-        int_rows.append([int(x * den) for x in r])
-    return Fraction(_int_bareiss(int_rows), 1) / scale
+    rows, scales = _int_rows(M)
+    return Fraction(_int_bareiss(rows), math.prod(scales))
 
 
 def integer_normalize(v: Vec):

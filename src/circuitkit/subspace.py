@@ -26,6 +26,7 @@ from .errors import (
 from .ratmat import (
     RatMatrix,
     Vec,
+    bareiss_step,
     check_desk_scale,
     integer_normalize,
     is_conformal,
@@ -193,19 +194,19 @@ def _enumerate_circuits(W: Subspace) -> tuple:
     """All circuits of W, ordered by size, then lexicographically by support.
 
     Independent column sets I of A are grown depth-first in lexicographic
-    order, each by one Edmonds-Bareiss pivot of a fraction-free Gauss-Jordan
-    tableau of the integer rows (each row of A scaled to integers once,
-    which keeps its kernel).  Every row is held over one common
-    denominator D > 0: pivot rows read D at their pivot column, and a
-    column e with no nonzero entry in the rows without a pivot is dependent
-    on I.  Then I + e holds exactly one circuit, whose kernel line is D at
-    e and -T[p][e] at the pivot column of each row p; it is I + e itself
-    exactly when no entry on I is zero.  A circuit C is found only from
-    I = C minus its largest element, so each is found once.  The subtree
-    under I only reads columns after max(I), so each tableau keeps those
-    alone.  There are at most 2^n sets, n within the desk-scale cap, and
-    the recursion is at most rank A deep.  An inexact division raises
-    InternalError.
+    order, each by one Edmonds-Bareiss pivot (`ratmat.bareiss_step` on each
+    row) of a fraction-free Gauss-Jordan tableau of the integer rows (each
+    row of A scaled to integers once, which keeps its kernel).  Every row
+    is held over one common denominator D > 0: pivot rows read D at their
+    pivot column, and a column e with no nonzero entry in the rows without
+    a pivot is dependent on I.  Then I + e holds exactly one circuit, whose
+    kernel line is D at e and -T[p][e] at the pivot column of each row p;
+    it is I + e itself exactly when no entry on I is zero.  A circuit C is
+    found only from I = C minus its largest element, so each is found
+    once.  The subtree under I only reads columns after max(I), so each
+    tableau keeps those alone.  There are at most 2^n sets, n within the
+    desk-scale cap, and the recursion is at most rank A deep.  An inexact
+    division raises InternalError.
     """
     n = W.ambient_dim
     check_desk_scale(n, "circuit enumeration")
@@ -240,19 +241,7 @@ def _enumerate_circuits(W: Subspace) -> tuple:
             tsum = sum(tail)
 
             def eliminate(old):
-                f = old[k]
-                a_tail = old[k + 1 :]
-                if f:
-                    out = [(p * a - f * b) // D for a, b in zip(a_tail, tail)]
-                elif p != D:
-                    out = [p * a // D for a in a_tail]
-                else:
-                    return a_tail
-                # Floor remainders lie in [0, D), so they all vanish iff
-                # their sum does.
-                if D * sum(out) != p * sum(a_tail) - f * tsum:
-                    raise InternalError(f"inexact Bareiss step pivoting on column {e}")
-                return out
+                return bareiss_step(old[k + 1 :], tail, old[k], p, D, tsum)
 
             grow(
                 I + (e,),
@@ -383,8 +372,16 @@ def lift_min_norm(W: Subspace, I: Sequence[int], p: Vec) -> Vec:
 
 
 def components(W: Subspace) -> tuple:
-    """Partition of the ground set into connected components of the circuit
-    hypergraph; elements in no circuit are singletons."""
+    """Partition of the ground set into the connected components of W's
+    matroid (the circuit hypergraph); elements in no circuit are singletons.
+
+    The matroid of W is the column matroid of kernel_rep, which is in RREF,
+    so it is A_B^{-1} A for the basis B of its pivot columns.  Row i is the
+    fundamental cocircuit of the i-th pivot, and the rows' supports read the
+    fundamental graph of B: an edge (pivot i, j) for each nonzero entry.
+    Its components are the matroid's (Krogdahl 1977; Cunningham 1973), so
+    no circuit is enumerated.
+    """
     n = W.ambient_dim
     parent = list(range(n))
 
@@ -394,15 +391,10 @@ def components(W: Subspace) -> tuple:
             x = parent[x]
         return x
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for ev in W.circuit_list:
-        first = ev.support[0]
-        for j in ev.support[1:]:
-            union(first, j)
+    for row in W.kernel_rep.data:
+        supp = [j for j, x in enumerate(row) if x != 0]
+        for j in supp[1:]:
+            parent[find(j)] = find(supp[0])
     blocks: dict[int, list[int]] = {}
     for i in range(n):
         blocks.setdefault(find(i), []).append(i)

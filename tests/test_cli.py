@@ -113,6 +113,20 @@ def test_solve_guided(tmp_path, capsys):
     assert loads(out)["terminated"] == "target-reached"
 
 
+@pytest.mark.parametrize("cap, code, steps", [("-3", 2, None), ("0", 0, 0)])
+def test_solve_iteration_cap_must_not_be_negative(tmp_path, capsys, cap, code, steps):
+    # a negative cap once reported "iteration-cap" after 0 steps with exit 0
+    lp_path = tmp_path / "flow.json"
+    run_cli(capsys, ["generate", "--family", "flow", "--size", "4", "--seed", "1",
+                     "--output", str(lp_path)])
+    assert cli.main(["solve", "--input", str(lp_path), "--rule", "dantzig", "--cap", cap]) == code
+    out, err = capsys.readouterr()
+    if steps is None:
+        assert out == "" and err.startswith("input error: the iteration cap")
+    else:
+        assert loads(out)["steps"] == steps
+
+
 def test_solve_infeasible_is_ordinary(tmp_path, capsys):
     lp_path = write_json(
         tmp_path / "bad.json",

@@ -95,3 +95,33 @@ def test_only_lp_names_the_simplex_internals():
                 names.add(n.attr)
         found += [f"{path.name} {name}" for name in sorted(names & internals)]
     assert found == []
+
+
+def _is_bareiss_step(node) -> bool:
+    """(x * y - z * w) // d: a fraction-free elimination step written out."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.FloorDiv)
+        and isinstance(node.left, ast.BinOp)
+        and isinstance(node.left.op, ast.Sub)
+        and all(
+            isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult)
+            for side in (node.left.left, node.left.right)
+        )
+    )
+
+
+def test_only_ratmat_takes_a_bareiss_step():
+    # One elimination step: the simplex, the circuit enumeration and the
+    # determinant all call ratmat.bareiss_step.
+    paths = sorted(SRC.glob("*.py"))
+    assert any(p.name == "ratmat.py" for p in paths)
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        steps = [n.lineno for n in ast.walk(tree) if _is_bareiss_step(n)]
+        if path.name == "ratmat.py":
+            assert steps, "ratmat.bareiss_step no longer has the step it guards"
+        else:
+            found += [f"{path.name}:{line}" for line in steps]
+    assert found == []

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circuitkit.errors import DeskScaleExceeded, NonIntegerMatrix, SingularBasis
+from circuitkit.errors import DeskScaleExceeded, InternalError, NonIntegerMatrix, SingularBasis
 from circuitkit.ratmat import (
     RatMatrix,
     bareiss_det,
+    bareiss_step,
+    bases,
     basis_form,
     fraction_nth_root,
+    greedy_basis,
     int_nth_root,
     integer_normalize,
     invert,
@@ -24,7 +27,15 @@ from circuitkit.ratmat import (
     solve_linear,
     vec,
 )
-from util import int_kernel_line, naive_det, random_int_matrix, subdet_stats
+from util import (
+    bases_by_det,
+    greedy_basis_by_rank,
+    int_kernel_line,
+    naive_det,
+    random_int_matrix,
+    rational_matrices,
+    subdet_stats,
+)
 
 fracs = st.fractions(
     min_value=-20, max_value=20, max_denominator=6
@@ -208,3 +219,43 @@ def test_int_kernel_line_matches_the_rational_kernel(case):
         scale = Fraction(v[K.row(0).index(1)])
         assert scale > 0
         assert tuple(Fraction(x) for x in v) == tuple(scale * x for x in K.row(0))
+
+
+def test_bareiss_step():
+    # pivot 3 over D = 1 on the row (2, 5, 1) with pivot row (3, 1, 4)
+    assert bareiss_step([2, 5, 1], [3, 1, 4], 2, 3, 1, 8) == [0, 13, -5]
+    # f = 0 and p = D: the row comes back as it is
+    row = [0, 7, -2]
+    assert bareiss_step(row, [2, 1, 1], 0, 2, 2, 4) is row
+
+
+def test_inexact_bareiss_step_raises():
+    # (2 * 5 - 1 * 4) / 4 is not an integer
+    with pytest.raises(InternalError):
+        bareiss_step([1, 5], [2, 4], 1, 2, 4, 6)
+    # f = 0: 3 * 3 / 2 is not an integer either
+    with pytest.raises(InternalError):
+        bareiss_step([0, 3], [3, 1], 0, 3, 2, 4)
+
+
+@given(rational_matrices(rows=(1, 4), cols=(1, 7)), st.data())
+@settings(max_examples=200, deadline=None)
+def test_greedy_basis_matches_the_rank_scan(A, data):
+    order = data.draw(st.permutations(range(A.cols)))
+    order = order[: data.draw(st.integers(0, A.cols))]
+    assert greedy_basis(A, order) == greedy_basis_by_rank(A, order)
+
+
+@given(rational_matrices(rows=(1, 4), cols=(1, 7)), st.data())
+@settings(max_examples=200, deadline=None)
+def test_bases_match_the_determinant_loop(A, data):
+    assert list(bases(A)) == list(bases_by_det(A))
+    over = sorted(data.draw(st.sets(st.integers(0, A.cols - 1))))
+    assert list(bases(A, over)) == list(bases_by_det(A, over))
+
+
+def test_bases_check_the_desk_scale_on_the_call(monkeypatch):
+    monkeypatch.setenv("CIRCUITKIT_MAX_COLS", "3")
+    with pytest.raises(DeskScaleExceeded):
+        bases(RatMatrix.identity(4))
+    assert len(list(bases(RatMatrix.identity(4), over=[0, 1, 3]))) == 0

@@ -19,9 +19,11 @@ from circuitkit.subspace import (
     lift_min_norm,
     minor,
 )
+from circuitkit import subspace
 from util import (
     brute_circuits,
     fraction_enumerate_circuits,
+    hypergraph_components,
     int_enumerate_circuits,
     random_int_matrix,
     rational_matrices,
@@ -226,3 +228,46 @@ def degenerate_int_matrices(draw):
 def test_independent_set_growth_matches_both_support_enumerators(A):
     W = Subspace.from_kernel_matrix(A)
     assert W.circuit_list == int_enumerate_circuits(W) == fraction_enumerate_circuits(W)
+
+
+@st.composite
+def maybe_block_diagonal(draw):
+    """A `degenerate_int_matrices` draw, half the time cut into two
+    diagonal blocks (entries off the blocks set to 0)."""
+    A = draw(degenerate_int_matrices())
+    if not draw(st.booleans()):
+        return A
+    k = draw(st.integers(0, A.rows))
+    split = draw(st.integers(0, A.cols))
+    rows = [
+        [x if (i < k) == (j < split) else 0 for j, x in enumerate(row)]
+        for i, row in enumerate(A.data)
+    ]
+    if not any(any(row) for row in rows):
+        rows[0][0] = 1
+    return RatMatrix.from_rows(rows, cols=A.cols)
+
+
+@given(maybe_block_diagonal())
+@settings(max_examples=300, deadline=None)
+def test_components_match_the_circuit_hypergraph(A):
+    W = Subspace.from_kernel_matrix(A)
+    assert components(W) == hypergraph_components(W)
+
+
+def test_components_of_a_wide_block_diagonal_matrix_enumerate_nothing(monkeypatch):
+    # 20 columns is past the enumeration cap, so a single enumeration would
+    # also raise DeskScaleExceeded
+    calls = []
+    monkeypatch.setattr(subspace, "_enumerate_circuits", lambda W: calls.append(W))
+    # four connected 2 x 5 blocks on the diagonal of an 8 x 20 matrix
+    rows = []
+    for b in range(4):
+        for block_row in ([1, 1, 1, 1, 1], [1, 2, 3, 4, 5 + b]):
+            row = [0] * 20
+            row[5 * b : 5 * b + 5] = block_row
+            rows.append(row)
+    W = Subspace.from_kernel_matrix(RatMatrix.from_rows(rows, cols=20))
+    assert is_separable(W)
+    assert components(W) == tuple(tuple(range(5 * b, 5 * b + 5)) for b in range(4))
+    assert calls == []

@@ -7,8 +7,10 @@ what the package runs faster: the circuit enumeration support by support
 (over Fractions, and over ints with `int_kernel_line`), the imbalance scan,
 the kappa_star bitmask DP over simple paths (over Fractions and over ints)
 that Karp's algorithm replaced, the Graver box scan and its minimality
-filter, the decomposition search, the appendix scan, and the nearest point
-as two separate simplex solves.  Slow is fine, different is the point.  The
+filter, the decomposition search, the appendix scan, the nearest point
+as two separate simplex solves, the greedy basis by one rank per column,
+the basis forms by determinant, inverse and product, and the components
+of the circuit hypergraph.  Slow is fine, different is the point.  The
 routines at the end are ones no verb runs, kept here as oracles: the
 brute-force unimodularity scan, the basis-form route to kappa, the pair
 estimates and rescaled-TU decision built on them, and the CSV readers that
@@ -40,6 +42,7 @@ from circuitkit.errors import (
 from circuitkit.ratmat import (
     RatMatrix,
     bareiss_det,
+    bases,
     basis_form,
     check_desk_scale,
     integer_normalize,
@@ -819,6 +822,39 @@ def fraction_appendix_counterexample():
     )
 
 
+def greedy_basis_by_rank(A: RatMatrix, order) -> tuple:
+    """Each column of `order` that raises the rank of those kept before it:
+    the one-rank-per-column scan that `ratmat.greedy_basis` replaced."""
+    keep = []
+    for j in order:
+        if rank(A.take_cols(keep + [j])) > len(keep):
+            keep.append(j)
+    return tuple(keep)
+
+
+def bases_by_det(A: RatMatrix, over=None):
+    """(B, A_B^{-1} A) for each B with det A_B != 0, in lexicographic order:
+    the determinant, inverse and product loop that `ratmat.bases` replaced."""
+    over = range(A.cols) if over is None else over
+    for B in combinations(over, A.rows):
+        sub = A.take_cols(B)
+        if bareiss_det(sub) != 0:
+            yield B, invert(sub).mul(A)
+
+
+def hypergraph_components(W: Subspace) -> tuple:
+    """Connected components of the circuit hypergraph, read off the circuit
+    list; elements in no circuit are singletons."""
+    block = list(range(W.ambient_dim))
+    for ev in W.circuit_list:
+        merged = {block[i] for i in ev.support}
+        block = [min(merged) if b in merged else b for b in block]
+    groups: dict = {}
+    for i, b in enumerate(block):
+        groups.setdefault(b, []).append(i)
+    return tuple(sorted(tuple(g) for g in groups.values()))
+
+
 # ---------------------------------------------------------------------------
 # Routines no verb runs, kept as test oracles: the basis-form route to kappa,
 # the one-circuit-per-pair estimate and the rescaled-TU decision built on it,
@@ -845,7 +881,7 @@ def kappa_via_basis_forms(A: RatMatrix) -> Fraction:
     if rank(A) != A.rows:
         raise RankDeficient("basis-form scan needs a full row rank matrix")
     best = Fraction(0)
-    for M in imbmod._basis_forms(A):
+    for _, M in bases(A):
         best = max(best, max(abs(x) for r in M.data for x in r))
     if best == 0:
         raise RankDeficient("no nonsingular basis found")
@@ -987,7 +1023,7 @@ def int_representation(W: Subspace) -> RatMatrix:
     A = W.kernel_rep
     kd = W.measures.kappa_dot
     fallback = None
-    for M in imbmod._basis_forms(A):
+    for _, M in bases(A):
         if M.is_integral():
             _assert_divides(M, kd)
             return M
