@@ -4,6 +4,11 @@ Directions are computed twice wherever a second route exists (exhaustive
 circuit scan vs. an exact LP formulation) and the two must agree; a
 disagreement raises AuditFailure rather than silently preferring one.
 
+Every rule chooses its circuit with `_least`, the one arg-min over scored
+circuits (oriented-circuit scans and conformal terms alike), and
+`_blocked` is the one test of a coordinate at the bound that a direction
+pushes against.
+
 Orientation convention: returned directions g satisfy <c, g> < 0, except
 support_circuit which allows <c, g> = 0.
 """
@@ -79,16 +84,30 @@ class AuditReport:
     freezing: tuple  # (coordinate, first step frozen, "zero" | "upper")
 
 
+def _blocked(x, u, i, gi) -> bool:
+    """True when coordinate i sits at the bound that the entry gi pushes
+    against: x_i = 0 with gi < 0, or x_i = u_i with gi > 0."""
+    if gi < 0:
+        return x[i] == 0
+    return gi > 0 and u is not None and u[i] is not None and x[i] == u[i]
+
+
+def _least(scored):
+    """The (score, circuit) pair with the least (score, support, vector),
+    the first such in scan order, or None when there is none."""
+    return min(scored, key=lambda sg: (sg[0], sg[1].support, sg[1].vector), default=None)
+
+
+def _circuit(gint) -> ElementaryVector:
+    """The integer vector gint with its support."""
+    return ElementaryVector(tuple(i for i, v in enumerate(gint) if v), gint)
+
+
 def _residual_set(x, u, n: int) -> list:
     """N(x) in [2n]: i while x_i is below its cap, n+j while x_j > 0."""
-    N = []
-    for i in range(n):
-        if u is None or u[i] is None or x[i] < u[i]:
-            N.append(i)
-    for j in range(n):
-        if x[j] > 0:
-            N.append(n + j)
-    return N
+    return [i for i in range(n) if not _blocked(x, u, i, 1)] + [
+        n + j for j in range(n) if not _blocked(x, u, j, -1)
+    ]
 
 
 def _split_lp(A: RatMatrix, c, x, u, with_norm_row: bool):
@@ -97,15 +116,7 @@ def _split_lp(A: RatMatrix, c, x, u, with_norm_row: bool):
     N = _residual_set(x, u, n)
     if not N:
         return None, N
-    rows = []
-    for r in range(A.rows):
-        row = []
-        for i in N:
-            if i < n:
-                row.append(A.entry(r, i))
-            else:
-                row.append(-A.entry(r, i - n))
-        rows.append(row)
+    rows = [[r[i] if i < n else -r[i - n] for i in N] for r in A.data]
     b = [Fraction(0)] * A.rows
     if with_norm_row:
         rows.append([Fraction(1)] * len(N))
@@ -120,23 +131,15 @@ def _best_direction(W: Subspace, c, x, u, score):
     feasible at x (g_i >= 0 where x_i = 0, g_i <= 0 where x_i = u_i), the
     one with the least (score(gv, <c, g>), support, vector), gv its Fraction
     vector, and that score; AlreadyOptimal when there is none."""
-    best = None
-    for g, gv in oriented_circuits(W):
-        if any(
-            (gi < 0 and x[i] == 0)
-            or (gi > 0 and u is not None and u[i] is not None and x[i] == u[i])
-            for i, gi in enumerate(gv)
-        ):
-            continue
-        cg = vec_dot(c, gv)
-        if cg >= 0:
-            continue
-        key = (score(gv, cg), g.support, g.vector)
-        if best is None or key < best[0]:
-            best = (key, g)
+    best = _least(
+        (score(gv, cg), g)
+        for g, gv in oriented_circuits(W)
+        if not any(_blocked(x, u, i, gi) for i, gi in enumerate(gv))
+        and (cg := vec_dot(c, gv)) < 0
+    )
     if best is None:
         raise AlreadyOptimal("no augmenting circuit improves the objective")
-    return best[1], best[0][0]
+    return best[1], best[0]
 
 
 def steepest_direction(W: Subspace, c, x, u=None):
@@ -220,56 +223,46 @@ def ratio_circuit(W: Subspace, c, w) -> ElementaryVector:
     finite = [i for i in range(n) if w[i] is not None]
     # variables: p (n increases), q (len(finite) decreases), slack r
     width = n + len(finite) + 1
-    rows = []
-    for r in range(A.rows):
-        row = [A.entry(r, i) for i in range(n)]
-        row += [-A.entry(r, i) for i in finite]
-        row.append(Fraction(0))
-        rows.append(row)
-    wrow = [Fraction(0)] * n + [Fraction(w[i]) for i in finite] + [Fraction(1)]
-    rows.append(wrow)
+    rows = [list(r) + [-r[i] for i in finite] + [Fraction(0)] for r in A.data]
+    rows.append([Fraction(0)] * n + [Fraction(w[i]) for i in finite] + [Fraction(1)])
     b = [Fraction(0)] * A.rows + [Fraction(1)]
     cost = list(cv) + [-cv[i] for i in finite] + [Fraction(0)]
     lp = LPInstance.standard(RatMatrix.from_rows(rows, cols=width), b, cost)
+
+    def net(v):
+        """p - q: the increases of v less its decreases."""
+        g = list(v[:n])
+        for pos, i in enumerate(finite):
+            g[i] -= v[n + pos]
+        return tuple(g)
+
     res = solve(lp)
     if res.status == UNBOUNDED:
-        ray = res.certificate
-        g = [ray[i] for i in range(n)]
-        for pos, i in enumerate(finite):
-            g[i] -= ray[n + pos]
-        raise UnboundedDirection("weighted system is unbounded", ray=tuple(g))
+        raise UnboundedDirection("weighted system is unbounded", ray=net(res.certificate))
     if res.status != OPTIMAL:
         raise InternalError("weighted circuit LP is infeasible")
     if res.objective >= 0:
         raise NoAugmentingCircuit("the weighted system has no negative circuit")
-    z = [res.x[i] for i in range(n)]
-    for pos, i in enumerate(finite):
-        z[i] -= res.x[n + pos]
-    decomp = conformal_decompose(W, tuple(z))
-    best = None
-    for coeff, gint in decomp.terms:
-        ratio = _cost_per_weight(cv, tuple(Fraction(v) for v in gint), w)
-        if ratio is None:
-            continue
-        support = tuple(i for i in range(n) if gint[i] != 0)
-        key = (ratio, support, gint)
-        if best is None or key < best[0]:
-            best = (key, ElementaryVector(support, gint), ratio)
+    best = _least(
+        (ratio, _circuit(gint))
+        for _, gint in conformal_decompose(W, net(res.x)).terms
+        if (ratio := _cost_per_weight(cv, tuple(Fraction(v) for v in gint), w)) is not None
+    )
     if best is None:
         raise InternalError("negative optimum without negative term")
     # cross-oracle: exhaustive scan over oriented circuits
-    scan = None
-    for _, gv in oriented_circuits(W):
-        if any(gv[i] < 0 and w[i] is None for i in range(n)):
-            continue
-        ratio = _cost_per_weight(cv, gv, w)
-        if ratio is not None:
-            scan = ratio if scan is None else min(scan, ratio)
-    if scan != res.objective or best[2] != scan:
+    scan = _least(
+        (ratio, g)
+        for g, gv in oriented_circuits(W)
+        if not any(gv[i] < 0 and w[i] is None for i in range(n))
+        and (ratio := _cost_per_weight(cv, gv, w)) is not None
+    )
+    scan = None if scan is None else scan[0]
+    if scan != res.objective or best[0] != scan:
         raise AuditFailure(
             "ratio-circuit",
             0,
-            f"scan ratio {scan}, LP optimum {res.objective}, chosen term {best[2]}",
+            f"scan ratio {scan}, LP optimum {res.objective}, chosen term {best[0]}",
         )
     return best[1]
 
@@ -279,20 +272,16 @@ def support_circuit(W: Subspace, c, x) -> ElementaryVector:
     cv = vec(c)
     xv = vec(x)
     supp = frozenset(i for i, v in enumerate(xv) if v != 0)
-    best = None
-    for g, gv in oriented_circuits(W):
-        if not supp.issuperset(g.support):
-            continue
-        cg = vec_dot(cv, gv)
-        if cg > 0:
-            continue
-        if all(v >= 0 for v in gv):
-            if cg < 0:
-                raise UnboundedDirection("nonnegative circuit decreases cost", ray=gv)
-            continue  # <c,g> = 0 with nothing to zero; the flip covers it
-        key = (cg, g.support, g.vector)
-        if best is None or key < best[0]:
-            best = (key, g)
+    inside = [
+        (vec_dot(cv, gv), g, gv)
+        for g, gv in oriented_circuits(W)
+        if supp.issuperset(g.support)
+    ]
+    for cg, _, gv in inside:
+        if cg < 0 and min(gv) >= 0:
+            raise UnboundedDirection("nonnegative circuit decreases cost", ray=gv)
+    # A nonnegative circuit with <c,g> = 0 has nothing to zero; its flip covers it.
+    best = _least((cg, g) for cg, g, gv in inside if cg <= 0 and min(gv) < 0)
     if best is None:
         raise AlreadyBasic("supp(x) holds no circuit; x is a basic solution")
     return best[1]
@@ -316,11 +305,7 @@ def epsilon_of(A: RatMatrix, c, x, u=None) -> Fraction:
     rows = []
     b = []
     for pos, i in enumerate(N):
-        col = (
-            [A.entry(r, i) for r in range(m)]
-            if i < n
-            else [-A.entry(r, i - n) for r in range(m)]
-        )
+        col = [r[i] if i < n else -r[i - n] for r in A.data]
         ci = cv[i] if i < n else -cv[i - n]
         row = col + [-v for v in col] + [Fraction(-1), Fraction(1)]
         row += [Fraction(1) if j == pos else Fraction(0) for j in range(k)]
@@ -383,12 +368,10 @@ def run(
     obj = vec_dot(cv, x)
     steps = []
     epsilons = [epsilon_of(lp.A, cv, x, u)] if rule == STEEPEST else None
-    opt_for_decay = None
-    if rule == RATIO:
-        ref = solve(lp)
-        if ref.status == UNBOUNDED:
-            raise UnboundedDirection("objective unbounded below", ray=ref.certificate)
-        opt_for_decay = ref.objective
+    # The ratio rule's decay audit needs the optimum; the final check reuses it.
+    ref = solve(lp) if rule == RATIO else None
+    if ref is not None and ref.status == UNBOUNDED:
+        raise UnboundedDirection("objective unbounded below", ray=ref.certificate)
     terminated = None
     while len(steps) < cap:
         try:
@@ -403,10 +386,7 @@ def run(
                 g = ratio_circuit(W, cv, wvec)
             else:
                 g = support_circuit(W, cv, x)
-        except AlreadyOptimal:
-            terminated = "optimal"
-            break
-        except NoAugmentingCircuit:
+        except (AlreadyOptimal, NoAugmentingCircuit):
             terminated = "optimal"
             break
         except AlreadyBasic:
@@ -426,9 +406,9 @@ def run(
                 raise AuditFailure(SUPPORT, len(steps), "support did not shrink")
         elif new_obj >= obj:
             raise AuditFailure(rule, len(steps), "objective did not strictly decrease")
-        if rule == RATIO and opt_for_decay is not None:
-            gap_before = obj - opt_for_decay
-            gap_after = new_obj - opt_for_decay
+        if rule == RATIO and ref.objective is not None:
+            gap_before = obj - ref.objective
+            gap_after = new_obj - ref.objective
             if gap_after > (1 - Fraction(1, lp.n)) * gap_before:
                 raise AuditFailure(
                     "ratio-decay", len(steps), f"{gap_after} > (1-1/n)*{gap_before}"
@@ -440,7 +420,8 @@ def run(
     if terminated is None:
         terminated = "iteration-cap"
     if terminated == "optimal":
-        ref = solve(lp)
+        if ref is None:
+            ref = solve(lp)
         if ref.status != OPTIMAL or ref.objective != obj:
             raise AuditFailure(
                 "optimal-crosscheck",
@@ -493,12 +474,7 @@ def audit_trace(trace: AugmentationTrace, A: RatMatrix, c, u=None) -> AuditRepor
             ui is not None and v > ui for v, ui in zip(step.x_after, u)
         ):
             raise AuditFailure("feasibility", t, "upper bound violated")
-        tight = any(
-            (gi < 0 and xi == 0)
-            or (gi > 0 and u is not None and u[i] is not None and xi == u[i])
-            for i, (xi, gi) in enumerate(zip(step.x_after, gv))
-        )
-        if not tight:
+        if not any(_blocked(step.x_after, u, i, gi) for i, gi in enumerate(gv)):
             raise AuditFailure("maximal-step", t, "no new tight constraint")
         prev = step.x_after
     freezing = []
@@ -550,20 +526,19 @@ def guided_walk(lp: LPInstance, x_start, x_target, W: Subspace | None = None) ->
     if W is None:
         W = Subspace.from_kernel_matrix(A)
     cost = tuple(Fraction(0) if i in Bset else Fraction(1) for i in range(n))
+    off_basis = [i for i in range(n) if i not in Bset]
     obj = vec_dot(cost, x)
     steps = []
     while x != xt:
         diff = tuple(ti - xi for ti, xi in zip(xt, x))
-        decomp = conformal_decompose(W, diff)
-        best = None
-        for coeff, gint in decomp.terms:
-            mass = coeff * sum(abs(Fraction(gint[i])) for i in range(n) if i not in Bset)
-            support = tuple(i for i in range(n) if gint[i] != 0)
-            key = (-mass, support, gint)
-            if best is None or key < best[0]:
-                best = (key, coeff, gint, mass)
-        _, coeff, gint, mass = best
-        h = tuple(coeff * Fraction(v) for v in gint)
+        # Conformal terms are distinct circuits, so each has one coefficient.
+        coeffs = {gint: coeff for coeff, gint in conformal_decompose(W, diff).terms}
+        score, g = _least(
+            (-coeff * sum(abs(Fraction(gint[i])) for i in off_basis), _circuit(gint))
+            for gint, coeff in coeffs.items()
+        )
+        coeff, mass = coeffs[g.vector], -score
+        h = tuple(coeff * Fraction(v) for v in g.vector)
         alpha = maximal_step(x, h, u)
         if not (1 <= alpha <= n):
             raise AuditFailure("guided-step-range", len(steps), f"alpha = {alpha}")
@@ -572,10 +547,9 @@ def guided_walk(lp: LPInstance, x_start, x_target, W: Subspace | None = None) ->
         if mass > 0 and new_obj >= obj:
             raise AuditFailure("guided-decrease", len(steps), "||x_N||_1 did not drop")
         obj = new_obj
-        support = tuple(i for i in range(n) if gint[i] != 0)
         steps.append(
             AugmentStep(
-                direction=ElementaryVector(support, gint),
+                direction=g,
                 alpha=alpha * coeff,
                 x_after=x,
                 objective_after=obj,

@@ -188,7 +188,7 @@ def _cmd_prox(args) -> int:
                 if key not in doc:
                     raise InputFormatError(f"fixing check needs {key!r}")
             b = serialize.vec_from_obj(doc["b"], length=A.rows)
-            u = serialize.vec_from_obj(doc["u"], length=n)
+            u = serialize.bounds_from_obj(doc["u"], n)
             c1 = serialize.vec_from_obj(doc["c1"], length=n)
             c2 = serialize.vec_from_obj(doc["c2"], length=n)
             x1 = serialize.vec_from_obj(doc["x1"], length=n)
@@ -312,9 +312,13 @@ def _cmd_generate(args) -> int:
 
 def _cmd_diameter(args) -> int:
     lp = _load_lp(args.input)
-    rep = Subspace.from_kernel_matrix(lp.A).measures
+    W = Subspace.from_kernel_matrix(lp.A)
+    rep = W.measures
     n = lp.A.cols
-    m = lp.A.rows
+    # The bound is stated for A of full row rank m; redundant rows do not
+    # change the region, so m is rank A.  A zero A (a box) keeps its row
+    # count, since the bound needs m >= 1.
+    m = W.codim or lp.A.rows
     try:
         diam = lpmod.edge_graph_diameter(lp)
     except UnboundedRegion:

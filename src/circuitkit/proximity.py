@@ -3,9 +3,11 @@
 Every bound computed here is also checked: the attained distance is that of
 an exact nearest point, found by one lexicographic simplex solve and
 re-verified, and a distance exceeding its bound raises AuditFailure instead
-of returning quietly.  The black-box feasibility solver at the bottom
-composes the same pieces with a simulated approximate oracle whose error
-budget is rational and seed-deterministic.
+of returning quietly.  The three witnesses share `_nearest_optimum`: solve
+LP(W, d, c), then find the nearest point of its optimal face.  The
+black-box feasibility solver at the bottom composes the same pieces with a
+simulated approximate oracle whose error budget is rational and
+seed-deterministic.
 
 LP(W, d, c) throughout means: minimize <c, x> over x in W + d, x >= 0.
 """
@@ -131,6 +133,27 @@ def _nearest_point(rows, b, anchor):
     return vec(x), tau
 
 
+def _nearest_optimum(W: Subspace, d: Vec, c, anchor: Vec):
+    """Solve LP(W, d, c), then the point of its optimal face nearest to
+    `anchor`, as `_nearest_point` returns it: (x, tau).
+
+    c None is the zero cost, whose optimal face is the whole region, so no
+    face row is added.  An infeasible LP raises InfeasibleSystem with its
+    certificate.  Every caller has c >= 0, which is dual feasible, so an
+    unbounded LP is an InternalError.
+    """
+    A = W.kernel_rep
+    b = A.matvec(d)
+    res = solve(LPInstance.standard(A, b, vec_zero(len(d)) if c is None else c))
+    if res.status == INFEASIBLE:
+        raise InfeasibleSystem("no nonnegative point in W + d", certificate=res.certificate)
+    if res.status != OPTIMAL:
+        raise InternalError("LP(W, d, c) with c >= 0 is unbounded")
+    if c is None:
+        return _nearest_point(list(A.data), list(b), anchor)
+    return _nearest_point(list(A.data) + [list(c)], list(b) + [res.objective], anchor)
+
+
 def hoffman_feasibility_witness(W: Subspace, d) -> ProximityWitness:
     """A feasible x in W + d, x >= 0 with ||x - d||_inf <= kappa * ||d^-||_1.
 
@@ -140,14 +163,8 @@ def hoffman_feasibility_witness(W: Subspace, d) -> ProximityWitness:
     d = vec(d)
     if len(d) != W.ambient_dim:
         raise DimensionMismatch("shift vector length mismatch")
-    A = W.kernel_rep
-    b = A.matvec(d)
-    feas = solve(LPInstance.standard(A, b, vec_zero(len(d))))
-    if feas.status == INFEASIBLE:
-        raise InfeasibleSystem("no nonnegative point in W + d", certificate=feas.certificate)
-    kappa = W.measures.kappa
-    bound = kappa * norm1(neg_part(d))
-    x, tau = _nearest_point(list(A.data), list(b), d)
+    x, tau = _nearest_optimum(W, d, None, d)
+    bound = W.measures.kappa * norm1(neg_part(d))
     if tau > bound:
         raise AuditFailure("hoffman-feasibility", detail=f"distance {tau} exceeds bound {bound}")
     return ProximityWitness(point=x, bound=bound, slack=bound - tau)
@@ -162,19 +179,8 @@ def hoffman_opt_witness(W: Subspace, d, c) -> ProximityWitness:
         raise DimensionMismatch("vector length mismatch")
     if any(ci < 0 for ci in c):
         raise NegativeCost("the optimality bound needs a nonnegative cost")
-    A = W.kernel_rep
-    b = A.matvec(d)
-    res = solve(LPInstance.standard(A, b, c))
-    if res.status == INFEASIBLE:
-        raise InfeasibleSystem("no nonnegative point in W + d", certificate=res.certificate)
-    if res.status == UNBOUNDED:  # unreachable with c >= 0, kept for safety
-        raise UnboundedDirection("objective unbounded below", ray=res.certificate)
-    lam = lambda_set(d, c)
-    kappa = W.measures.kappa
-    bound = kappa * sum((abs(d[i]) for i in lam), Fraction(0))
-    face_rows = list(A.data) + [list(c)]
-    face_b = list(b) + [res.objective]
-    x, tau = _nearest_point(face_rows, face_b, d)
+    x, tau = _nearest_optimum(W, d, c, d)
+    bound = W.measures.kappa * sum((abs(d[i]) for i in lambda_set(d, c)), Fraction(0))
     if tau > bound:
         raise AuditFailure("hoffman-optimality", detail=f"distance {tau} exceeds bound {bound}")
     return ProximityWitness(point=x, bound=bound, slack=bound - tau)
@@ -232,16 +238,7 @@ def transfer_bound(W: Subspace, x_tilde, s, d) -> tuple[Fraction, tuple[int, ...
     bound = (kappa + 1) * norm1(W.project_onto_perp(vec_sub(dv, xt)))
     R = tuple(i for i in range(n) if xt[i] > bound)
 
-    A = W.kernel_rep
-    b = A.matvec(dv)
-    res = solve(LPInstance.standard(A, b, sv))
-    if res.status == INFEASIBLE:
-        raise InfeasibleSystem("no nonnegative point in W + d", certificate=res.certificate)
-    if res.status != OPTIMAL:  # s >= 0 dual-feasible, so never unbounded
-        raise InternalError("optimality LP with s >= 0 is unbounded")
-    face_rows = list(A.data) + [list(sv)]
-    face_b = list(b) + [res.objective]
-    x_star, tau = _nearest_point(face_rows, face_b, xt)
+    x_star, tau = _nearest_optimum(W, dv, sv, xt)
     if tau > bound:
         raise AuditFailure("transfer-primal", detail=f"nearest optimal at {tau}, bound {bound}")
     for i in R:

@@ -8,11 +8,15 @@ Karp's maximum-mean-cycle search behind kappa_star in `imbalance`.
 Floating point appears only in the explicitly inexact spectral estimator
 `imbalance.chibar`.
 
-Each elimination job is done here once: `bareiss_step` is the one
-fraction-free Edmonds-Bareiss row step (of the simplex, the circuit
-enumeration, the basis forms and `bareiss_det`), `greedy_basis` the one
-greedy column basis, and `bases` the one loop over bases with their
-forms A_B^{-1} A.
+Each elimination job is done here once.  `bareiss_step` is the one
+fraction-free Edmonds-Bareiss row step, taken by the simplex, the circuit
+enumeration and `_gauss_jordan`.  `_gauss_jordan` is the one elimination
+loop: fraction-free Gauss-Jordan over integer rows, behind `rref` (and so
+`rank`, `rref_nonzero`, `rref_kernel` and `greedy_basis`, the one greedy
+column basis), `solve_linear`, `invert`, `bareiss_det`, `basis_form` and
+`bases`, the one loop over bases with their forms A_B^{-1} A.  The
+simplex and the circuit enumeration keep their own pivot rules (Bland's
+rule, a depth-first tree on tail slices) around the same step.
 
 Vectors are plain tuples of Fractions; matrices are immutable row tuples.
 """
@@ -27,6 +31,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
+    BadParameters,
     DeskScaleExceeded,
     DimensionMismatch,
     InternalError,
@@ -48,8 +53,10 @@ def max_enum_cols() -> int:
     try:
         value = int(raw)
     except ValueError:
-        return DEFAULT_MAX_COLS
-    return value if value > 0 else DEFAULT_MAX_COLS
+        value = 0
+    if value < 1:
+        raise BadParameters(f"{MAX_COLS_ENV} must be a positive integer, got {raw!r}")
+    return value
 
 
 def check_desk_scale(width: int, what: str = "enumeration"):
@@ -214,37 +221,65 @@ class RatMatrix:
         return all(x.denominator == 1 for r in self.data for x in r)
 
 
-def _rref_rows(rows: list[list[Fraction]], ncols: int):
-    """In-place RREF; returns (rank, pivot column list)."""
-    pivots = []
-    r = 0
-    for j in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][j] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][j]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][j] != 0:
-                f = rows[i][j]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(j)
-        r += 1
-        if r == len(rows):
+def _gauss_jordan(rows: list, cols: Iterable[int]):
+    """Fraction-free Gauss-Jordan elimination (Edmonds 1967; Bareiss 1968)
+    of the integer `rows` on the columns `cols` in turn.
+
+    Each column's pivot row is the first row without a pivot that is
+    nonzero there, negated when its pivot is negative and moved up to
+    follow the earlier pivot rows; every other row takes one
+    `bareiss_step`.  The loop stops once every row holds a pivot.  Returns
+    (T, D, pivots, sign): the rows T over the last pivot D > 0 are the
+    reduced rows, row t with its pivot in column pivots[t]; sign = +-1 is
+    the parity of the row swaps and negations, so the rows' determinant on
+    a square block of pivot columns is sign * D.
+    """
+    T = list(rows)
+    D, sign, pivots = 1, 1, []
+    for j in cols:
+        t = len(pivots)
+        if t == len(T):
             break
-    return r, pivots
+        for r in range(t, len(T)):
+            if T[r][j]:
+                break
+        else:
+            continue
+        prow = T[r]
+        if prow[j] < 0:
+            prow, sign = [-a for a in prow], -sign
+        if r != t:
+            T[r], sign = T[t], -sign
+        p, psum = prow[j], sum(prow)
+        T = [
+            prow if i == t else bareiss_step(row, prow, row[j], p, D, psum)
+            for i, row in enumerate(T)
+        ]
+        D = p
+        pivots.append(j)
+    return T, D, tuple(pivots), sign
+
+
+def _over(T: list, D: int, cols: int) -> RatMatrix:
+    """The integer rows T over the common denominator D, as a RatMatrix."""
+    zero = Fraction(0)
+    return RatMatrix(
+        data=tuple(tuple(Fraction(a, D) if a else zero for a in row) for row in T), cols=cols
+    )
+
+
+def _int_rows(A: RatMatrix):
+    """(rows, scales): each row of A times the least positive integer
+    clearing its denominators, which keeps its row space, so every RREF
+    and every basis form A_B^{-1} A."""
+    scales = [math.lcm(*(x.denominator for x in r)) for r in A.data]
+    return [[x.numerator * (s // x.denominator) for x in r] for r, s in zip(A.data, scales)], scales
 
 
 def rref(M: RatMatrix):
     """Reduced row echelon form.  Returns (rank, pivot_cols, R)."""
-    rows = [list(r) for r in M.data]
-    rank_, pivots = _rref_rows(rows, M.cols)
-    return rank_, tuple(pivots), RatMatrix.from_rows(rows, cols=M.cols)
+    T, D, pivots, _ = _gauss_jordan(_int_rows(M)[0], range(M.cols))
+    return len(pivots), pivots, _over(T, D, M.cols)
 
 
 def rref_nonzero(M: RatMatrix) -> RatMatrix:
@@ -281,13 +316,13 @@ def solve_linear(A: RatMatrix, b: Vec):
     """One exact solution of Ax = b, or None when inconsistent."""
     if len(b) != A.rows:
         raise DimensionMismatch("rhs height mismatch")
-    aug_rows = [list(r) + [bb] for r, bb in zip(A.data, b)]
-    _, pivots = _rref_rows(aug_rows, A.cols + 1)
+    aug = RatMatrix(data=tuple(r + (bb,) for r, bb in zip(A.data, vec(b))), cols=A.cols + 1)
+    T, D, pivots, _ = _gauss_jordan(_int_rows(aug)[0], range(A.cols + 1))
     if A.cols in pivots:
         return None
     x = [Fraction(0)] * A.cols
-    for i, p in enumerate(pivots):
-        x[p] = aug_rows[i][A.cols]
+    for row, p in zip(T, pivots):
+        x[p] = Fraction(row[A.cols], D)
     return tuple(x)
 
 
@@ -295,11 +330,14 @@ def invert(M: RatMatrix) -> RatMatrix:
     if M.rows != M.cols:
         raise NotSquare("inverse needs a square matrix")
     n = M.rows
-    aug = [list(r) + list(RatMatrix.identity(n).row(i)) for i, r in enumerate(M.data)]
-    rank_, pivots = _rref_rows(aug, 2 * n)
-    if rank_ < n or list(pivots[:n]) != list(range(n)):
+    rows, scales = _int_rows(M)
+    # Row i carries its scale s_i as its identity entry: [S M | S] reduces
+    # to [I | M^{-1}].
+    aug = [r + [0] * i + [s] + [0] * (n - 1 - i) for i, (r, s) in enumerate(zip(rows, scales))]
+    T, D, pivots, _ = _gauss_jordan(aug, range(n))
+    if len(pivots) < n:
         raise SingularBasis("matrix is singular")
-    return RatMatrix.from_rows([row[n:] for row in aug], cols=n)
+    return _over([row[n:] for row in T], D, n)
 
 
 def greedy_basis(A: RatMatrix, order: Sequence[int]) -> tuple:
@@ -308,45 +346,15 @@ def greedy_basis(A: RatMatrix, order: Sequence[int]) -> tuple:
     return tuple(order[j] for j in rref(A.take_cols(order))[1])
 
 
-def _int_rows(A: RatMatrix):
-    """(rows, scales): each row of A times the least positive integer
-    clearing its denominators, which keeps every basis form A_B^{-1} A."""
-    scales = [math.lcm(*(x.denominator for x in r)) for r in A.data]
-    return [[x.numerator * (s // x.denominator) for x in r] for r, s in zip(A.data, scales)], scales
-
-
-def _inverse_form(rows: list, cols: int, B: Sequence[int]):
-    """A_B^{-1} A from the `_int_rows` of A (`cols` wide), or None when the
-    columns B are singular: fraction-free Gauss-Jordan elimination on the
-    columns of B in turn, every row over one common denominator D > 0 (a
-    negative pivot row is negated first).  B is a basis exactly when each
-    of its columns finds a pivot, and the rows over D are then A_B^{-1} A."""
-    T = list(rows)
-    D = 1
-    for t, j in enumerate(B):
-        r = next((i for i in range(t, len(T)) if T[i][j]), None)
-        if r is None:
-            return None
-        prow = T[r] if T[r][j] > 0 else [-a for a in T[r]]
-        T[r] = T[t]
-        p, psum = prow[j], sum(prow)
-        T = [
-            prow if i == t else bareiss_step(row, prow, row[j], p, D, psum)
-            for i, row in enumerate(T)
-        ]
-        D = p
-    return RatMatrix(data=tuple(tuple(Fraction(a, D) for a in row) for row in T), cols=cols)
-
-
 def basis_form(A: RatMatrix, basis: Sequence[int]) -> RatMatrix:
     """A_B^{-1} A for the column subset `basis` (must be a nonsingular m x m block)."""
     basis = list(basis)
     if len(basis) != A.rows:
         raise SingularBasis(f"basis needs exactly {A.rows} columns, got {len(basis)}")
-    form = _inverse_form(_int_rows(A)[0], A.cols, basis)
-    if form is None:
+    T, D, pivots, _ = _gauss_jordan(_int_rows(A)[0], basis)
+    if len(pivots) < A.rows:
         raise SingularBasis("matrix is singular")
-    return form
+    return _over(T, D, A.cols)
 
 
 def bases(A: RatMatrix, over: Sequence[int] | None = None):
@@ -359,12 +367,13 @@ def bases(A: RatMatrix, over: Sequence[int] | None = None):
 
 
 def _bases(A: RatMatrix, over: Sequence[int]):
-    """`bases` without the desk-scale check."""
+    """`bases` without the desk-scale check.  B is a basis exactly when each
+    of its columns finds a pivot, and its rows over D are then A_B^{-1} A."""
     rows = _int_rows(A)[0]
     for B in itertools.combinations(over, A.rows):
-        form = _inverse_form(rows, A.cols, B)
-        if form is not None:
-            yield B, form
+        T, D, pivots, _ = _gauss_jordan(rows, B)
+        if len(pivots) == A.rows:
+            yield B, _over(T, D, A.cols)
 
 
 def bareiss_step(row: list, prow: list, f: int, p: int, D: int, psum: int) -> list:
@@ -388,27 +397,6 @@ def bareiss_step(row: list, prow: list, f: int, p: int, D: int, psum: int) -> li
     return out
 
 
-def _int_bareiss(rows: list[list[int]]) -> int:
-    """Fraction-free Bareiss elimination on an integer matrix; returns det.
-    Step k updates only the columns after k, the ones read again."""
-    n = len(rows)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if rows[i][k] != 0), None)
-            if swap is None:
-                return 0
-            rows[k], rows[swap] = rows[swap], rows[k]
-            sign = -sign
-        p, tail = rows[k][k], rows[k][k + 1 :]
-        tsum = sum(tail)
-        for i in range(k + 1, n):
-            rows[i][k + 1 :] = bareiss_step(rows[i][k + 1 :], tail, rows[i][k], p, prev, tsum)
-        prev = p
-    return sign * rows[n - 1][n - 1]
-
-
 def bareiss_det(M: RatMatrix) -> Fraction:
     """Exact determinant via Bareiss after clearing row denominators."""
     if M.rows != M.cols:
@@ -416,7 +404,8 @@ def bareiss_det(M: RatMatrix) -> Fraction:
     if M.rows == 0:
         return Fraction(1)
     rows, scales = _int_rows(M)
-    return Fraction(_int_bareiss(rows), math.prod(scales))
+    _, D, pivots, sign = _gauss_jordan(rows, range(M.cols))
+    return Fraction(sign * D, math.prod(scales)) if len(pivots) == M.rows else Fraction(0)
 
 
 def integer_normalize(v: Vec):

@@ -97,13 +97,16 @@ def lp_from_obj(obj) -> LPInstance:
     A = matrix_from_obj(obj["A"])
     b = vec_from_obj(obj["b"], length=A.rows)
     c = vec_from_obj(obj["c"], length=A.cols)
-    u_obj = obj.get("u")
-    if u_obj is None:
+    if obj.get("u") is None:
         return LPInstance.standard(A, b, c)
-    if not isinstance(u_obj, list) or len(u_obj) != A.cols:
-        raise InputFormatError("u must be null or one entry per column")
-    u = tuple(None if x is None else parse_frac(x) for x in u_obj)
-    return LPInstance.bounded(A, b, c, u)
+    return LPInstance.bounded(A, b, c, bounds_from_obj(obj["u"], A.cols))
+
+
+def bounds_from_obj(obj, length) -> tuple:
+    """Upper bounds, one entry per column: a fraction, or null for none."""
+    if not isinstance(obj, list) or len(obj) != length:
+        raise InputFormatError(f"u needs {length} entries, each a fraction or null")
+    return tuple(None if x is None else parse_frac(x) for x in obj)
 
 
 def load_matrix(obj) -> RatMatrix:

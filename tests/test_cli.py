@@ -282,6 +282,48 @@ def test_diameter_with_a_huge_kappa(tmp_path, capsys):
     assert parse_frac(rep["bound"]) > 10**400
 
 
+@pytest.mark.parametrize(
+    "A, b",
+    [
+        ([["1", "1"], ["1", "1"]], ["1", "1"]),
+        ([["1", "1"], ["1", "1"], ["2", "2"]], ["1", "1", "2"]),
+    ],
+)
+def test_diameter_counts_independent_rows_only(tmp_path, capsys, A, b):
+    # Redundant rows leave the segment x1 + x2 = 1 as it is; the bound
+    # once took m as the row count, read 0 (exit 1) or refused m > n (exit 2).
+    lp = write_json(
+        tmp_path / "seg.json", {"schema_version": "1", "A": A, "b": b, "c": ["0", "0"]}
+    )
+    code, out = run_cli(capsys, ["diameter", "--input", lp])
+    assert code == 0
+    rep = loads(out)
+    assert rep["diameter"] == 1
+    assert rep["within"] is True
+    assert rep["diameter"] <= parse_frac(rep["bound"])
+
+
+def test_prox_fixing_accepts_an_unbounded_coordinate(tmp_path, capsys):
+    doc = write_json(
+        tmp_path / "fix.json",
+        {
+            "schema_version": "1",
+            "A": [["1", "1", "1"]],
+            "b": ["2"],
+            "u": ["1", None, "1"],
+            "c1": ["1", "2", "3"],
+            "c2": ["1", "2", "3"],
+            "x1": ["1", "1", "0"],
+            "y1": ["2"],
+        },
+    )
+    code, out = run_cli(capsys, ["prox", "--check", "fixing", "--input", doc])
+    assert code == 0
+    rep = loads(out)
+    assert rep["fixed_to_zero"] == [2]
+    assert rep["fixed_to_upper"] == [0]
+
+
 def test_the_generate_choices_are_the_generator_families():
     from circuitkit.generate import FAMILIES
 

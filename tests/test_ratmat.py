@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circuitkit.errors import DeskScaleExceeded, InternalError, NonIntegerMatrix, SingularBasis
+from circuitkit.errors import (
+    BadParameters,
+    DeskScaleExceeded,
+    InternalError,
+    NonIntegerMatrix,
+    SingularBasis,
+)
 from circuitkit.ratmat import (
     RatMatrix,
     bareiss_det,
@@ -18,6 +24,7 @@ from circuitkit.ratmat import (
     integer_normalize,
     invert,
     is_conformal,
+    max_enum_cols,
     neg_part,
     norm1,
     pos_part,
@@ -29,6 +36,7 @@ from circuitkit.ratmat import (
 )
 from util import (
     bases_by_det,
+    fraction_rref,
     greedy_basis_by_rank,
     int_kernel_line,
     naive_det,
@@ -259,3 +267,81 @@ def test_bases_check_the_desk_scale_on_the_call(monkeypatch):
     with pytest.raises(DeskScaleExceeded):
         bases(RatMatrix.identity(4))
     assert len(list(bases(RatMatrix.identity(4), over=[0, 1, 3]))) == 0
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+def test_a_bad_column_cap_is_a_parameter_error(monkeypatch, raw):
+    monkeypatch.setenv("CIRCUITKIT_MAX_COLS", raw)
+    with pytest.raises(BadParameters, match=f"CIRCUITKIT_MAX_COLS.*{raw}"):
+        max_enum_cols()
+
+
+@st.composite
+def elimination_cases(draw):
+    """(M, b): 0-5 x 1-6 rational matrices, some with zero rows, zero
+    columns, duplicate rows or an entry of 10^400."""
+    m = draw(st.integers(0, 5))
+    n = draw(st.integers(1, 6))
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    data = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    if m:
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["plain", "zero-row", "zero-col", "duplicate", "huge"]))
+        if kind == "zero-row":
+            data[i] = [Fraction(0)] * n
+        elif kind == "zero-col":
+            for row in data:
+                row[j] = Fraction(0)
+        elif kind == "duplicate":
+            data[i] = list(data[0])
+        elif kind == "huge":
+            big = Fraction(10**400)
+            data[i][j] = draw(st.sampled_from([big, -big, 1 / big]))
+    b = [draw(entry) for _ in range(m)]
+    return RatMatrix.from_rows(data, cols=n), vec(b)
+
+
+def _oracle_rref(M: RatMatrix, extra: RatMatrix | None = None):
+    """fraction_rref of [M | extra]: (rank, pivot columns, reduced rows)."""
+    extra = extra or RatMatrix.zeros(M.rows, 0)
+    rows = [list(r + x) for r, x in zip(M.data, extra.data)]
+    r, pivots = fraction_rref(rows, M.cols + extra.cols)
+    return r, tuple(pivots), rows
+
+
+@given(elimination_cases())
+@settings(max_examples=150, deadline=None)
+def test_elimination_matches_the_fraction_rref(case):
+    M, b = case
+    r, pivots, rows = _oracle_rref(M)
+    assert rref(M) == (r, pivots, RatMatrix.from_rows(rows, cols=M.cols))
+
+    r, pivots, rows = _oracle_rref(M, RatMatrix.from_rows([[x] for x in b], cols=1))
+    x = solve_linear(M, b)
+    if M.cols in pivots:
+        assert x is None
+    else:
+        expect = [Fraction(0)] * M.cols
+        for row, p in zip(rows, pivots):
+            expect[p] = row[M.cols]
+        assert x == tuple(expect) and M.matvec(x) == b
+
+    k = min(M.rows, M.cols)
+    S = M.submatrix(range(k), range(k))
+    assert bareiss_det(S) == naive_det(S)
+    r, pivots, rows = _oracle_rref(S, RatMatrix.identity(k))
+    if r < k or pivots[:k] != tuple(range(k)):
+        with pytest.raises(SingularBasis):
+            invert(S)
+    else:
+        assert invert(S) == RatMatrix.from_rows([row[k:] for row in rows], cols=k)
+
+    if M.rows and M.rows <= M.cols:
+        B = tuple(range(M.cols - M.rows, M.cols))
+        AB = M.take_cols(B)
+        if naive_det(AB) == 0:
+            with pytest.raises(SingularBasis):
+                basis_form(M, B)
+        else:
+            _, _, rows = _oracle_rref(AB, M)
+            assert basis_form(M, B) == RatMatrix.from_rows([row[M.rows :] for row in rows])

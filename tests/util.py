@@ -3,14 +3,15 @@
 Everything here is deliberately naive: cofactor determinants, support-set
 circuit search, augmenting-path max flow, a Fraction simplex tableau that
 recomputes every reduced cost on every iteration, and the slower forms of
-what the package runs faster: the circuit enumeration support by support
-(over Fractions, and over ints with `int_kernel_line`), the imbalance scan,
-the kappa_star bitmask DP over simple paths (over Fractions and over ints)
-that Karp's algorithm replaced, the Graver box scan and its minimality
-filter, the decomposition search, the appendix scan, the nearest point
-as two separate simplex solves, the greedy basis by one rank per column,
-the basis forms by determinant, inverse and product, and the components
-of the circuit hypergraph.  Slow is fine, different is the point.  The
+what the package runs faster: the RREF over Fractions, the circuit
+enumeration support by support (over Fractions, and over ints with
+`int_kernel_line`), the imbalance scan, the kappa_star bitmask DP over
+simple paths (over Fractions and over ints) that Karp's algorithm
+replaced, the Graver box scan and its minimality filter, the
+decomposition search, the appendix scan, the nearest point as two
+separate simplex solves, the greedy basis by one rank per column, the
+basis forms by determinant, inverse and product, and the components of
+the circuit hypergraph.  Slow is fine, different is the point.  The
 routines at the end are ones no verb runs, kept here as oracles: the
 brute-force unimodularity scan, the basis-form route to kappa, the pair
 estimates and rescaled-TU decision built on them, and the CSV readers that
@@ -65,6 +66,34 @@ from circuitkit.subspace import (
     is_separable,
     oriented_circuits,
 )
+
+
+def fraction_rref(rows: list, ncols: int):
+    """In-place reduced row echelon form over Fractions, dividing each pivot
+    row by its pivot: the loop that `ratmat._gauss_jordan` replaced.
+    Returns (rank, pivot column list)."""
+    pivots = []
+    r = 0
+    for j in range(ncols):
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if rows[i][j] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pv = rows[r][j]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][j] != 0:
+                f = rows[i][j]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(j)
+        r += 1
+        if r == len(rows):
+            break
+    return r, pivots
 
 
 def naive_det(M: RatMatrix) -> Fraction:
