@@ -2,7 +2,9 @@
 
 Directions are computed twice wherever a second route exists (exhaustive
 circuit scan vs. an exact LP formulation) and the two must agree; a
-disagreement raises AuditFailure rather than silently preferring one.
+disagreement raises AuditFailure rather than silently preferring one.  The
+steepness eps(x) is one LP, `epsilon_of`, which the steepest rule audits
+against its scan at every step; the walk records the audited value.
 
 Every rule chooses its circuit with `_least`, the one arg-min over scored
 circuits (oriented-circuit scans and conformal terms alike), and
@@ -110,22 +112,6 @@ def _residual_set(x, u, n: int) -> list:
     ]
 
 
-def _split_lp(A: RatMatrix, c, x, u, with_norm_row: bool):
-    """Columns of (A | -A) restricted to N(x); optional 1^T z = 1 row."""
-    n = A.cols
-    N = _residual_set(x, u, n)
-    if not N:
-        return None, N
-    rows = [[r[i] if i < n else -r[i - n] for i in N] for r in A.data]
-    b = [Fraction(0)] * A.rows
-    if with_norm_row:
-        rows.append([Fraction(1)] * len(N))
-        b.append(Fraction(1))
-    cost = [c[i] if i < n else -c[i - n] for i in N]
-    M = RatMatrix.from_rows(rows, cols=len(N))
-    return LPInstance.standard(M, b, cost), N
-
-
 def _best_direction(W: Subspace, c, x, u, score):
     """Among the oriented circuits g that improve (<c, g> < 0) and are
     feasible at x (g_i >= 0 where x_i = 0, g_i <= 0 where x_i = u_i), the
@@ -143,25 +129,19 @@ def _best_direction(W: Subspace, c, x, u, score):
 
 
 def steepest_direction(W: Subspace, c, x, u=None):
-    """Most negative <c,g>/||g||_1 among augmenting circuits, plus that value.
+    """The augmenting circuit of most negative <c,g>/||g||_1, and eps(x),
+    minus that slope.
 
-    Computed by exhaustive scan and, independently, by the exact split LP
-    (minimize <c,z> over z >= 0 supported on the residual set with
-    1^T z = 1); the two optima must agree.
+    Computed by exhaustive scan and, independently, by the steepness LP
+    `epsilon_of`; the two values must agree.
     """
     cv = vec(c)
     xv = vec(x)
     g, score = _best_direction(W, cv, xv, u, lambda gv, cg: cg / norm1(gv))
     steep = -score
-    lp, _ = _split_lp(W.kernel_rep, cv, xv, u, with_norm_row=True)
-    res = solve(lp)
-    if res.status != OPTIMAL or -res.objective != steep:
-        raise AuditFailure(
-            "steepest-direction",
-            0,
-            f"scan value {steep} vs LP value "
-            f"{-res.objective if res.status == OPTIMAL else res.status}",
-        )
+    eps = epsilon_of(W.kernel_rep, cv, xv, u)
+    if eps != steep:
+        raise AuditFailure("steepest-direction", 0, f"scan value {steep} vs LP value {eps}")
     return g, steep
 
 
@@ -173,7 +153,7 @@ def dantzig_direction(W: Subspace, c, x, u=None) -> ElementaryVector:
 def maximal_step(x, g, u=None) -> Fraction:
     """Largest alpha keeping x + alpha*g within the bounds."""
     xv = vec(x)
-    gv = vec(g) if not isinstance(g, ElementaryVector) else g.as_fractions()
+    gv = vec(g)
     alphas = []
     for i, gi in enumerate(gv):
         if gi < 0:
@@ -288,37 +268,44 @@ def support_circuit(W: Subspace, c, x) -> ElementaryVector:
 
 
 def epsilon_of(A: RatMatrix, c, x, u=None) -> Fraction:
-    """Optimum of the residual dual system: min eps, <a_i, y> <= c_i + eps
-    over the residual index set (split columns).  Zero or negative exactly
-    when x is optimal; returns 0 when no residual directions exist at all.
+    """eps(x): minus the optimum of the steepness LP
+
+        min <c, z>  over z >= 0 on the split columns of (A | -A) in N(x),
+        with A z = 0 and 1^T z = 1,
+
+    or 0 when N(x) is empty or the LP is infeasible.  Its basic optima are
+    the circuits feasible at x scaled to 1-norm 1, so eps(x) is the largest
+    slope -<c,g>/||g||_1 of such a circuit, and x is optimal exactly when
+    eps(x) <= 0.  By LP duality eps(x) is also the least eps with
+    <a_i, y> <= c_i + eps for some y over the split columns i in N(x); that
+    dual is unbounded exactly when this LP is infeasible.
     """
     cv = vec(c)
-    xv = vec(x)
     n = A.cols
-    m = A.rows
-    N = _residual_set(xv, u, n)
+    N = _residual_set(vec(x), u, n)
     if not N:
         return Fraction(0)
-    # variables: y+ (m), y- (m), e+ , e-, slack per constraint
-    k = len(N)
-    width = 2 * m + 2 + k
-    rows = []
-    b = []
-    for pos, i in enumerate(N):
-        col = [r[i] if i < n else -r[i - n] for r in A.data]
-        ci = cv[i] if i < n else -cv[i - n]
-        row = col + [-v for v in col] + [Fraction(-1), Fraction(1)]
-        row += [Fraction(1) if j == pos else Fraction(0) for j in range(k)]
-        rows.append(row)
-        b.append(ci)
-    cost = [Fraction(0)] * (2 * m) + [Fraction(1), Fraction(-1)] + [Fraction(0)] * k
-    lp = LPInstance.standard(RatMatrix.from_rows(rows, cols=width), b, cost)
-    res = solve(lp)
-    if res.status == UNBOUNDED:
+    rows = [[r[i] if i < n else -r[i - n] for i in N] for r in A.data]
+    rows.append([Fraction(1)] * len(N))
+    cost = [cv[i] if i < n else -cv[i - n] for i in N]
+    res = solve(
+        LPInstance.standard(RatMatrix.from_rows(rows, cols=len(N)), [0] * A.rows + [1], cost)
+    )
+    if res.status == INFEASIBLE:
         return Fraction(0)
     if res.status != OPTIMAL:
-        raise InternalError("epsilon LP is infeasible")
-    return res.objective
+        raise InternalError("the steepness LP is unbounded")
+    return -res.objective
+
+
+def _violation(lp: LPInstance, x) -> str | None:
+    """What the point x breaks of lp's region: "equations" when A x = b or
+    x >= 0 fails, else "upper" when x <= u fails, else None."""
+    if lp.A.matvec(x) != lp.b or any(v < 0 for v in x):
+        return "equations"
+    if lp.u is not None and any(ui is not None and xi > ui for xi, ui in zip(x, lp.u)):
+        return "upper"
+    return None
 
 
 def _default_cap(lp: LPInstance, W: Subspace) -> int:
@@ -357,9 +344,10 @@ def run(
         x = feas.x
     else:
         x = vec(x0)
-        if lp.A.matvec(x) != tuple(lp.b) or any(v < 0 for v in x):
+        broken = _violation(lp, x)
+        if broken == "equations":
             raise BadParameters("starting point is not feasible")
-        if u is not None and any(ui is not None and xi > ui for xi, ui in zip(x, u)):
+        if broken == "upper":
             raise BadParameters("starting point violates an upper bound")
     x_start = x
     if cap is None:
@@ -367,7 +355,7 @@ def run(
     cv = vec(lp.c)
     obj = vec_dot(cv, x)
     steps = []
-    epsilons = [epsilon_of(lp.A, cv, x, u)] if rule == STEEPEST else None
+    epsilons = [] if rule == STEEPEST else None
     # The ratio rule's decay audit needs the optimum; the final check reuses it.
     ref = solve(lp) if rule == RATIO else None
     if ref is not None and ref.status == UNBOUNDED:
@@ -376,7 +364,8 @@ def run(
     while len(steps) < cap:
         try:
             if rule == STEEPEST:
-                g, _steep = steepest_direction(W, cv, x, u)
+                g, steep = steepest_direction(W, cv, x, u)
+                epsilons.append(steep)
             elif rule == DANTZIG:
                 g = dantzig_direction(W, cv, x, u)
             elif rule == DEEPEST:
@@ -415,10 +404,10 @@ def run(
                 )
         obj = new_obj
         steps.append(AugmentStep(direction=g, alpha=alpha, x_after=x, objective_after=obj))
-        if rule == STEEPEST:
-            epsilons.append(epsilon_of(lp.A, cv, x, u))
     if terminated is None:
         terminated = "iteration-cap"
+    if rule == STEEPEST:
+        epsilons.append(epsilon_of(lp.A, cv, x, u))
     if terminated == "optimal":
         if ref is None:
             ref = solve(lp)
@@ -514,9 +503,9 @@ def guided_walk(lp: LPInstance, x_start, x_target, W: Subspace | None = None) ->
     n = A.cols
     x = vec(x_start)
     xt = vec(x_target)
-    if A.matvec(x) != tuple(lp.b) or any(v < 0 for v in x):
+    if _violation(lp, x):
         raise BadParameters("x_start is not feasible")
-    if A.matvec(xt) != tuple(lp.b) or any(v < 0 for v in xt):
+    if _violation(lp, xt):
         raise TargetNotBasic("x_target is not feasible")
     supp = tuple(i for i, v in enumerate(xt) if v != 0)
     B = greedy_basis(A, supp + tuple(i for i, v in enumerate(xt) if v == 0))

@@ -41,6 +41,7 @@ from .ratmat import (
     is_conformal,
     norm1,
     vec,
+    vec_dot,
     vec_zero,
 )
 from .subspace import Subspace, oriented_circuits
@@ -288,20 +289,16 @@ def ip_proximity_check(A: RatMatrix, b, c):
     ball = _scan_integer_points(A, b, lo, hi, center=x_lp, radius=bound)
     if not ball:
         raise InfeasibleSystem("no integer point within the proximity ball")
-    best_obj = min(vec_dot_int(c, x) for x in ball)
+    best_obj = min(vec_dot(c, x) for x in ball)
     box = _scan_integer_points(A, b, lo, hi)
-    if min(vec_dot_int(c, x) for x in box) != best_obj:
+    if min(vec_dot(c, x) for x in box) != best_obj:
         raise AuditFailure("ip-ball-optimum", detail="full box scan found a better point")
-    optima = [x for x in ball if vec_dot_int(c, x) == best_obj]
+    optima = [x for x in ball if vec_dot(c, x) == best_obj]
     x_ip = min(optima, key=lambda x: (sum(abs(Fraction(v) - w) for v, w in zip(x, x_lp)), x))
     distance = sum(abs(Fraction(v) - w) for v, w in zip(x_ip, x_lp))
     if distance > bound:
         raise AuditFailure("ip-proximity", detail=f"distance {distance} exceeds {bound}")
     return x_lp, x_ip, distance, bound
-
-
-def vec_dot_int(c, x) -> Fraction:
-    return sum((Fraction(ci) * xi for ci, xi in zip(c, x)), Fraction(0))
 
 
 def conjecture_decompose(W: Subspace, z) -> ConjectureReport:

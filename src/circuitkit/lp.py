@@ -131,12 +131,14 @@ class _Tableau:
     The scaling substitutes s_i * a_i for artificial a_i, so artificial i
     costs 1/s_i in phase 1.  Every reduced cost keeps its sign and every
     ratio-test quotient keeps its order, so Bland's rule takes the same
-    pivots as it would over the unscaled rational tableau.
+    pivots as it would over the unscaled rational tableau.  The column count
+    n is given, so an LP with no rows is a tableau with no rows: phase 1
+    ends at once and phase 2 prices every column.
     """
 
-    def __init__(self, rows: list[list[Fraction]], b: list[Fraction]):
+    def __init__(self, rows: list[list[Fraction]], b: list[Fraction], n: int):
         self.m = len(rows)
-        self.n = len(rows[0]) if rows else 0
+        self.n = n
         self.flip: list[int] = []
         self.scale: list[int] = []
         self.T: list[list[int]] = []
@@ -258,25 +260,7 @@ def _solve_standard(rows, b, c, c2=None):
     A third stage minimizes c2 from the optimal basis, pricing only the
     columns of reduced cost 0 under c: their pivots leave c's reduced-cost
     row, so its face, objective and duals, unchanged."""
-    m = len(rows)
-    n = len(rows[0]) if rows else len(c)
-    if m == 0:
-        neg = next((j for j in range(n) if c[j] < 0), None)
-        if neg is None and c2 is not None:
-            neg = next((j for j in range(n) if c[j] == 0 and c2[j] < 0), None)
-        if neg is not None:
-            ray = [Fraction(0)] * n
-            ray[neg] = Fraction(1)
-            return {"status": UNBOUNDED, "certificate": ray, "pivots": 0}
-        return {
-            "status": OPTIMAL,
-            "x": [Fraction(0)] * n,
-            "objective": Fraction(0),
-            "basis": [],
-            "y": [],
-            "pivots": 0,
-        }
-    tab = _Tableau(rows, b)
+    tab = _Tableau(rows, b, len(c))
     tab.set_costs([Fraction(0)] * tab.n + [Fraction(1, s) for s in tab.scale])
     status, _ = tab.run(range(tab.width))
     if status != OPTIMAL:
@@ -357,19 +341,24 @@ def _result(lp: LPInstance, bounded_idx, out: dict) -> LPResult:
     )
 
 
-def _std_vertices(lp: LPInstance):
-    """Vertices of the standardized region, as full standardized vectors:
-    x_B is the last column of the form of [A_red | b] for each basis B."""
-    rows, b, c, n, bounded_idx = lp.standardized()
+def _std_system(lp: LPInstance):
+    """(A_std, b_std, n): the standardized constraint matrix, with a slack
+    column per finite upper bound, its right-hand side and the LP's own
+    column count n."""
+    rows, b, _, n, _ = lp.standardized()
     width = len(rows[0]) if rows else n
-    if not rows:
-        return {tuple([Fraction(0)] * n): ()}, n
-    A_full = RatMatrix.from_rows(rows, cols=width)
-    bv = vec(b)
+    return RatMatrix.from_rows(rows, cols=width), vec(b), n
+
+
+def _std_vertices(A: RatMatrix, b):
+    """Vertices of the standardized region {x >= 0 : A x = b}, as full
+    standardized vectors: x_B is the last column of the form of [A_red | b]
+    for each basis B."""
+    width = A.cols
     # Consistency of dropped rows is checked per candidate solution below via
     # the full system, so redundant-but-inconsistent data cannot slip through.
-    keep = greedy_basis(A_full.transpose(), range(len(rows)))
-    Ab_red = RatMatrix.from_rows([rows[i] + [b[i]] for i in keep], cols=width + 1)
+    keep = greedy_basis(A.transpose(), range(A.rows))
+    Ab_red = RatMatrix.from_rows([A.data[i] + (b[i],) for i in keep], cols=width + 1)
     seen = {}
     # No desk-scale cap: the slack columns of upper bounds make a
     # standardized system up to twice as wide as the LP's own matrix.
@@ -378,9 +367,9 @@ def _std_vertices(lp: LPInstance):
         for j, r in zip(B, form.data):
             x[j] = r[-1]
         xt = tuple(x)
-        if all(v >= 0 for v in xt) and A_full.matvec(xt) == bv:
+        if all(v >= 0 for v in xt) and A.matvec(xt) == b:
             seen.setdefault(xt, B)
-    return seen, n
+    return seen
 
 
 def vertices(lp: LPInstance) -> list[tuple]:
@@ -391,31 +380,21 @@ def vertices(lp: LPInstance) -> list[tuple]:
     for finite upper bounds sit at indices >= n).  Degenerate bases of the
     same vertex are deduplicated.
     """
-    seen, n = _std_vertices(lp)
+    A, b, n = _std_system(lp)
     out = {}
-    for v, B in seen.items():
+    for v, B in _std_vertices(A, b).items():
         out.setdefault(v[:n], B)
     return sorted(out.items())
 
 
-def _region_is_unbounded(lp: LPInstance) -> bool:
-    """True when a nonzero recession direction exists."""
-    rows, b, c, n, bounded_idx = lp.standardized()
-    width = len(rows[0]) if rows else n
-    if width == 0:
-        return False
-    # max 1^T d  s.t.  A d = 0, 0 <= d <= 1; positive optimum == unbounded.
-    A = RatMatrix.from_rows(rows, cols=width) if rows else RatMatrix.zeros(0, width)
-    box = LPInstance.bounded(
-        A,
-        vec_zero(len(rows)),
-        tuple(Fraction(-1) for _ in range(width)),
-        tuple(Fraction(1) for _ in range(width)),
-    )
-    res = solve(box)
-    if res.status != OPTIMAL:
-        raise InternalError("recession-cone box LP is not optimal")
-    return res.objective < 0
+def _region_is_unbounded(A: RatMatrix) -> bool:
+    """True when the region {x >= 0 : A x = b}, if not empty, has a nonzero
+    recession direction: when min -1^T d over the cone {d >= 0 : A d = 0}
+    is unbounded.  Otherwise d = 0 is optimal."""
+    res = solve(LPInstance.standard(A, vec_zero(A.rows), (Fraction(-1),) * A.cols))
+    if res.status == INFEASIBLE:
+        raise InternalError("the recession cone LP is infeasible")
+    return res.status == UNBOUNDED
 
 
 def edge_graph(lp: LPInstance):
@@ -425,14 +404,14 @@ def edge_graph(lp: LPInstance):
     segment: |S| - rank(A_S) = 1 for S the union of their supports.  The
     test is basis-free, so degeneracy cannot split or merge vertices.
     """
-    seen, n = _std_vertices(lp)
-    std_verts = list(seen)
-    if not std_verts:
+    return _edge_graph(*_std_system(lp))
+
+
+def _edge_graph(A: RatMatrix, b, n: int):
+    """`edge_graph` of the standardized system A x = b of an LP with n columns."""
+    verts = sorted(_std_vertices(A, b))
+    if not verts:
         raise InfeasibleSystem("empty region has no vertex-edge graph")
-    rows, b, c, _, _ = lp.standardized()
-    width = len(rows[0]) if rows else n
-    A = RatMatrix.from_rows(rows, cols=width) if rows else RatMatrix.zeros(0, width)
-    verts = sorted(std_verts)
     adj = {i: set() for i in range(len(verts))}
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
@@ -450,8 +429,9 @@ def edge_graph(lp: LPInstance):
 
 def edge_graph_diameter(lp: LPInstance) -> int:
     """Exact graph diameter of the polytope's vertex-edge graph."""
-    verts, adj = edge_graph(lp)
-    if _region_is_unbounded(lp):
+    A, b, n = _std_system(lp)
+    verts, adj = _edge_graph(A, b, n)
+    if _region_is_unbounded(A):
         raise UnboundedRegion("vertex-edge diameter needs a bounded region")
     k = len(verts)
     if k <= 1:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circuitkit import augment
 from circuitkit.augment import (
@@ -23,15 +25,17 @@ from circuitkit.augment import (
 from circuitkit.errors import (
     AlreadyOptimal,
     AuditFailure,
+    BadParameters,
     InternalError,
+    TargetNotBasic,
     UnboundedDirection,
 )
 from circuitkit.generate import GeneratorSpec, generate
 from circuitkit.imbalance import imbalances
-from circuitkit.lp import OPTIMAL, LPInstance, solve
+from circuitkit.lp import OPTIMAL, LPInstance, solve, vertices
 from circuitkit.ratmat import RatMatrix, vec
 from circuitkit.subspace import ConformalDecomposition, Subspace
-from util import ford_fulkerson, steepness_spectrum
+from util import dual_epsilon, ford_fulkerson, random_int_matrix, steepness_spectrum
 
 # Diamond digraph: s=0, t=3, two disjoint unit-capacity paths.
 DIAMOND_ARCS = [(0, 1), (1, 3), (0, 2), (2, 3)]
@@ -66,6 +70,50 @@ def test_epsilon_of():
     lp, W = interior_instance()
     assert epsilon_of(lp.A, lp.c, vec([1, 1, 1])) > 0
     assert epsilon_of(lp.A, lp.c, vec([0, 2, 0])) <= 0
+
+
+@given(st.integers(4, 5), st.integers(0, 10**6))
+@settings(max_examples=15, deadline=None)
+def test_epsilon_of_matches_the_dual_lp_on_capped_flows(size, seed):
+    # Every vertex, so the degenerate points and the optimal ones with
+    # eps = 0 are covered, and every iterate of a steepest walk.
+    lp = generate(GeneratorSpec("flow", size=size, seed=seed))
+    points = [v for v, _ in vertices(lp)] + run(lp, rule="steepest").iterates()
+    for x in points:
+        assert epsilon_of(lp.A, lp.c, x, lp.u) == dual_epsilon(lp.A, lp.c, x, lp.u)
+
+
+@given(st.integers(1, 3), st.integers(2, 6), st.booleans(), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_epsilon_of_matches_the_dual_lp_on_dense_lps(m, n, capped, seed):
+    rng = random.Random(seed)
+    A = random_int_matrix(rng, m, n, -3, 3)
+    x = vec([rng.randint(0, 2) for _ in range(n)])
+    u = tuple(xi + rng.randint(0, 1) for xi in x) if capped else None
+    c = vec([rng.randint(-3, 3) for _ in range(n)])
+    lp = LPInstance(A=A, b=A.matvec(x), c=c, u=u)
+    points = [x]
+    res = solve(lp)
+    if res.status == OPTIMAL:
+        points.append(res.x)
+    for p in points:
+        assert epsilon_of(A, c, p, u) == dual_epsilon(A, c, p, u)
+
+
+def test_a_steepest_walk_solves_one_lp_per_step(monkeypatch):
+    # One steepness LP per step, then the phase-1 start, eps at the last
+    # iterate and the optimum that the final iterate is checked against.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(augment, "solve", counted)
+    lp = generate(GeneratorSpec("flow", size=5, seed=3))
+    trace = run(lp, rule="steepest")
+    assert trace.terminated == "optimal" and trace.steps
+    assert len(calls) == len(trace.steps) + 3
 
 
 def test_maximal_step_and_unbounded():
@@ -137,8 +185,6 @@ def test_ratio_rule_decay():
 
 def test_ratio_rule_rejects_caps():
     capped = generate(GeneratorSpec("flow", size=4, seed=0))
-    from circuitkit.errors import BadParameters
-
     with pytest.raises(BadParameters):
         run(capped, rule="ratio")
 
@@ -167,6 +213,22 @@ def test_guided_walk_reaches_target():
     n = lp.A.cols
     for step in trace.steps:
         pass  # alphas validated inside guided_walk; reaching here means they held
+
+
+def test_walk_points_must_respect_the_upper_bounds():
+    # x_start = (0, 0, 3) meets A x = b and x >= 0 but puts 3 on an arc of
+    # capacity 1.
+    lp = flow_to_lp([0, 1, 2], [(0, 1), (1, 2), (0, 2)], [5, 5, 1], [1, 1, 5], [-3, 0, 3])
+    target = solve(lp).x
+    over = vec([0, 0, 3])
+    with pytest.raises(BadParameters, match="x_start is not feasible"):
+        guided_walk(lp, over, target)
+    with pytest.raises(TargetNotBasic, match="x_target is not feasible"):
+        guided_walk(lp, target, over)
+    with pytest.raises(BadParameters, match="starting point violates an upper bound"):
+        run(lp, rule="steepest", x0=over)
+    with pytest.raises(BadParameters, match="starting point is not feasible"):
+        run(lp, rule="steepest", x0=vec([0, 0, 2]))
 
 
 def test_guided_walk_over_its_step_bound_is_an_internal_error(monkeypatch):

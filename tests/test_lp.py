@@ -13,6 +13,8 @@ from circuitkit.lp import (
     OPTIMAL,
     UNBOUNDED,
     LPInstance,
+    _region_is_unbounded,
+    _std_system,
     _Tableau,
     edge_graph,
     edge_graph_diameter,
@@ -22,7 +24,7 @@ from circuitkit.lp import (
 )
 from circuitkit.ratmat import RatMatrix, vec, vec_dot
 from circuitkit.subspace import Subspace
-from util import oracle_solve, random_int_matrix
+from util import box_region_is_unbounded, oracle_solve, random_int_matrix
 
 
 def simplex3():
@@ -222,6 +224,7 @@ def test_tiebreak_matches_the_fraction_simplex_on_the_face_lp(inst):
     lp, c2 = inst
     plain = solve(lp)
     res = solve(lp, tiebreak=c2)
+    assert res == oracle_solve(lp, tiebreak=c2)
     if plain.status != OPTIMAL:
         assert res == plain
         return
@@ -271,8 +274,51 @@ def test_integer_tableau_matches_fraction_simplex_by_status(rows, b, c, status):
     assert res == oracle_solve(lp)
 
 
+@st.composite
+def zero_row_instances(draw):
+    """An LP with no equality rows, optionally with upper bounds (which
+    standardize to rows), and an optional tie-break cost."""
+    n = draw(st.integers(0, 5))
+    fracs = st.lists(small_fracs, min_size=n, max_size=n)
+    c = draw(fracs)
+    if draw(st.booleans()):
+        c = [v if draw(st.booleans()) else Fraction(0) for v in c]
+    A = RatMatrix.zeros(0, n)
+    if draw(st.booleans()):
+        u = draw(st.lists(st.none() | small_fracs.map(abs), min_size=n, max_size=n))
+        lp = LPInstance.bounded(A, [], c, u)
+    else:
+        lp = LPInstance.standard(A, [], c)
+    return lp, draw(st.none() | fracs)
+
+
+@given(zero_row_instances())
+@settings(max_examples=300, deadline=None)
+def test_zero_row_lps_match_the_fraction_simplex(inst):
+    lp, c2 = inst
+    res = solve(lp, tiebreak=c2)
+    assert repr(res) == repr(oracle_solve(lp, tiebreak=c2))
+
+
+@st.composite
+def cone_instances(draw):
+    """Small integer systems A x = 0, some columns capped, so that many
+    regions are unbounded and many recession cones miss some coordinates."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6))
+    rows = [draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)) for _ in range(m)]
+    u = draw(st.lists(st.none() | st.integers(0, 2), min_size=n, max_size=n))
+    return LPInstance.bounded(RatMatrix.from_rows(rows, cols=n), [0] * m, [0] * n, u)
+
+
+@given(cone_instances() | lp_instances())
+@settings(max_examples=300, deadline=None)
+def test_recession_cone_lp_matches_the_box_lp(lp):
+    assert _region_is_unbounded(_std_system(lp)[0]) == box_region_is_unbounded(lp)
+
+
 def test_inexact_bareiss_step_is_an_internal_error():
-    tab = _Tableau([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]], [Fraction(1)] * 2)
+    tab = _Tableau([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]], [Fraction(1)] * 2, 2)
     tab.pivot(0, 0)
     tab.T[1][1] += 1  # no longer an integer minor, so the next step cannot divide
     with pytest.raises(InternalError):

@@ -9,7 +9,8 @@ enumeration support by support (over Fractions, and over ints with
 simple paths (over Fractions and over ints) that Karp's algorithm
 replaced, the Graver box scan and its minimality filter, the
 decomposition search, the appendix scan, the nearest point as two
-separate simplex solves, the greedy basis by one rank per column, the
+separate simplex solves, the steepness eps(x) as its dual LP, the
+recession test as a box LP, the greedy basis by one rank per column, the
 basis forms by determinant, inverse and product, and the components of
 the circuit hypergraph.  Slow is fine, different is the point.  The
 routines at the end are ones no verb runs, kept here as oracles: the
@@ -329,11 +330,10 @@ class _FractionTableau:
     def duals(self, costs):
         return [self.flip[i] * self._cb_dot(costs, self.n + i) for i in range(self.m)]
 
-    def run(self, costs, allow_artificial):
+    def run(self, costs, cols):
         while True:
             red = self.reduced_costs(costs)
-            limit = self.width if allow_artificial else self.n
-            enter = next((j for j in range(limit) if red[j] < 0), None)
+            enter = next((j for j in cols if red[j] < 0), None)
             if enter is None:
                 return lpmod.OPTIMAL, None
             cands = [
@@ -358,20 +358,43 @@ class _FractionTableau:
             r += 1
 
 
-def fraction_simplex(rows, b, c):
-    """Two-phase Bland simplex over Fractions, same contract as lp._solve_standard."""
+def fraction_simplex(rows, b, c, c2=None):
+    """Two-phase Bland simplex over Fractions, same contract as lp._solve_standard.
+
+    With no rows, x = 0 is the only basic point: the first column of
+    negative cost, or else the first of cost 0 with negative c2, is a ray."""
     if not rows:
-        return lpmod._solve_standard(rows, b, c)
+        n = len(c)
+        neg = next((j for j in range(n) if c[j] < 0), None)
+        if neg is None and c2 is not None:
+            neg = next((j for j in range(n) if c[j] == 0 and c2[j] < 0), None)
+        if neg is not None:
+            ray = [Fraction(0)] * n
+            ray[neg] = Fraction(1)
+            return {"status": lpmod.UNBOUNDED, "certificate": ray, "pivots": 0}
+        return {
+            "status": lpmod.OPTIMAL,
+            "x": [Fraction(0)] * n,
+            "objective": Fraction(0),
+            "basis": [],
+            "y": [],
+            "pivots": 0,
+        }
     tab = _FractionTableau(rows, b)
     phase1 = [Fraction(0)] * tab.n + [Fraction(1)] * tab.m
-    status, _ = tab.run(phase1, allow_artificial=True)
+    status, _ = tab.run(phase1, range(tab.width))
     if status != lpmod.OPTIMAL:
         raise AssertionError("phase 1 cannot be unbounded")
     if tab.objective(phase1) > 0:
         return {"status": lpmod.INFEASIBLE, "certificate": tab.duals(phase1), "pivots": tab.pivots}
     tab.drive_out_artificials()
     costs = list(c) + [Fraction(0)] * tab.m
-    status, enter = tab.run(costs, allow_artificial=False)
+    status, enter = tab.run(costs, range(tab.n))
+    objective, y = tab.objective(costs), tab.duals(costs)
+    if status == lpmod.OPTIMAL and c2 is not None:
+        red = tab.reduced_costs(costs)
+        face = [j for j in range(tab.n) if red[j] == 0]
+        status, enter = tab.run(list(c2) + [Fraction(0)] * tab.m, face)
     if status == lpmod.UNBOUNDED:
         ray = [Fraction(0)] * tab.width
         ray[enter] = Fraction(1)
@@ -384,17 +407,72 @@ def fraction_simplex(rows, b, c):
     return {
         "status": lpmod.OPTIMAL,
         "x": x[: tab.n],
-        "objective": tab.objective(costs),
+        "objective": objective,
         "basis": sorted(tab.basis),
-        "y": tab.duals(costs),
+        "y": y,
         "pivots": tab.pivots,
     }
 
 
-def oracle_solve(lp):
+def oracle_solve(lp, tiebreak=None):
     """lp.solve with the Fraction simplex above in place of the integer tableau."""
     rows, b, c, _, bounded_idx = lp.standardized()
-    return lpmod._result(lp, bounded_idx, fraction_simplex(rows, b, c))
+    c2 = None if tiebreak is None else list(vec(tiebreak)) + [Fraction(0)] * (len(c) - lp.n)
+    return lpmod._result(lp, bounded_idx, fraction_simplex(rows, b, c, c2))
+
+
+def box_region_is_unbounded(lp):
+    """`lp._region_is_unbounded` as a box LP: max 1^T d over A_std d = 0,
+    0 <= d <= 1, whose optimum is positive exactly when the standardized
+    region has a nonzero recession direction."""
+    rows, b, c, n, bounded_idx = lp.standardized()
+    width = len(rows[0]) if rows else n
+    if width == 0:
+        return False
+    A = RatMatrix.from_rows(rows, cols=width) if rows else RatMatrix.zeros(0, width)
+    box = lpmod.LPInstance.bounded(
+        A,
+        [Fraction(0)] * len(rows),
+        [Fraction(-1)] * width,
+        [Fraction(1)] * width,
+    )
+    res = lpmod.solve(box)
+    if res.status != lpmod.OPTIMAL:
+        raise AssertionError("recession-cone box LP is not optimal")
+    return res.objective < 0
+
+
+def dual_epsilon(A, c, x, u=None):
+    """`augment.epsilon_of` as the dual LP: min eps with <a_i, y> <= c_i + eps
+    over the split columns i in N(x), 0 when that LP is unbounded or N(x)
+    is empty."""
+    cv = vec(c)
+    xv = vec(x)
+    n = A.cols
+    m = A.rows
+    N = [i for i in range(n) if u is None or u[i] is None or xv[i] < u[i]]
+    N += [n + j for j in range(n) if xv[j] > 0]
+    if not N:
+        return Fraction(0)
+    # variables: y+ (m), y- (m), e+ , e-, slack per constraint
+    k = len(N)
+    width = 2 * m + 2 + k
+    rows = []
+    b = []
+    for pos, i in enumerate(N):
+        col = [r[i] if i < n else -r[i - n] for r in A.data]
+        ci = cv[i] if i < n else -cv[i - n]
+        row = col + [-v for v in col] + [Fraction(-1), Fraction(1)]
+        row += [Fraction(1) if j == pos else Fraction(0) for j in range(k)]
+        rows.append(row)
+        b.append(ci)
+    cost = [Fraction(0)] * (2 * m) + [Fraction(1), Fraction(-1)] + [Fraction(0)] * k
+    res = lpmod.solve(lpmod.LPInstance.standard(RatMatrix.from_rows(rows, cols=width), b, cost))
+    if res.status == lpmod.UNBOUNDED:
+        return Fraction(0)
+    if res.status != lpmod.OPTIMAL:
+        raise AssertionError("dual epsilon LP is infeasible")
+    return res.objective
 
 
 def _stage(rows, b, width, coord_rows, cost_cols):
