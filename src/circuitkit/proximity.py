@@ -4,7 +4,11 @@ Every bound computed here is also checked: the attained distance is that of
 an exact nearest point, found by one lexicographic simplex solve and
 re-verified, and a distance exceeding its bound raises AuditFailure instead
 of returning quietly.  The three witnesses share `_nearest_optimum`: solve
-LP(W, d, c), then find the nearest point of its optimal face.  The
+LP(W, d, c), then find the nearest point of its optimal face, starting the
+simplex from the optimal vertex just found, so the second solve runs no
+phase 1; the fixing-set face LPs likewise start from the optimum of the
+second cost.  The region is then known to be nonempty, so an infeasible
+or unbounded answer from these solves is an InternalError.  The
 black-box feasibility solver at the bottom composes the same pieces with a
 simulated approximate oracle whose error budget is rational and
 seed-deterministic.
@@ -89,15 +93,21 @@ def lambda_set(d, c) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def _nearest_point(rows, b, anchor):
+def _nearest_point(rows, b, anchor, vertex):
     """Exact minimization of ||x - anchor|| over Ax = b, x >= 0: the sup-norm
     distance tau, then the 1-norm among points attaining it.  Returns (x, tau).
 
     One lexicographic solve over (x, r, s, w, tau): the rows, then
     x_i - r_i + s_i = anchor_i and r_i + s_i + w_i - tau = 0; objective tau,
-    tie-break sum(r + s).  The point is re-verified before it is returned.
-    The rows already include any optimal-face equality; infeasibility here
-    means the caller screwed up, so it raises rather than certifying.
+    tie-break sum(r + s).  The rows already include any optimal-face
+    equality, and `vertex` is a vertex of their region that the caller has
+    just solved for.  The solve starts from the crash point
+    (vertex, dev^+, dev^-, tau - |dev|, tau = max |dev|), dev = vertex -
+    anchor, whose support is independent: the vertex fixes its own
+    coordinates, each deviation row then fixes r_i or s_i, the cap row of
+    largest deviation fixes tau and the other cap rows fix w_i.  The region
+    is therefore nonempty, so a result that is not optimal is an
+    InternalError, as is a point failing its re-verification.
     """
     n = len(anchor)
     width = 4 * n + 1
@@ -115,12 +125,19 @@ def _nearest_point(rows, b, anchor):
         ext_b += [anchor[i], zero]
     tau_cost = [zero] * (4 * n) + [one]
     l1_cost = [zero] * n + [one] * (2 * n) + [zero] * (n + 1)
+    dev = [v - a for v, a in zip(vertex, anchor)]
+    top = max(map(abs, dev), default=zero)
+    start = [
+        *vertex,
+        *(max(v, zero) for v in dev),
+        *(max(-v, zero) for v in dev),
+        *(top - abs(v) for v in dev),
+        top,
+    ]
     lp = LPInstance.standard(RatMatrix.from_rows(ext_rows, cols=width), ext_b, tau_cost)
-    res = solve(lp, tiebreak=l1_cost)
-    if res.status == INFEASIBLE:
-        raise InfeasibleSystem("nearest point of an empty region", certificate=res.certificate)
+    res = solve(lp, tiebreak=l1_cost, start=start)
     if res.status != OPTIMAL:
-        raise InternalError("nearest-point LP is not optimal")
+        raise InternalError(f"nearest-point LP of a nonempty region is {res.status}")
     x, tau = res.x[:n], res.objective
     dist = [abs(v - a) for v, a in zip(x, anchor)]
     if (
@@ -135,7 +152,8 @@ def _nearest_point(rows, b, anchor):
 
 def _nearest_optimum(W: Subspace, d: Vec, c, anchor: Vec):
     """Solve LP(W, d, c), then the point of its optimal face nearest to
-    `anchor`, as `_nearest_point` returns it: (x, tau).
+    `anchor`, as `_nearest_point` returns it: (x, tau).  The optimal vertex
+    of the first solve is the vertex the nearest-point solve starts from.
 
     c None is the zero cost, whose optimal face is the whole region, so no
     face row is added.  An infeasible LP raises InfeasibleSystem with its
@@ -150,8 +168,8 @@ def _nearest_optimum(W: Subspace, d: Vec, c, anchor: Vec):
     if res.status != OPTIMAL:
         raise InternalError("LP(W, d, c) with c >= 0 is unbounded")
     if c is None:
-        return _nearest_point(list(A.data), list(b), anchor)
-    return _nearest_point(list(A.data) + [list(c)], list(b) + [res.objective], anchor)
+        return _nearest_point(list(A.data), list(b), anchor, res.x)
+    return _nearest_point(list(A.data) + [list(c)], list(b) + [res.objective], anchor, res.x)
 
 
 def hoffman_feasibility_witness(W: Subspace, d) -> ProximityWitness:
@@ -297,7 +315,7 @@ def fixing_sets_bounds(A, b, u, c1, c2, x1, y1) -> tuple[tuple[int, ...], tuple[
     for i in R0:
         c = [Fraction(0)] * n
         c[i] = Fraction(-1)
-        top = solve(LPInstance.bounded(face_A, face_b, c, uv))
+        top = solve(LPInstance.bounded(face_A, face_b, c, uv), start=res2.x)
         if top.status != OPTIMAL:
             raise InternalError(f"max x_{i} over the optimal face is not optimal")
         if -top.objective != 0:
@@ -305,7 +323,7 @@ def fixing_sets_bounds(A, b, u, c1, c2, x1, y1) -> tuple[tuple[int, ...], tuple[
     for i in Ru:
         c = [Fraction(0)] * n
         c[i] = Fraction(1)
-        bot = solve(LPInstance.bounded(face_A, face_b, c, uv))
+        bot = solve(LPInstance.bounded(face_A, face_b, c, uv), start=res2.x)
         if bot.status != OPTIMAL:
             raise InternalError(f"min x_{i} over the optimal face is not optimal")
         if bot.objective != uv[i]:

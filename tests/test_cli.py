@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from circuitkit import cli, graver, imbalance, subspace
+from circuitkit import cli, graver, imbalance, proximity, subspace
 from circuitkit.errors import InternalError
 from circuitkit.graver import ConjectureReport
+from circuitkit.lp import INFEASIBLE, LPResult
 from circuitkit.serialize import dumps, loads, parse_frac
 
 
@@ -180,6 +181,26 @@ def test_prox_transfer_to_an_empty_shift_reports_infeasible(tmp_path, capsys):
     assert code == 0
     rep = loads(out)
     assert (rep["status"], rep["certificate"]) == ("infeasible", ["-1"])
+
+
+@pytest.mark.parametrize("check, extra", [("feasibility", {}), ("optimal", {"c": ["1", "0", "2"]})])
+def test_an_infeasible_nearest_point_lp_exits_three(tmp_path, capsys, monkeypatch, check, extra):
+    # The witness solve has just shown W + d to meet the orthant, so an
+    # infeasible nearest-point LP is a broken invariant, not an answer.
+    solve = proximity.solve
+
+    def broken(lp, tiebreak=None, start=None):
+        if tiebreak is None:
+            return solve(lp)
+        return LPResult(status=INFEASIBLE, certificate=(1,) * lp.A.rows)
+
+    monkeypatch.setattr(proximity, "solve", broken)
+    doc = {"schema_version": "1", "A": [["1", "1", "0"], ["0", "1", "1"]], "d": ["2", "-1", "2"]}
+    path = write_json(tmp_path / "prox.json", {**doc, **extra})
+    assert cli.main(["prox", "--input", path, "--check", check]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: nearest-point LP of a nonempty region is infeasible\n"
 
 
 def test_blackbox(tmp_path, capsys):

@@ -323,3 +323,71 @@ def test_inexact_bareiss_step_is_an_internal_error():
     tab.T[1][1] += 1  # no longer an integer minor, so the next step cannot divide
     with pytest.raises(InternalError):
         tab.pivot(1, 1)
+
+
+def _check_dual_certificate(lp, res):
+    """y (and t = dual_upper) is dual feasible for `lp` and complementary to
+    res.x: c - A^T y + t >= 0, zero where x > 0, and t = 0 where x < u."""
+    red = [ci - yi for ci, yi in zip(lp.c, lp.A.vecmat(res.y))]
+    t = res.dual_upper or (Fraction(0),) * lp.n
+    for j in range(lp.n):
+        assert t[j] >= 0 and red[j] + t[j] >= 0
+        if res.x[j] > 0:
+            assert red[j] + t[j] == 0
+        if t[j] > 0:
+            assert res.x[j] == lp.u[j]
+
+
+def _unique_optimum(lp, res, c2):
+    """True when res.x is the only point of the region attaining both its
+    objective and its tie-break value: the region is bounded and exactly
+    one vertex attains them."""
+    if _region_is_unbounded(_std_system(lp)[0]):
+        return False
+    key = (res.objective, vec_dot(c2, res.x))
+    return sum((vec_dot(lp.c, v), vec_dot(c2, v)) == key for v, _ in vertices(lp)) == 1
+
+
+@given(tiebreak_instances(), st.lists(st.integers(0, 3), min_size=6, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_a_solve_from_a_vertex_matches_the_cold_solve(inst, c0):
+    # The start is the optimum of another cost c0 >= 0 (never unbounded); the
+    # cold solve is the oracle for status, objective and tie-break value.
+    lp, c2 = inst
+    seed = solve(replace(lp, c=vec(c0[: lp.n])))
+    if seed.status != OPTIMAL:
+        return
+    cold = solve(lp, tiebreak=c2)
+    warm = solve(lp, tiebreak=c2, start=seed.x)
+    assert warm.status == cold.status
+    if warm.status == UNBOUNDED:
+        ray = warm.certificate
+        assert all(v >= 0 for v in ray) and lp.A.matvec(ray) == vec([0] * lp.A.rows)
+        assert lp.u is None or all(u is None or v == 0 for v, u in zip(ray, lp.u))
+        assert vec_dot(lp.c, ray) < 0 or (vec_dot(lp.c, ray) == 0 and vec_dot(c2, ray) < 0)
+        return
+    assert lp.A.matvec(warm.x) == lp.b and all(v >= 0 for v in warm.x)
+    assert lp.u is None or all(u is None or v <= u for v, u in zip(warm.x, lp.u))
+    assert warm.objective == cold.objective == vec_dot(lp.c, warm.x)
+    assert vec_dot(c2, warm.x) == vec_dot(c2, cold.x)
+    _check_dual_certificate(lp, warm)
+    if _unique_optimum(lp, cold, c2):
+        assert warm.x == cold.x
+
+
+@pytest.mark.parametrize(
+    "u, start, why",
+    [
+        (None, [1, 1, 0], "not a vertex"),  # two columns of a one-row system
+        (None, [1, 0, 0], "not feasible"),  # A x = 1, not 2
+        (None, [3, -1, 0], "not feasible"),  # A x = b, but x_1 < 0
+        ([1, 2, 2], [2, 0, 0], "not feasible"),  # A x = b, but x_0 > u_0
+    ],
+)
+def test_a_start_that_is_not_a_feasible_vertex_is_an_internal_error(u, start, why):
+    A = RatMatrix.from_rows([[1, 1, 1]], cols=3)
+    lp = LPInstance.standard(A, [2], [1, 2, 3])
+    if u is not None:
+        lp = LPInstance.bounded(A, [2], [1, 2, 3], u)
+    with pytest.raises(InternalError, match=why):
+        solve(lp, start=start)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circuitkit import proximity
+from circuitkit import lp as lpmod, proximity
 from circuitkit.errors import (
     AuditFailure,
     BadParameters,
@@ -205,7 +205,8 @@ def test_projection_idempotent():
 
 @st.composite
 def nearest_point_instances(draw):
-    """(rows, b, anchor) for a nonempty region {rows x = b, x >= 0}.
+    """(rows, b, anchor, vertex) for a nonempty region {rows x = b, x >= 0}
+    and the vertex its witness solve returns.
 
     Entries in {-1, 0, 1}, anchors drawn from a few values, and half the
     time a face row c x = opt make ties between nearest points likely.
@@ -217,18 +218,19 @@ def nearest_point_instances(draw):
     b = [sum((a * x for a, x in zip(row, x0)), Fraction(0)) for row in rows]
     values = st.sampled_from([-1, 0, Fraction(1, 2), 1, 2])
     anchor = vec(draw(st.lists(values, min_size=n, max_size=n)))
-    if draw(st.booleans()):
-        c = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-        res = solve(LPInstance.standard(RatMatrix.from_rows(rows, cols=n), b, c))
+    face = draw(st.booleans())
+    c = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)) if face else [0] * n
+    res = solve(LPInstance.standard(RatMatrix.from_rows(rows, cols=n), b, c))
+    if face:
         rows, b = rows + [c], b + [res.objective]
-    return [vec(row) for row in rows], vec(b), anchor
+    return [vec(row) for row in rows], vec(b), anchor, res.x
 
 
 @given(nearest_point_instances())
 @settings(max_examples=200, deadline=None)
 def test_nearest_point_matches_the_two_stage_oracle(inst):
-    rows, b, anchor = inst
-    x, tau = _nearest_point(rows, b, anchor)
+    rows, b, anchor, vertex = inst
+    x, tau = _nearest_point(rows, b, anchor, vertex)
     _, otau, one_norm = two_stage_nearest_point(rows, b, anchor)
     assert tau == otau
     assert sum(abs(v - a) for v, a in zip(x, anchor)) == one_norm
@@ -260,8 +262,8 @@ def test_nearest_point_in_the_zero_subspace():
 
 @pytest.mark.parametrize("field", ["objective", "x"])
 def test_a_nearest_point_failing_its_recheck_is_an_internal_error(monkeypatch, field):
-    def tampered(lp, tiebreak=None):
-        res = solve(lp, tiebreak=tiebreak)
+    def tampered(lp, tiebreak=None, start=None):
+        res = solve(lp, tiebreak=tiebreak, start=start)
         if res.status != OPTIMAL:
             return res
         if field == "objective":
@@ -274,4 +276,28 @@ def test_a_nearest_point_failing_its_recheck_is_an_internal_error(monkeypatch, f
 
     monkeypatch.setattr(proximity, "solve", tampered)
     with pytest.raises(InternalError):
-        _nearest_point([vec([1, 1, 0])], vec([2]), vec([0, 3, 1]))
+        _nearest_point([vec([1, 1, 0])], vec([2]), vec([0, 3, 1]), vec([2, 0, 0]))
+
+
+def test_the_nearest_point_solve_starts_from_the_witness_vertex(monkeypatch):
+    # The nearest-point LP starts from the vertex its witness solve returned,
+    # so its simplex never prices an artificial column: it runs no phase 1.
+    calls = []
+    run = lpmod._Tableau.run
+
+    def spy_run(tab, cols):
+        calls[-1]["phase1"] |= max(cols, default=-1) >= tab.n
+        return run(tab, cols)
+
+    def spy_solve(lp, tiebreak=None, start=None):
+        calls.append({"start": start, "phase1": False})
+        return solve(lp, tiebreak=tiebreak, start=start)
+
+    monkeypatch.setattr(lpmod._Tableau, "run", spy_run)
+    monkeypatch.setattr(proximity, "solve", spy_solve)
+    W = Subspace.from_kernel_matrix(RatMatrix.from_rows([[1, 1, 0], [0, 1, 1]], cols=3))
+    wit = hoffman_feasibility_witness(W, vec([2, -1, 2]))
+    witness, nearest = calls
+    assert witness == {"start": None, "phase1": True}
+    assert nearest["start"] is not None and not nearest["phase1"]
+    assert (wit.point, wit.distance) == (vec([1, 0, 1]), 1)
