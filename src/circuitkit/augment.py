@@ -18,8 +18,8 @@ support_circuit which allows <c, g> = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     AlreadyBasic,
@@ -48,16 +48,14 @@ GUIDED = "guided"
 RULES = (STEEPEST, DANTZIG, DEEPEST, RATIO, SUPPORT, GUIDED)
 
 
-@dataclass(frozen=True)
-class AugmentStep:
+class AugmentStep(NamedTuple):
     direction: ElementaryVector  # oriented
     alpha: Fraction
     x_after: tuple
     objective_after: Fraction
 
 
-@dataclass(frozen=True)
-class AugmentationTrace:
+class AugmentationTrace(NamedTuple):
     rule: str
     start: tuple
     objective_start: Fraction
@@ -77,8 +75,7 @@ class AugmentationTrace:
         return self.steps[-1].objective_after if self.steps else self.objective_start
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     steps: int
     epsilon_monotone_checks: int
     window_decay_checks: int

@@ -7,8 +7,8 @@ so the same spec reproduces the same instance byte for byte.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .augment import flow_to_lp
 from .errors import AuditFailure, BadParameters
@@ -21,8 +21,7 @@ FAMILIES = ("flow", "incidence", "dumbbell", "tu-network", "random-rational")
 DUMBBELL_EDGES = ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5))
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(NamedTuple):
     family: str
     size: int = 5
     rows: int = 3

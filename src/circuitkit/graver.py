@@ -18,9 +18,9 @@ results.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
+from typing import NamedTuple
 
 from .errors import (
     AuditFailure,
@@ -49,8 +49,7 @@ from .subspace import Subspace, oriented_circuits
 _BOX_LIMIT = 10**6
 
 
-@dataclass(frozen=True)
-class GraverBasis:
+class GraverBasis(NamedTuple):
     """The sign-symmetric set of conformal-minimal integer kernel vectors."""
 
     elements: tuple
@@ -58,8 +57,7 @@ class GraverBasis:
     ginf: int
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     """Outcome of the 1/kappa_dot-integral decomposition search.
 
     status is "holds" with a decomposition of (coefficient, circuit vector)
@@ -73,8 +71,7 @@ class ConjectureReport:
     searched: int
 
 
-@dataclass(frozen=True)
-class HKReport:
+class HKReport(NamedTuple):
     """Fractionality evidence for the vertex denominators of W + d shifts."""
 
     kappa_dot: int
@@ -84,8 +81,7 @@ class HKReport:
     witness_lcm: int
 
 
-@dataclass(frozen=True)
-class AppendixReport:
+class AppendixReport(NamedTuple):
     kappa_dot: int
     vectors: tuple
     products: tuple

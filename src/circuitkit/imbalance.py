@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     BadParameters,
@@ -40,8 +40,7 @@ from .ratmat import (
 from .subspace import Subspace, is_separable
 
 
-@dataclass(frozen=True)
-class MeasureWitnesses:
+class MeasureWitnesses(NamedTuple):
     """Certificates for each measure.
 
     kappa: (circuit, (i, j)) attaining the ratio; kappa_bar: (circuit, j)
@@ -54,8 +53,7 @@ class MeasureWitnesses:
     kappa_dot: tuple = ()
 
 
-@dataclass(frozen=True)
-class ImbalanceReport:
+class ImbalanceReport(NamedTuple):
     kappa: Fraction
     kappa_dot: int
     kappa_bar: int
@@ -119,8 +117,7 @@ def imbalances(W: Subspace) -> ImbalanceReport:
     )
 
 
-@dataclass
-class CircuitRatioDigraph:
+class CircuitRatioDigraph(NamedTuple):
     """Complete digraph on the ground set with K_ij ratio sets as arc data."""
 
     n: int
@@ -158,16 +155,20 @@ def pairwise(W: Subspace) -> CircuitRatioDigraph:
     )
 
 
-@dataclass(frozen=True)
-class GeoMeanValue:
-    """product^(1/length), compared exactly by cross-powering."""
+class GeoMeanValue(namedtuple("GeoMeanValue", "product length")):
+    """product^(1/length), compared exactly by cross-powering.
 
-    product: Fraction
-    length: int
+    product: a positive Fraction; length: an int >= 1, checked on every
+    construction (`_replace` and `_make` would skip the check, so this
+    package never calls them on a value).
+    """
 
-    def __post_init__(self):
-        if self.length < 1 or self.product <= 0:
+    __slots__ = ()
+
+    def __new__(cls, product: Fraction, length: int):
+        if length < 1 or product <= 0:
             raise BadParameters("geometric mean needs positive product, length >= 1")
+        return super().__new__(cls, product, length)
 
     def _cmp(self, other: "GeoMeanValue") -> int:
         lhs = self.product**other.length
@@ -202,8 +203,7 @@ class GeoMeanValue:
         return self
 
 
-@dataclass(frozen=True)
-class KappaStarResult:
+class KappaStarResult(NamedTuple):
     value: GeoMeanValue
     witness_cycle: tuple
     rescaling: tuple | None  # rational d attaining the optimum, when it exists

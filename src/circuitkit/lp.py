@@ -21,8 +21,9 @@ vertex denominators) run over the standardized system and are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     BadParameters,
@@ -47,20 +48,23 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
-class LPInstance:
-    """min <c, x> subject to Ax = b, 0 <= x (<= u when bounds are present)."""
+class LPInstance(namedtuple("LPInstance", "A b c u", defaults=(None,))):
+    """min <c, x> subject to Ax = b, 0 <= x (<= u when bounds are present).
 
-    A: RatMatrix
-    b: tuple
-    c: tuple
-    u: tuple | None = None  # entries Fraction or None (no upper bound)
+    A: RatMatrix; b, c: tuples; u: entries Fraction or None (no upper
+    bound), or None for no bounds at all.  Every construction checks the
+    shapes; `_replace` and `_make` would skip the check, so this package
+    never calls them on an instance.
+    """
 
-    def __post_init__(self):
-        if len(self.b) != self.A.rows or len(self.c) != self.A.cols:
+    __slots__ = ()
+
+    def __new__(cls, A: RatMatrix, b: tuple, c: tuple, u: tuple | None = None):
+        if len(b) != A.rows or len(c) != A.cols:
             raise DimensionMismatch("LP data shapes disagree")
-        if self.u is not None and len(self.u) != self.A.cols:
+        if u is not None and len(u) != A.cols:
             raise DimensionMismatch("bound vector has the wrong length")
+        return super().__new__(cls, A, b, c, u)
 
     @classmethod
     def standard(cls, A: RatMatrix, b, c) -> "LPInstance":
@@ -106,8 +110,7 @@ class LPInstance:
         return rows, b, c, n, bounded_idx
 
 
-@dataclass(frozen=True)
-class LPResult:
+class LPResult(NamedTuple):
     status: str
     x: tuple | None = None
     objective: Fraction | None = None

@@ -19,9 +19,9 @@ LP(W, d, c) throughout means: minimize <c, x> over x in W + d, x >= 0.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import (
     AuditFailure,
@@ -50,8 +50,7 @@ from .ratmat import (
 from .subspace import Subspace, lift_min_norm, minor
 
 
-@dataclass(frozen=True)
-class ProximityWitness:
+class ProximityWitness(NamedTuple):
     """A feasible (or optimal) point together with its distance guarantee.
 
     `slack` is bound minus the attained sup-norm distance, so nonnegative
@@ -67,8 +66,7 @@ class ProximityWitness:
         return self.bound - self.slack
 
 
-@dataclass(frozen=True)
-class ApxSolution:
+class ApxSolution(NamedTuple):
     """Output of the simulated approximate solver.
 
     x_tilde lies in W + d exactly; the two approximation constraints

@@ -26,9 +26,8 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     BadParameters,
@@ -124,8 +123,7 @@ def is_conformal(g: Vec, z: Vec) -> bool:
     return all(gi == 0 or gi * zi > 0 for gi, zi in zip(g, z, strict=True))
 
 
-@dataclass(frozen=True)
-class RatMatrix:
+class RatMatrix(NamedTuple):
     """Immutable dense matrix over Fraction.  Zero-row matrices keep `cols`."""
 
     data: tuple

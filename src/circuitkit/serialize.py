@@ -7,7 +7,6 @@ document re-parses to an equal value.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import re
@@ -166,6 +165,8 @@ def _reject_float(token):
 
 
 def matrix_to_csv(M: RatMatrix) -> str:
+    import csv  # only the CSV writers need it
+
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     for row in M.data:
@@ -175,6 +176,8 @@ def matrix_to_csv(M: RatMatrix) -> str:
 
 def lp_to_csv(lp: LPInstance) -> str:
     """Sectioned CSV: header cell naming the block, then its rows."""
+    import csv
+
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["A"])

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     CircuitKitError,
@@ -39,8 +38,7 @@ from .ratmat import (
 )
 
 
-@dataclass(frozen=True)
-class ElementaryVector:
+class ElementaryVector(NamedTuple):
     """A gcd-normalized integer support-minimal vector of a subspace.
 
     `vector` has full ambient length and coprime integer entries; `support`
@@ -63,8 +61,7 @@ class ElementaryVector:
         return math.lcm(*(abs(self.vector[i]) for i in self.support))
 
 
-@dataclass(frozen=True)
-class ConformalDecomposition:
+class ConformalDecomposition(NamedTuple):
     """target = sum of coeff * circuit_vector with sign agreement per term."""
 
     target: tuple
@@ -87,7 +84,6 @@ class ConformalDecomposition:
 _LIVE = weakref.WeakValueDictionary()
 
 
-@dataclass(frozen=True)
 class Subspace:
     """A rational subspace, canonically ker(kernel_rep) with kernel_rep in RREF.
 
@@ -95,10 +91,35 @@ class Subspace:
     report and the pair maxima) are computed once per object, on first use.
     The constructors below and `dual` return the live object with the same
     kernel_rep when there is one, so every holder of a subspace shares them.
+
+    Immutable, and equal and hashed by (ambient_dim, kernel_rep).  A plain
+    class rather than a tuple, because the cached properties need a
+    `__dict__` and the live table a weak reference.
     """
 
-    ambient_dim: int
-    kernel_rep: RatMatrix
+    def __init__(self, ambient_dim: int, kernel_rep: RatMatrix):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "kernel_rep", kernel_rep)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ambient_dim, self.kernel_rep) == (other.ambient_dim, other.kernel_rep)
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.kernel_rep))
+
+    def __repr__(self):
+        return (
+            f"{self.__class__.__qualname__}(ambient_dim={self.ambient_dim!r}, "
+            f"kernel_rep={self.kernel_rep!r})"
+        )
 
     @classmethod
     def _live(cls, kernel_rep: RatMatrix) -> "Subspace":

@@ -1,6 +1,6 @@
 """What a process imports: the core loads with the package, the consumers
-(`augment`, `graver`, `generate`) on first use, and every exported name is
-the object its defining module holds."""
+(`augment`, `graver`, `generate`) on first use, nothing loads `dataclasses`,
+and every exported name is the object its defining module holds."""
 
 import json
 import os
@@ -70,6 +70,17 @@ def test_importing_the_cli_leaves_the_consumers_out():
     loaded = _loaded("import circuitkit.cli")
     assert set(CORE) <= set(loaded)
     assert not set(CONSUMERS) & set(loaded)
+
+
+def test_no_process_loads_the_dataclass_machinery():
+    # Records are NamedTuples: nothing on any import path needs dataclasses,
+    # nor the inspect, ast, dis and tokenize modules it would bring.
+    loaded = _fresh(
+        "import json, sys\n"
+        "import circuitkit.cli, circuitkit.augment, circuitkit.graver, circuitkit.generate\n"
+        "print(json.dumps([m for m in ('dataclasses', 'inspect') if m in sys.modules]))"
+    )
+    assert loaded == []
 
 
 def test_every_exported_name_is_its_defining_modules_object():

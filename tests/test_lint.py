@@ -125,3 +125,39 @@ def test_only_ratmat_takes_a_bareiss_step():
         else:
             found += [f"{path.name}:{line}" for line in steps]
     assert found == []
+
+
+def test_no_module_imports_dataclasses():
+    # `import dataclasses` pulls in inspect, ast, dis and tokenize, and each
+    # @dataclass compiles generated source: a CLI process pays for both on
+    # every run.  Records are NamedTuples.
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Import):
+                modules = [alias.name for alias in n.names]
+            elif isinstance(n, ast.ImportFrom):
+                modules = [n.module]
+            else:
+                continue
+            found += [f"{path.name}:{n.lineno}" for m in modules if m == "dataclasses"]
+    assert found == []
+
+
+def test_no_module_rebuilds_a_record_past_its_constructor():
+    # `_replace` and `_make` skip __new__, so on LPInstance and GeoMeanValue
+    # they would skip the input check; the package calls neither anywhere.
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{n.lineno} {n.attr}"
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr in ("_replace", "_make")
+        ]
+    assert found == []

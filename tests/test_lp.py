@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -214,7 +213,7 @@ def tiebreak_instances(draw):
         if lp.u is not None:
             x0 = [v if u is None else min(v, u) for v, u in zip(x0, lp.u)]
         c = draw(st.lists(st.sampled_from([0, 0, 1]), min_size=n, max_size=n))
-        lp = replace(lp, b=lp.A.matvec(vec(x0)), c=vec(c))
+        lp = LPInstance(lp.A, lp.A.matvec(vec(x0)), vec(c), lp.u)
     return lp, vec(draw(st.lists(small_fracs, min_size=n, max_size=n)))
 
 
@@ -354,7 +353,7 @@ def test_a_solve_from_a_vertex_matches_the_cold_solve(inst, c0):
     # The start is the optimum of another cost c0 >= 0 (never unbounded); the
     # cold solve is the oracle for status, objective and tie-break value.
     lp, c2 = inst
-    seed = solve(replace(lp, c=vec(c0[: lp.n])))
+    seed = solve(LPInstance(lp.A, lp.b, vec(c0[: lp.n]), lp.u))
     if seed.status != OPTIMAL:
         return
     cold = solve(lp, tiebreak=c2)

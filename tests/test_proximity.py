@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -267,12 +266,12 @@ def test_a_nearest_point_failing_its_recheck_is_an_internal_error(monkeypatch, f
         if res.status != OPTIMAL:
             return res
         if field == "objective":
-            return replace(res, objective=res.objective + 1)
+            return res._replace(objective=res.objective + 1)
         n = len(tiebreak) // 4
         x = list(res.x)
         x[n] += 1  # r_0 and s_0 both up by one: same x, 1-norm off by 2
         x[2 * n] += 1
-        return replace(res, x=tuple(x))
+        return res._replace(x=tuple(x))
 
     monkeypatch.setattr(proximity, "solve", tampered)
     with pytest.raises(InternalError):
