@@ -1,15 +1,17 @@
 """Exact rational linear programming.
 
 Two-phase primal simplex with Bland's rule on a fraction-free integer
-tableau: rows are scaled to integers once, each pivot is an Edmonds-Bareiss
-step over one common denominator, and the reduced costs are carried as one
-more tableau row.  The pivots are exactly those of Bland's rule on the
-rational tableau, so x, y, bases and certificates are the same; they become
-Fractions only when the result is read off.  A tie-break cost adds a third,
-lexicographic stage on the optimal face.  A caller that already holds a
-vertex of the region passes it as `start`: its support is pivoted into the
-basis, the tableau must read back exactly that vertex, and phase 2 begins
-there with no phase 1.  Instances come in three flavors:
+tableau: rows are scaled to integers once, each row is kept over its own
+positive denominator, and the reduced costs are carried as one more row.  A
+pivot is an Edmonds-Bareiss step on the rows that are nonzero in the pivot
+column only; every other row keeps its integers and its denominator.  The
+pivots are exactly those of Bland's rule on the rational tableau, so x, y,
+bases and certificates are the same; they become Fractions only when the
+result is read off.  A tie-break cost adds a third, lexicographic stage on
+the optimal face.  A caller that already holds a vertex of the region
+passes it as `start`: its support is pivoted into the basis, the tableau
+must read back exactly that vertex, and phase 2 begins there with no phase
+1.  Instances come in three flavors:
 standard form (min cx, Ax = b, x >= 0), upper-bounded standard form
 (0 <= x <= u, with None entries meaning unbounded), and the affine-subspace
 form (x in W + d, x >= 0) which standardizes immediately.
@@ -35,6 +37,7 @@ from .errors import (
 from .ratmat import (
     RatMatrix,
     _bases,
+    as_fraction,
     bareiss_step,
     greedy_basis,
     rank,
@@ -72,7 +75,7 @@ class LPInstance(namedtuple("LPInstance", "A b c u", defaults=(None,))):
 
     @classmethod
     def bounded(cls, A: RatMatrix, b, c, u) -> "LPInstance":
-        uu = tuple(None if x is None else Fraction(x) for x in u)
+        uu = tuple(None if x is None else as_fraction(x) for x in u)
         if any(x is not None and x < 0 for x in uu):
             raise BadParameters("upper bounds must be nonnegative")
         return cls(A=A, b=vec(b), c=vec(c), u=uu)
@@ -122,24 +125,32 @@ class LPResult(NamedTuple):
 
 
 class _Tableau:
-    """Fraction-free simplex tableau over the integers.
+    """Fraction-free simplex tableau over the integers, one denominator per row.
 
     Row i of the input, sign-flipped so that its right-hand side is >= 0, is
     scaled by the least positive integer s_i that clears its denominators,
-    and gets the artificial column n + i.  The tableau entry is T[r][k] / D
-    for one common denominator D > 0, the absolute value of the current
-    basis determinant; a pivot is one `ratmat.bareiss_step` per row, so
-    every entry stays an integer minor and an inexact division raises
-    InternalError.  The reduced costs of the current phase are one more
-    integer row, `reduced`, holding L * D times the reduced cost, where L
-    clears the denominators of the cost vector.
+    and gets the artificial column n + i.  Row r is stored as integers T[r]
+    over its own denominator den[r] > 0, and its tableau entries are
+    T[r][k] / den[r].  D > 0 is the absolute value of the current basis
+    determinant, and T[r] * D / den[r] is the integer Bareiss row at D.
+
+    A pivot on (r, j) with p = T[r][j] takes D to |p * D / den[r]|.  Each
+    other row that is nonzero in column j takes one `ratmat.bareiss_step`,
+    which gives its Bareiss row at the new D, and the new D becomes its
+    denominator; so every entry stays an integer minor and an inexact
+    division raises InternalError.  The pivot row keeps its integers over
+    |p|.  A row that is 0 in column j keeps its list and its denominator.  The reduced costs
+    of the current phase are one more such row, `reduced` over `red_den`,
+    holding L times the reduced cost, where L clears the denominators of the
+    cost vector.
 
     The scaling substitutes s_i * a_i for artificial a_i, so artificial i
     costs 1/s_i in phase 1.  Every reduced cost keeps its sign and every
-    ratio-test quotient keeps its order, so Bland's rule takes the same
-    pivots as it would over the unscaled rational tableau.  The column count
-    n is given, so an LP with no rows is a tableau with no rows: phase 1
-    ends at once and phase 2 prices every column.
+    ratio-test quotient keeps its order, since a row's denominator cancels
+    from T[r][-1] / T[r][j], so Bland's rule takes the same pivots as it
+    would over the unscaled rational tableau.  The column count n is given,
+    so an LP with no rows is a tableau with no rows: phase 1 ends at once
+    and phase 2 prices every column.
     """
 
     def __init__(self, rows: list[list[Fraction]], b: list[Fraction], n: int):
@@ -158,9 +169,11 @@ class _Tableau:
             self.T.append(ints[:-1] + art + ints[-1:])
             self.flip.append(sign)
             self.scale.append(s)
+        self.den = [1] * self.m
         self.D = 1
         self.costs: list[Fraction] = []
         self.reduced: list[int] | None = None
+        self.red_den = 1
         self.cost_scale = 1
         self.basis = [self.n + i for i in range(self.m)]
         self.pivots = 0
@@ -170,37 +183,55 @@ class _Tableau:
         return self.n + self.m
 
     def set_costs(self, costs: list[Fraction]):
-        """Install the reduced-cost row of `costs` for the current basis."""
+        """Install the reduced-cost row of `costs` for the current basis,
+        over the denominator D."""
         L = math.lcm(*(c.denominator for c in costs))
         C = [c.numerator * (L // c.denominator) for c in costs]
-        red = [self.D * v for v in C] + [0]
+        D = self.D
+        red = [D * v for v in C] + [0]
         for r, row in enumerate(self.T):
             cb = C[self.basis[r]]
             if cb:
+                # row * D / den[r], the Bareiss row: the f = 0 form of the step
+                row = bareiss_step(row, row, 0, D, self.den[r], 0)
                 red = [a - cb * x for a, x in zip(red, row)]
-        self.costs, self.reduced, self.cost_scale = list(costs), red, L
+        self.costs, self.reduced, self.red_den, self.cost_scale = list(costs), red, D, L
 
     def pivot(self, r: int, j: int):
-        prow = self.T[r]
-        p, D = prow[j], self.D
+        T, den, D = self.T, self.den, self.D
+        prow, dr = T[r], den[r]
+        p = prow[j]
+        ap, sign = abs(p), -1 if p < 0 else 1
+        new_D, rem = divmod(ap * D, dr)
+        if rem:
+            raise InternalError(f"inexact Bareiss pivot: {p} * {D} over {dr}")
         psum = sum(prow)
-        self.T = [
-            row if i == r else bareiss_step(row, prow, row[j], p, D, psum)
-            for i, row in enumerate(self.T)
-        ]
-        if self.reduced is not None:
-            self.reduced = bareiss_step(self.reduced, prow, self.reduced[j], p, D, psum)
+
+        def step(row, di):
+            # (p * row * D / di - f * prow * D / dr) / D, negated when p < 0
+            f = sign * row[j]
+            if dr == D:
+                return bareiss_step(row, prow, f, ap, di, psum)
+            if di == D:
+                return bareiss_step(row, prow, f, ap, dr, psum)
+            return bareiss_step(row, prow, f * D, ap * D, dr * di, psum)
+
+        for i, row in enumerate(T):
+            if row[j] and i != r:
+                T[i] = step(row, den[i])
+                den[i] = new_D
+        if self.reduced is not None and self.reduced[j]:
+            self.reduced = step(self.reduced, self.red_den)
+            self.red_den = new_D
         if p < 0:
-            self.T = [[-a for a in row] for row in self.T]
-            if self.reduced is not None:
-                self.reduced = [-a for a in self.reduced]
-            p = -p
-        self.D = p
+            T[r] = [-a for a in prow]
+        den[r] = ap
+        self.D = new_D
         self.basis[r] = j
         self.pivots += 1
 
     def objective(self) -> Fraction:
-        return Fraction(-self.reduced[-1], self.cost_scale * self.D)
+        return Fraction(-self.reduced[-1], self.cost_scale * self.red_den)
 
     def duals(self) -> list[Fraction]:
         """y with y_i = (c_B B^{-1})_i per original row, read off the cost row.
@@ -209,7 +240,7 @@ class _Tableau:
         cost of scaled artificial i is costs[n + i] - w_i / s_i, and
         y_i = flip_i * w_i.
         """
-        LD = self.cost_scale * self.D
+        LD = self.cost_scale * self.red_den
         n = self.n
         return [
             f * s * (c - Fraction(rc, LD))
@@ -270,6 +301,7 @@ class _Tableau:
                 col = next((j for j in order if self.T[r][j] != 0), None)
                 if col is None:
                     del self.T[r]
+                    del self.den[r]
                     del self.basis[r]
                     continue
                 self.pivot(r, col)
@@ -278,7 +310,7 @@ class _Tableau:
     def solution(self) -> list[Fraction]:
         x = [Fraction(0)] * self.width
         for r, row in enumerate(self.T):
-            x[self.basis[r]] = Fraction(row[-1], self.D)
+            x[self.basis[r]] = Fraction(row[-1], self.den[r])
         return x
 
 
@@ -319,7 +351,7 @@ def _solve_standard(rows, b, c, c2=None, start=None):
         ray = [Fraction(0)] * tab.width
         ray[enter] = Fraction(1)
         for r, row in enumerate(tab.T):
-            ray[tab.basis[r]] = Fraction(-row[enter], tab.D)
+            ray[tab.basis[r]] = Fraction(-row[enter], tab.den[r])
         return {"status": UNBOUNDED, "certificate": ray[: tab.n], "pivots": tab.pivots}
     x = tab.solution()
     return {

@@ -38,6 +38,7 @@ from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPInstance, solve
 from .ratmat import (
     RatMatrix,
     Vec,
+    as_fraction,
     neg_part,
     norm1,
     norm2_sq,
@@ -285,7 +286,7 @@ def fixing_sets_bounds(A, b, u, c1, c2, x1, y1) -> tuple[tuple[int, ...], tuple[
     n = A.cols
     if len(c1) != n or len(c2) != n or len(x1) != n or len(u) != n or len(y1) != A.rows:
         raise DimensionMismatch("vector length mismatch")
-    uv = tuple(None if ui is None else Fraction(ui) for ui in u)
+    uv = tuple(None if ui is None else as_fraction(ui) for ui in u)
     if A.matvec(x1) != b or any(v < 0 for v in x1):
         raise NotOptimalPair("x1 is not feasible")
     if any(uv[i] is not None and x1[i] > uv[i] for i in range(n)):
@@ -342,7 +343,7 @@ def apx_oracle(W: Subspace, d, c, epsilon, seed: int) -> ApxSolution:
     n = W.ambient_dim
     if len(d) != n or len(c) != n:
         raise DimensionMismatch("vector length mismatch")
-    epsilon = Fraction(epsilon)
+    epsilon = as_fraction(epsilon)
     if epsilon < 0:
         raise BadParameters("epsilon must be nonnegative")
     A = W.kernel_rep
@@ -427,7 +428,7 @@ def feasibility_simplified(W: Subspace, d, epsilon=None, seed: int = 0) -> Vec:
         raise DimensionMismatch("shift vector length mismatch")
     kappa_bar = W.measures.kappa_bar
     ceiling = Fraction(1, (kappa_bar + n) ** 3)
-    eps = ceiling if epsilon is None else Fraction(epsilon)
+    eps = ceiling if epsilon is None else as_fraction(epsilon)
     if eps < 0 or eps > ceiling:
         raise BadParameters(f"epsilon must lie in [0, {ceiling}]")
     return _feasibility_rec(W, d, eps, seed, 0, max(W.codim, 0))

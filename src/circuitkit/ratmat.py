@@ -378,11 +378,13 @@ def bareiss_step(row: list, prow: list, f: int, p: int, D: int, psum: int) -> li
     """(p * row - f * prow) / D, one fraction-free Edmonds-Bareiss row step.
 
     `prow` is the pivot row, p its pivot, f the entry of `row` in the pivot
-    column, D the previous pivot and psum = sum(prow).  Most entries are
-    zero in both rows and most rows have f = 0, so those skip the products.
-    Floor remainders all have the sign of D, so they vanish iff their sum
-    does: one comparison of row sums checks that every division is exact,
-    and an inexact step raises InternalError.
+    column and psum = sum(prow).  D is a divisor that must divide every
+    entry exactly: the previous pivot in plain Bareiss elimination, or the
+    row denominators of the simplex tableau (see `lp._Tableau`).  Most
+    entries are zero in both rows and most rows have f = 0, so those skip
+    the products.  Floor remainders all have the sign of D, so they vanish
+    iff their sum does: one comparison of row sums checks that every
+    division is exact, and an inexact step raises InternalError.
     """
     if f:
         out = [(p * a - f * b) // D if a or b else 0 for a, b in zip(row, prow)]

@@ -23,7 +23,7 @@ from circuitkit.lp import (
 )
 from circuitkit.ratmat import RatMatrix, vec, vec_dot
 from circuitkit.subspace import Subspace
-from util import box_region_is_unbounded, oracle_solve, random_int_matrix
+from util import _FractionTableau, box_region_is_unbounded, oracle_solve, random_int_matrix
 
 
 def simplex3():
@@ -66,6 +66,17 @@ def test_solve_unbounded_ray():
     assert lp.A.matvec(ray) == (0,)
     assert all(v >= 0 for v in ray)
     assert sum(ci * ri for ci, ri in zip(lp.c, ray)) < 0
+
+
+def test_a_float_upper_bound_is_a_type_error():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10: a float
+    # bound is refused like a float in b or c.
+    A = RatMatrix.from_rows([[1, 1]], cols=2)
+    with pytest.raises(TypeError):
+        LPInstance.bounded(A, [1], [0, 1], [0.1, None])
+    with pytest.raises(TypeError):
+        LPInstance.bounded(A, [1.0], [0, 1], [1, None])
+    assert LPInstance.bounded(A, [1], [0, 1], ["1/10", None]).u == (Fraction(1, 10), None)
 
 
 def test_bounded_form_hits_caps():
@@ -195,18 +206,52 @@ def lp_instances(draw):
     return LPInstance.standard(A, b, c)
 
 
-@given(lp_instances())
+@st.composite
+def nearest_point_instances(draw, max_k=3):
+    """Sparse LPs shaped like the nearest-point LP of `proximity` over
+    (x, r, s, w, tau): a few rows on x, then per coordinate i a deviation row
+    x_i - r_i + s_i = anchor_i and a cap row r_i + s_i + w_i - tau = 0.
+    Mostly zeros, fractional anchors and, half the time, some capped
+    columns, so that tableau rows keep different denominators.  At most
+    `max_k` coordinates, so at most 4 * max_k + 1 columns."""
+    k = draw(st.integers(1, max_k))
+    width = 4 * k + 1
+    rows, b = [], []
+    for _ in range(draw(st.integers(0, 2))):
+        coeffs = draw(st.lists(st.sampled_from([0, 0, 1, -1, 2, -3]), min_size=k, max_size=k))
+        rows.append(coeffs + [0] * (width - k))
+        b.append(draw(small_fracs))
+    anchor = draw(st.lists(small_fracs, min_size=k, max_size=k))
+    for i in range(k):
+        dev, cap = [0] * width, [0] * width
+        dev[i], dev[k + i], dev[2 * k + i] = 1, -1, 1
+        cap[k + i] = cap[2 * k + i] = cap[3 * k + i] = 1
+        cap[4 * k] = -1
+        rows += [dev, cap]
+        b += [anchor[i], 0]
+    tau_cost = [0] * (4 * k) + [1]
+    sparse_costs = st.sampled_from([0, 0, 0, 1, -1, Fraction(1, 2)])
+    c = draw(st.just(tau_cost) | st.lists(sparse_costs, min_size=width, max_size=width))
+    A = RatMatrix.from_rows(rows, cols=width)
+    if draw(st.booleans()):
+        cap = st.none() | st.none() | small_fracs.map(abs)
+        u = draw(st.lists(cap, min_size=width, max_size=width))
+        return LPInstance.bounded(A, b, c, u)
+    return LPInstance.standard(A, b, c)
+
+
+@given(lp_instances() | nearest_point_instances())
 @settings(max_examples=300, deadline=None)
 def test_integer_tableau_matches_fraction_simplex(lp):
     assert solve(lp) == oracle_solve(lp)
 
 
 @st.composite
-def tiebreak_instances(draw):
-    """An LP from lp_instances and a tie-break cost.  Half the time the LP
+def tiebreak_instances(draw, lps):
+    """An LP drawn from `lps` and a tie-break cost.  Half the time the LP
     is made feasible (b = A x0 with x0 within the bounds) with a sparse 0/1
     cost, so that its optimal face is more than a vertex."""
-    lp = draw(lp_instances())
+    lp = draw(lps)
     n = lp.n
     if draw(st.booleans()):
         x0 = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
@@ -217,7 +262,7 @@ def tiebreak_instances(draw):
     return lp, vec(draw(st.lists(small_fracs, min_size=n, max_size=n)))
 
 
-@given(tiebreak_instances())
+@given(tiebreak_instances(lp_instances()) | tiebreak_instances(nearest_point_instances()))
 @settings(max_examples=300, deadline=None)
 def test_tiebreak_matches_the_fraction_simplex_on_the_face_lp(inst):
     lp, c2 = inst
@@ -322,6 +367,56 @@ def test_inexact_bareiss_step_is_an_internal_error():
     tab.T[1][1] += 1  # no longer an integer minor, so the next step cannot divide
     with pytest.raises(InternalError):
         tab.pivot(1, 1)
+    # Rows over different denominators: row 1 is over D = 15 and the pivot
+    # row 0 over 3, so row 1's step divides by 3, which a raised entry breaks.
+    rows = [[3, 1, 0], [1, 2, 1], [0, 2, 5]]
+    tab = _Tableau([[Fraction(v) for v in r] for r in rows], [Fraction(1)] * 3, 3)
+    tab.pivot(0, 0)
+    tab.pivot(2, 2)
+    assert (tab.D, tab.den) == (15, [3, 15, 5])
+    tab.T[1][0] += 1
+    with pytest.raises(InternalError):
+        tab.pivot(0, 1)
+
+
+sparse_ints = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_pivot_rewrites_only_the_rows_nonzero_in_its_column(data):
+    # Integer rows need no scaling, so after any sequence of pivots the
+    # tableau reads, row by row over its own denominator, exactly the
+    # entries of the Fraction tableau; a row that is 0 in the pivot column
+    # is the same list over the same denominator, whatever the pivot.
+    m = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 5))
+    ints = st.lists(sparse_ints, min_size=n, max_size=n)
+    rows = [[Fraction(v) for v in data.draw(ints)] for _ in range(m)]
+    b = [Fraction(v) for v in data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))]
+    costs = [Fraction(v) for v in data.draw(st.lists(sparse_ints, min_size=n + m, max_size=n + m))]
+    tab = _Tableau(rows, b, n)
+    ref = _FractionTableau(rows, b)
+    tab.set_costs(costs)
+    for _ in range(data.draw(st.integers(1, 6))):
+        choices = [(r, j) for r in range(m) for j in range(n + m) if tab.T[r][j]]
+        if not choices:
+            break
+        r, j = data.draw(st.sampled_from(choices))
+        before = list(zip(tab.T, tab.den))
+        reduced, red_den = tab.reduced, tab.red_den
+        tab.pivot(r, j)
+        ref.pivot(r, j)
+        for i, (row, den) in enumerate(before):
+            if i != r and row[j] == 0:
+                assert tab.T[i] is row and tab.den[i] == den
+        if reduced[j] == 0:
+            assert tab.reduced is reduced and tab.red_den == red_den
+        assert all(den > 0 for den in tab.den)
+        for row, den, want in zip(tab.T, tab.den, ref.T):
+            assert [Fraction(a, den) for a in row] == want
+        got = [Fraction(a, tab.red_den) for a in tab.reduced]
+        assert got == ref.reduced_costs(costs) + [-ref.objective(costs)]
 
 
 def _check_dual_certificate(lp, res):
@@ -347,17 +442,23 @@ def _unique_optimum(lp, res, c2):
     return sum((vec_dot(lp.c, v), vec_dot(c2, v)) == key for v, _ in vertices(lp)) == 1
 
 
-@given(tiebreak_instances(), st.lists(st.integers(0, 3), min_size=6, max_size=6))
+@given(
+    # two coordinates at most: the uniqueness check enumerates every basis
+    tiebreak_instances(lp_instances()) | tiebreak_instances(nearest_point_instances(max_k=2)),
+    st.lists(st.integers(0, 3), min_size=9, max_size=9),
+)
 @settings(max_examples=300, deadline=None)
 def test_a_solve_from_a_vertex_matches_the_cold_solve(inst, c0):
     # The start is the optimum of another cost c0 >= 0 (never unbounded); the
-    # cold solve is the oracle for status, objective and tie-break value.
+    # cold solve is the oracle for status, objective and tie-break value, and
+    # the Fraction simplex from the same start for the whole result.
     lp, c2 = inst
     seed = solve(LPInstance(lp.A, lp.b, vec(c0[: lp.n]), lp.u))
     if seed.status != OPTIMAL:
         return
     cold = solve(lp, tiebreak=c2)
     warm = solve(lp, tiebreak=c2, start=seed.x)
+    assert warm == oracle_solve(lp, tiebreak=c2, start=seed.x)
     assert warm.status == cold.status
     if warm.status == UNBOUNDED:
         ray = warm.certificate

@@ -145,6 +145,22 @@ def test_fixing_sets_far_costs_fix_nothing():
     assert R0 == () and Ru == ()
 
 
+def test_float_bounds_and_epsilons_are_type_errors():
+    # A float is not exact: Fraction(0.1) would silently be
+    # 3602879701896397/36028797018963968, so it is refused like a float in b or c.
+    A = RatMatrix.from_rows([[1, 1]], cols=2)
+    b, c = vec([1]), vec([0, 1])
+    res = solve(LPInstance.bounded(A, b, c, [1, 1]))
+    with pytest.raises(TypeError):
+        fixing_sets_bounds(A, b, [1.5, None], c, c, res.x, res.y)
+    W, d = seeded_subspace_and_shift(0)
+    with pytest.raises(TypeError):
+        apx_oracle(W, d, [0] * W.ambient_dim, 0.01, 0)
+    with pytest.raises(TypeError):
+        feasibility_simplified(W, d, epsilon=1e-6)
+    assert feasibility_simplified(W, d, epsilon="0") == feasibility_simplified(W, d, epsilon=0)
+
+
 def test_apx_oracle_constraints():
     for seed in range(12):
         W, d = seeded_subspace_and_shift(seed, n=4, m=2)

@@ -345,11 +345,21 @@ class _FractionTableau:
                 return lpmod.UNBOUNDED, enter
             self.pivot(min(cands)[2], enter)
 
-    def drive_out_artificials(self):
+    def install(self, x):
+        """Pivot each support column of the vertex x, in ascending order, into
+        the first row whose basic is still artificial and nonzero there."""
+        for j, v in enumerate(x):
+            if v:
+                r = next(
+                    r for r, row in enumerate(self.T) if self.basis[r] >= self.n and row[j] != 0
+                )
+                self.pivot(r, j)
+
+    def drive_out_artificials(self, order):
         r = 0
         while r < len(self.T):
             if self.basis[r] >= self.n:
-                col = next((j for j in range(self.n) if self.T[r][j] != 0), None)
+                col = next((j for j in order if self.T[r][j] != 0), None)
                 if col is None:
                     del self.T[r]
                     del self.basis[r]
@@ -358,8 +368,11 @@ class _FractionTableau:
             r += 1
 
 
-def fraction_simplex(rows, b, c, c2=None):
+def fraction_simplex(rows, b, c, c2=None, start=None):
     """Two-phase Bland simplex over Fractions, same contract as lp._solve_standard.
+
+    With a vertex `start`, its support is installed in place of phase 1 and
+    the rows still on an artificial take their highest nonzero column.
 
     With no rows, x = 0 is the only basic point: the first column of
     negative cost, or else the first of cost 0 with negative c2, is a ray."""
@@ -381,13 +394,18 @@ def fraction_simplex(rows, b, c, c2=None):
             "pivots": 0,
         }
     tab = _FractionTableau(rows, b)
-    phase1 = [Fraction(0)] * tab.n + [Fraction(1)] * tab.m
-    status, _ = tab.run(phase1, range(tab.width))
-    if status != lpmod.OPTIMAL:
-        raise AssertionError("phase 1 cannot be unbounded")
-    if tab.objective(phase1) > 0:
-        return {"status": lpmod.INFEASIBLE, "certificate": tab.duals(phase1), "pivots": tab.pivots}
-    tab.drive_out_artificials()
+    if start is None:
+        phase1 = [Fraction(0)] * tab.n + [Fraction(1)] * tab.m
+        status, _ = tab.run(phase1, range(tab.width))
+        if status != lpmod.OPTIMAL:
+            raise AssertionError("phase 1 cannot be unbounded")
+        if tab.objective(phase1) > 0:
+            certificate = tab.duals(phase1)
+            return {"status": lpmod.INFEASIBLE, "certificate": certificate, "pivots": tab.pivots}
+        tab.drive_out_artificials(range(tab.n))
+    else:
+        tab.install(start)
+        tab.drive_out_artificials(range(tab.n - 1, -1, -1))
     costs = list(c) + [Fraction(0)] * tab.m
     status, enter = tab.run(costs, range(tab.n))
     objective, y = tab.objective(costs), tab.duals(costs)
@@ -414,11 +432,12 @@ def fraction_simplex(rows, b, c, c2=None):
     }
 
 
-def oracle_solve(lp, tiebreak=None):
+def oracle_solve(lp, tiebreak=None, start=None):
     """lp.solve with the Fraction simplex above in place of the integer tableau."""
     rows, b, c, _, bounded_idx = lp.standardized()
     c2 = None if tiebreak is None else list(vec(tiebreak)) + [Fraction(0)] * (len(c) - lp.n)
-    return lpmod._result(lp, bounded_idx, fraction_simplex(rows, b, c, c2))
+    x0 = None if start is None else list(start) + [lp.u[i] - start[i] for i in bounded_idx]
+    return lpmod._result(lp, bounded_idx, fraction_simplex(rows, b, c, c2, x0))
 
 
 def box_region_is_unbounded(lp):
