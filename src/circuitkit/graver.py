@@ -8,11 +8,11 @@ checker searches decompositions fewest-terms-first so a Holds verdict is a
 minimal certificate and a Violated verdict is a real finding.
 
 The box scan, its minimality filter, the conjecture search and the
-appendix scan run on Python ints: lattice combinations are carried down
+appendix search run on Python ints: lattice combinations are carried down
 the scan, the filter tests candidates in 1-norm order against the minimal
 elements kept so far, the search holds kappa_dot times the remainder, and
-the appendix forms v^T A from int rows.  Fractions are built only for the
-results.
+the appendix solves for v2 from the divisors of kappa_dot and forms v^T A
+from int rows.  Fractions are built only for the results.
 """
 
 from __future__ import annotations
@@ -429,6 +429,32 @@ _COUNTEREXAMPLE_PAIRS = (
 )
 
 
+def _appendix_qualifiers(cols, kd: int) -> set:
+    """Every integer v = (v1, v2) != 0 with each nonzero entry of v^T A
+    dividing kd, for the 2-row matrix A with columns `cols`.
+
+    Column 1 of A is (1, 0), so that entry is v1 itself: 0 or a signed
+    divisor of kd.  Column 2 is (a, c) = (3, 13), and its entry
+    e = a v1 + c v2 must be 0 or a signed divisor of kd too, so
+    v2 = (e - a v1) / c for one such e, when that is an integer: 73 x 73
+    candidate pairs, where a scan of every v2 with |e| <= kd visits about
+    98,000 for the same qualifiers.
+    """
+    a, c = cols[1]
+    divisors = [d for d in range(1, kd + 1) if kd % d == 0]
+    entries = [0] + [s * d for d in divisors for s in (1, -1)]
+    found = set()
+    for v1 in entries:
+        for e2 in entries:
+            v2, rem = divmod(e2 - a * v1, c)
+            if rem or (v1 == 0 and v2 == 0):
+                continue
+            # kd % e == 0 iff the nonzero integer e divides kd, of either sign
+            if all(e == 0 or kd % e == 0 for e in (v1 * a0 + v2 * a1 for a0, a1 in cols)):
+                found.add((v1, v2))
+    return found
+
+
 def appendix_counterexample() -> AppendixReport:
     """Reproduce the three computational legs of the 5850 counterexample.
 
@@ -443,25 +469,12 @@ def appendix_counterexample() -> AppendixReport:
     if kd != _COUNTEREXAMPLE_KD:
         raise AuditFailure("appendix-kappa-dot", detail=f"enumerated {kd}")
 
-    # Column 1 of v^T A is exactly v1, so a qualifying v1 is 0 or a (signed)
-    # divisor of 5850.  Column 2 is 3 v1 + 13 v2; when nonzero its absolute
-    # value is at most 5850, which pins v2 to a finite window for each v1.
     # Only primitive v matter: scaling a row of the combination matrix up by
     # an integer scales the corresponding inverse column down, which keeps a
     # non-1/5850-integral inverse non-integral.  Non-primitive qualifiers do
     # occur and must all be multiples of the primitive ones.
     cols = [(int(A.entry(0, j)), int(A.entry(1, j))) for j in range(4)]
-    divisors = [d for d in range(1, kd + 1) if kd % d == 0]
-    v1_range = [0] + [s * d for d in divisors for s in (1, -1)]
-    found = set()
-    for v1 in v1_range:
-        # ceil((-kd - 3 v1) / 13) and floor((kd - 3 v1) / 13)
-        for v2 in range(-((kd + 3 * v1) // 13), (kd - 3 * v1) // 13 + 1):
-            if v1 == 0 and v2 == 0:
-                continue
-            # kd % e == 0 iff the nonzero integer e divides kd, of either sign
-            if all(e == 0 or kd % e == 0 for e in (v1 * a0 + v2 * a1 for a0, a1 in cols)):
-                found.add((v1, v2))
+    found = _appendix_qualifiers(cols, kd)
     primitive = {v for v in found if gcd(abs(v[0]), abs(v[1])) == 1}
     canonical = set()
     for v in primitive:

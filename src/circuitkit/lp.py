@@ -1,20 +1,21 @@
 """Exact rational linear programming.
 
 Two-phase primal simplex with Bland's rule on a fraction-free integer
-tableau: rows are scaled to integers once, each row is kept over its own
-positive denominator, and the reduced costs are carried as one more row.  A
-pivot is an Edmonds-Bareiss step on the rows that are nonzero in the pivot
-column only; every other row keeps its integers and its denominator.  The
-pivots are exactly those of Bland's rule on the rational tableau, so x, y,
-bases and certificates are the same; they become Fractions only when the
-result is read off.  A tie-break cost adds a third, lexicographic stage on
-the optimal face.  A caller that already holds a vertex of the region
-passes it as `start`: its support is pivoted into the basis, the tableau
-must read back exactly that vertex, and phase 2 begins there with no phase
-1.  Instances come in three flavors:
-standard form (min cx, Ax = b, x >= 0), upper-bounded standard form
-(0 <= x <= u, with None entries meaning unbounded), and the affine-subspace
-form (x in W + d, x >= 0) which standardizes immediately.
+tableau: rows are scaled to integers once, from one integer ratio per
+entry, each row is kept over its own positive denominator, and the reduced
+costs are carried as one more row.  A pivot is an Edmonds-Bareiss step on
+the rows that are nonzero in the pivot column only; every other row keeps
+its integers and its denominator.  The pivots are exactly those of Bland's
+rule on the rational tableau, so x, y, bases and certificates are the same;
+they become Fractions only when the result is read off, each built once
+from integers.  A tie-break cost adds a third, lexicographic stage on the
+optimal face.  A caller that already holds a vertex of the region passes
+it as `start`: its support is pivoted into the basis, the tableau must read
+back exactly that vertex, and phase 2 begins there with no phase 1.
+Instances come in three flavors: standard form (min cx, Ax = b, x >= 0),
+upper-bounded standard form (0 <= x <= u, with None entries meaning
+unbounded), and the affine-subspace form (x in W + d, x >= 0) which
+standardizes immediately.
 
 Vertex enumeration, the vertex-edge graph, and fractionality (the lcm of
 vertex denominators) run over the standardized system and are exact.
@@ -129,20 +130,23 @@ class _Tableau:
 
     Row i of the input, sign-flipped so that its right-hand side is >= 0, is
     scaled by the least positive integer s_i that clears its denominators,
-    and gets the artificial column n + i.  Row r is stored as integers T[r]
-    over its own denominator den[r] > 0, and its tableau entries are
-    T[r][k] / den[r].  D > 0 is the absolute value of the current basis
-    determinant, and T[r] * D / den[r] is the integer Bareiss row at D.
+    and gets the artificial column n + i.  Each entry is read once, as its
+    integer ratio (p, d), and becomes p * (sign * s_i // d); a zero entry
+    stays the int 0.  Row r is stored as integers T[r] over its own
+    denominator den[r] > 0, and its tableau entries are T[r][k] / den[r].
+    D > 0 is the absolute value of the current basis determinant, and
+    T[r] * D / den[r] is the integer Bareiss row at D.
 
     A pivot on (r, j) with p = T[r][j] takes D to |p * D / den[r]|.  Each
     other row that is nonzero in column j takes one `ratmat.bareiss_step`,
     which gives its Bareiss row at the new D, and the new D becomes its
     denominator; so every entry stays an integer minor and an inexact
     division raises InternalError.  The pivot row keeps its integers over
-    |p|.  A row that is 0 in column j keeps its list and its denominator.  The reduced costs
-    of the current phase are one more such row, `reduced` over `red_den`,
-    holding L times the reduced cost, where L clears the denominators of the
-    cost vector.
+    |p|.  A row that is 0 in column j keeps its list and its denominator.
+    The reduced costs of the current phase are one more such row, `reduced`
+    over `red_den`, holding L times the reduced cost, where L clears the
+    denominators of the cost vector; its integers are read from the costs
+    as the rows are, one integer ratio per entry.
 
     The scaling substitutes s_i * a_i for artificial a_i, so artificial i
     costs 1/s_i in phase 1.  Every reduced cost keeps its sign and every
@@ -154,19 +158,24 @@ class _Tableau:
     """
 
     def __init__(self, rows: list[list[Fraction]], b: list[Fraction], n: int):
-        self.m = len(rows)
+        self.m = m = len(rows)
         self.n = n
         self.flip: list[int] = []
         self.scale: list[int] = []
         self.T: list[list[int]] = []
-        for i in range(self.m):
-            row = list(rows[i]) + [b[i]]
-            sign = -1 if b[i] < 0 else 1
-            s = math.lcm(*(x.denominator for x in row))
-            ints = [sign * x.numerator * (s // x.denominator) for x in row]
-            art = [0] * self.m
-            art[i] = 1
-            self.T.append(ints[:-1] + art + ints[-1:])
+        for i in range(m):
+            # one integer ratio per entry; the row's sign rides on its scale
+            pairs = [x.as_integer_ratio() for x in rows[i]]
+            pairs.append(b[i].as_integer_ratio())
+            s = math.lcm(*[d for _, d in pairs])
+            sign = -1 if pairs[-1][0] < 0 else 1
+            q = sign * s
+            ints = [p * (q // d) if p else 0 for p, d in pairs]
+            rhs = ints.pop()
+            ints += [0] * m
+            ints[n + i] = 1
+            ints.append(rhs)
+            self.T.append(ints)
             self.flip.append(sign)
             self.scale.append(s)
         self.den = [1] * self.m
@@ -185,8 +194,9 @@ class _Tableau:
     def set_costs(self, costs: list[Fraction]):
         """Install the reduced-cost row of `costs` for the current basis,
         over the denominator D."""
-        L = math.lcm(*(c.denominator for c in costs))
-        C = [c.numerator * (L // c.denominator) for c in costs]
+        pairs = [c.as_integer_ratio() for c in costs]
+        L = math.lcm(*[d for _, d in pairs])
+        C = [p * (L // d) if p else 0 for p, d in pairs]
         D = self.D
         red = [D * v for v in C] + [0]
         for r, row in enumerate(self.T):
@@ -238,14 +248,18 @@ class _Tableau:
 
         With w = c_B B^{-1} over the sign-flipped, unscaled rows, the reduced
         cost of scaled artificial i is costs[n + i] - w_i / s_i, and
-        y_i = flip_i * w_i.
+        y_i = flip_i * w_i.  The cost row holds rc = LD times that reduced
+        cost, LD = L * red_den, so with costs[n + i] = c_num / c_den each
+        y_i is the one Fraction flip_i * s_i * (c_num * LD - rc * c_den)
+        over c_den * LD.
         """
         LD = self.cost_scale * self.red_den
         n = self.n
-        return [
-            f * s * (c - Fraction(rc, LD))
-            for f, s, c, rc in zip(self.flip, self.scale, self.costs[n:], self.reduced[n:])
-        ]
+        y = []
+        for f, s, c, rc in zip(self.flip, self.scale, self.costs[n:], self.reduced[n:]):
+            c_num, c_den = c.as_integer_ratio()
+            y.append(Fraction(f * s * (c_num * LD - rc * c_den), c_den * LD))
+        return y
 
     def run(self, cols):
         """Bland iterations over the ascending columns `cols` to optimality

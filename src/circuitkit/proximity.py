@@ -106,21 +106,24 @@ def _nearest_point(rows, b, anchor, vertex):
     coordinates, each deviation row then fixes r_i or s_i, the cap row of
     largest deviation fixes tau and the other cap rows fix w_i.  The region
     is therefore nonempty, so a result that is not optimal is an
-    InternalError, as is a point failing its re-verification.
+    InternalError, as is a point failing its re-verification.  `rows`, each
+    n wide, `b` and `anchor` hold Fractions, as the callers' vectors do.
     """
     n = len(anchor)
     width = 4 * n + 1
-    # Fraction entries with one shared zero: RatMatrix.from_rows passes a
-    # Fraction through but builds one per int, and these rows are mostly zeros.
+    # Every row below is Fractions and `width` wide by construction, so the
+    # matrix is built without the per-entry pass of RatMatrix.from_rows;
+    # the padding is one shared zero.
     zero, one = Fraction(0), Fraction(1)
-    ext_rows = [[Fraction(v) for v in row] + [zero] * (width - len(row)) for row in rows]
+    pad = (zero,) * (width - n)
+    ext_rows = [(*row, *pad) for row in rows]
     ext_b = list(b)
     for i in range(n):
         dev, cap = [zero] * width, [zero] * width
         dev[i], dev[n + i], dev[2 * n + i] = one, -one, one
         cap[n + i] = cap[2 * n + i] = cap[3 * n + i] = one
         cap[4 * n] = -one
-        ext_rows += [dev, cap]
+        ext_rows += [tuple(dev), tuple(cap)]
         ext_b += [anchor[i], zero]
     tau_cost = [zero] * (4 * n) + [one]
     l1_cost = [zero] * n + [one] * (2 * n) + [zero] * (n + 1)
@@ -133,7 +136,7 @@ def _nearest_point(rows, b, anchor, vertex):
         *(top - abs(v) for v in dev),
         top,
     ]
-    lp = LPInstance.standard(RatMatrix.from_rows(ext_rows, cols=width), ext_b, tau_cost)
+    lp = LPInstance.standard(RatMatrix(data=tuple(ext_rows), cols=width), ext_b, tau_cost)
     res = solve(lp, tiebreak=l1_cost, start=start)
     if res.status != OPTIMAL:
         raise InternalError(f"nearest-point LP of a nonempty region is {res.status}")
@@ -167,8 +170,8 @@ def _nearest_optimum(W: Subspace, d: Vec, c, anchor: Vec):
     if res.status != OPTIMAL:
         raise InternalError("LP(W, d, c) with c >= 0 is unbounded")
     if c is None:
-        return _nearest_point(list(A.data), list(b), anchor, res.x)
-    return _nearest_point(list(A.data) + [list(c)], list(b) + [res.objective], anchor, res.x)
+        return _nearest_point(A.data, b, anchor, res.x)
+    return _nearest_point((*A.data, c), (*b, res.objective), anchor, res.x)
 
 
 def hoffman_feasibility_witness(W: Subspace, d) -> ProximityWitness:

@@ -225,9 +225,16 @@ def _enumerate_circuits(W: Subspace) -> tuple:
     it is I + e itself exactly when no entry on I is zero.  A circuit C is
     found only from I = C minus its largest element, so each is found
     once.  The subtree under I only reads columns after max(I), so each
-    tableau keeps those alone.  There are at most 2^n sets, n within the
-    desk-scale cap, and the recursion is at most rank A deep.  An inexact
-    division raises InternalError.
+    tableau keeps those alone.
+
+    A subtree is cut when some pivoted row is 0 on every tail column.  Its
+    element of I is then a coloop of I plus the tail: a step keeps that row
+    0 there (its entry in each later pivot column is 0), so every kernel
+    line below reads 0 at that element and no circuit holding all of I is
+    found.  The cut skips only subtrees that find nothing, so the circuits
+    are exactly those of the uncut growth.  There are at most 2^n sets, n
+    within the desk-scale cap, and the recursion is at most rank A deep.
+    An inexact division raises InternalError.
     """
     n = W.ambient_dim
     check_desk_scale(n, "circuit enumeration")
@@ -237,6 +244,8 @@ def _enumerate_circuits(W: Subspace) -> tuple:
     def grow(I: tuple, pivoted: list, rest: list, D: int, start: int):
         # pivoted: the rows holding a pivot, in the order of I; rest: the
         # others.  Both hold the columns start..n-1 only.
+        if not all(map(any, pivoted)):
+            return  # an element of I is a coloop of I + tail: no circuit below
         for k in range(n - start):
             e = start + k
             row = next((row for row in rest if row[k]), None)

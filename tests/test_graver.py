@@ -19,6 +19,7 @@ from circuitkit.generate import (
 from circuitkit.graver import (
     _BOX_LIMIT,
     COUNTEREXAMPLE_MATRIX,
+    _appendix_qualifiers,
     _integer_kernel_basis,
     appendix_counterexample,
     conjecture_decompose,
@@ -35,6 +36,7 @@ from util import (
     fraction_conjecture_decompose,
     graver_box,
     oracle_graver_basis,
+    window_appendix_qualifiers,
 )
 
 
@@ -251,3 +253,13 @@ def test_conjecture_decompose_matches_the_fraction_oracle(data):
 
 def test_appendix_matches_the_fraction_oracle():
     assert appendix_counterexample() == fraction_appendix_counterexample()
+
+
+@pytest.mark.parametrize("kd", [5850, 1, 13, 60, 390, 2 * 3 * 5 * 7 * 13])
+def test_the_divisor_search_finds_the_window_scan_qualifiers(kd):
+    A = COUNTEREXAMPLE_MATRIX
+    cols = [(int(A.entry(0, j)), int(A.entry(1, j))) for j in range(4)]
+    found = _appendix_qualifiers(cols, kd)
+    assert found == window_appendix_qualifiers(A, kd)
+    if kd == 5850:
+        assert len(found) == 16

@@ -23,7 +23,14 @@ from circuitkit.lp import (
 )
 from circuitkit.ratmat import RatMatrix, vec, vec_dot
 from circuitkit.subspace import Subspace
-from util import _FractionTableau, box_region_is_unbounded, oracle_solve, random_int_matrix
+from util import (
+    _FractionTableau,
+    box_region_is_unbounded,
+    oracle_solve,
+    per_entry_tableau,
+    random_int_matrix,
+    three_op_duals,
+)
 
 
 def simplex3():
@@ -417,6 +424,55 @@ def test_a_pivot_rewrites_only_the_rows_nonzero_in_its_column(data):
             assert [Fraction(a, den) for a in row] == want
         got = [Fraction(a, tab.red_den) for a in tab.reduced]
         assert got == ref.reduced_costs(costs) + [-ref.objective(costs)]
+
+
+@given(lp_instances() | nearest_point_instances())
+@settings(max_examples=300, deadline=None)
+def test_the_tableau_starts_as_the_per_entry_construction(lp):
+    # zeros, negative right-hand sides and mixed denominators, as drawn
+    rows, b, c, _, _ = lp.standardized()
+    tab = _Tableau(rows, b, len(c))
+    assert (tab.T, tab.den, tab.scale, tab.flip) == per_entry_tableau(rows, b)
+    assert all(type(a) is int for row in tab.T for a in row)
+
+
+def _duals_where_read(lp):
+    """(where, duals, three-operation duals) at each point `_solve_standard`
+    reads duals: the end of an infeasible phase 1 ("certificate"), else a
+    phase-2 optimum ("optimum"), if there is one."""
+    rows, b, c, _, _ = lp.standardized()
+    tab = _Tableau(rows, b, len(c))
+    tab.set_costs([Fraction(0)] * tab.n + [Fraction(1, s) for s in tab.scale])
+    assert tab.run(range(tab.width))[0] == OPTIMAL
+    if tab.objective() > 0:
+        return [("certificate", tab.duals(), three_op_duals(tab))]
+    tab.reduced = None
+    tab.drive_out_artificials(range(tab.n))
+    tab.set_costs(list(c) + [Fraction(0)] * tab.m)
+    if tab.run(range(tab.n))[0] != OPTIMAL:
+        return []
+    return [("optimum", tab.duals(), three_op_duals(tab))]
+
+
+@pytest.mark.parametrize(
+    "rows, b, c, where",
+    [
+        # an inconsistent copy of a row: the duals are a Farkas certificate
+        ([[1, 1, 0], [2, 2, 0]], [1, 3], [0, 0, 0], "certificate"),
+        ([["1/2", "-1/3", 1], ["2/5", 1, "-3/4"]], ["-1/2", "7/3"], [1, "1/2", -1], "optimum"),
+    ],
+)
+def test_duals_match_the_three_operation_formula(rows, b, c, where):
+    lp = LPInstance.standard(RatMatrix.from_rows(rows, cols=len(c)), b, c)
+    [(got_where, y, want)] = _duals_where_read(lp)
+    assert (got_where, y) == (where, want)
+
+
+@given(lp_instances() | nearest_point_instances())
+@settings(max_examples=200, deadline=None)
+def test_duals_match_the_three_operation_formula_on_random_lps(lp):
+    for _, y, want in _duals_where_read(lp):
+        assert y == want
 
 
 def _check_dual_certificate(lp, res):

@@ -20,6 +20,8 @@ from circuitkit.subspace import (
     minor,
 )
 from circuitkit import subspace
+from circuitkit.generate import GeneratorSpec, generate
+import util
 from util import (
     brute_circuits,
     fraction_enumerate_circuits,
@@ -27,6 +29,7 @@ from util import (
     int_enumerate_circuits,
     random_int_matrix,
     rational_matrices,
+    unpruned_enumerate_circuits,
 )
 
 
@@ -271,3 +274,52 @@ def test_components_of_a_wide_block_diagonal_matrix_enumerate_nothing(monkeypatc
     assert is_separable(W)
     assert components(W) == tuple(tuple(range(5 * b, 5 * b + 5)) for b in range(4))
     assert calls == []
+
+
+@st.composite
+def sparse_int_matrices(draw):
+    """1-6 x 2-11 integer matrices, about two entries in three zero, so that
+    many independent sets have a coloop in their tail."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(2, 11))
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3])
+    rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    if not any(any(row) for row in rows):
+        rows[0][0] = 1
+    return RatMatrix.from_rows(rows, cols=n)
+
+
+def flow_matrices(sizes):
+    """The constraint matrices of the `flow` family's LPs with `sizes` nodes."""
+    return st.builds(
+        lambda size, seed: generate(GeneratorSpec("flow", size=size, seed=seed)).A,
+        st.sampled_from(sizes),
+        st.integers(0, 10**6),
+    )
+
+
+@given(sparse_int_matrices() | flow_matrices([3, 4, 5, 6, 7]))
+@settings(max_examples=200, deadline=None)
+def test_the_coloop_cut_keeps_every_circuit(A):
+    W = Subspace.from_kernel_matrix(A)
+    assert _enumerate_circuits(W) == unpruned_enumerate_circuits(W)
+
+
+def test_the_coloop_cut_takes_fewer_steps_on_a_flow(monkeypatch):
+    # The 9-node flow LP (9 x 12) has few circuits and many independent
+    # sets whose subtrees hold none.
+    W = Subspace.from_kernel_matrix(generate(GeneratorSpec("flow", size=9, seed=1)).A)
+    calls = []
+    step = subspace.bareiss_step
+
+    def counted(*args):
+        calls.append(None)
+        return step(*args)
+
+    monkeypatch.setattr(subspace, "bareiss_step", counted)
+    monkeypatch.setattr(util, "bareiss_step", counted)
+    cut = _enumerate_circuits(W)
+    cut_steps = len(calls)
+    calls.clear()
+    assert cut == unpruned_enumerate_circuits(W)
+    assert 0 < cut_steps < len(calls) // 2

@@ -3,20 +3,21 @@
 Everything here is deliberately naive: cofactor determinants, support-set
 circuit search, augmenting-path max flow, a Fraction simplex tableau that
 recomputes every reduced cost on every iteration, and the slower forms of
-what the package runs faster: the RREF over Fractions, the circuit
+what the package runs faster: the simplex tableau built and its duals read
+with per-entry Fraction arithmetic, the RREF over Fractions, the circuit
 enumeration support by support (over Fractions, and over ints with
-`int_kernel_line`), the imbalance scan, the kappa_star bitmask DP over
-simple paths (over Fractions and over ints) that Karp's algorithm
-replaced, the Graver box scan and its minimality filter, the
-decomposition search, the appendix scan, the nearest point as two
-separate simplex solves, the steepness eps(x) as its dual LP, the
-recession test as a box LP, the greedy basis by one rank per column, the
-basis forms by determinant, inverse and product, and the components of
-the circuit hypergraph.  Slow is fine, different is the point.  The
-routines at the end are ones no verb runs, kept here as oracles: the
-brute-force unimodularity scan, the basis-form route to kappa, the pair
-estimates and rescaled-TU decision built on them, and the CSV readers that
-check what the CSV writers emit.
+`int_kernel_line`) and as the independent-set growth without its coloop
+cut, the imbalance scan, the kappa_star bitmask DP over simple paths (over
+Fractions and over ints) that Karp's algorithm replaced, the Graver box
+scan and its minimality filter, the decomposition search, the appendix
+window scan, the nearest point as two separate simplex solves, the
+steepness eps(x) as its dual LP, the recession test as a box LP, the
+greedy basis by one rank per column, the basis forms by determinant,
+inverse and product, and the components of the circuit hypergraph.  Slow
+is fine, different is the point.  The routines at the end are ones no verb
+runs, kept here as oracles: the brute-force unimodularity scan, the
+basis-form route to kappa, the pair estimates and rescaled-TU decision
+built on them, and the CSV readers that check what the CSV writers emit.
 """
 
 import csv
@@ -44,6 +45,7 @@ from circuitkit.errors import (
 from circuitkit.ratmat import (
     RatMatrix,
     bareiss_det,
+    bareiss_step,
     bases,
     basis_form,
     check_desk_scale,
@@ -280,6 +282,35 @@ def small_int_matrices(draw):
     n = draw(st.integers(4, 6))
     rows = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(m)]
     return RatMatrix.from_rows(rows, cols=n)
+
+
+def per_entry_tableau(rows, b):
+    """`lp._Tableau`'s starting state (T, den, scale, flip) built as it
+    first was: the row sign, the scale and each integer entry from three
+    Fraction property reads per entry, and a dense artificial block."""
+    m = len(rows)
+    T, scale, flip = [], [], []
+    for i in range(m):
+        row = list(rows[i]) + [b[i]]
+        sign = -1 if b[i] < 0 else 1
+        s = lcm(*(x.denominator for x in row))
+        ints = [sign * x.numerator * (s // x.denominator) for x in row]
+        art = [0] * m
+        art[i] = 1
+        T.append(ints[:-1] + art + ints[-1:])
+        flip.append(sign)
+        scale.append(s)
+    return T, [1] * m, scale, flip
+
+
+def three_op_duals(tab):
+    """`lp._Tableau.duals` as f * s * (c - rc / LD) per row: a Fraction
+    division, subtraction and two products for each dual."""
+    LD = tab.cost_scale * tab.red_den
+    return [
+        f * s * (c - Fraction(rc, LD))
+        for f, s, c, rc in zip(tab.flip, tab.scale, tab.costs[tab.n:], tab.reduced[tab.n:])
+    ]
 
 
 class _FractionTableau:
@@ -572,6 +603,54 @@ def fraction_enumerate_circuits(W):
             ints, _ = integer_normalize(full)
             found.append(ElementaryVector(support=tuple(S), vector=ints))
             found_supports.append(sset)
+    return tuple(found)
+
+
+def unpruned_enumerate_circuits(W):
+    """`subspace._enumerate_circuits` without its coloop cut (and without
+    its kernel-line audit): the depth-first growth visits every independent
+    set, including those whose subtree holds no circuit."""
+    n = W.ambient_dim
+    check_desk_scale(n, "circuit enumeration")
+    int_rows = [integer_normalize(row)[0] for row in W.kernel_rep.data]
+    found = []
+
+    def grow(I, pivoted, rest, D, start):
+        for k in range(n - start):
+            e = start + k
+            row = next((row for row in rest if row[k]), None)
+            if row is None:
+                v = [-prow[k] for prow in pivoted]
+                if 0 in v:
+                    continue
+                v.append(D)
+                S = I + (e,)
+                g = gcd(*v)
+                if v[0] < 0:
+                    g = -g
+                full = [0] * n
+                for j, x in zip(S, v):
+                    full[j] = x // g
+                found.append(ElementaryVector(support=S, vector=tuple(full)))
+                continue
+            prow = row if row[k] > 0 else [-a for a in row]
+            p = prow[k]
+            tail = prow[k + 1 :]
+            tsum = sum(tail)
+
+            def eliminate(old):
+                return bareiss_step(old[k + 1 :], tail, old[k], p, D, tsum)
+
+            grow(
+                I + (e,),
+                [eliminate(old) for old in pivoted] + [tail],
+                [eliminate(old) for old in rest if old is not row],
+                p,
+                e + 1,
+            )
+
+    grow((), [], int_rows, 1, 0)
+    found.sort(key=lambda ev: (len(ev.support), ev.support))
     return tuple(found)
 
 
@@ -906,11 +985,10 @@ def fraction_conjecture_decompose(W, z):
                             searched=searched)
 
 
-def fraction_appendix_counterexample():
-    """`graver.appendix_counterexample` with every entry of v^T A formed from
-    the Fraction entries of the matrix."""
-    A = gmod.COUNTEREXAMPLE_MATRIX
-    kd = Subspace.from_kernel_matrix(A).measures.kappa_dot
+def window_appendix_qualifiers(A, kd):
+    """`graver._appendix_qualifiers` by scanning, for each v1 that is 0 or a
+    signed divisor of kd, every v2 whose column-2 entry 3 v1 + 13 v2 lies in
+    [-kd, kd], with every entry of v^T A formed from the Fraction entries."""
     divisors = [d for d in range(1, kd + 1) if kd % d == 0]
     found = set()
     for v1 in [0] + [s * d for d in divisors for s in (1, -1)]:
@@ -922,6 +1000,15 @@ def fraction_appendix_counterexample():
             entries = [v1 * A.entry(0, j) + v2 * A.entry(1, j) for j in range(4)]
             if all(e == 0 or kd % abs(int(e)) == 0 for e in entries):
                 found.add((v1, v2))
+    return found
+
+
+def fraction_appendix_counterexample():
+    """`graver.appendix_counterexample` with every entry of v^T A formed from
+    the Fraction entries of the matrix, over the window scan."""
+    A = gmod.COUNTEREXAMPLE_MATRIX
+    kd = Subspace.from_kernel_matrix(A).measures.kappa_dot
+    found = window_appendix_qualifiers(A, kd)
     primitive = {v for v in found if gcd(abs(v[0]), abs(v[1])) == 1}
     canonical = {v if (v[0] if v[0] != 0 else v[1]) > 0 else (-v[0], -v[1]) for v in primitive}
     if sorted(canonical) != sorted(gmod._COUNTEREXAMPLE_VECTORS) or len(primitive) != 8:
