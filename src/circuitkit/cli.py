@@ -6,8 +6,8 @@ the core layers (`ratmat`, `subspace`, `lp`, `imbalance`, `proximity`), and
 use them, so that `analyze` or `prox` never compiles them.
 
 Exit codes: 0 success, 1 mathematical finding (a verified bound failed or
-the decomposition conjecture is violated), 2 input or usage error, 3
-internal error (a broken invariant, i.e. a bug).
+the decomposition conjecture is violated; named on stderr as `finding:`),
+2 input or usage error, 3 internal error (a broken invariant, i.e. a bug).
 Infeasible or unbounded instances are ordinary results, reported with
 exit 0.
 """
@@ -42,7 +42,7 @@ def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return serialize.loads(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
 
 
@@ -50,8 +50,11 @@ def _write_text(path, text: str):
     if path is None:
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputFormatError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(args, obj):
@@ -81,8 +84,8 @@ def _cmd_analyze(args) -> int:
         "ambient_dim": A.cols,
         "subspace_dim": W.dim,
         "kappa": serialize.frac_str(rep.kappa),
-        "kappa_dot": str(rep.kappa_dot),
-        "kappa_bar": str(rep.kappa_bar),
+        "kappa_dot": serialize.frac_str(rep.kappa_dot),
+        "kappa_bar": serialize.frac_str(rep.kappa_bar),
         "kappa_star_power": {
             "product": serialize.frac_str(star.value.product),
             "length": star.value.length,
@@ -184,15 +187,12 @@ def _cmd_prox(args) -> int:
             payload["bound"] = serialize.frac_str(bound)
             payload["fixed_to_zero"] = list(R)
         else:
-            for key in ("b", "u", "c1", "c2", "x1", "y1"):
-                if key not in doc:
-                    raise InputFormatError(f"fixing check needs {key!r}")
-            b = serialize.vec_from_obj(doc["b"], length=A.rows)
-            u = serialize.bounds_from_obj(doc["u"], n)
-            c1 = serialize.vec_from_obj(doc["c1"], length=n)
-            c2 = serialize.vec_from_obj(doc["c2"], length=n)
-            x1 = serialize.vec_from_obj(doc["x1"], length=n)
-            y1 = serialize.vec_from_obj(doc["y1"], length=A.rows)
+            b = _load_vector("b", doc, length=A.rows)
+            u = serialize.bounds_from_obj(doc.get("u"), n)
+            c1 = _load_vector("c1", doc, length=n)
+            c2 = _load_vector("c2", doc, length=n)
+            x1 = _load_vector("x1", doc, length=n)
+            y1 = _load_vector("y1", doc, length=A.rows)
             R0, Ru = proximity.fixing_sets_bounds(A, b, u, c1, c2, x1, y1)
             payload["fixed_to_zero"] = list(R0)
             payload["fixed_to_upper"] = list(Ru)
@@ -234,9 +234,9 @@ def _cmd_graver(args) -> int:
     basis = graver.graver_basis(A)
     payload = {
         "count": len(basis.elements),
-        "elements": [[str(v) for v in g] for g in basis.elements],
-        "g1": str(basis.g1),
-        "ginf": str(basis.ginf),
+        "elements": [serialize.vec_to_obj(g) for g in basis.elements],
+        "g1": serialize.frac_str(basis.g1),
+        "ginf": serialize.frac_str(basis.ginf),
     }
     _emit(args, serialize.make_report("graver", payload))
     return 0
@@ -255,15 +255,18 @@ def _cmd_conjecture(args) -> int:
     report = graver.conjecture_decompose(W, z)
     payload = {
         "status": report.status,
-        "target": [str(v) for v in report.target],
+        "target": serialize.vec_to_obj(report.target),
         "searched": report.searched,
         "decomposition": [
-            {"coefficient": serialize.frac_str(lam), "circuit": [str(v) for v in g]}
+            {"coefficient": serialize.frac_str(lam), "circuit": serialize.vec_to_obj(g)}
             for lam, g in report.decomposition
         ],
     }
     _emit(args, serialize.make_report("conjecture", payload))
-    return 1 if report.status == "violated" else 0
+    if report.status == "violated":
+        print("finding: the decomposition conjecture is violated", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _cmd_appendix(args) -> int:
@@ -271,8 +274,8 @@ def _cmd_appendix(args) -> int:
 
     rep = graver.appendix_counterexample()
     payload = {
-        "kappa_dot": str(rep.kappa_dot),
-        "qualifying_vectors": [[str(v) for v in w] for w in rep.vectors],
+        "kappa_dot": serialize.frac_str(rep.kappa_dot),
+        "qualifying_vectors": [serialize.vec_to_obj(w) for w in rep.vectors],
         "pair_products": [
             {"v": list(v), "w": list(w), "rows": [list(r) for r in rows]}
             for v, w, rows in rep.products
@@ -335,7 +338,10 @@ def _cmd_diameter(args) -> int:
         "within": within,
     }
     _emit(args, serialize.make_report("diameter", payload))
-    return 0 if within else 1
+    if not within:
+        print("finding: the edge-graph diameter exceeds the kappa bound", file=sys.stderr)
+        return 1
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -414,6 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Exact values may be long: read and write numbers of any length, for
+    # this call only (callers in the same process keep their own limit).
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except AuditFailure as exc:
@@ -425,6 +435,8 @@ def main(argv=None) -> int:
     except CircuitKitError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

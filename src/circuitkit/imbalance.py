@@ -41,16 +41,15 @@ from .subspace import Subspace, is_separable
 
 
 class MeasureWitnesses(NamedTuple):
-    """Certificates for each measure.
+    """Certificates for the two maxima.
 
     kappa: (circuit, (i, j)) attaining the ratio; kappa_bar: (circuit, j)
-    attaining the max entry; kappa_dot: per prime power p^a || kappa_dot,
-    a (p, a, circuit, j) with p^a dividing entry j of that circuit.
+    attaining the max entry.  kappa_dot, the lcm of the circuit entries,
+    needs none: one `math.lcm` pass over the circuits recomputes it.
     """
 
     kappa: tuple | None
     kappa_bar: tuple | None
-    kappa_dot: tuple = ()
 
 
 class ImbalanceReport(NamedTuple):
@@ -60,21 +59,9 @@ class ImbalanceReport(NamedTuple):
     witnesses: MeasureWitnesses
 
 
-def _prime_factors(x: int) -> dict:
-    out = {}
-    d = 2
-    while d * d <= x:
-        while x % d == 0:
-            out[d] = out.get(d, 0) + 1
-            x //= d
-        d += 1
-    if x > 1:
-        out[x] = out.get(x, 0) + 1
-    return out
-
-
 def imbalances(W: Subspace) -> ImbalanceReport:
-    """All three measures with verifiable witnesses.
+    """All three measures in one pass over the circuits, with witnesses for
+    kappa and kappa_bar.
 
     Trivial subspaces ({0} and R^n) have no ratio structure: all measures 1.
     """
@@ -99,21 +86,11 @@ def imbalances(W: Subspace) -> ImbalanceReport:
             if abs(ev.vector[j]) > best_entry:
                 best_entry, entry_wit = abs(ev.vector[j]), (ev, j)
         acc = math.lcm(acc, ev.entries_lcm())
-    dot_wits = []
-    for p, a in sorted(_prime_factors(acc).items()):
-        pa = p**a
-        found = next(
-            (ev, j)
-            for ev in circuits
-            for j in ev.support
-            if ev.vector[j] % pa == 0
-        )
-        dot_wits.append((p, a, found[0], found[1]))
     return ImbalanceReport(
         kappa=best_ratio,
         kappa_dot=acc,
         kappa_bar=best_entry,
-        witnesses=MeasureWitnesses(ratio_wit, entry_wit, tuple(dot_wits)),
+        witnesses=MeasureWitnesses(ratio_wit, entry_wit),
     )
 
 

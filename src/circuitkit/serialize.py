@@ -36,7 +36,10 @@ def parse_frac(value) -> Fraction:
     if isinstance(value, str):
         if not _FRACTION_RE.match(value):
             raise InputFormatError(f"not an exact fraction string: {value!r}")
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ValueError as exc:  # e.g. past the int/str digit limit
+            raise InputFormatError(f"cannot read the fraction: {exc}") from exc
     raise InputFormatError(f"expected a fraction string, got {type(value).__name__}")
 
 
@@ -156,7 +159,8 @@ def dumps(obj) -> str:
 def loads(text: str):
     try:
         return json.loads(text, parse_float=_reject_float)
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError, an int past the digit limit, or nesting past the stack
+    except (ValueError, RecursionError) as exc:
         raise InputFormatError(f"invalid JSON: {exc}") from exc
 
 

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +11,9 @@ from circuitkit import cli, graver, imbalance, proximity, subspace
 from circuitkit.errors import InternalError
 from circuitkit.graver import ConjectureReport
 from circuitkit.lp import INFEASIBLE, LPResult
-from circuitkit.serialize import dumps, loads, parse_frac
+from circuitkit.serialize import dumps, loads, parse_frac, vec_to_obj
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_json(path, obj):
@@ -251,9 +258,11 @@ def test_conjecture_violated_exits_one(tmp_path, capsys, monkeypatch):
         )
 
     monkeypatch.setattr(graver, "conjecture_decompose", fake)
-    code, out = run_cli(capsys, ["conjecture", "--input", mat, "--target", target])
+    code = cli.main(["conjecture", "--input", mat, "--target", target])
+    out, err = capsys.readouterr()
     assert code == 1
     assert loads(out)["status"] == "violated"
+    assert err == "finding: the decomposition conjecture is violated\n"
 
 
 def test_appendix(capsys):
@@ -280,6 +289,19 @@ def test_diameter(tmp_path, capsys):
     rep = loads(out)
     assert rep["diameter"] == 3
     assert rep["within"] is True
+
+
+def test_diameter_above_the_bound_exits_one(tmp_path, capsys, monkeypatch):
+    lp = write_json(
+        tmp_path / "cube.json",
+        {"schema_version": "1", "A": [["0", "0"]], "b": ["0"], "c": ["0", "0"], "u": ["1", "1"]},
+    )
+    monkeypatch.setattr(cli, "diameter_within", lambda diam, n, m, kappa: (False, 1))
+    code = cli.main(["diameter", "--input", lp])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert loads(out)["within"] is False
+    assert err == "finding: the edge-graph diameter exceeds the kappa bound\n"
 
 
 def test_diameter_with_a_huge_kappa(tmp_path, capsys):
@@ -356,6 +378,19 @@ def test_missing_file_is_input_error(capsys):
     assert code == 2
 
 
+def test_a_file_that_is_not_utf8_is_input_error(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_bytes(b'\xff\xfe[["1"]]')
+    assert cli.main(["analyze", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: cannot read {path}: ")
+
+
+def test_an_unwritable_output_is_input_error(tmp_path, capsys):
+    path = tmp_path / "missing-dir" / "lp.json"
+    assert cli.main(["generate", "--family", "flow", "--output", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: cannot write {path}: ")
+
+
 def test_float_literal_is_input_error(tmp_path, capsys):
     path = tmp_path / "f.json"
     path.write_text('{"schema_version": "1", "A": [[1.5, 1]]}')
@@ -391,6 +426,64 @@ def test_missing_conformal_circuit_exits_three(tmp_path, capsys, monkeypatch):
     assert cli.main(["solve", "--input", str(lp_path), "--rule", "guided"]) == 3
     err = capsys.readouterr().err
     assert err == "internal error: no conformal circuit found for a nonzero remainder\n"
+
+
+def test_analyze_answers_a_large_prime_entry_promptly(tmp_path):
+    # kappa_dot = 2^61 - 1 is prime: trial division to its square root
+    # would take about 1.5e9 steps.
+    p = 2**61 - 1
+    path = write_json(tmp_path / "m.json", {"schema_version": "1", "A": [["1", str(p)]]})
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-m", "circuitkit.cli", "analyze", "--input", path],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert out.returncode == 0, out.stderr
+    doc = loads(out.stdout)
+    assert doc["kappa"] == doc["kappa_dot"] == doc["kappa_bar"] == str(p)
+
+
+@contextmanager
+def any_length_ints():
+    """Lift the int/str digit limit to read back what the CLI wrote."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("as_string", [True, False], ids=["string", "json-literal"])
+def test_analyze_reads_an_entry_of_5000_digits(tmp_path, capsys, as_string):
+    big = "1" + "0" * 4998 + "7"
+    entry = f'"{big}"' if as_string else big
+    path = tmp_path / "m.json"
+    path.write_text(f'{{"schema_version": "1", "A": [[{entry}, "1", "1"]]}}')
+    limit = sys.get_int_max_str_digits()
+    code, out = run_cli(capsys, ["analyze", "--input", str(path)])
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    doc = loads(out)
+    assert doc["kappa"] == doc["kappa_dot"] == doc["kappa_bar"] == big
+    with any_length_ints():
+        assert parse_frac(big) == 10**4999 + 7
+
+
+def test_analyze_writes_a_kappa_of_4516_digits(tmp_path, capsys):
+    # The input entries have 1,506 digits; kappa = a^3 has 4,516.
+    a = 2**5000
+    rows = [[a, 1, 0, 0], [0, a, 1, 0], [0, 0, a, 1]]
+    path = write_json(tmp_path / "m.json", {"schema_version": "1", "A": [vec_to_obj(r) for r in rows]})
+    limit = sys.get_int_max_str_digits()
+    code, out = run_cli(capsys, ["analyze", "--input", path])
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    doc = loads(out)
+    with any_length_ints():
+        for key in ("kappa", "kappa_dot", "kappa_bar"):
+            assert parse_frac(doc[key]) == a**3
+            assert len(doc[key]) == 4516
 
 
 def test_unknown_flag_usage_error(capsys):

@@ -44,6 +44,7 @@ from util import (
     knuth_basis,
     oracle_imbalances,
     oracle_kappa_star,
+    prime_powers,
     random_int_matrix,
     rational_matrices,
     small_int_matrices,
@@ -299,6 +300,21 @@ def test_minor_monotone(seed):
 def test_imbalances_match_the_pairwise_scan(A):
     W = Subspace.from_kernel_matrix(A)
     assert imbalances(W) == oracle_imbalances(W)
+
+
+@given(rational_matrices(rows=(1, 3), cols=(2, 6)))
+@settings(max_examples=60, deadline=None)
+def test_each_prime_power_of_kappa_dot_divides_a_circuit_entry(A):
+    # kappa_dot is the lcm of the circuit entries, so each p^a exactly
+    # dividing it divides some entry, and p <= kappa_bar.  The measures
+    # carry no witness for this, so it is checked here.
+    W = Subspace.from_kernel_matrix(A)
+    rep = imbalances(W)
+    entries = [ev.vector[j] for ev in W.circuit_list for j in ev.support]
+    powers, rest = prime_powers(rep.kappa_dot, up_to=rep.kappa_bar)
+    assert rest == 1
+    for p, a in powers.items():
+        assert any(e % p**a == 0 for e in entries)
 
 
 @given(rational_matrices(rows=(2, 4), cols=(4, 8)))

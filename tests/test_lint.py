@@ -97,6 +97,22 @@ def test_only_lp_names_the_simplex_internals():
     assert found == []
 
 
+def test_cli_formats_no_number_itself():
+    # Numbers leave through serialize.frac_str / vec_to_obj, one format for
+    # every report; the CLI may str() only an exception it caught.
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    caught = {n.name for n in ast.walk(tree) if isinstance(n, ast.ExceptHandler) and n.name}
+    found = [
+        f"cli.py:{n.lineno}"
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Name)
+        and n.func.id == "str"
+        and not (len(n.args) == 1 and isinstance(n.args[0], ast.Name) and n.args[0].id in caught)
+    ]
+    assert found == []
+
+
 def _is_bareiss_step(node) -> bool:
     """(x * y - z * w) // d: a fraction-free elimination step written out."""
     return (

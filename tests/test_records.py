@@ -77,7 +77,7 @@ def test_reprs_are_the_dataclass_reprs():
         "ImbalanceReport(kappa=Fraction(1, 1), kappa_dot=1, kappa_bar=1, "
         "witnesses=MeasureWitnesses(kappa=(ElementaryVector(support=(0, 1, 2), "
         "vector=(1, -1, 1)), (0, 0)), kappa_bar=(ElementaryVector(support=(0, 1, 2), "
-        "vector=(1, -1, 1)), 0), kappa_dot=()))"
+        "vector=(1, -1, 1)), 0)))"
     )
     assert repr(solve(LPInstance.standard(A, [1, 1], [1, 0, 1]))) == (
         "LPResult(status='optimal', x=(Fraction(0, 1), Fraction(1, 1), Fraction(0, 1)), "

@@ -42,7 +42,10 @@ def test_frac_round_trip(q):
     assert parse_frac(frac_str(q)) == q
 
 
-@pytest.mark.parametrize("bad", ["1.5", "1/0", "1/-2", "", "a", "1e3", "--1", True])
+@pytest.mark.parametrize(
+    "bad",
+    ["1.5", "1/0", "1/-2", "", "a", "1e3", "--1", True, pytest.param("7" * 5000, id="5000-digits")],
+)
 def test_parse_frac_rejects(bad):
     with pytest.raises(InputFormatError):
         parse_frac(bad)
@@ -75,6 +78,18 @@ def test_lp_obj_round_trip_with_caps():
 def test_loads_rejects_floats():
     with pytest.raises(InputFormatError):
         loads('{"schema_version": "1", "b": [1.5]}')
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[1,", "[" + "7" * 5000 + "]", "[" * 100000],
+    ids=["truncated", "5000-digit-literal", "nested-past-the-stack"],
+)
+def test_loads_refuses_what_it_cannot_read(text):
+    # Outside `cli.main` the int/str digit limit stands, and a library
+    # caller still gets the input error class, not a ValueError.
+    with pytest.raises(InputFormatError):
+        loads(text)
 
 
 def test_matrix_csv_round_trip(A_app):

@@ -754,17 +754,23 @@ def oracle_imbalances(W):
             if abs(ev.vector[j]) > best_entry:
                 best_entry, entry_wit = abs(ev.vector[j]), (ev, j)
         acc = lcm(acc, ev.entries_lcm())
-    dot_wits = []
-    for p, a in sorted(imbmod._prime_factors(acc).items()):
-        pa = p**a
-        found = next((ev, j) for ev in circuits for j in ev.support if ev.vector[j] % pa == 0)
-        dot_wits.append((p, a, found[0], found[1]))
     return imbmod.ImbalanceReport(
         kappa=best_ratio,
         kappa_dot=acc,
         kappa_bar=best_entry,
-        witnesses=imbmod.MeasureWitnesses(ratio_wit, entry_wit, tuple(dot_wits)),
+        witnesses=imbmod.MeasureWitnesses(ratio_wit, entry_wit),
     )
+
+
+def prime_powers(x, up_to):
+    """({p: a} over the primes p <= up_to with p^a exactly dividing x, and
+    what is left of x), by trial division: for small bounds only."""
+    out = {}
+    for d in range(2, up_to + 1):
+        while x % d == 0:
+            out[d] = out.get(d, 0) + 1
+            x //= d
+    return out, x
 
 
 def fraction_max_mean_cycle(kappa, nodes):
