@@ -5,9 +5,15 @@ the core layers (`ratmat`, `subspace`, `lp`, `imbalance`, `proximity`), and
 `augment`, `graver` and `generate` are imported inside the commands that
 use them, so that `analyze` or `prox` never compiles them.
 
-Exit codes: 0 success, 1 mathematical finding (a verified bound failed or
-the decomposition conjecture is violated; named on stderr as `finding:`),
-2 input or usage error, 3 internal error (a broken invariant, i.e. a bug).
+Each `_cmd_*` verb returns its report body: a payload dict, or the text
+of `analyze --format csv` and `generate`.  `main` hands it to the one
+writer, `_write_report`, which wraps a payload as the report of kind
+`args.verb` and writes it to `--output` or stdout.  A verb whose result is
+a finding raises `_Finding` with the body it built, so the report is still
+written.  Exit codes and the `finding:` line are decided in `main` alone:
+0 success, 1 mathematical finding (a verified bound failed or the
+decomposition conjecture is violated; named on stderr as `finding:`), 2
+input or usage error, 3 internal error (a broken invariant, i.e. a bug).
 Infeasible or unbounded instances are ordinary results, reported with
 exit 0.
 """
@@ -57,8 +63,18 @@ def _write_text(path, text: str):
         raise InputFormatError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(args, obj):
-    _write_text(getattr(args, "output", None), serialize.dumps(obj))
+class _Finding(AuditFailure):
+    """A finding about a result whose report body is still written."""
+
+    def __init__(self, message, body):
+        super().__init__(message)
+        self.body = body
+
+
+def _write_report(args, body):
+    if not isinstance(body, str):
+        body = serialize.dumps(serialize.make_report(args.verb, body))
+    _write_text(args.output, body)
 
 
 def _load_lp(path: str) -> lpmod.LPInstance:
@@ -75,7 +91,7 @@ def _load_vector(obj_or_key, doc, length=None):
     return serialize.vec_from_obj(doc[obj_or_key], length=length)
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args):
     A = _load_matrix(args.input)
     W = Subspace.from_kernel_matrix(A)
     rep = W.measures
@@ -93,15 +109,9 @@ def _cmd_analyze(args) -> int:
         "kappa_star_cycle": list(star.witness_cycle),
         "is_tu": is_TU(A)[0] if A.is_integral() else False,
     }
-    report = serialize.make_report("analyze", payload)
     if args.format == "csv":
-        lines = []
-        for key in ("kappa", "kappa_dot", "kappa_bar"):
-            lines.append(f"{key},{payload[key]}")
-        _write_text(args.output, "\n".join(lines) + "\n")
-        return 0
-    _emit(args, report)
-    return 0
+        return "".join(f"{key},{payload[key]}\n" for key in ("kappa", "kappa_dot", "kappa_bar"))
+    return payload
 
 
 def _result_payload(res: lpmod.LPResult) -> dict:
@@ -116,20 +126,17 @@ def _result_payload(res: lpmod.LPResult) -> dict:
     return payload
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args):
     lp = _load_lp(args.input)
     if args.rule is None:
-        res = lpmod.solve(lp)
-        _emit(args, serialize.make_report("solve", _result_payload(res)))
-        return 0
+        return _result_payload(lpmod.solve(lp))
     from . import augment
 
     try:
         if args.rule == "guided":
             res = lpmod.solve(lp)
             if res.status != lpmod.OPTIMAL:
-                _emit(args, serialize.make_report("solve", _result_payload(res)))
-                return 0
+                return _result_payload(res)
             # one subspace, so both walks share one circuit enumeration
             W = Subspace.from_kernel_matrix(lp.A)
             start = augment.run(lp, rule="support", W=W).final_x
@@ -137,11 +144,9 @@ def _cmd_solve(args) -> int:
         else:
             trace = augment.run(lp, rule=args.rule, cap=args.cap)
     except InfeasibleSystem:
-        _emit(args, serialize.make_report("solve", {"status": "infeasible"}))
-        return 0
+        return {"status": "infeasible"}
     except UnboundedDirection:
-        _emit(args, serialize.make_report("solve", {"status": "unbounded"}))
-        return 0
+        return {"status": "unbounded"}
     trace_obj = serialize.trace_to_obj(trace)
     if args.trace:
         _write_text(args.trace, serialize.dumps(trace_obj))
@@ -156,11 +161,10 @@ def _cmd_solve(args) -> int:
     }
     if not args.trace:
         payload["trace"] = trace_obj
-    _emit(args, serialize.make_report("solve", payload))
-    return 0
+    return payload
 
 
-def _cmd_prox(args) -> int:
+def _cmd_prox(args):
     doc = _read_json(args.input)
     A = serialize.load_matrix(doc)
     W = Subspace.from_kernel_matrix(A)
@@ -201,11 +205,10 @@ def _cmd_prox(args) -> int:
         payload = {"check": args.check, "status": "infeasible"}
         if exc.certificate is not None:
             payload["certificate"] = serialize.vec_to_obj(exc.certificate)
-    _emit(args, serialize.make_report("prox", payload))
-    return 0
+    return payload
 
 
-def _cmd_blackbox(args) -> int:
+def _cmd_blackbox(args):
     doc = _read_json(args.input)
     A = serialize.load_matrix(doc)
     W = Subspace.from_kernel_matrix(A)
@@ -214,35 +217,29 @@ def _cmd_blackbox(args) -> int:
     try:
         x = proximity.feasibility_simplified(W, d, epsilon=eps, seed=args.seed)
     except OracleInfeasible as exc:
-        payload = {"status": "infeasible", "detail": str(exc)}
-        _emit(args, serialize.make_report("blackbox", payload))
-        return 0
-    payload = {
+        return {"status": "infeasible", "detail": str(exc)}
+    return {
         "status": "feasible",
         "x": serialize.vec_to_obj(x),
         "seed": args.seed,
         "epsilon": serialize.frac_str(eps) if eps is not None else None,
     }
-    _emit(args, serialize.make_report("blackbox", payload))
-    return 0
 
 
-def _cmd_graver(args) -> int:
+def _cmd_graver(args):
     from . import graver
 
     A = _load_matrix(args.input)
     basis = graver.graver_basis(A)
-    payload = {
+    return {
         "count": len(basis.elements),
         "elements": [serialize.vec_to_obj(g) for g in basis.elements],
         "g1": serialize.frac_str(basis.g1),
         "ginf": serialize.frac_str(basis.ginf),
     }
-    _emit(args, serialize.make_report("graver", payload))
-    return 0
 
 
-def _cmd_conjecture(args) -> int:
+def _cmd_conjecture(args):
     from . import graver
 
     A = _load_matrix(args.input)
@@ -262,18 +259,16 @@ def _cmd_conjecture(args) -> int:
             for lam, g in report.decomposition
         ],
     }
-    _emit(args, serialize.make_report("conjecture", payload))
     if report.status == "violated":
-        print("finding: the decomposition conjecture is violated", file=sys.stderr)
-        return 1
-    return 0
+        raise _Finding("the decomposition conjecture is violated", payload)
+    return payload
 
 
-def _cmd_appendix(args) -> int:
+def _cmd_appendix(args):
     from . import graver
 
     rep = graver.appendix_counterexample()
-    payload = {
+    return {
         "kappa_dot": serialize.frac_str(rep.kappa_dot),
         "qualifying_vectors": [serialize.vec_to_obj(w) for w in rep.vectors],
         "pair_products": [
@@ -282,38 +277,25 @@ def _cmd_appendix(args) -> int:
         ],
         "witness_columns": [list(w) for w in rep.witnesses],
     }
-    _emit(args, serialize.make_report("appendix", payload))
-    return 0
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args):
     from .generate import GeneratorSpec, generate
 
-    spec = GeneratorSpec(
-        family=args.family, size=args.size, rows=args.rows, seed=args.seed
-    )
+    spec = GeneratorSpec(family=args.family, size=args.size, rows=args.rows, seed=args.seed)
     made = generate(spec)
     if isinstance(made, lpmod.LPInstance):
-        text = (
-            serialize.lp_to_csv(made)
-            if args.format == "csv"
-            else serialize.dumps(serialize.lp_to_obj(made))
-        )
-    else:
         if args.format == "csv":
-            text = serialize.matrix_to_csv(made)
-        else:
-            text = serialize.dumps(
-                {
-                    "schema_version": serialize.SCHEMA_VERSION,
-                    "A": serialize.matrix_to_obj(made),
-                }
-            )
-    _write_text(args.output, text)
-    return 0
+            return serialize.lp_to_csv(made)
+        return serialize.dumps(serialize.lp_to_obj(made))
+    if args.format == "csv":
+        return serialize.matrix_to_csv(made)
+    return serialize.dumps(
+        {"schema_version": serialize.SCHEMA_VERSION, "A": serialize.matrix_to_obj(made)}
+    )
 
 
-def _cmd_diameter(args) -> int:
+def _cmd_diameter(args):
     lp = _load_lp(args.input)
     W = Subspace.from_kernel_matrix(lp.A)
     rep = W.measures
@@ -325,11 +307,9 @@ def _cmd_diameter(args) -> int:
     try:
         diam = lpmod.edge_graph_diameter(lp)
     except UnboundedRegion:
-        _emit(args, serialize.make_report("diameter", {"status": "unbounded"}))
-        return 0
+        return {"status": "unbounded"}
     except InfeasibleSystem:
-        _emit(args, serialize.make_report("diameter", {"status": "infeasible"}))
-        return 0
+        return {"status": "infeasible"}
     within, bound = diameter_within(diam, n, m, rep.kappa)
     payload = {
         "status": "ok",
@@ -337,11 +317,9 @@ def _cmd_diameter(args) -> int:
         "bound": serialize.frac_str(bound),
         "within": within,
     }
-    _emit(args, serialize.make_report("diameter", payload))
     if not within:
-        print("finding: the edge-graph diameter exceeds the kappa bound", file=sys.stderr)
-        return 1
-    return 0
+        raise _Finding("the edge-graph diameter exceeds the kappa bound", payload)
+    return payload
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,7 +403,12 @@ def main(argv=None) -> int:
     digits = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        try:
+            _write_report(args, args.func(args))
+        except _Finding as exc:
+            _write_report(args, exc.body)
+            raise
+        return 0
     except AuditFailure as exc:
         print(f"finding: {exc}", file=sys.stderr)
         return 1

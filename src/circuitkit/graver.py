@@ -42,6 +42,7 @@ from .ratmat import (
     norm1,
     vec,
     vec_dot,
+    vec_sub,
     vec_zero,
 )
 from .subspace import Subspace, oriented_circuits
@@ -210,11 +211,10 @@ def graver_basis(A: RatMatrix) -> GraverBasis:
     return GraverBasis(elements=elements, g1=g1, ginf=ginf)
 
 
-def _scan_integer_points(A: RatMatrix, b, lo, hi, center=None, radius=None):
-    """Integer points of Ax = b inside the coordinate box [lo, hi].
-
-    With center/radius set, additionally restricts to the closed 1-norm
-    ball.  Prunes on per-row reachable ranges of the remaining columns.
+def _scan_integer_points(A: RatMatrix, b, lo, hi):
+    """Integer points of Ax = b inside the coordinate box [lo, hi], in
+    lexicographic order.  One depth-first pass over the box, pruned on the
+    per-row reachable ranges of the remaining columns.
     """
     m, n = A.shape
     suffix_lo = [[Fraction(0)] * m for _ in range(n + 1)]
@@ -228,18 +228,12 @@ def _scan_integer_points(A: RatMatrix, b, lo, hi, center=None, radius=None):
     out = []
     x = [0] * n
 
-    def rec(j, partial, used):
+    def rec(j, partial):
         if j == n:
             if all(partial[r] == b[r] for r in range(m)):
                 out.append(tuple(x))
             return
         for v in range(lo[j], hi[j] + 1):
-            if radius is not None:
-                spent = used + abs(Fraction(v) - center[j])
-                if spent > radius:
-                    continue
-            else:
-                spent = used
             nxt = [partial[r] + A.entry(r, j) * v for r in range(m)]
             if any(
                 b[r] - nxt[r] < suffix_lo[j + 1][r] or b[r] - nxt[r] > suffix_hi[j + 1][r]
@@ -247,20 +241,22 @@ def _scan_integer_points(A: RatMatrix, b, lo, hi, center=None, radius=None):
             ):
                 continue
             x[j] = v
-            rec(j + 1, nxt, spent)
+            rec(j + 1, nxt)
         x[j] = 0
 
-    rec(0, [Fraction(0)] * m, Fraction(0))
+    rec(0, [Fraction(0)] * m)
     return out
 
 
 def ip_proximity_check(A: RatMatrix, b, c):
     """Solve the LP and the IP, and bound their distance by n * kappa_bar.
 
-    Returns (x_lp, x_ip, distance, bound) where x_ip minimizes the 1-norm
-    distance to the basic LP optimum among optimal integer solutions.  The
-    proximity-ball search is cross-checked by a full coordinate-box scan;
-    an empty ball proves the IP infeasible.
+    Returns (x_lp, x_ip, distance, bound) where x_ip is the least
+    (1-norm distance to the basic LP optimum, x) among the optimal integer
+    points of the proximity ball, the points within `bound` of x_lp.  One
+    scan of the coordinate box [x_lp - bound, x_lp + bound] finds the
+    ball's points and cross-checks its optimum against the whole box's; an
+    empty ball proves the IP infeasible.
     """
     b = vec(b)
     c = vec(c)
@@ -282,16 +278,17 @@ def ip_proximity_check(A: RatMatrix, b, c):
         raise BoxTooLarge(f"proximity box has {total} points", bound=int(bound))
     if any(hi[i] < lo[i] for i in range(n)):
         raise InfeasibleSystem("no integer point within the proximity ball")
-    ball = _scan_integer_points(A, b, lo, hi, center=x_lp, radius=bound)
+    box = _scan_integer_points(A, b, lo, hi)
+    dist = {x: sum(abs(v - w) for v, w in zip(x, x_lp)) for x in box}
+    ball = [x for x in box if dist[x] <= bound]
     if not ball:
         raise InfeasibleSystem("no integer point within the proximity ball")
     best_obj = min(vec_dot(c, x) for x in ball)
-    box = _scan_integer_points(A, b, lo, hi)
     if min(vec_dot(c, x) for x in box) != best_obj:
         raise AuditFailure("ip-ball-optimum", detail="full box scan found a better point")
-    optima = [x for x in ball if vec_dot(c, x) == best_obj]
-    x_ip = min(optima, key=lambda x: (sum(abs(Fraction(v) - w) for v, w in zip(x, x_lp)), x))
-    distance = sum(abs(Fraction(v) - w) for v, w in zip(x_ip, x_lp))
+    x_ip = min((x for x in ball if vec_dot(c, x) == best_obj), key=lambda x: (dist[x], x))
+    # re-measured apart from the ball's own distances
+    distance = norm1(vec_sub(x_ip, x_lp))
     if distance > bound:
         raise AuditFailure("ip-proximity", detail=f"distance {distance} exceeds {bound}")
     return x_lp, x_ip, distance, bound

@@ -13,7 +13,8 @@ black-box feasibility solver at the bottom composes the same pieces with a
 simulated approximate oracle whose error budget is rational and
 seed-deterministic.
 
-LP(W, d, c) throughout means: minimize <c, x> over x in W + d, x >= 0.
+LP(W, d, c) throughout means: minimize <c, x> over x in W + d, x >= 0,
+built in one place, `LPInstance.from_subspace`.
 """
 
 from __future__ import annotations
@@ -162,16 +163,15 @@ def _nearest_optimum(W: Subspace, d: Vec, c, anchor: Vec):
     certificate.  Every caller has c >= 0, which is dual feasible, so an
     unbounded LP is an InternalError.
     """
-    A = W.kernel_rep
-    b = A.matvec(d)
-    res = solve(LPInstance.standard(A, b, vec_zero(len(d)) if c is None else c))
+    lp = LPInstance.from_subspace(W, d, vec_zero(len(d)) if c is None else c)
+    res = solve(lp)
     if res.status == INFEASIBLE:
         raise InfeasibleSystem("no nonnegative point in W + d", certificate=res.certificate)
     if res.status != OPTIMAL:
         raise InternalError("LP(W, d, c) with c >= 0 is unbounded")
     if c is None:
-        return _nearest_point(A.data, b, anchor, res.x)
-    return _nearest_point((*A.data, c), (*b, res.objective), anchor, res.x)
+        return _nearest_point(lp.A.data, lp.b, anchor, res.x)
+    return _nearest_point((*lp.A.data, c), (*lp.b, res.objective), anchor, res.x)
 
 
 def hoffman_feasibility_witness(W: Subspace, d) -> ProximityWitness:
@@ -314,22 +314,18 @@ def fixing_sets_bounds(A, b, u, c1, c2, x1, y1) -> tuple[tuple[int, ...], tuple[
         raise UnboundedDirection("second cost is unbounded below", ray=res2.certificate)
     face_A = A.vstack(RatMatrix.from_rows([list(c2)], cols=n))
     face_b = list(b) + [res2.objective]
-    for i in R0:
+    # max x_i (cost -x_i) must be 0 on R0, min x_i (cost x_i) must be u_i on Ru
+    checks = [(i, -1, 0, "max", "fixing-zero") for i in R0]
+    checks += [(i, 1, uv[i], "min", "fixing-upper") for i in Ru]
+    for i, sense, want, word, prop in checks:
         c = [Fraction(0)] * n
-        c[i] = Fraction(-1)
-        top = solve(LPInstance.bounded(face_A, face_b, c, uv), start=res2.x)
-        if top.status != OPTIMAL:
-            raise InternalError(f"max x_{i} over the optimal face is not optimal")
-        if -top.objective != 0:
-            raise AuditFailure("fixing-zero", detail=f"max x_{i} over the face is {-top.objective}")
-    for i in Ru:
-        c = [Fraction(0)] * n
-        c[i] = Fraction(1)
-        bot = solve(LPInstance.bounded(face_A, face_b, c, uv), start=res2.x)
-        if bot.status != OPTIMAL:
-            raise InternalError(f"min x_{i} over the optimal face is not optimal")
-        if bot.objective != uv[i]:
-            raise AuditFailure("fixing-upper", detail=f"min x_{i} over the face is {bot.objective}")
+        c[i] = Fraction(sense)
+        res = solve(LPInstance.bounded(face_A, face_b, c, uv), start=res2.x)
+        if res.status != OPTIMAL:
+            raise InternalError(f"{word} x_{i} over the optimal face is not optimal")
+        got = sense * res.objective
+        if got != want:
+            raise AuditFailure(prop, detail=f"{word} x_{i} over the face is {got}")
     return R0, Ru
 
 
@@ -349,8 +345,7 @@ def apx_oracle(W: Subspace, d, c, epsilon, seed: int) -> ApxSolution:
     epsilon = as_fraction(epsilon)
     if epsilon < 0:
         raise BadParameters("epsilon must be nonnegative")
-    A = W.kernel_rep
-    res = solve(LPInstance.standard(A, A.matvec(d), c))
+    res = solve(LPInstance.from_subspace(W, d, c))
     if res.status == INFEASIBLE:
         raise InfeasibleSystem("no nonnegative point in W + d", certificate=res.certificate)
     if res.status == UNBOUNDED:
@@ -409,7 +404,7 @@ def _feasibility_rec(W: Subspace, d: Vec, eps: Fraction, seed: int, depth: int, 
     # or the lift overshot a coordinate in I (the simplified recursion does
     # not enforce the proximity condition that rules this out): fall back to
     # the exact solve the oracle already proved feasible.
-    res = solve(LPInstance.standard(W.kernel_rep, W.kernel_rep.matvec(d), vec_zero(n)))
+    res = solve(LPInstance.from_subspace(W, d, vec_zero(n)))
     if res.status != OPTIMAL:
         raise InternalError("exact fallback LP is infeasible though the oracle found a point")
     return res.x

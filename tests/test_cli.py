@@ -391,6 +391,68 @@ def test_an_unwritable_output_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"input error: cannot write {path}: ")
 
 
+# One argv per report verb and format; {name} is an input file made below.
+OUTPUT_CASES = {
+    "analyze-json": ["analyze", "--input", "{matrix}"],
+    "analyze-csv": ["analyze", "--input", "{matrix}", "--format", "csv"],
+    "solve": ["solve", "--input", "{flow}"],
+    "solve-steepest": ["solve", "--input", "{flow}", "--rule", "steepest"],
+    "prox": ["prox", "--input", "{prox}", "--check", "feasibility"],
+    "blackbox": ["blackbox", "--input", "{prox}", "--seed", "4"],
+    "graver": ["graver", "--input", "{small}"],
+    "conjecture": ["conjecture", "--input", "{small}", "--target", "{z}"],
+    "appendix": ["appendix"],
+    "diameter": ["diameter", "--input", "{cube}"],
+    "diameter-finding": ["diameter", "--input", "{cube}"],
+    "generate": ["generate", "--family", "flow", "--size", "4", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUT_CASES))
+def test_output_holds_exactly_what_stdout_would(tmp_path, capsys, monkeypatch, case):
+    inputs = {
+        "matrix": write_json(
+            tmp_path / "m.json",
+            {"schema_version": "1", "A": [["1", "3", "4", "3"], ["0", "13", "9", "10"]]},
+        ),
+        "small": write_json(
+            tmp_path / "s.json", {"schema_version": "1", "A": [["1", "1", "0"], ["0", "1", "1"]]}
+        ),
+        "z": write_json(tmp_path / "z.json", ["2", "-2", "2"]),
+        "prox": write_json(
+            tmp_path / "p.json",
+            {"schema_version": "1", "A": [["1", "1", "0"], ["0", "1", "1"]], "d": ["2", "-1", "2"]},
+        ),
+        "cube": write_json(
+            tmp_path / "cube.json",
+            {"schema_version": "1", "A": [["0", "0", "0"]], "b": ["0"], "c": ["0", "0", "0"],
+             "u": ["1", "1", "1"]},
+        ),
+        "flow": str(tmp_path / "flow.json"),
+    }
+    assert cli.main(["generate", "--family", "flow", "--size", "4", "--seed", "1",
+                     "--output", inputs["flow"]]) == 0
+    if case == "diameter-finding":
+        monkeypatch.setattr(cli, "diameter_within", lambda diam, n, m, kappa: (False, 1))
+    argv = [arg.format(**inputs) for arg in OUTPUT_CASES[case]]
+    capsys.readouterr()
+    code = cli.main(argv)
+    printed = capsys.readouterr()
+    out_path = tmp_path / "report.out"
+    assert cli.main([*argv, "--output", str(out_path)]) == code
+    captured = capsys.readouterr()
+    assert printed.out
+    assert out_path.read_text(encoding="utf-8") == printed.out
+    assert captured.out == ""
+    assert captured.err == printed.err
+    if case == "diameter-finding":
+        assert code == 1
+        assert loads(printed.out)["within"] is False
+        assert printed.err == "finding: the edge-graph diameter exceeds the kappa bound\n"
+    else:
+        assert (code, printed.err) == (0, "")
+
+
 def test_float_literal_is_input_error(tmp_path, capsys):
     path = tmp_path / "f.json"
     path.write_text('{"schema_version": "1", "A": [[1.5, 1]]}')

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from circuitkit import graver
 from circuitkit.errors import (
     AuditFailure,
     BoxTooLarge,
+    CircuitKitError,
     NonIntegerMatrix,
     NotIntegerKernelVector,
 )
@@ -32,6 +34,7 @@ from circuitkit.imbalance import imbalances
 from circuitkit.ratmat import RatMatrix, rank, vec
 from circuitkit.subspace import Subspace
 from util import (
+    brute_ip_proximity,
     fraction_appendix_counterexample,
     fraction_conjecture_decompose,
     graver_box,
@@ -98,6 +101,50 @@ def test_ip_proximity_box_guard():
     A = RatMatrix.from_rows([[1, 1000]], cols=2)
     with pytest.raises(BoxTooLarge):
         ip_proximity_check(A, [1000], [0, 0])
+
+
+def test_a_better_point_outside_the_ball_is_an_ip_finding(monkeypatch):
+    # x_lp = (3/2, 0) and the ball has radius 4; (6, 0) lies 9/2 away, so a
+    # scan that reports it finds a box optimum the ball misses
+    scan = graver._scan_integer_points
+    monkeypatch.setattr(graver, "_scan_integer_points", lambda *a: [*scan(*a), (6, 0)])
+    A = RatMatrix.from_rows([[2, 1]], cols=2)
+    with pytest.raises(AuditFailure) as exc:
+        ip_proximity_check(A, [3], [-1, 0])
+    assert (exc.value.prop, exc.value.detail) == (
+        "ip-ball-optimum",
+        "full box scan found a better point",
+    )
+
+
+def test_an_ip_optimum_measured_past_the_bound_is_a_finding(monkeypatch):
+    # x_ip = (1, 1) lies 3/2 from x_lp; the audit measures it afresh
+    norm1 = graver.norm1
+    monkeypatch.setattr(graver, "norm1", lambda v: norm1(v) + 3)
+    A = RatMatrix.from_rows([[2, 1]], cols=2)
+    with pytest.raises(AuditFailure) as exc:
+        ip_proximity_check(A, [3], [-1, 0])
+    assert (exc.value.prop, exc.value.detail) == ("ip-proximity", "distance 9/2 exceeds 4")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CircuitKitError as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ip_proximity_matches_the_box_product_oracle(data):
+    m = data.draw(st.integers(1, 2))
+    n = data.draw(st.integers(2, 4))
+    entry = st.integers(-2, 2)
+    A = RatMatrix.from_rows([[data.draw(entry) for _ in range(n)] for _ in range(m)], cols=n)
+    b = [data.draw(st.integers(0, 3)) for _ in range(m)]
+    c = [data.draw(entry) for _ in range(n)]
+    # (x_lp, x_ip, distance, bound), or the class of the refusal
+    assert _outcome(ip_proximity_check, A, b, c) == _outcome(brute_ip_proximity, A, b, c)
 
 
 def test_conjecture_holds_single(A_int):

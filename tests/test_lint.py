@@ -177,3 +177,73 @@ def test_no_module_rebuilds_a_record_past_its_constructor():
             if isinstance(n, ast.Attribute) and n.attr in ("_replace", "_make")
         ]
     assert found == []
+
+
+def _calls(node, name):
+    """Calls under node of `name` (a bare name) or `x.name` (an attribute)."""
+    return [
+        n
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call)
+        and (
+            (isinstance(n.func, ast.Name) and n.func.id == name)
+            or (isinstance(n.func, ast.Attribute) and n.func.attr == name)
+        )
+    ]
+
+
+def test_cli_writes_every_report_in_one_place():
+    # Verbs return their report body; `_write_report` alone wraps it and
+    # writes it, and `main` alone prints `finding:` and picks the exit code,
+    # so a change to what every report carries is a change in one place.
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    functions = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    sites = _calls(tree, "make_report")
+    assert len(sites) == 1 and sites[0] in _calls(functions["_write_report"], "make_report")
+    found = []
+    for name, fn in functions.items():
+        if not name.startswith("_cmd_"):
+            continue
+        found += [f"{name}:{n.lineno} print" for n in _calls(fn, "print")]
+        found += [
+            f"{name}:{n.lineno} sys.stderr"
+            for n in ast.walk(fn)
+            if isinstance(n, ast.Attribute)
+            and n.attr == "stderr"
+            and isinstance(n.value, ast.Name)
+            and n.value.id == "sys"
+        ]
+    # _write_text: from the one writer, and for the --trace file of `solve`
+    for name, fn in functions.items():
+        for n in _calls(fn, "_write_text"):
+            trace = (
+                name == "_cmd_solve"
+                and isinstance(n.args[0], ast.Attribute)
+                and n.args[0].attr == "trace"
+            )
+            if name != "_write_report" and not trace:
+                found.append(f"{name}:{n.lineno} _write_text")
+    assert found == []
+
+
+def test_every_layer_the_benchmark_traces_exists():
+    # perfbench/tracer.py reports a traced name that no longer resolves as
+    # "missing" and carries on, so a rename would only leave a gap in the
+    # traced runs; here it fails.  The tracer is loaded, not installed.
+    import importlib
+    import importlib.util
+
+    path = SRC.parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_circuitkit_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.LAYERS
+    missing = []
+    for module_name, attrs in tracer.LAYERS.values():
+        module = importlib.import_module(module_name)
+        for attr in attrs:
+            owner_name, _, name = attr.rpartition(".")
+            owner = getattr(module, owner_name, None) if owner_name else module
+            if owner is None or vars(owner).get(name) is None:
+                missing.append(f"{module_name}.{attr}")
+    assert missing == []

@@ -145,6 +145,55 @@ def test_fixing_sets_far_costs_fix_nothing():
     assert R0 == () and Ru == ()
 
 
+def _fixing_instance():
+    """min <c, x>, x0 + x1 + x2 = 2, x0, x2 <= 1, x1 free above, with the
+    same cost twice: R0 = (2,) and Ru = (0,)."""
+    A = RatMatrix.from_rows([[1, 1, 1]], cols=3)
+    c = vec([1, 2, 3])
+    return A, vec([2]), [1, None, 1], c, c, vec([1, 1, 0]), vec([2])
+
+
+def _face_costs(lp):
+    """(i, sense) of a face LP's cost sense * x_i."""
+    [(i, sense)] = [(i, v) for i, v in enumerate(lp.c) if v != 0]
+    return i, sense
+
+
+def test_fixing_sets_optimize_each_coordinate_over_the_face_in_order(monkeypatch):
+    faces = []
+
+    def recording(lp, tiebreak=None, start=None):
+        if start is not None:
+            faces.append(_face_costs(lp))
+        return solve(lp, tiebreak=tiebreak, start=start)
+
+    monkeypatch.setattr(proximity, "solve", recording)
+    assert fixing_sets_bounds(*_fixing_instance()) == ((2,), (0,))
+    assert faces == [(2, -1), (0, 1)]
+
+
+@pytest.mark.parametrize(
+    "face, prop, detail",
+    [
+        ((2, -1), "fixing-zero", "max x_2 over the face is 1"),
+        ((0, 1), "fixing-upper", "min x_0 over the face is 0"),
+    ],
+)
+def test_a_face_optimum_off_by_one_is_a_fixing_finding(monkeypatch, face, prop, detail):
+    # max x_2 is 0 and min x_0 is 1 over the face; one face LP that answers
+    # one unit lower must be caught by the audit of that set
+    def off_by_one(lp, tiebreak=None, start=None):
+        res = solve(lp, tiebreak=tiebreak, start=start)
+        if start is not None and _face_costs(lp) == face:
+            return res._replace(objective=res.objective - 1)
+        return res
+
+    monkeypatch.setattr(proximity, "solve", off_by_one)
+    with pytest.raises(AuditFailure) as exc:
+        fixing_sets_bounds(*_fixing_instance())
+    assert (exc.value.prop, exc.value.detail) == (prop, detail)
+
+
 def test_float_bounds_and_epsilons_are_type_errors():
     # A float is not exact: Fraction(0.1) would silently be
     # 3602879701896397/36028797018963968, so it is refused like a float in b or c.

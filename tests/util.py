@@ -9,7 +9,8 @@ enumeration support by support (over Fractions, and over ints with
 `int_kernel_line`) and as the independent-set growth without its coloop
 cut, the imbalance scan, the kappa_star bitmask DP over simple paths (over
 Fractions and over ints) that Karp's algorithm replaced, the Graver box
-scan and its minimality filter, the decomposition search, the appendix
+scan and its minimality filter, the IP proximity ball as a plain
+product over its box, the decomposition search, the appendix
 window scan, the nearest point as two separate simplex solves, the
 steepness eps(x) as its dual LP, the recession test as a box LP, the
 greedy basis by one rank per column, the basis forms by determinant,
@@ -24,7 +25,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import ceil, floor, gcd, lcm, sqrt
 import random
 
@@ -37,10 +38,12 @@ from circuitkit.errors import (
     AuditFailure,
     BadParameters,
     BoxTooLarge,
+    InfeasibleSystem,
     InternalError,
     NonIntegerMatrix,
     RankDeficient,
     SeparableInput,
+    UnboundedDirection,
 )
 from circuitkit.ratmat import (
     RatMatrix,
@@ -946,6 +949,48 @@ def oracle_graver_basis(A):
         g1=max(sum(abs(v) for v in g) for g in elements),
         ginf=max(max(abs(v) for v in g) for g in elements),
     )
+
+
+def brute_ip_proximity(A, b, c):
+    """`graver.ip_proximity_check` by brute force: every point of the box
+    [x_lp - bound, x_lp + bound] from `itertools.product`, kept when it
+    solves Ax = b and lies within 1-norm `bound` of x_lp, and the least
+    (distance, x) among the optima kept.  x_lp is the basic optimum of the
+    package's simplex, bound is n * kappa_bar from the brute circuits.
+    Raises the refusal the package raises."""
+    n = A.cols
+    res = lpmod.solve(lpmod.LPInstance.standard(A, b, c))
+    if res.status == lpmod.INFEASIBLE:
+        raise InfeasibleSystem("LP relaxation is infeasible")
+    if res.status == lpmod.UNBOUNDED:
+        raise UnboundedDirection("LP relaxation is unbounded")
+    x_lp = res.x
+    bound = Fraction(n * brute_kappa_bar(A))
+    axes = [range(max(0, ceil(v - bound)), floor(v + bound) + 1) for v in x_lp]
+    points = 1
+    for axis in axes:
+        points *= len(axis)
+    if points > gmod._BOX_LIMIT:
+        raise BoxTooLarge(f"proximity box has {points} points")
+    rows = [[int(A.entry(r, j)) for j in range(n)] for r in range(A.rows)]
+    target = [Fraction(v) for v in b]
+
+    def dist(x):
+        return sum((abs(v - w) for v, w in zip(x, x_lp)), Fraction(0))
+
+    ball = [
+        x
+        for x in product(*axes)
+        if [sum(a * v for a, v in zip(row, x)) for row in rows] == target and dist(x) <= bound
+    ]
+    if not ball:
+        raise InfeasibleSystem("no integer point within the proximity ball")
+    best = min(sum(ci * v for ci, v in zip(c, x)) for x in ball)
+    x_ip = min(
+        (x for x in ball if sum(ci * v for ci, v in zip(c, x)) == best),
+        key=lambda x: (dist(x), x),
+    )
+    return x_lp, x_ip, dist(x_ip), bound
 
 
 def fraction_conjecture_decompose(W, z):
