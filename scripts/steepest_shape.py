@@ -34,7 +34,7 @@ def main() -> int:
         for seed in range(args.seeds):
             lp = generate(GeneratorSpec("flow", size=size, seed=seed))
             trace = run(lp, rule="steepest")
-            audit_trace(trace, lp.A, lp.c, lp.u)
+            audit_trace(trace, lp.A, u=lp.u)
             assert trace.final_objective == solve(lp).objective
             n, m = lp.A.cols, lp.A.rows
             kappa = imbalances(Subspace.from_kernel_matrix(lp.A)).kappa

@@ -425,14 +425,16 @@ def run(
     )
 
 
-def audit_trace(trace: AugmentationTrace, A: RatMatrix, c, u=None) -> AuditReport:
-    """Check the steepest-descent decay statements exactly on a finished trace."""
+def audit_trace(trace: AugmentationTrace, A: RatMatrix, *, u=None) -> AuditReport:
+    """Check the steepest-descent decay statements exactly on a finished trace.
+
+    The epsilons checked are those `run` recorded, one per iterate.  `u` is
+    keyword-only, so a stray positional cost vector cannot be read as bounds."""
     if trace.rule != STEEPEST:
         raise BadParameters("audit_trace expects a steepest-descent trace")
-    cv = vec(c)
-    eps = list(trace.epsilons) if trace.epsilons else [
-        epsilon_of(A, cv, it, u) for it in trace.iterates()
-    ]
+    if trace.epsilons is None or len(trace.epsilons) != len(trace.steps) + 1:
+        raise BadParameters("audit_trace expects one recorded epsilon per iterate")
+    eps = trace.epsilons
     n = A.cols
     m = A.rows
     kappa = Subspace.from_kernel_matrix(A).measures.kappa
@@ -480,7 +482,7 @@ def audit_trace(trace: AugmentationTrace, A: RatMatrix, c, u=None) -> AuditRepor
                     freezing.append((i, first, kind))
     return AuditReport(
         steps=len(trace.steps),
-        epsilon_monotone_checks=max(len(eps) - 1, 0),
+        epsilon_monotone_checks=len(eps) - 1,
         window_decay_checks=windows,
         decay_factor=factor,
         freezing=tuple(freezing),

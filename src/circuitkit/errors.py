@@ -30,7 +30,7 @@ class ZeroVector(CircuitKitError):
 
 
 class DeskScaleExceeded(CircuitKitError):
-    """Enumeration width exceeds the CIRCUITKIT_MAX_COLS cap."""
+    """Enumeration width exceeds the fixed cap `ratmat.MAX_ENUM_COLS`."""
 
 
 class NotInSubspace(CircuitKitError):

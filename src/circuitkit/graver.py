@@ -388,9 +388,9 @@ def hk_check(W: Subspace, trials: int, seed: int) -> HKReport:
     for ev in W.circuit_list:
         for ell in ev.support:
             g = tuple(Fraction(v, ev.vector[ell]) for v in ev.vector)
-            seed = tuple(i for i in ev.support if i != ell)
-            basis_cols = greedy_basis(A, seed + tuple(j for j in range(n) if j not in seed))
-            if basis_cols[: len(seed)] != seed:
+            others = tuple(i for i in ev.support if i != ell)
+            basis_cols = greedy_basis(A, others + tuple(j for j in range(n) if j not in others))
+            if basis_cols[: len(others)] != others:
                 raise InternalError("seed columns of a basis are dependent")
             t = ceil(max(abs(v) for v in g))
             d = [Fraction(0)] * n

@@ -453,7 +453,7 @@ def is_TU(A: RatMatrix):
 # ---------------------------------------------------------------------------
 
 
-def _power_iteration_sq(M: list[list[float]], tol: float = 1e-9) -> float:
+def _power_iteration_sq(M: list[list[float]]) -> float:
     """Largest eigenvalue of M^T M by power iteration; returns sigma_max^2."""
     m = len(M)
     n = len(M[0]) if m else 0
@@ -472,7 +472,7 @@ def _power_iteration_sq(M: list[list[float]], tol: float = 1e-9) -> float:
             v[j] * sum(M[i][j] * sum(M[i][k] * v[k] for k in range(n)) for i in range(m))
             for j in range(n)
         )
-        if abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
+        if abs(lam - lam_prev) <= 1e-9 * max(1.0, abs(lam)):
             return lam
         lam_prev = lam
     return lam_prev
@@ -482,6 +482,7 @@ def chibar(A: RatMatrix) -> float:
     """max over bases of the spectral norm of A_B^{-1} A (power iteration)."""
     if rank(A) != A.rows:
         raise RankDeficient("spectral scan needs a full row rank matrix")
+    check_desk_scale(A.cols, "basis enumeration")
     best = 0.0
     for _, M in bases(A):
         flo = [[float(x) for x in r] for r in M.data]

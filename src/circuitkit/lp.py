@@ -37,9 +37,9 @@ from .errors import (
 )
 from .ratmat import (
     RatMatrix,
-    _bases,
     as_fraction,
     bareiss_step,
+    bases,
     greedy_basis,
     rank,
     vec,
@@ -460,7 +460,7 @@ def _std_vertices(A: RatMatrix, b):
     seen = {}
     # No desk-scale cap: the slack columns of upper bounds make a
     # standardized system up to twice as wide as the LP's own matrix.
-    for B, form in _bases(Ab_red, range(width)):
+    for B, form in bases(Ab_red, range(width)):
         x = [Fraction(0)] * width
         for j, r in zip(B, form.data):
             x[j] = r[-1]

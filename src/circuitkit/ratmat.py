@@ -18,6 +18,11 @@ column basis), `solve_linear`, `invert`, `bareiss_det`, `basis_form` and
 simplex and the circuit enumeration keep their own pivot rules (Bland's
 rule, a depth-first tree on tail slices) around the same step.
 
+The scans exponential in the number of columns (the circuits, the square
+submatrices of `imbalance.is_TU`, the bases of `imbalance.chibar`) accept at
+most `MAX_ENUM_COLS` = 12 columns, with no override: each first calls
+`check_desk_scale`, which raises DeskScaleExceeded past it.
+
 Vectors are plain tuples of Fractions; matrices are immutable row tuples.
 """
 
@@ -25,12 +30,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
-    BadParameters,
     DeskScaleExceeded,
     DimensionMismatch,
     InternalError,
@@ -41,30 +44,12 @@ from .errors import (
 
 Vec = tuple  # tuple[Fraction, ...]
 
-MAX_COLS_ENV = "CIRCUITKIT_MAX_COLS"
-DEFAULT_MAX_COLS = 12
+MAX_ENUM_COLS = 12
 
 
-def max_enum_cols() -> int:
-    raw = os.environ.get(MAX_COLS_ENV)
-    if raw is None:
-        return DEFAULT_MAX_COLS
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise BadParameters(f"{MAX_COLS_ENV} must be a positive integer, got {raw!r}")
-    return value
-
-
-def check_desk_scale(width: int, what: str = "enumeration"):
-    cap = max_enum_cols()
-    if width > cap:
-        raise DeskScaleExceeded(
-            f"{what} over {width} columns exceeds the cap of {cap} "
-            f"(raise {MAX_COLS_ENV} to override)"
-        )
+def check_desk_scale(width: int, what: str):
+    if width > MAX_ENUM_COLS:
+        raise DeskScaleExceeded(f"{what} over {width} columns exceeds the cap of {MAX_ENUM_COLS}")
 
 
 def as_fraction(x) -> Fraction:
@@ -112,10 +97,6 @@ def pos_part(a: Vec) -> Vec:
 def neg_part(a: Vec) -> Vec:
     """Componentwise max(-a, 0); a = pos_part(a) - neg_part(a)."""
     return tuple(-x if x < 0 else Fraction(0) for x in a)
-
-
-def support(a: Vec) -> tuple[int, ...]:
-    return tuple(i for i, x in enumerate(a) if x != 0)
 
 
 def is_conformal(g: Vec, z: Vec) -> bool:
@@ -357,16 +338,10 @@ def basis_form(A: RatMatrix, basis: Sequence[int]) -> RatMatrix:
 
 def bases(A: RatMatrix, over: Sequence[int] | None = None):
     """(B, A_B^{-1} A) for every nonsingular basis B of A drawn from the
-    columns `over` (default all), in lexicographic order of B.  The
-    desk-scale check runs on the call, before the first basis is asked for."""
+    columns `over` (default all), in lexicographic order of B, uncapped.
+    B is a basis exactly when each of its columns finds a pivot, and its
+    rows over D are then A_B^{-1} A."""
     over = range(A.cols) if over is None else over
-    check_desk_scale(len(over), "basis enumeration")
-    return _bases(A, over)
-
-
-def _bases(A: RatMatrix, over: Sequence[int]):
-    """`bases` without the desk-scale check.  B is a basis exactly when each
-    of its columns finds a pivot, and its rows over D are then A_B^{-1} A."""
     rows = _int_rows(A)[0]
     for B in itertools.combinations(over, A.rows):
         T, D, pivots, _ = _gauss_jordan(rows, B)

@@ -344,7 +344,7 @@ def test_08_steepest_walks_audited_and_counted():
     assert len(instances) >= 30 and len(flows) == 10
     for lp, meta, x0 in instances:
         trace = run(lp, rule="steepest", x0=x0)
-        rep = audit_trace(trace, lp.A, lp.c, lp.u)
+        rep = audit_trace(trace, lp.A, u=lp.u)
         assert rep.steps == len(trace.steps)
         windows_total += rep.window_decay_checks
         want = solve(lp).objective

@@ -156,7 +156,7 @@ def test_run_records_epsilons_for_steepest():
 def test_audit_trace_passes_and_catches_mutation():
     lp, _ = interior_instance()
     trace = run(lp, rule="steepest", x0=vec([1, 1, 1]))
-    rep = audit_trace(trace, lp.A, lp.c, lp.u)
+    rep = audit_trace(trace, lp.A, u=lp.u)
     assert rep.steps == len(trace.steps)
     assert 0 < rep.decay_factor < 1
     broken = AugmentationTrace(
@@ -171,7 +171,67 @@ def test_audit_trace_passes_and_catches_mutation():
         epsilons=trace.epsilons,
     )
     with pytest.raises(AuditFailure):
-        audit_trace(broken, lp.A, lp.c, lp.u)
+        audit_trace(broken, lp.A, u=lp.u)
+
+
+def cube_walk():
+    """The steepest walk on the unit cube from (0, 1, 0) for c = (-3, 2, -1):
+    each step moves one coordinate to a bound, most negative slope first."""
+    A = RatMatrix.from_rows([[0, 0, 0]], cols=3)
+    lp = LPInstance.bounded(A, [0], [-3, 2, -1], [1, 1, 1])
+    return lp, run(lp, rule="steepest", x0=vec([0, 1, 0]))
+
+
+def _restep(trace, t, alpha):
+    """`trace` with step t taken at length alpha, its iterate recomputed."""
+    prev = trace.iterates()[t]
+    step = trace.steps[t]
+    x = tuple(xi + alpha * gi for xi, gi in zip(prev, step.direction.as_fractions()))
+    steps = list(trace.steps)
+    steps[t] = step._replace(alpha=alpha, x_after=x)
+    return trace._replace(steps=tuple(steps))
+
+
+def test_the_cube_walk_passes_every_audit():
+    lp, trace = cube_walk()
+    assert trace.epsilons == (3, 2, 1, -1)
+    assert [s.x_after for s in trace.steps] == [(1, 1, 0), (1, 0, 0), (1, 0, 1)]
+    rep = audit_trace(trace, lp.A, u=lp.u)
+    assert (rep.epsilon_monotone_checks, rep.window_decay_checks) == (3, 1)
+
+
+@pytest.mark.parametrize(
+    "mutate, prop, step, detail",
+    [
+        (lambda tr: tr._replace(epsilons=(3, 2, 3, -1)), "epsilon-monotone", 1, "3 > 2"),
+        (
+            lambda tr: tr._replace(epsilons=(3, 2, 1, Fraction(1, 2))),
+            "epsilon-window-decay", 0, "1/2 > 0 * 3",
+        ),
+        (
+            lambda tr: tr._replace(
+                steps=(tr.steps[0], tr.steps[1]._replace(x_after=vec([1, 1, 0])), tr.steps[2])
+            ),
+            "step-consistency", 1, "iterate does not match step data",
+        ),
+        (lambda tr: _restep(tr, 1, 2), "feasibility", 1, "negative coordinate"),
+        (lambda tr: _restep(tr, 0, 2), "feasibility", 0, "upper bound violated"),
+        (lambda tr: _restep(tr, 0, Fraction(1, 2)), "maximal-step", 0, "no new tight constraint"),
+    ],
+    ids=["monotone", "window", "consistency", "negative", "upper", "maximal"],
+)
+def test_each_trace_audit_catches_its_mutation(mutate, prop, step, detail):
+    lp, trace = cube_walk()
+    with pytest.raises(AuditFailure) as exc:
+        audit_trace(mutate(trace), lp.A, u=lp.u)
+    assert (exc.value.prop, exc.value.step, exc.value.detail) == (prop, step, detail)
+
+
+@pytest.mark.parametrize("epsilons", [None, (), (3, 2, 1)], ids=["none", "empty", "one-short"])
+def test_a_trace_without_its_epsilons_is_a_parameter_error(epsilons):
+    lp, trace = cube_walk()
+    with pytest.raises(BadParameters, match="one recorded epsilon per iterate"):
+        audit_trace(trace._replace(epsilons=epsilons), lp.A, u=lp.u)
 
 
 def test_ratio_rule_decay():
@@ -304,7 +364,7 @@ def test_run_unbounded_reports_direction():
 def test_window_decay_matches_kappa():
     lp, W = interior_instance()
     trace = run(lp, rule="steepest", x0=vec([1, 1, 1]))
-    rep = audit_trace(trace, lp.A, lp.c, lp.u)
+    rep = audit_trace(trace, lp.A, u=lp.u)
     kappa = imbalances(W).kappa
     m = lp.A.rows
     assert rep.decay_factor == 1 - Fraction(1, 1 + (m - 1) * kappa)

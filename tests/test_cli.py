@@ -378,6 +378,14 @@ def test_missing_file_is_input_error(capsys):
     assert code == 2
 
 
+def test_analyze_past_the_column_cap_is_input_error(tmp_path, capsys):
+    path = write_json(tmp_path / "wide.json", {"schema_version": "1", "A": [["1"] * 13]})
+    assert cli.main(["analyze", "--input", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "input error: circuit enumeration over 13 columns exceeds the cap of 12\n"
+
+
 def test_a_file_that_is_not_utf8_is_input_error(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_bytes(b'\xff\xfe[["1"]]')

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from circuitkit import imbalance
+from circuitkit import imbalance, ratmat
 from circuitkit.errors import SeparableInput
 from circuitkit.imbalance import (
     CircuitRatioDigraph,
@@ -443,7 +443,7 @@ def test_is_TU_answers_a_network_matrix_without_the_scan(monkeypatch):
             (0, 3), (1, 4), (2, 5), (3, 6), (4, 0)]
     rows = [[1 if u == v else -1 if w == v else 0 for u, w in arcs] for v in range(7)]
     A = RatMatrix.from_rows(rows, cols=12)
-    monkeypatch.setenv("CIRCUITKIT_MAX_COLS", "3")  # the cap binds the scan alone
+    monkeypatch.setattr(ratmat, "MAX_ENUM_COLS", 3)  # the cap binds the scan alone
     dets = []
     monkeypatch.setattr(imbalance, "bareiss_det", lambda M: dets.append(M) or 0)
     assert is_TU(A) == (True, None)

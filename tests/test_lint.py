@@ -143,6 +143,34 @@ def test_only_ratmat_takes_a_bareiss_step():
     assert found == []
 
 
+def test_the_package_reads_no_environment():
+    # ROADMAP item 4: "Add no environment variable."  The column cap is the
+    # constant ratmat.MAX_ENUM_COLS, and no knob outside the arguments may
+    # change an answer.
+    names = {"environ", "getenv", "putenv", "unsetenv"}
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{n.lineno} os.{n.attr}"
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute)
+            and isinstance(n.value, ast.Name)
+            and n.value.id == "os"
+            and n.attr in names
+        ]
+        found += [
+            f"{path.name}:{n.lineno} from os import {alias.name}"
+            for n in ast.walk(tree)
+            if isinstance(n, ast.ImportFrom) and n.module == "os"
+            for alias in n.names
+            if alias.name in names
+        ]
+    assert found == []
+
+
 def test_no_module_imports_dataclasses():
     # `import dataclasses` pulls in inspect, ast, dis and tokenize, and each
     # @dataclass compiles generated source: a CLI process pays for both on

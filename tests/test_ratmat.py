@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circuitkit import ratmat
 from circuitkit.errors import (
-    BadParameters,
     DeskScaleExceeded,
     InternalError,
     NonIntegerMatrix,
     SingularBasis,
 )
+from circuitkit.imbalance import chibar, is_TU
 from circuitkit.ratmat import (
     RatMatrix,
     bareiss_det,
@@ -24,7 +25,6 @@ from circuitkit.ratmat import (
     integer_normalize,
     invert,
     is_conformal,
-    max_enum_cols,
     neg_part,
     norm1,
     pos_part,
@@ -34,6 +34,7 @@ from circuitkit.ratmat import (
     solve_linear,
     vec,
 )
+from circuitkit.subspace import Subspace
 from util import (
     bases_by_det,
     fraction_rref,
@@ -184,7 +185,7 @@ def test_int_nth_root_of_huge_values():
 
 
 def test_desk_scale_cap(monkeypatch):
-    monkeypatch.setenv("CIRCUITKIT_MAX_COLS", "3")
+    monkeypatch.setattr(ratmat, "MAX_ENUM_COLS", 3)
     M = RatMatrix.identity(4)
     with pytest.raises(DeskScaleExceeded):
         subdet_stats(M)
@@ -262,18 +263,26 @@ def test_bases_match_the_determinant_loop(A, data):
     assert list(bases(A, over)) == list(bases_by_det(A, over))
 
 
-def test_bases_check_the_desk_scale_on_the_call(monkeypatch):
-    monkeypatch.setenv("CIRCUITKIT_MAX_COLS", "3")
-    with pytest.raises(DeskScaleExceeded):
-        bases(RatMatrix.identity(4))
+def test_bases_enumerate_past_the_cap(monkeypatch):
+    # the cap is checked by the scans that use bases (chibar), not by bases
+    monkeypatch.setattr(ratmat, "MAX_ENUM_COLS", 3)
+    assert [B for B, _ in bases(RatMatrix.identity(4))] == [(0, 1, 2, 3)]
     assert len(list(bases(RatMatrix.identity(4), over=[0, 1, 3]))) == 0
 
 
-@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
-def test_a_bad_column_cap_is_a_parameter_error(monkeypatch, raw):
-    monkeypatch.setenv("CIRCUITKIT_MAX_COLS", raw)
-    with pytest.raises(BadParameters, match=f"CIRCUITKIT_MAX_COLS.*{raw}"):
-        max_enum_cols()
+def test_each_scan_checks_the_one_cap(monkeypatch):
+    monkeypatch.setattr(ratmat, "MAX_ENUM_COLS", 3)
+    # full row rank, entries in {0, 1, -1}, and not a network matrix either
+    # way round, so is_TU reaches its scan
+    A = RatMatrix.from_rows([[1, 1, 1, 1], [1, -1, 1, 0]], cols=4)
+    scans = [
+        (lambda: Subspace.from_kernel_matrix(A).circuit_list, "circuit enumeration"),
+        (lambda: is_TU(A), "unimodularity enumeration"),
+        (lambda: chibar(A), "basis enumeration"),
+    ]
+    for scan, what in scans:
+        with pytest.raises(DeskScaleExceeded, match=f"^{what} over 4 columns exceeds the cap of 3$"):
+            scan()
 
 
 @st.composite
