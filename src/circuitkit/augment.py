@@ -313,13 +313,11 @@ def _default_cap(lp: LPInstance, W: Subspace) -> int:
     return 1 + 10 * n * n * max(m, 1) * kappa * ((kappa + n).bit_length() + 1)
 
 
-def run(
-    lp: LPInstance, rule: str, cap: int | None = None, x0=None, W: Subspace | None = None
-) -> AugmentationTrace:
+def run(lp: LPInstance, rule: str, cap: int | None = None, x0=None) -> AugmentationTrace:
     """Instrumented circuit walk under the given rule, from x0 or a phase-1 point.
 
-    W is ker(lp.A) when the caller already holds it, so that its circuits
-    are enumerated once for every walk given the same object.
+    The walk's circuits are those of the live `Subspace` of ker(lp.A), so
+    they are enumerated once for every walk while a caller holds it.
     """
     if rule not in (STEEPEST, DANTZIG, DEEPEST, RATIO, SUPPORT):
         raise BadParameters(f"run does not drive rule {rule!r}")
@@ -329,8 +327,7 @@ def run(
         raise BadParameters("the weighted rule needs an instance without upper bounds")
     if cap is not None and cap < 0:
         raise BadParameters(f"the iteration cap must be at least 0, got {cap}")
-    if W is None:
-        W = Subspace.from_kernel_matrix(lp.A)
+    W = Subspace.from_kernel_matrix(lp.A)
     u = lp.u
     if x0 is None:
         feas = solve(LPInstance(A=lp.A, b=lp.b, c=tuple(Fraction(0) for _ in range(lp.n)), u=u))
@@ -489,13 +486,13 @@ def audit_trace(trace: AugmentationTrace, A: RatMatrix, *, u=None) -> AuditRepor
     )
 
 
-def guided_walk(lp: LPInstance, x_start, x_target, W: Subspace | None = None) -> AugmentationTrace:
+def guided_walk(lp: LPInstance, x_start, x_target) -> AugmentationTrace:
     """Walk to a basic solution along conformal pieces of the remaining gap.
 
     Each step decomposes x_target - x conformally, picks the term with the
     largest mass on the non-basic coordinates, and steps maximally.  The
-    step length in units of the chosen term must land in [1, n].  W is
-    ker(lp.A) when the caller already holds it, as in `run`.
+    step length in units of the chosen term must land in [1, n].  The
+    circuits are those of the live `Subspace` of ker(lp.A), as in `run`.
     """
     A = lp.A
     u = lp.u
@@ -511,8 +508,7 @@ def guided_walk(lp: LPInstance, x_start, x_target, W: Subspace | None = None) ->
     if B[: len(supp)] != supp:
         raise TargetNotBasic("support columns of x_target are dependent")
     Bset = set(B)
-    if W is None:
-        W = Subspace.from_kernel_matrix(A)
+    W = Subspace.from_kernel_matrix(A)
     cost = tuple(Fraction(0) if i in Bset else Fraction(1) for i in range(n))
     off_basis = [i for i in range(n) if i not in Bset]
     obj = vec_dot(cost, x)

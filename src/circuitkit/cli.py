@@ -137,10 +137,10 @@ def _cmd_solve(args):
             res = lpmod.solve(lp)
             if res.status != lpmod.OPTIMAL:
                 return _result_payload(res)
-            # one subspace, so both walks share one circuit enumeration
+            # holding the live subspace lets both walks share one enumeration
             W = Subspace.from_kernel_matrix(lp.A)
-            start = augment.run(lp, rule="support", W=W).final_x
-            trace = augment.guided_walk(lp, start, res.x, W=W)
+            start = augment.run(lp, rule="support").final_x
+            trace = augment.guided_walk(lp, start, res.x)
         else:
             trace = augment.run(lp, rule=args.rule, cap=args.cap)
     except InfeasibleSystem:
@@ -299,11 +299,11 @@ def _cmd_diameter(args):
     lp = _load_lp(args.input)
     W = Subspace.from_kernel_matrix(lp.A)
     rep = W.measures
-    n = lp.A.cols
-    # The bound is stated for A of full row rank m; redundant rows do not
-    # change the region, so m is rank A.  A zero A (a box) keeps its row
-    # count, since the bound needs m >= 1.
-    m = W.codim or lp.A.rows
+    # The bound is for the measured system, standardized with a slack column
+    # and a row per finite upper bound: kappa of ker A, rank m = rank A + f.
+    f = sum(x is not None for x in lp.u or ())
+    n = lp.A.cols + f
+    m = W.codim + f
     try:
         diam = lpmod.edge_graph_diameter(lp)
     except UnboundedRegion:

@@ -112,10 +112,6 @@ class NotIntegerKernelVector(CircuitKitError):
 class BoxTooLarge(CircuitKitError):
     """Graver enumeration box exceeds the configured point budget."""
 
-    def __init__(self, message, bound=None):
-        super().__init__(message)
-        self.bound = bound
-
 
 class BadParameters(CircuitKitError):
     pass

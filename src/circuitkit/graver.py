@@ -63,7 +63,7 @@ class ConjectureReport(NamedTuple):
 
     status is "holds" with a decomposition of (coefficient, circuit vector)
     pairs, or "violated" with decomposition None.  searched counts the
-    partial decompositions examined.
+    (circuit, coefficient) pairs tried.
     """
 
     target: tuple
@@ -168,10 +168,7 @@ def graver_basis(A: RatMatrix) -> GraverBasis:
         caps.append(cap)
         total *= 2 * cap + 1
     if total > _BOX_LIMIT:
-        raise BoxTooLarge(
-            f"coefficient box has {total} points; 1-norm bound {ew_bound}",
-            bound=ew_bound,
-        )
+        raise BoxTooLarge(f"coefficient box has {total} points; 1-norm bound {ew_bound}")
 
     candidates = set()
 
@@ -275,7 +272,7 @@ def ip_proximity_check(A: RatMatrix, b, c):
     for i in range(n):
         total *= max(hi[i] - lo[i] + 1, 0)
     if total > _BOX_LIMIT:
-        raise BoxTooLarge(f"proximity box has {total} points", bound=int(bound))
+        raise BoxTooLarge(f"proximity box has {total} points")
     if any(hi[i] < lo[i] for i in range(n)):
         raise InfeasibleSystem("no integer point within the proximity ball")
     box = _scan_integer_points(A, b, lo, hi)
@@ -302,6 +299,11 @@ def conjecture_decompose(W: Subspace, z) -> ConjectureReport:
     such a coefficient), at most n terms, fewest terms first and circuits in
     listing order for ties.  A "violated" verdict means the exhaustive
     search found nothing and is a reportable finding.
+
+    `searched` counts the (circuit, coefficient) pairs tried: from the
+    largest coefficient down at each level but the last, whose term is
+    solved, one test per circuit.  With C the conformal circuits and M =
+    kappa_dot * max |z_i|, l terms take at most l * |C|^l * M^(l-1) tries.
     """
     zv = vec(z)
     if len(zv) != W.ambient_dim:
@@ -332,6 +334,13 @@ def conjecture_decompose(W: Subspace, z) -> ConjectureReport:
                 continue
             # largest multiple of 1/kd keeping the remainder in the orthant
             amax = min(ri // gi for gi, ri in zip(g, R) if gi != 0)
+            if depth == limit - 1:
+                # only R = a * g empties the remainder, and then a = amax
+                if amax > 0:
+                    searched += 1
+                    if all(ri == amax * gi for gi, ri in zip(g, R)):
+                        return acc + [(amax, g)]
+                continue
             for a in range(amax, 0, -1):
                 searched += 1
                 rest = tuple(ri - a * gi for gi, ri in zip(g, R))

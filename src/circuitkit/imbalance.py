@@ -7,8 +7,8 @@ Three exact measures are computed from the enumerated circuits:
 * kappa_bar  -- largest absolute entry of a normalized circuit vector
 
 plus the optimal-rescaling value kappa_star (the largest geometric mean of a
-cycle of the circuit ratio digraph, found by Karp's maximum-mean-cycle
-algorithm on the integer pair maxima, per component of the subspace), a
+cycle of the circuit ratio digraph, by Karp's maximum-mean-cycle algorithm
+per component, with one rescaling and the least tight cycle as witness), a
 total-unimodularity test, the diameter bound with its logarithm enclosed
 in exact rationals, and one floating-point estimator (`chibar`, the
 spectral norm analogue), this package's only inexact path.
@@ -164,13 +164,6 @@ class GeoMeanValue(namedtuple("GeoMeanValue", "product length")):
     def __ge__(self, other):
         return self._cmp(other) >= 0
 
-    def normalized(self) -> "GeoMeanValue":
-        """Reduce to length 1 when the root is rational."""
-        root = fraction_nth_root(self.product, self.length)
-        if root is not None:
-            return GeoMeanValue(root, 1)
-        return self
-
     def shortest(self) -> "GeoMeanValue":
         """The same value at the shortest length with a rational product."""
         for g in range(self.length, 1, -1):
@@ -185,7 +178,6 @@ class KappaStarResult(NamedTuple):
     witness_cycle: tuple
     rescaling: tuple | None  # rational d attaining the optimum, when it exists
     rescaling_pow: tuple  # exact vector of d_i^length, always rational
-    power: int
 
 
 def kappa_star(W: Subspace) -> KappaStarResult:
@@ -196,29 +188,31 @@ def kappa_star(W: Subspace) -> KappaStarResult:
     of W separately and every circuit lies in one, so this is the maximum
     over the components; a W with no two elements in a common circuit
     (trivial, or all loops and coloops) has value 1 and an empty cycle.
-    The maximum comes from Karp's maximum-mean-cycle algorithm on the
-    integer pair maxima (`_max_mean`), the witness from the tight arcs of
-    the rescaling at that maximum (`_tight_witness`); both are audited, and
-    the value and the rescaling are returned as Fractions.
+    The value comes from Karp's maximum-mean-cycle algorithm on the integer
+    pair maxima (`_max_mean`), at the shortest length with a rational
+    product; one Bellman-Ford solve at that value gives the rescaling, and
+    its tight arcs the witness (`_tight_witness`).  The rescaling is
+    audited as feasible and tight, and the witness as attaining the value.
 
     The rescaling d satisfies kappa_ij * d_j / d_i <= value for every pair,
-    with equality along the witness cycle.  When value is rational, d is the
-    returned rational vector; otherwise `rescaling` is None and
+    with equality along the witness cycle.  When value has length 1, d is
+    the returned rational vector; otherwise `rescaling` is None and
     `rescaling_pow` carries the exact vector of d_i^length.
     """
     n = W.ambient_dim
     maxima = W.pair_maxima
     kappa = {arc: Fraction(p, q) for arc, (p, q) in maxima.items()}
     nodes = sorted({i for i, _ in maxima})
-    best = _max_mean(maxima, nodes)
-    if best is None:
-        return _kappa_star_result(kappa, nodes, n, None, ())
-    d = _mult_bellman_ford(kappa, nodes, n, best.product, best.length)
-    cycle = _tight_witness(kappa, d, best.product, best.length, nodes)
-    prod = _cycle_product(kappa, cycle)
-    if GeoMeanValue(prod, len(cycle))._cmp(best) != 0:
+    value = _max_mean(maxima, nodes)
+    if value is None:
+        one = (Fraction(1),) * n
+        return KappaStarResult(GeoMeanValue(Fraction(1), 1), (), one, one)
+    d = _mult_bellman_ford(kappa, nodes, n, value.product, value.length)
+    _check_feasible(kappa, d, value.product, value.length)
+    cycle = _tight_witness(kappa, d, value.product, value.length, nodes)
+    if GeoMeanValue(_cycle_product(kappa, cycle), len(cycle))._cmp(value) != 0:
         raise InternalError("witness cycle misses the maximum mean")
-    return _kappa_star_result(kappa, nodes, n, prod, cycle, (best, d))
+    return KappaStarResult(value, cycle, d if value.length == 1 else None, d)
 
 
 def _max_mean(maxima: dict, nodes: list):
@@ -278,21 +272,16 @@ def _tight_witness(kappa: dict, d: tuple, rho: Fraction, power: int, nodes: list
 
     Under the rescaling d at the optimum, kappa_ij^power * d_j <= rho * d_i
     holds on every arc, and the optimal cycles are exactly the cycles of the
-    arcs where it is tight.  The witness is the least minimum node s first,
-    then the shortest cycle through s inside the nodes >= s, then the least
-    sorted tuple of its nodes before the last one, then the least last node
-    (for at most three nodes, the lexicographically least cycle).  That is
-    the order in which a DP over (visited set, end node) states meets the
-    optimal cycles, so the witness is the one that search returns (kept as
-    a test oracle).  A shortest
-    cycle through s meets each node x at position dist(s, x), so the cycles
-    of length L are the paths through layers 1..L-1 of the nodes with
-    dist(s, x) + dist(x, s) = L, and the tie-breaks are fixed one node at a
-    time, each by a reachability pass over the layers.
+    arcs where it is tight.  The witness is the lexicographically least of
+    the shortest optimal cycles through the least node s that lies on one;
+    those cycles use only nodes >= s.  With fwd and back the tight-arc
+    distances from and to s inside those nodes and L the shortest length, a
+    node x can stand at position pos of such a cycle exactly when fwd(x) =
+    pos and back(x) = L - pos, and each such successor of the node before
+    it extends to a whole cycle.  So one pass takes the least such
+    successor at each position.
     """
-    tight = {
-        (i, j) for (i, j), k in kappa.items() if k**power * d[j] == rho * d[i]
-    }
+    tight = {(i, j) for (i, j), k in kappa.items() if k**power * d[j] == rho * d[i]}
     succ: dict = {v: [] for v in nodes}
     pred: dict = {v: [] for v in nodes}
     for i, j in tight:
@@ -316,57 +305,14 @@ def _tight_witness(kappa: dict, d: tuple, rho: Fraction, power: int, nodes: list
             continue
         back = dist(s, pred)
         L = 1 + min(fwd[x] for x in ends)
-        layer = {
-            x: fwd[x] for x in sorted(fwd) if x != s and x in back and fwd[x] + back[x] == L
-        }
-
-        def feasible(fixed):
-            reach = [s]
-            for pos in range(1, L):
-                allowed = [fixed[pos]] if pos in fixed else [x for x in layer if layer[x] == pos]
-                reach = [y for y in allowed if any((x, y) in tight for x in reach)]
-                if not reach:
-                    return False
-            return True  # layer L-1 is at distance 1 from s
-
-        # One ascending pass fixes the least feasible node of each layer
-        # before the last, then the last: a node passed over stays
-        # infeasible once more layers are fixed.
-        fixed: dict = {}
-        for x in [x for x in layer if layer[x] < L - 1] + [x for x in layer if layer[x] == L - 1]:
-            if layer[x] not in fixed and feasible({**fixed, layer[x]: x}):
-                fixed[layer[x]] = x
-        if len(fixed) != L - 1:
-            raise InternalError("tight layers lost their shortest cycle")
-        return (s,) + tuple(fixed[pos] for pos in range(1, L))
+        cycle = [s]
+        for pos in range(1, L):
+            steps = [x for x in succ[cycle[-1]] if fwd.get(x) == pos and back.get(x) == L - pos]
+            if not steps:
+                raise InternalError("tight layers lost their shortest cycle")
+            cycle.append(min(steps))
+        return tuple(cycle)
     raise InternalError("no tight cycle at the maximum mean")
-
-
-def _kappa_star_result(kappa: dict, nodes, n, best_prod, best_cycle, known=None) -> KappaStarResult:
-    """The `kappa_star` value of a best cycle, with its audited rescalings.
-
-    `known` is an optional (GeoMeanValue, rescaling) pair already computed
-    by `_mult_bellman_ford`, reused when it is the value's own system.
-    """
-    if best_prod is None:
-        one = GeoMeanValue(Fraction(1), 1)
-        return KappaStarResult(one, (), (Fraction(1),) * n, (Fraction(1),) * n, 1)
-    if _cycle_product(kappa, best_cycle) != best_prod:
-        raise InternalError("witness cycle product mismatch")
-    value = GeoMeanValue(best_prod, len(best_cycle)).normalized()
-    ell = value.length
-    if known is not None and known[0] == value:
-        d_pow = known[1]
-    else:
-        d_pow = _mult_bellman_ford(kappa, nodes, n, value.product, ell)
-    _check_feasible(kappa, d_pow, value.product, ell)
-    return KappaStarResult(
-        value=value,
-        witness_cycle=best_cycle,
-        rescaling=d_pow if ell == 1 else None,
-        rescaling_pow=d_pow,
-        power=ell,
-    )
 
 
 def _mult_bellman_ford(kappa: dict, nodes, n, rho: Fraction, power: int):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -346,6 +347,22 @@ def test_diameter_counts_independent_rows_only(tmp_path, capsys, A, b):
     assert rep["diameter"] <= parse_frac(rep["bound"])
 
 
+def test_diameter_bounds_the_standardized_unit_square(tmp_path, capsys):
+    # The measured graph is that of the standardized system, n = 2 + 2 slack
+    # columns of rank m = 0 + 2; read with A's own n = 2 and m = 1 the bound
+    # was log2(3) < 2 and the square exited 1.
+    lp = write_json(
+        tmp_path / "square.json",
+        {"schema_version": "1", "A": [["0", "0"]], "b": ["0"], "c": ["0", "0"], "u": ["1", "1"]},
+    )
+    code, out = run_cli(capsys, ["diameter", "--input", lp])
+    assert code == 0
+    rep = loads(out)
+    assert rep["diameter"] == 2
+    assert rep["within"] is True
+    assert abs(float(parse_frac(rep["bound"])) - 16 * math.log2(5)) < 1e-9
+
+
 def test_prox_fixing_accepts_an_unbounded_coordinate(tmp_path, capsys):
     doc = write_json(
         tmp_path / "fix.json",
@@ -483,7 +500,7 @@ def test_unconverged_rescaling_exits_three(capsys, monkeypatch, app_matrix_file)
     def halved(value):
         return imbalance.GeoMeanValue(value.product / 2, value.length)
 
-    monkeypatch.setattr(imbalance.GeoMeanValue, "normalized", halved)
+    monkeypatch.setattr(imbalance.GeoMeanValue, "shortest", halved)
     assert cli.main(["analyze", "--input", app_matrix_file]) == 3
     assert capsys.readouterr().err == "internal error: rescaling system failed to converge\n"
 

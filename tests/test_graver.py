@@ -295,7 +295,21 @@ def test_conjecture_decompose_matches_the_fraction_oracle(data):
     coeffs = data.draw(st.lists(st.integers(-1, 1), min_size=len(basis), max_size=len(basis)))
     z = [sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(A.cols)]
     W = Subspace.from_kernel_matrix(A)
-    assert conjecture_decompose(W, z) == fraction_conjecture_decompose(W, z)
+    got, want = conjecture_decompose(W, z), fraction_conjecture_decompose(W, z)
+    # the oracle counts the last term down too, so it may search more
+    assert (got.target, got.status, got.decomposition) == (
+        want.target, want.status, want.decomposition)
+    assert got.searched <= want.searched
+
+
+def test_conjecture_solves_the_last_term_of_a_large_target():
+    # Counting the last coefficient down from amax searched 2N + 2 pairs.
+    W = Subspace.from_kernel_matrix(RatMatrix.from_rows([[1, 1, -2]], cols=3))
+    N = 10**6
+    rep = conjecture_decompose(W, (N, N, N))
+    assert rep.status == "holds"
+    assert rep.decomposition == ((Fraction(N, 2), (0, 2, 1)), (Fraction(N, 2), (2, 0, 1)))
+    assert rep.searched == 4
 
 
 def test_appendix_matches_the_fraction_oracle():

@@ -35,6 +35,7 @@ from util import (
     brute_kappa_bar,
     brute_kappa_dot,
     brute_kappa_star,
+    brute_witness_cycle,
     check_kappa_star_one,
     delta_min_angle,
     estimate_kappa,
@@ -350,9 +351,9 @@ def ratio_digraphs(draw):
     return n, maxima
 
 
-# The only optimal cycles are (0, 3, 5, 1) and (0, 4, 2, 1): the DP meets
-# the second first, whose nodes before the last sort as (2, 4) < (3, 5),
-# though the first is lexicographically smaller.
+# The only optimal cycles are (0, 3, 5, 1) and (0, 4, 2, 1), both through
+# node 0 and of length 4: the witness is the lexicographically smaller one,
+# though the nodes before the last of the other sort smaller, (2, 4) < (3, 5).
 TIE_ARCS = {(0, 3), (3, 5), (5, 1), (1, 0), (0, 4), (4, 2), (2, 1)}
 
 
@@ -360,7 +361,7 @@ TIE_ARCS = {(0, 3), (3, 5), (5, 1), (1, 0), (0, 4), (4, 2), (2, 1)}
 @settings(max_examples=300, deadline=None)
 @example((6, {(i, j): (2, 1) if (i, j) in TIE_ARCS else (1, 2)
               for i in range(6) for j in range(6) if i != j}))
-def test_karp_and_the_tight_witness_match_the_path_dp(case):
+def test_karp_matches_the_path_dp_and_the_witness_the_cycle_scan(case):
     n, maxima = case
     kappa = {k: Fraction(p, q) for k, (p, q) in maxima.items()}
     nodes = sorted({i for i, _ in maxima})
@@ -369,9 +370,45 @@ def test_karp_and_the_tight_witness_match_the_path_dp(case):
     if prod is None:
         assert best is None
         return
-    assert best._cmp(GeoMeanValue(prod, len(cycle))) == 0
+    assert best == GeoMeanValue(prod, len(cycle)).shortest()
     d = _mult_bellman_ford(kappa, nodes, n, best.product, best.length)
-    assert _tight_witness(kappa, d, best.product, best.length, nodes) == cycle
+    value, witness = brute_witness_cycle(kappa)
+    assert value._cmp(best) == 0
+    assert _tight_witness(kappa, d, best.product, best.length, nodes) == witness
+
+
+def test_the_witness_is_the_least_of_the_tied_cycles():
+    maxima = {(i, j): (2, 1) if (i, j) in TIE_ARCS else (1, 2)
+              for i in range(6) for j in range(6) if i != j}
+    kappa = {k: Fraction(p, q) for k, (p, q) in maxima.items()}
+    nodes = list(range(6))
+    best = _max_mean(maxima, nodes)
+    assert best == GeoMeanValue(Fraction(2), 1)
+    d = _mult_bellman_ford(kappa, nodes, 6, best.product, best.length)
+    assert _tight_witness(kappa, d, best.product, best.length, nodes) == (0, 3, 5, 1)
+
+
+# The optimal cycle (0, 3, 5, 2) has product 400: the value is sqrt(20), at
+# length 2, where a form reduced only to length 1 kept (400, 4) and needed
+# a second rescaling solve.
+SQUARE_MEAN = [[2, 0, 1, 4, 0, -2, 2], [4, 4, 0, 4, -2, -2, 4], [0, -1, 1, 4, -1, 0, -1]]
+
+
+def test_kappa_star_solves_one_rescaling(monkeypatch, W3, A_app):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _mult_bellman_ford(*args)
+
+    monkeypatch.setattr(imbalance, "_mult_bellman_ford", counted)
+    for A in (W3.kernel_rep, A_app, RatMatrix.from_rows(SQUARE_MEAN, cols=7)):
+        calls.clear()
+        res = kappa_star(Subspace.from_kernel_matrix(A))
+        assert len(calls) == 1
+        assert calls[0][3:] == (res.value.product, res.value.length)
+    assert res.value == GeoMeanValue(Fraction(20), 2)
+    assert res.witness_cycle == (0, 3, 5, 2)
 
 
 @given(small_int_matrices())

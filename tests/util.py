@@ -8,7 +8,8 @@ with per-entry Fraction arithmetic, the RREF over Fractions, the circuit
 enumeration support by support (over Fractions, and over ints with
 `int_kernel_line`) and as the independent-set growth without its coloop
 cut, the imbalance scan, the kappa_star bitmask DP over simple paths (over
-Fractions and over ints) that Karp's algorithm replaced, the Graver box
+Fractions and over ints) that Karp's algorithm replaced, the least optimal
+cycle over all simple cycles in place of the tight-arc witness, the Graver box
 scan and its minimality filter, the IP proximity ball as a plain
 product over its box, the decomposition search, the appendix
 window scan, the nearest point as two separate simplex solves, the
@@ -856,40 +857,64 @@ def int_max_mean_cycle(kappa, nodes):
 
 
 def oracle_kappa_star(W, dp=fraction_max_mean_cycle):
-    """`imbalance.kappa_star` with a path DP above in place of Karp's
-    algorithm and the tight-arc witness."""
+    """`imbalance.kappa_star` from a path DP above in place of Karp's
+    algorithm, its own Bellman-Ford solve at that value, and the witness of
+    `brute_witness_cycle` in place of the tight-arc pass."""
     kappa = {k: Fraction(p, q) for k, (p, q) in W.pair_maxima.items()}
     nodes = sorted({i for (i, _) in kappa})
-    return imbmod._kappa_star_result(kappa, nodes, W.ambient_dim, *dp(kappa, nodes))
+    n = W.ambient_dim
+    prod, cycle = dp(kappa, nodes)
+    if prod is None:
+        one = (Fraction(1),) * n
+        return imbmod.KappaStarResult(imbmod.GeoMeanValue(Fraction(1), 1), (), one, one)
+    value = imbmod.GeoMeanValue(prod, len(cycle)).shortest()
+    d = imbmod._mult_bellman_ford(kappa, nodes, n, value.product, value.length)
+    witness = brute_witness_cycle(kappa)[1]
+    return imbmod.KappaStarResult(value, witness, d if value.length == 1 else None, d)
+
+
+def brute_witness_cycle(kappa):
+    """(GeoMeanValue, cycle) for the least simple cycle of largest geometric
+    mean of the arc weights kappa, least by (least node, length, sequence),
+    or (None, ()) without a cycle.  Every simple cycle is walked once, from
+    its least node, over the integer weights of `int_max_mean_cycle`."""
+    L = lcm(*(k.denominator for k in kappa.values()))
+    weight = {arc: k.numerator * (L // k.denominator) for arc, k in kappa.items()}
+    succ = {}
+    for a, b in sorted(weight):
+        succ.setdefault(a, []).append((b, weight[(a, b)]))
+    best, best_cycle = None, ()
+
+    def walk(path, prod):
+        nonlocal best, best_cycle
+        s = path[0]
+        for b, w in succ.get(path[-1], ()):
+            if b == s:
+                P = prod * w
+                gain = 1 if best is None else P ** len(best_cycle) - best ** len(path)
+                key = (s, len(path), path)
+                if gain > 0 or gain == 0 and key < (best_cycle[0], len(best_cycle), best_cycle):
+                    best, best_cycle = P, path
+            elif b > s and b not in path:
+                walk(path + (b,), prod * w)
+
+    for s in sorted(succ):
+        walk((s,), 1)
+    if best is None:
+        return None, ()
+    return imbmod.GeoMeanValue(Fraction(best, L ** len(best_cycle)), len(best_cycle)), best_cycle
 
 
 def brute_kappa_star(A):
     """The largest geometric mean of a simple cycle of the circuit ratio
     digraph built from `brute_circuits`, as a GeoMeanValue, or None when no
-    two columns share a circuit.  Every simple cycle is walked once, from
-    its least node."""
+    two columns share a circuit."""
     kappa = {}
     for g in brute_circuits(A):
         supp = [i for i, v in enumerate(g) if v]
         for i, j in permutations(supp, 2):
             kappa[(i, j)] = max(kappa.get((i, j), 0), Fraction(abs(g[j]), abs(g[i])))
-    best = None
-
-    def walk(path, prod):
-        nonlocal best
-        s = path[0]
-        back = kappa.get((path[-1], s))
-        if back is not None and len(path) > 1:
-            value = imbmod.GeoMeanValue(prod * back, len(path))
-            if best is None or value > best:
-                best = value
-        for (a, b), k in kappa.items():
-            if a == path[-1] and b > s and b not in path:
-                walk(path + (b,), prod * k)
-
-    for s in range(A.cols):
-        walk((s,), Fraction(1))
-    return best
+    return brute_witness_cycle(kappa)[0]
 
 
 def graver_box(A):
@@ -920,8 +945,7 @@ def oracle_graver_basis(A):
     if points > gmod._BOX_LIMIT:
         a_max = max((abs(int(A.entry(r, j))) for r in range(m) for j in range(n)), default=0)
         ew_bound = (2 * m * a_max + 1) ** m if m else 1
-        raise BoxTooLarge(f"coefficient box has {points} points; 1-norm bound {ew_bound}",
-                          bound=ew_bound)
+        raise BoxTooLarge(f"coefficient box has {points} points; 1-norm bound {ew_bound}")
     candidates = set()
     lam = [0] * k
 
