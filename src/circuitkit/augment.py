@@ -35,7 +35,7 @@ from .errors import (
     UnboundedDirection,
 )
 from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPInstance, solve
-from .ratmat import RatMatrix, greedy_basis, norm1, vec, vec_dot
+from .ratmat import RatMatrix, greedy_basis, neg_part, norm1, vec, vec_dot
 from .subspace import ElementaryVector, Subspace, conformal_decompose, oriented_circuits
 
 STEEPEST = "steepest"
@@ -170,15 +170,13 @@ def deepest_direction(W: Subspace, c, x, u=None):
     return g, maximal_step(xv, g.as_fractions(), u)
 
 
-def _cost_per_weight(cv, gv, w):
-    """<c,g> over the weight <w, g^-> of g's decreases; None unless <c,g> < 0."""
+def _cost_per_weight(cv, gv, wz):
+    """<c,g> over the weight <w, g^-> of g's decreases, with wz = w and 0 for
+    each infinite weight; None unless <c,g> < 0."""
     cg = vec_dot(cv, gv)
     if cg >= 0:
         return None
-    wneg = sum(
-        (Fraction(w[i]) * -gi for i, gi in enumerate(gv) if gi < 0 and w[i] is not None),
-        Fraction(0),
-    )
+    wneg = vec_dot(wz, neg_part(gv))
     if wneg == 0:
         raise UnboundedDirection("circuit decreases cost with no weight to pay", ray=gv)
     return cg / wneg
@@ -198,6 +196,7 @@ def ratio_circuit(W: Subspace, c, w) -> ElementaryVector:
     A = W.kernel_rep
     n = A.cols
     finite = [i for i in range(n) if w[i] is not None]
+    wz = tuple(Fraction(0) if wi is None else Fraction(wi) for wi in w)
     # variables: p (n increases), q (len(finite) decreases), slack r
     width = n + len(finite) + 1
     rows = [list(r) + [-r[i] for i in finite] + [Fraction(0)] for r in A.data]
@@ -223,7 +222,7 @@ def ratio_circuit(W: Subspace, c, w) -> ElementaryVector:
     best = _least(
         (ratio, _circuit(gint))
         for _, gint in conformal_decompose(W, net(res.x)).terms
-        if (ratio := _cost_per_weight(cv, tuple(Fraction(v) for v in gint), w)) is not None
+        if (ratio := _cost_per_weight(cv, tuple(Fraction(v) for v in gint), wz)) is not None
     )
     if best is None:
         raise InternalError("negative optimum without negative term")
@@ -232,7 +231,7 @@ def ratio_circuit(W: Subspace, c, w) -> ElementaryVector:
         (ratio, g)
         for g, gv in oriented_circuits(W)
         if not any(gv[i] < 0 and w[i] is None for i in range(n))
-        and (ratio := _cost_per_weight(cv, gv, w)) is not None
+        and (ratio := _cost_per_weight(cv, gv, wz)) is not None
     )
     scan = None if scan is None else scan[0]
     if scan != res.objective or best[0] != scan:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import lp as lpmod, proximity, serialize
 from .errors import (
@@ -36,6 +35,7 @@ from .errors import (
     UnboundedRegion,
 )
 from .imbalance import diameter_within, is_TU, kappa_star
+from .ratmat import vec_dot
 from .subspace import Subspace
 
 RULES = ("steepest", "dantzig", "deepest", "ratio", "support", "guided")
@@ -151,7 +151,7 @@ def _cmd_solve(args):
     if args.trace:
         _write_text(args.trace, serialize.dumps(trace_obj))
     final_x = trace.final_x
-    cost = sum((ci * xi for ci, xi in zip(lp.c, final_x)), Fraction(0))
+    cost = vec_dot(lp.c, final_x)
     payload = {
         "rule": args.rule,
         "terminated": trace.terminated,

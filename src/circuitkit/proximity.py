@@ -4,14 +4,15 @@ Every bound computed here is also checked: the attained distance is that of
 an exact nearest point, found by one lexicographic simplex solve and
 re-verified, and a distance exceeding its bound raises AuditFailure instead
 of returning quietly.  The three witnesses share `_nearest_optimum`: solve
-LP(W, d, c), then find the nearest point of its optimal face, starting the
-simplex from the optimal vertex just found, so the second solve runs no
-phase 1; the fixing-set face LPs likewise start from the optimum of the
-second cost.  The region is then known to be nonempty, so an infeasible
-or unbounded answer from these solves is an InternalError.  The
-black-box feasibility solver at the bottom composes the same pieces with a
-simulated approximate oracle whose error budget is rational and
-seed-deterministic.
+LP(W, d, c), certify its dual, then find the nearest point of its optimal
+face, starting the simplex from the optimal vertex just found, so the
+second solve runs no phase 1.  The face is cut by deleting the columns of
+positive reduced cost, so that LP has no face row and fewer columns.  The
+fixing-set face LPs likewise start from the optimum of the second cost.
+The region is then known to be nonempty, so an infeasible or unbounded
+answer from these solves is an InternalError.  The black-box feasibility
+solver at the bottom composes the same pieces with a simulated approximate
+oracle whose error budget is rational and seed-deterministic.
 
 LP(W, d, c) throughout means: minimize <c, x> over x in W + d, x >= 0,
 built in one place, `LPInstance.from_subspace`.
@@ -93,64 +94,82 @@ def lambda_set(d, c) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def _nearest_point(rows, b, anchor, vertex):
-    """Exact minimization of ||x - anchor|| over Ax = b, x >= 0: the sup-norm
-    distance tau, then the 1-norm among points attaining it.  Returns (x, tau).
+def _nearest_point(rows, b, anchor, vertex, keep=None):
+    """Exact minimization of ||x - anchor|| over Ax = b, x >= 0 and x_j = 0
+    off the columns `keep` (default: every column): the sup-norm distance
+    tau, then the 1-norm among points attaining it.  Returns (x, tau).
 
-    One lexicographic solve over (x, r, s, w, tau): the rows, then
-    x_i - r_i + s_i = anchor_i and r_i + s_i + w_i - tau = 0; objective tau,
-    tie-break sum(r + s).  The rows already include any optimal-face
-    equality, and `vertex` is a vertex of their region that the caller has
-    just solved for.  The solve starts from the crash point
-    (vertex, dev^+, dev^-, tau - |dev|, tau = max |dev|), dev = vertex -
-    anchor, whose support is independent: the vertex fixes its own
-    coordinates, each deviation row then fixes r_i or s_i, the cap row of
-    largest deviation fixes tau and the other cap rows fix w_i.  The region
-    is therefore nonempty, so a result that is not optimal is an
-    InternalError, as is a point failing its re-verification.  `rows`, each
-    n wide, `b` and `anchor` hold Fractions, as the callers' vectors do.
+    The LP is written over the kept columns K alone.  A deleted coordinate
+    is 0, so it adds the constant |anchor_j| to the 1-norm and puts the
+    floor F = max |anchor_j| over the deleted j under tau.  One
+    lexicographic solve over (x_K, r, s, w, tau), and z when a column is
+    deleted: the rows on K, then x_i - r_i + s_i = anchor_i and
+    r_i + s_i + w_i - tau = 0 for i in K, then tau - z = F; objective tau,
+    tie-break sum(r + s).  `vertex` is a vertex of the region, 0 off K,
+    that the caller has just solved for.  The solve starts from the crash
+    point (vertex_K, dev^+, dev^-, tau - |dev|, tau, tau - F) with
+    dev = vertex_K - anchor_K and tau = max(max |dev|, F), whose support
+    is independent: the vertex fixes its own coordinates, each deviation
+    row then fixes r_i or s_i, the cap row of largest deviation (or the
+    floor row) fixes tau and the other cap rows fix w_i (and z).  The
+    region is therefore nonempty, so a result that is not optimal is an
+    InternalError, as is a point failing its re-verification against the
+    full rows.  `rows`, each n wide, `b` and `anchor` hold Fractions, as
+    the callers' vectors do.
     """
+    zero, one = Fraction(0), Fraction(1)
     n = len(anchor)
-    width = 4 * n + 1
+    K = range(n) if keep is None else keep
+    k = len(K)
+    kept = set(K)
+    off = [abs(anchor[j]) for j in range(n) if j not in kept]
+    floor = max(off, default=zero)
+    cut = 1 if off else 0  # the z column and the floor row
+    width = 4 * k + 1 + cut
     # Every row below is Fractions and `width` wide by construction, so the
     # matrix is built without the per-entry pass of RatMatrix.from_rows;
     # the padding is one shared zero.
-    zero, one = Fraction(0), Fraction(1)
-    pad = (zero,) * (width - n)
-    ext_rows = [(*row, *pad) for row in rows]
+    pad = (zero,) * (width - k)
+    ext_rows = [(*(row[j] for j in K), *pad) for row in rows]
     ext_b = list(b)
-    for i in range(n):
+    for i, j in enumerate(K):
         dev, cap = [zero] * width, [zero] * width
-        dev[i], dev[n + i], dev[2 * n + i] = one, -one, one
-        cap[n + i] = cap[2 * n + i] = cap[3 * n + i] = one
-        cap[4 * n] = -one
+        dev[i], dev[k + i], dev[2 * k + i] = one, -one, one
+        cap[k + i] = cap[2 * k + i] = cap[3 * k + i] = one
+        cap[4 * k] = -one
         ext_rows += [tuple(dev), tuple(cap)]
-        ext_b += [anchor[i], zero]
-    tau_cost = [zero] * (4 * n) + [one]
-    l1_cost = [zero] * n + [one] * (2 * n) + [zero] * (n + 1)
-    dev = [v - a for v, a in zip(vertex, anchor)]
-    top = max(map(abs, dev), default=zero)
+        ext_b += [anchor[j], zero]
+    if cut:
+        ext_rows.append((*(zero,) * (4 * k), one, -one))
+        ext_b.append(floor)
+    tau_cost = [zero] * (4 * k) + [one] + [zero] * cut
+    l1_cost = [zero] * k + [one] * (2 * k) + [zero] * (k + 1 + cut)
+    dev = [vertex[j] - anchor[j] for j in K]
+    top = max((floor, *map(abs, dev)))
     start = [
-        *vertex,
+        *(vertex[j] for j in K),
         *(max(v, zero) for v in dev),
         *(max(-v, zero) for v in dev),
         *(top - abs(v) for v in dev),
         top,
+        *[top - floor] * cut,
     ]
     lp = LPInstance.standard(RatMatrix(data=tuple(ext_rows), cols=width), ext_b, tau_cost)
     res = solve(lp, tiebreak=l1_cost, start=start)
     if res.status != OPTIMAL:
         raise InternalError(f"nearest-point LP of a nonempty region is {res.status}")
-    x, tau = res.x[:n], res.objective
-    dist = [abs(v - a) for v, a in zip(x, anchor)]
+    x = [zero] * n
+    for j, v in zip(K, res.x):
+        x[j] = v
+    tau, gap = res.objective, vec_sub(x, anchor)
     if (
         any(v < 0 for v in x)
         or any(vec_dot(row, x) != bi for row, bi in zip(rows, b))
-        or max(dist, default=zero) != tau
-        or sum(dist, zero) != sum(res.x[n : 3 * n], zero)
+        or max(map(abs, gap), default=zero) != tau
+        or norm1(gap) != vec_dot(l1_cost, res.x) + norm1(off)
     ):
         raise InternalError("nearest point fails its re-verification")
-    return vec(x), tau
+    return tuple(x), tau
 
 
 def _nearest_optimum(W: Subspace, d: Vec, c, anchor: Vec):
@@ -158,10 +177,16 @@ def _nearest_optimum(W: Subspace, d: Vec, c, anchor: Vec):
     `anchor`, as `_nearest_point` returns it: (x, tau).  The optimal vertex
     of the first solve is the vertex the nearest-point solve starts from.
 
-    c None is the zero cost, whose optimal face is the whole region, so no
-    face row is added.  An infeasible LP raises InfeasibleSystem with its
-    certificate.  Every caller has c >= 0, which is dual feasible, so an
-    unbounded LP is an InternalError.
+    The face is cut from the dual of the first solve.  Its reduced costs
+    rc = c - A^T y are certified first: rc >= 0, rc x = 0 and c x = b y,
+    else InternalError.  By complementary slackness the optimal face is
+    then {x >= 0 : A x = b, x_j = 0 where rc_j > 0}, so the nearest-point
+    LP runs over the columns of zero reduced cost alone, with no face row,
+    and its point is checked to have cost c x.  c None is the zero cost,
+    whose optimal face is the whole region, so every column is kept.  An
+    infeasible LP raises InfeasibleSystem with its certificate.  Every
+    caller has c >= 0, which is dual feasible, so an unbounded LP is an
+    InternalError.
     """
     lp = LPInstance.from_subspace(W, d, vec_zero(len(d)) if c is None else c)
     res = solve(lp)
@@ -171,7 +196,15 @@ def _nearest_optimum(W: Subspace, d: Vec, c, anchor: Vec):
         raise InternalError("LP(W, d, c) with c >= 0 is unbounded")
     if c is None:
         return _nearest_point(lp.A.data, lp.b, anchor, res.x)
-    return _nearest_point((*lp.A.data, c), (*lp.b, res.objective), anchor, res.x)
+    rc = vec_sub(c, lp.A.vecmat(res.y))
+    opt = vec_dot(c, res.x)
+    if any(v < 0 for v in rc) or vec_dot(rc, res.x) != 0 or vec_dot(lp.b, res.y) != opt:
+        raise InternalError("the dual of LP(W, d, c) fails its optimality certificate")
+    keep = [j for j, v in enumerate(rc) if v == 0]
+    x, tau = _nearest_point(lp.A.data, lp.b, anchor, res.x, keep)
+    if vec_dot(c, x) != opt:
+        raise InternalError("nearest optimum fails its re-verification: its cost is not optimal")
+    return x, tau
 
 
 def hoffman_feasibility_witness(W: Subspace, d) -> ProximityWitness:
@@ -200,7 +233,7 @@ def hoffman_opt_witness(W: Subspace, d, c) -> ProximityWitness:
     if any(ci < 0 for ci in c):
         raise NegativeCost("the optimality bound needs a nonnegative cost")
     x, tau = _nearest_optimum(W, d, c, d)
-    bound = W.measures.kappa * sum((abs(d[i]) for i in lambda_set(d, c)), Fraction(0))
+    bound = W.measures.kappa * norm1([d[i] for i in lambda_set(d, c)])
     if tau > bound:
         raise AuditFailure("hoffman-optimality", detail=f"distance {tau} exceeds bound {bound}")
     return ProximityWitness(point=x, bound=bound, slack=bound - tau)

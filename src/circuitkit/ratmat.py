@@ -24,6 +24,9 @@ most `MAX_ENUM_COLS` = 12 columns, with no override: each first calls
 `check_desk_scale`, which raises DeskScaleExceeded past it.
 
 Vectors are plain tuples of Fractions; matrices are immutable row tuples.
+`vec_dot` is the one exact dot product: integer numerators added over a
+running common denominator and reduced once.  `matvec`, `vecmat`, `mul`,
+`norm1` and `norm2_sq` go through it.
 """
 
 from __future__ import annotations
@@ -75,7 +78,25 @@ def vec_sub(a: Vec, b: Vec) -> Vec:
 
 
 def vec_dot(a: Vec, b: Vec) -> Fraction:
-    return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
+    """sum a_i b_i, exact, reduced once: the one dot-product kernel.
+
+    Each nonzero term's integer numerator is added over a running common
+    denominator, the lcm of the terms' denominators so far, and one
+    Fraction is built at the end, so no Fraction is normalised per term.
+    Entries are ints or Fractions; a length mismatch raises ValueError.
+    """
+    num, den = 0, 1
+    for x, y in zip(a, b, strict=True):
+        p = x.numerator * y.numerator
+        if p:
+            q = x.denominator * y.denominator
+            if q != den:
+                m = math.lcm(den, q)
+                num *= m // den
+                p *= m // q
+                den = m
+            num += p
+    return Fraction(num, den)
 
 
 def vec_zero(n: int) -> Vec:
@@ -83,11 +104,11 @@ def vec_zero(n: int) -> Vec:
 
 
 def norm1(a: Vec) -> Fraction:
-    return sum((abs(x) for x in a), Fraction(0))
+    return vec_dot(map(abs, a), (1,) * len(a))
 
 
 def norm2_sq(a: Vec) -> Fraction:
-    return sum((x * x for x in a), Fraction(0))
+    return vec_dot(a, a)
 
 
 def pos_part(a: Vec) -> Vec:
@@ -168,10 +189,7 @@ class RatMatrix(NamedTuple):
     def vecmat(self, v: Vec) -> Vec:
         if len(v) != self.rows:
             raise DimensionMismatch("vecmat height mismatch")
-        return tuple(
-            sum((v[i] * self.data[i][j] for i in range(self.rows)), Fraction(0))
-            for j in range(self.cols)
-        )
+        return self.transpose().matvec(v)
 
     def mul(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:

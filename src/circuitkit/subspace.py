@@ -231,10 +231,12 @@ def _enumerate_circuits(W: Subspace) -> tuple:
     element of I is then a coloop of I plus the tail: a step keeps that row
     0 there (its entry in each later pivot column is 0), so every kernel
     line below reads 0 at that element and no circuit holding all of I is
-    found.  The cut skips only subtrees that find nothing, so the circuits
-    are exactly those of the uncut growth.  There are at most 2^n sets, n
-    within the desk-scale cap, and the recursion is at most rank A deep.
-    An inexact division raises InternalError.
+    found.  The cut is tested on a child's pivoted rows before its other
+    rows are eliminated, so a cut subtree costs no step on those.  The cut
+    skips only subtrees that find nothing, so the circuits are exactly
+    those of the uncut growth.  There are at most 2^n sets, n within the
+    desk-scale cap, and the recursion is at most rank A deep.  An inexact
+    division raises InternalError.
     """
     n = W.ambient_dim
     check_desk_scale(n, "circuit enumeration")
@@ -244,8 +246,6 @@ def _enumerate_circuits(W: Subspace) -> tuple:
     def grow(I: tuple, pivoted: list, rest: list, D: int, start: int):
         # pivoted: the rows holding a pivot, in the order of I; rest: the
         # others.  Both hold the columns start..n-1 only.
-        if not all(map(any, pivoted)):
-            return  # an element of I is a coloop of I + tail: no circuit below
         for k in range(n - start):
             e = start + k
             row = next((row for row in rest if row[k]), None)
@@ -273,13 +273,9 @@ def _enumerate_circuits(W: Subspace) -> tuple:
             def eliminate(old):
                 return bareiss_step(old[k + 1 :], tail, old[k], p, D, tsum)
 
-            grow(
-                I + (e,),
-                [eliminate(old) for old in pivoted] + [tail],
-                [eliminate(old) for old in rest if old is not row],
-                p,
-                e + 1,
-            )
+            child = [eliminate(old) for old in pivoted] + [tail]
+            if all(map(any, child)):  # else an element of I + e is a coloop: cut
+                grow(I + (e,), child, [eliminate(old) for old in rest if old is not row], p, e + 1)
 
     grow((), [], int_rows, 1, 0)
     found.sort(key=lambda ev: (len(ev.support), ev.support))

@@ -143,6 +143,39 @@ def test_only_ratmat_takes_a_bareiss_step():
     assert found == []
 
 
+def _is_fraction_dot(node) -> bool:
+    """sum(<generator of products>, Fraction(...)): a dot product written
+    out as a per-term Fraction sum."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+        return False
+    starts = [*node.args[1:], *(k.value for k in node.keywords if k.arg == "start")]
+    return (
+        node.func.id == "sum"
+        and len(node.args) >= 1
+        and isinstance(node.args[0], (ast.GeneratorExp, ast.ListComp))
+        and isinstance(node.args[0].elt, ast.BinOp)
+        and isinstance(node.args[0].elt.op, ast.Mult)
+        and any(
+            isinstance(a, ast.Call) and isinstance(a.func, ast.Name) and a.func.id == "Fraction"
+            for a in starts
+        )
+    )
+
+
+def test_dot_products_go_through_ratmat():
+    # One dot kernel: ratmat.vec_dot adds integer numerators and reduces
+    # once; a per-term Fraction sum normalises after every term.
+    sample = "sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))"
+    assert _is_fraction_dot(ast.parse(sample).body[0].value)
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if _is_fraction_dot(n)]
+    assert found == []
+
+
 def test_the_package_reads_no_environment():
     # ROADMAP item 4: "Add no environment variable."  The column cap is the
     # constant ratmat.MAX_ENUM_COLS, and no knob outside the arguments may

@@ -26,7 +26,7 @@ from circuitkit.proximity import (
     lambda_set,
     transfer_bound,
 )
-from circuitkit.ratmat import RatMatrix, vec
+from circuitkit.ratmat import RatMatrix, norm1, vec, vec_dot, vec_sub
 from circuitkit.subspace import Subspace
 from util import random_int_matrix, two_stage_nearest_point
 
@@ -343,6 +343,97 @@ def test_a_nearest_point_failing_its_recheck_is_an_internal_error(monkeypatch, f
         _nearest_point([vec([1, 1, 0])], vec([2]), vec([0, 3, 1]), vec([2, 0, 0]))
 
 
+def _face_row_oracle(W, d, c, anchor):
+    """(tau, 1-norm) of the nearest optimum of LP(W, d, c) to `anchor`, from
+    the two-stage oracle on the rows plus the face row c x = opt."""
+    lp = LPInstance.from_subspace(W, d, c)
+    opt = solve(lp).objective
+    _, tau, one_norm = two_stage_nearest_point([*lp.A.data, c], [*lp.b, opt], anchor)
+    return tau, one_norm
+
+
+def _check_nearest_optimum(W, d, c, anchor):
+    """`_nearest_optimum` against the face-row oracle; returns (x, tau)."""
+    x, tau = proximity._nearest_optimum(W, d, c, anchor)
+    lp = LPInstance.from_subspace(W, d, c)
+    assert lp.A.matvec(x) == lp.b and min(x, default=0) >= 0
+    assert vec_dot(c, x) == solve(lp).objective
+    assert (tau, norm1(vec_sub(x, anchor))) == _face_row_oracle(W, d, c, anchor)
+    return x, tau
+
+
+@st.composite
+def nearest_optimum_instances(draw):
+    """(W, d, c, anchor): W + d meets the orthant at d, c >= 0 is nonzero,
+    and small entries make degenerate duals and deleted columns likely."""
+    n = draw(st.integers(1, 5))
+    entries = st.sampled_from([-1, 0, 1])
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=min(3, n)))
+    W = Subspace.from_kernel_matrix(RatMatrix.from_rows(rows, cols=n))
+    d = vec(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    c = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    if not any(c):
+        c[draw(st.integers(0, n - 1))] = 1
+    values = st.sampled_from([-2, -1, 0, Fraction(1, 2), 1, 2, 3])
+    anchor = vec(draw(st.lists(values, min_size=n, max_size=n)))
+    return W, d, vec(c), anchor
+
+
+@given(nearest_optimum_instances())
+@settings(max_examples=200, deadline=None)
+def test_the_nearest_optimum_matches_the_face_row_oracle(inst):
+    _check_nearest_optimum(*inst)
+
+
+def test_a_deleted_coordinate_can_set_tau():
+    # x0 + x1 + x2 = 3 with cost x0: y = 0, so rc = (1, 0, 0) deletes x0,
+    # and its anchor entry -4 puts tau at 4 though (0, 1, 2) is on the face.
+    W = Subspace.from_kernel_matrix(RatMatrix.from_rows([[1, 1, 1]], cols=3))
+    x, tau = _check_nearest_optimum(W, vec([1, 1, 1]), vec([1, 0, 0]), vec([-4, 1, 2]))
+    assert (x, tau) == (vec([0, 1, 2]), 4)
+
+
+def test_a_degenerate_dual_keeps_its_zero_reduced_costs_off_the_basis():
+    # x0 + x1 + x2 = 3 with cost (1, 1, 2): y = 1 and rc = (0, 0, 1), so one
+    # of x0, x1 is basic and the other has reduced cost 0 off the basis;
+    # the face is x0 + x1 = 3 with x2 = 0.
+    W = Subspace.from_kernel_matrix(RatMatrix.from_rows([[1, 1, 1]], cols=3))
+    d, c = vec([1, 1, 1]), vec([1, 1, 2])
+    res = solve(LPInstance.from_subspace(W, d, c))
+    assert res.y == (1,) and len(res.basis) == 1 and res.basis[0] in (0, 1)
+    x, tau = _check_nearest_optimum(W, d, c, vec([0, 5, 1]))
+    assert (x, tau) == (vec([0, 3, 0]), 2)
+
+
+def test_every_column_deleted():
+    # W = R^3 and c > 0: rc = c deletes every column, so the face is {0}
+    # and the LP keeps only tau, z and the floor row.
+    W = Subspace.from_kernel_matrix(RatMatrix.zeros(0, 3))
+    d = vec([2, -1, 3])
+    x, tau = _check_nearest_optimum(W, d, vec([1, 2, 1]), d)
+    assert (x, tau) == (vec([0, 0, 0]), 3)
+
+
+def test_a_dual_with_a_negative_reduced_cost_is_an_internal_error(monkeypatch):
+    # The face is cut only from a dual that has just been certified: a y
+    # making a reduced cost negative stops before any column is deleted.
+    calls = []
+
+    def tampered(lp, tiebreak=None, start=None):
+        calls.append(tiebreak)
+        return solve(lp, tiebreak=tiebreak, start=start)._replace(y=(Fraction(1),))
+
+    def no_nearest_point(*args):
+        raise AssertionError("the nearest-point LP was built from an uncertified dual")
+
+    monkeypatch.setattr(proximity, "solve", tampered)
+    monkeypatch.setattr(proximity, "_nearest_point", no_nearest_point)
+    W = Subspace.from_kernel_matrix(RatMatrix.from_rows([[1, 1, 1]], cols=3))
+    with pytest.raises(InternalError, match="certificate"):
+        hoffman_opt_witness(W, vec([1, 1, 1]), vec([1, 0, 0]))
+    assert calls == [None]
+
+
 def test_the_nearest_point_solve_starts_from_the_witness_vertex(monkeypatch):
     # The nearest-point LP starts from the vertex its witness solve returned,
     # so its simplex never prices an artificial column: it runs no phase 1.
@@ -354,7 +445,7 @@ def test_the_nearest_point_solve_starts_from_the_witness_vertex(monkeypatch):
         return run(tab, cols)
 
     def spy_solve(lp, tiebreak=None, start=None):
-        calls.append({"start": start, "phase1": False})
+        calls.append({"start": start, "phase1": False, "shape": lp.A.shape})
         return solve(lp, tiebreak=tiebreak, start=start)
 
     monkeypatch.setattr(lpmod._Tableau, "run", spy_run)
@@ -362,6 +453,17 @@ def test_the_nearest_point_solve_starts_from_the_witness_vertex(monkeypatch):
     W = Subspace.from_kernel_matrix(RatMatrix.from_rows([[1, 1, 0], [0, 1, 1]], cols=3))
     wit = hoffman_feasibility_witness(W, vec([2, -1, 2]))
     witness, nearest = calls
-    assert witness == {"start": None, "phase1": True}
+    assert witness == {"start": None, "phase1": True, "shape": (2, 3)}
     assert nearest["start"] is not None and not nearest["phase1"]
     assert (wit.point, wit.distance) == (vec([1, 0, 1]), 1)
+    # The cost (1, 0, 0) deletes x0: the nearest-point LP has no face row,
+    # only the 2 rows on the kept columns, 2 rows per kept column and the
+    # floor row, over (x, r, s, w) on the 2 kept columns, tau and z; its
+    # start holds z too.
+    calls.clear()
+    owit = hoffman_opt_witness(W, vec([2, -1, 2]), vec([1, 0, 0]))
+    witness, nearest = calls
+    assert witness == {"start": None, "phase1": True, "shape": (2, 3)}
+    assert nearest["shape"] == (2 + 2 * 2 + 1, 4 * 2 + 2) and not nearest["phase1"]
+    assert len(nearest["start"]) == 4 * 2 + 2
+    assert (owit.point, owit.distance) == (vec([0, 1, 0]), 2)

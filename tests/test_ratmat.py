@@ -27,17 +27,24 @@ from circuitkit.ratmat import (
     is_conformal,
     neg_part,
     norm1,
+    norm2_sq,
     pos_part,
     rank,
     rref,
     rref_kernel,
     solve_linear,
     vec,
+    vec_dot,
 )
 from circuitkit.subspace import Subspace
 from util import (
     bases_by_det,
+    fraction_matvec,
+    fraction_norm1,
+    fraction_norm2_sq,
     fraction_rref,
+    fraction_vec_dot,
+    fraction_vecmat,
     greedy_basis_by_rank,
     int_kernel_line,
     naive_det,
@@ -49,6 +56,58 @@ from util import (
 fracs = st.fractions(
     min_value=-20, max_value=20, max_denominator=6
 )
+
+
+# Kernel entries: ints, zeros of both types, small fractions and fractions
+# whose large denominators make the running lcm grow.
+kernel_entries = st.one_of(
+    st.just(0),
+    st.just(Fraction(0)),
+    st.integers(-50, 50),
+    fracs,
+    st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=10**15),
+)
+
+
+def kernel_vectors(n):
+    return st.lists(kernel_entries, min_size=n, max_size=n).map(tuple)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(a, b, M, v, w): two vectors of one length n in 0..6, and an m x n
+    matrix M, m in 0..4, with vectors v and w fit for M v and w M."""
+    n = draw(st.integers(0, 6))
+    m = draw(st.integers(0, 4))
+    rows = tuple(draw(kernel_vectors(n)) for _ in range(m))
+    return (
+        draw(kernel_vectors(n)),
+        draw(kernel_vectors(n)),
+        RatMatrix(data=rows, cols=n),
+        draw(kernel_vectors(n)),
+        draw(kernel_vectors(m)),
+    )
+
+
+@given(kernel_cases())
+@settings(max_examples=150, deadline=None)
+def test_the_dot_kernels_equal_the_per_term_fraction_sums(case):
+    a, b, M, v, w = case
+    for got, want in [
+        (vec_dot(a, b), fraction_vec_dot(a, b)),
+        (norm1(a), fraction_norm1(a)),
+        (norm2_sq(a), fraction_norm2_sq(a)),
+    ]:
+        assert type(got) is Fraction and got == want
+    for got, want in [(M.matvec(v), fraction_matvec(M, v)), (M.vecmat(w), fraction_vecmat(M, w))]:
+        assert all(type(x) is Fraction for x in got) and got == want
+
+
+def test_a_dot_of_unequal_lengths_raises():
+    with pytest.raises(ValueError):
+        vec_dot(vec([1, 2]), vec([1]))
+    with pytest.raises(ValueError):
+        vec_dot((), (Fraction(1, 2),))
 
 
 def test_vec_parts():

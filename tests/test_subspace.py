@@ -305,6 +305,17 @@ def test_the_coloop_cut_keeps_every_circuit(A):
     assert _enumerate_circuits(W) == unpruned_enumerate_circuits(W)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_growth_keeps_every_circuit_of_a_9_node_flow(seed):
+    # A child's other rows are eliminated only after its pivoted rows pass
+    # the coloop cut; on the 9-node flows (8 x 12 incidence rows) most
+    # children are cut, and the circuits are still those of the uncut
+    # growth.
+    W = Subspace.from_kernel_matrix(generate(GeneratorSpec("flow", size=9, seed=seed)).A)
+    assert W.kernel_rep.shape == (8, 12)
+    assert _enumerate_circuits(W) == unpruned_enumerate_circuits(W)
+
+
 def test_the_coloop_cut_takes_fewer_steps_on_a_flow(monkeypatch):
     # The 9-node flow LP (9 x 12) has few circuits and many independent
     # sets whose subtrees hold none.

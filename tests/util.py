@@ -3,10 +3,11 @@
 Everything here is deliberately naive: cofactor determinants, support-set
 circuit search, augmenting-path max flow, a Fraction simplex tableau that
 recomputes every reduced cost on every iteration, and the slower forms of
-what the package runs faster: the simplex tableau built and its duals read
-with per-entry Fraction arithmetic, the RREF over Fractions, the circuit
-enumeration support by support (over Fractions, and over ints with
-`int_kernel_line`) and as the independent-set growth without its coloop
+what the package runs faster: the dot products, matrix-vector products
+and norms as per-term Fraction sums, the simplex tableau built and its
+duals read with per-entry Fraction arithmetic, the RREF over Fractions,
+the circuit enumeration support by support (over Fractions, and over
+ints with `int_kernel_line`) and as the independent-set growth without its coloop
 cut, the imbalance scan, the kappa_star bitmask DP over simple paths (over
 Fractions and over ints) that Karp's algorithm replaced, the least optimal
 cycle over all simple cycles in place of the tight-arc witness, the Graver box
@@ -73,6 +74,30 @@ from circuitkit.subspace import (
     is_separable,
     oriented_circuits,
 )
+
+
+def fraction_vec_dot(a, b) -> Fraction:
+    """`ratmat.vec_dot` as the per-term Fraction sum it replaced: every
+    product and every partial sum a normalised Fraction."""
+    return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
+
+
+def fraction_matvec(M: RatMatrix, v) -> tuple:
+    return tuple(fraction_vec_dot(row, v) for row in M.data)
+
+
+def fraction_vecmat(M: RatMatrix, v) -> tuple:
+    return tuple(
+        sum((v[i] * M.data[i][j] for i in range(M.rows)), Fraction(0)) for j in range(M.cols)
+    )
+
+
+def fraction_norm1(a) -> Fraction:
+    return sum((abs(x) for x in a), Fraction(0))
+
+
+def fraction_norm2_sq(a) -> Fraction:
+    return sum((x * x for x in a), Fraction(0))
 
 
 def fraction_rref(rows: list, ncols: int):
