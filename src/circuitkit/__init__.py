@@ -50,9 +50,7 @@ _LAZY = {
             "AugmentationTrace",
             "audit_trace",
             "epsilon_of",
-            "flow_to_lp",
             "guided_walk",
-            "max_flow_encoding",
             "run",
             "steepest_direction",
         ),
@@ -69,7 +67,9 @@ _LAZY = {
         ),
         "graver",
     ),
-    **dict.fromkeys(("GeneratorSpec", "generate"), "generate"),
+    **dict.fromkeys(
+        ("GeneratorSpec", "flow_to_lp", "generate", "max_flow_encoding"), "generate"
+    ),
 }
 _CONSUMERS = ("augment", "graver")  # `generate` is the function, as a name
 

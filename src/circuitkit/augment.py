@@ -26,12 +26,9 @@ from .errors import (
     AlreadyOptimal,
     AuditFailure,
     BadParameters,
-    DimensionMismatch,
     InfeasibleSystem,
     InternalError,
-    NoAugmentingCircuit,
     TargetNotBasic,
-    UnbalancedDemands,
     UnboundedDirection,
 )
 from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPInstance, solve
@@ -190,17 +187,18 @@ def ratio_circuit(W: Subspace, c, w) -> ElementaryVector:
     decreasing coordinate i.  The optimal basic solution is reduced to a
     single circuit by conformal decomposition (choosing the term with the
     smallest cost/weight ratio) and cross-checked against an exhaustive scan
-    over circuits.
+    over circuits.  A float weight raises TypeError, as in `vec`; a
+    nonnegative optimum raises AlreadyOptimal.
     """
     cv = vec(c)
     A = W.kernel_rep
     n = A.cols
     finite = [i for i in range(n) if w[i] is not None]
-    wz = tuple(Fraction(0) if wi is None else Fraction(wi) for wi in w)
+    wz = vec(0 if wi is None else wi for wi in w)
     # variables: p (n increases), q (len(finite) decreases), slack r
     width = n + len(finite) + 1
     rows = [list(r) + [-r[i] for i in finite] + [Fraction(0)] for r in A.data]
-    rows.append([Fraction(0)] * n + [Fraction(w[i]) for i in finite] + [Fraction(1)])
+    rows.append([Fraction(0)] * n + [wz[i] for i in finite] + [Fraction(1)])
     b = [Fraction(0)] * A.rows + [Fraction(1)]
     cost = list(cv) + [-cv[i] for i in finite] + [Fraction(0)]
     lp = LPInstance.standard(RatMatrix.from_rows(rows, cols=width), b, cost)
@@ -218,7 +216,7 @@ def ratio_circuit(W: Subspace, c, w) -> ElementaryVector:
     if res.status != OPTIMAL:
         raise InternalError("weighted circuit LP is infeasible")
     if res.objective >= 0:
-        raise NoAugmentingCircuit("the weighted system has no negative circuit")
+        raise AlreadyOptimal("the weighted system has no negative circuit")
     best = _least(
         (ratio, _circuit(gint))
         for _, gint in conformal_decompose(W, net(res.x)).terms
@@ -294,16 +292,6 @@ def epsilon_of(A: RatMatrix, c, x, u=None) -> Fraction:
     return -res.objective
 
 
-def _violation(lp: LPInstance, x) -> str | None:
-    """What the point x breaks of lp's region: "equations" when A x = b or
-    x >= 0 fails, else "upper" when x <= u fails, else None."""
-    if lp.A.matvec(x) != lp.b or any(v < 0 for v in x):
-        return "equations"
-    if lp.u is not None and any(ui is not None and xi > ui for xi, ui in zip(x, lp.u)):
-        return "upper"
-    return None
-
-
 def _default_cap(lp: LPInstance, W: Subspace) -> int:
     # 10 n^2 m kappa (log2(kappa + n) + 1), rounded up in exact integers
     kappa = math.ceil(W.measures.kappa)
@@ -337,7 +325,7 @@ def run(lp: LPInstance, rule: str, cap: int | None = None, x0=None) -> Augmentat
         x = feas.x
     else:
         x = vec(x0)
-        broken = _violation(lp, x)
+        broken = lp.violation(x)
         if broken == "equations":
             raise BadParameters("starting point is not feasible")
         if broken == "upper":
@@ -368,7 +356,7 @@ def run(lp: LPInstance, rule: str, cap: int | None = None, x0=None) -> Augmentat
                 g = ratio_circuit(W, cv, wvec)
             else:
                 g = support_circuit(W, cv, x)
-        except (AlreadyOptimal, NoAugmentingCircuit):
+        except AlreadyOptimal:
             terminated = "optimal"
             break
         except AlreadyBasic:
@@ -498,9 +486,9 @@ def guided_walk(lp: LPInstance, x_start, x_target) -> AugmentationTrace:
     n = A.cols
     x = vec(x_start)
     xt = vec(x_target)
-    if _violation(lp, x):
+    if lp.violation(x):
         raise BadParameters("x_start is not feasible")
-    if _violation(lp, xt):
+    if lp.violation(xt):
         raise TargetNotBasic("x_target is not feasible")
     supp = tuple(i for i, v in enumerate(xt) if v != 0)
     B = greedy_basis(A, supp + tuple(i for i, v in enumerate(xt) if v == 0))
@@ -547,33 +535,3 @@ def guided_walk(lp: LPInstance, x_start, x_target) -> AugmentationTrace:
         steps=tuple(steps),
         terminated="target-reached",
     )
-
-
-def flow_to_lp(nodes, arcs, capacities, costs, demands) -> LPInstance:
-    """Min-cost flow as a bounded LP over the node-arc incidence matrix.
-
-    Row convention: inflow minus outflow equals the node's demand.
-    """
-    if len(arcs) != len(costs) or len(arcs) != len(capacities):
-        raise DimensionMismatch("arc data lengths disagree")
-    if len(nodes) != len(demands):
-        raise DimensionMismatch("one demand per node required")
-    if sum(Fraction(d) for d in demands) != 0:
-        raise UnbalancedDemands("node demands must sum to zero")
-    index = {v: i for i, v in enumerate(nodes)}
-    rows = [[Fraction(0)] * len(arcs) for _ in nodes]
-    for j, (tail, head) in enumerate(arcs):
-        rows[index[tail]][j] -= 1
-        rows[index[head]][j] += 1
-    A = RatMatrix.from_rows(rows, cols=len(arcs))
-    u = tuple(None if cap is None else Fraction(cap) for cap in capacities)
-    return LPInstance.bounded(A, [Fraction(d) for d in demands], vec(costs), u)
-
-
-def max_flow_encoding(nodes, arcs, capacities, s, t):
-    """Max s-t flow as min-cost circulation: extra (t, s) arc at cost -1."""
-    all_arcs = list(arcs) + [(t, s)]
-    caps = list(capacities) + [None]
-    costs = [Fraction(0)] * len(arcs) + [Fraction(-1)]
-    lp = flow_to_lp(nodes, all_arcs, caps, costs, [Fraction(0)] * len(nodes))
-    return lp, all_arcs

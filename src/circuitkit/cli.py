@@ -38,9 +38,9 @@ from .imbalance import diameter_within, is_TU, kappa_star
 from .ratmat import vec_dot
 from .subspace import Subspace
 
+# augment.RULES and generate.FAMILIES, spelled out so that building the
+# parser imports neither module; tests/test_cli.py checks that they agree.
 RULES = ("steepest", "dantzig", "deepest", "ratio", "support", "guided")
-# generate.FAMILIES, spelled out so that building the parser does not import
-# `generate` (and `augment` under it); tests/test_cli.py checks they agree.
 FAMILIES = ("flow", "incidence", "dumbbell", "tu-network", "random-rational")
 
 

@@ -69,10 +69,6 @@ class AlreadyOptimal(CircuitKitError):
     pass
 
 
-class NoAugmentingCircuit(CircuitKitError):
-    pass
-
-
 class AlreadyBasic(CircuitKitError):
     pass
 

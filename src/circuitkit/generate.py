@@ -10,11 +10,10 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .augment import flow_to_lp
-from .errors import AuditFailure, BadParameters
+from .errors import AuditFailure, BadParameters, DimensionMismatch, UnbalancedDemands
 from .imbalance import is_TU
 from .lp import LPInstance
-from .ratmat import RatMatrix
+from .ratmat import RatMatrix, vec
 
 FAMILIES = ("flow", "incidence", "dumbbell", "tu-network", "random-rational")
 
@@ -73,11 +72,39 @@ def _random_connected_arcs(rng: random.Random, n: int, extra: int):
 
 
 def directed_incidence(n_nodes, arcs) -> RatMatrix:
+    """+1 at u and -1 at v in the column of arc (u, v); a self-loop's
+    column is zero."""
     rows = [[0] * len(arcs) for _ in range(n_nodes)]
     for j, (u, v) in enumerate(arcs):
-        rows[u][j] = 1
-        rows[v][j] = -1
+        rows[u][j] += 1
+        rows[v][j] -= 1
     return RatMatrix.from_rows(rows, cols=len(arcs))
+
+
+def flow_to_lp(nodes, arcs, capacities, costs, demands) -> LPInstance:
+    """Min-cost flow as a bounded LP over the node-arc incidence matrix.
+
+    Row convention: inflow minus outflow equals the node's demand.
+    """
+    if len(arcs) != len(costs) or len(arcs) != len(capacities):
+        raise DimensionMismatch("arc data lengths disagree")
+    if len(nodes) != len(demands):
+        raise DimensionMismatch("one demand per node required")
+    b = vec(demands)
+    if sum(b) != 0:
+        raise UnbalancedDemands("node demands must sum to zero")
+    index = {v: i for i, v in enumerate(nodes)}
+    A = directed_incidence(len(nodes), [(index[head], index[tail]) for tail, head in arcs])
+    return LPInstance.bounded(A, b, costs, capacities)
+
+
+def max_flow_encoding(nodes, arcs, capacities, s, t):
+    """Max s-t flow as min-cost circulation: extra (t, s) arc at cost -1."""
+    all_arcs = list(arcs) + [(t, s)]
+    caps = list(capacities) + [None]
+    costs = [0] * len(arcs) + [-1]
+    lp = flow_to_lp(nodes, all_arcs, caps, costs, [0] * len(nodes))
+    return lp, all_arcs
 
 
 def flow_instance(size: int, seed: int) -> LPInstance:

@@ -30,6 +30,7 @@ from .errors import (
 )
 from .ratmat import (
     RatMatrix,
+    as_fraction,
     bareiss_det,
     bases,
     check_desk_scale,
@@ -480,7 +481,7 @@ def _log2_enclosure(x: Fraction, bits: int) -> tuple:
 
 
 def _diameter_enclosure(n: int, m: int, kappa, bits: int) -> tuple:
-    kappa = Fraction(kappa)
+    kappa = as_fraction(kappa)
     if n < m or m < 1 or kappa < 1:
         raise BadParameters("need n >= m >= 1 and kappa >= 1")
     coeff = (n - m) ** 3 * m * kappa

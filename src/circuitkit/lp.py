@@ -9,13 +9,16 @@ its integers and its denominator.  The pivots are exactly those of Bland's
 rule on the rational tableau, so x, y, bases and certificates are the same;
 they become Fractions only when the result is read off, each built once
 from integers.  A tie-break cost adds a third, lexicographic stage on the
-optimal face.  A caller that already holds a vertex of the region passes
-it as `start`: its support is pivoted into the basis, the tableau must read
-back exactly that vertex, and phase 2 begins there with no phase 1.
+optimal face; it is the package's one optimization over an optimal face,
+so no consumer stacks a face row c x = opt.  A caller that already holds
+a vertex of the region passes it as `start`: its support is pivoted into
+the basis, the tableau must read back exactly that vertex, and phase 2
+begins there with no phase 1.
 Instances come in three flavors: standard form (min cx, Ax = b, x >= 0),
 upper-bounded standard form (0 <= x <= u, with None entries meaning
 unbounded), and the affine-subspace form (x in W + d, x >= 0) which
-standardizes immediately.
+standardizes immediately.  `LPInstance.violation` is the one test of a
+point against the region.
 
 Vertex enumeration, the vertex-edge graph, and fractionality (the lcm of
 vertex denominators) run over the standardized system and are exact.
@@ -91,6 +94,15 @@ class LPInstance(namedtuple("LPInstance", "A b c u", defaults=(None,))):
     @property
     def n(self) -> int:
         return self.A.cols
+
+    def violation(self, x) -> str | None:
+        """What the point x breaks of the region: "equations" when A x = b
+        or x >= 0 fails, else "upper" when x <= u fails, else None."""
+        if self.A.matvec(x) != self.b or any(v < 0 for v in x):
+            return "equations"
+        if self.u is not None and any(ui is not None and xi > ui for xi, ui in zip(x, self.u)):
+            return "upper"
+        return None
 
     def standardized(self):
         """(rows, b, c, n_orig, bounded_idx) with slack rows for finite bounds."""

@@ -7,12 +7,16 @@ of returning quietly.  The three witnesses share `_nearest_optimum`: solve
 LP(W, d, c), certify its dual, then find the nearest point of its optimal
 face, starting the simplex from the optimal vertex just found, so the
 second solve runs no phase 1.  The face is cut by deleting the columns of
-positive reduced cost, so that LP has no face row and fewer columns.  The
-fixing-set face LPs likewise start from the optimum of the second cost.
-The region is then known to be nonempty, so an infeasible or unbounded
-answer from these solves is an InternalError.  The black-box feasibility
-solver at the bottom composes the same pieces with a simulated approximate
-oracle whose error budget is rational and seed-deterministic.
+positive reduced cost, so that LP has no face row and fewer columns; the
+feasibility witness is the zero cost, whose face keeps every column.  The
+fixing sets read their optimal face from the simplex itself: each
+coordinate is optimized by the tie-break stage of `lp.solve` on the second
+cost's LP, started from its optimum, and the region test of x1 is
+`LPInstance.violation`.  The region is then known to be nonempty, so an
+infeasible or unbounded answer from these solves is an InternalError.  The
+black-box feasibility solver at the bottom composes the same pieces with a
+simulated approximate oracle whose error budget is rational and
+seed-deterministic.
 
 LP(W, d, c) throughout means: minimize <c, x> over x in W + d, x >= 0,
 built in one place, `LPInstance.from_subspace`.
@@ -94,10 +98,10 @@ def lambda_set(d, c) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def _nearest_point(rows, b, anchor, vertex, keep=None):
+def _nearest_point(rows, b, anchor, vertex, K):
     """Exact minimization of ||x - anchor|| over Ax = b, x >= 0 and x_j = 0
-    off the columns `keep` (default: every column): the sup-norm distance
-    tau, then the 1-norm among points attaining it.  Returns (x, tau).
+    off the ascending columns K: the sup-norm distance tau, then the 1-norm
+    among points attaining it.  Returns (x, tau).
 
     The LP is written over the kept columns K alone.  A deleted coordinate
     is 0, so it adds the constant |anchor_j| to the 1-norm and puts the
@@ -119,7 +123,6 @@ def _nearest_point(rows, b, anchor, vertex, keep=None):
     """
     zero, one = Fraction(0), Fraction(1)
     n = len(anchor)
-    K = range(n) if keep is None else keep
     k = len(K)
     kept = set(K)
     off = [abs(anchor[j]) for j in range(n) if j not in kept]
@@ -172,7 +175,7 @@ def _nearest_point(rows, b, anchor, vertex, keep=None):
     return tuple(x), tau
 
 
-def _nearest_optimum(W: Subspace, d: Vec, c, anchor: Vec):
+def _nearest_optimum(W: Subspace, d: Vec, c: Vec, anchor: Vec):
     """Solve LP(W, d, c), then the point of its optimal face nearest to
     `anchor`, as `_nearest_point` returns it: (x, tau).  The optimal vertex
     of the first solve is the vertex the nearest-point solve starts from.
@@ -182,20 +185,18 @@ def _nearest_optimum(W: Subspace, d: Vec, c, anchor: Vec):
     else InternalError.  By complementary slackness the optimal face is
     then {x >= 0 : A x = b, x_j = 0 where rc_j > 0}, so the nearest-point
     LP runs over the columns of zero reduced cost alone, with no face row,
-    and its point is checked to have cost c x.  c None is the zero cost,
-    whose optimal face is the whole region, so every column is kept.  An
-    infeasible LP raises InfeasibleSystem with its certificate.  Every
-    caller has c >= 0, which is dual feasible, so an unbounded LP is an
-    InternalError.
+    and its point is checked to have cost c x.  The zero cost of the
+    feasibility witness has y = 0 and rc = 0, so it keeps every column and
+    its face is the whole region.  An infeasible LP raises InfeasibleSystem
+    with its certificate.  Every caller has c >= 0, which is dual feasible,
+    so an unbounded LP is an InternalError.
     """
-    lp = LPInstance.from_subspace(W, d, vec_zero(len(d)) if c is None else c)
+    lp = LPInstance.from_subspace(W, d, c)
     res = solve(lp)
     if res.status == INFEASIBLE:
         raise InfeasibleSystem("no nonnegative point in W + d", certificate=res.certificate)
     if res.status != OPTIMAL:
         raise InternalError("LP(W, d, c) with c >= 0 is unbounded")
-    if c is None:
-        return _nearest_point(lp.A.data, lp.b, anchor, res.x)
     rc = vec_sub(c, lp.A.vecmat(res.y))
     opt = vec_dot(c, res.x)
     if any(v < 0 for v in rc) or vec_dot(rc, res.x) != 0 or vec_dot(lp.b, res.y) != opt:
@@ -216,7 +217,7 @@ def hoffman_feasibility_witness(W: Subspace, d) -> ProximityWitness:
     d = vec(d)
     if len(d) != W.ambient_dim:
         raise DimensionMismatch("shift vector length mismatch")
-    x, tau = _nearest_optimum(W, d, None, d)
+    x, tau = _nearest_optimum(W, d, vec_zero(len(d)), d)
     bound = W.measures.kappa * norm1(neg_part(d))
     if tau > bound:
         raise AuditFailure("hoffman-feasibility", detail=f"distance {tau} exceeds bound {bound}")
@@ -305,60 +306,54 @@ def fixing_sets_bounds(A, b, u, c1, c2, x1, y1) -> tuple[tuple[int, ...], tuple[
     """Variables forced to their bounds after a cost change.
 
     (x1, y1) must be an optimal primal-dual pair for min <c1, x>, Ax = b,
-    0 <= x <= u.  With kappa of ker(A) and t = (kappa + 1) * ||c1 - c2||_1,
+    0 <= x <= u.  With kappa of ker(A), t = (kappa + 1) * ||c1 - c2||_1 and
+    the reduced costs rc = c1 - A^T y1,
 
-        R0 = {i : <a_i, y1> < c1_i - t}     (x_i = 0 in every c2-optimum)
-        Ru = {i : <a_i, y1> > c1_i + t}     (x_i = u_i in every c2-optimum)
+        R0 = {i : rc_i > t}      (x_i = 0 in every c2-optimum)
+        Ru = {i : rc_i < -t}     (x_i = u_i in every c2-optimum)
 
     Both conclusions are verified by optimizing each coordinate over the
-    exact c2-optimal face.
+    exact c2-optimal face: the tie-break stage of `lp.solve` on the c2 LP,
+    started from its optimum.
     """
     A = A if isinstance(A, RatMatrix) else RatMatrix.from_rows(A)
-    b = vec(b)
-    c1 = vec(c1)
-    c2 = vec(c2)
+    lp1 = LPInstance.bounded(A, b, c1, u)
+    lp2 = LPInstance.bounded(A, b, c2, u)
     x1 = vec(x1)
-    y1 = vec(y1)
-    n = A.cols
-    if len(c1) != n or len(c2) != n or len(x1) != n or len(u) != n or len(y1) != A.rows:
-        raise DimensionMismatch("vector length mismatch")
-    uv = tuple(None if ui is None else as_fraction(ui) for ui in u)
-    if A.matvec(x1) != b or any(v < 0 for v in x1):
+    broken = lp1.violation(x1)
+    if broken == "equations":
         raise NotOptimalPair("x1 is not feasible")
-    if any(uv[i] is not None and x1[i] > uv[i] for i in range(n)):
+    if broken == "upper":
         raise NotOptimalPair("x1 violates an upper bound")
-    col_costs = A.vecmat(y1)
-    for i in range(n):
-        below_upper = uv[i] is None or x1[i] < uv[i]
-        if below_upper and col_costs[i] > c1[i]:
+    u = lp1.u
+    rc = vec_sub(lp1.c, A.vecmat(vec(y1)))
+    for i, r in enumerate(rc):
+        if r < 0 and (u[i] is None or x1[i] < u[i]):
             raise NotOptimalPair(f"dual slack negative at {i} with x below its bound")
-        if x1[i] > 0 and col_costs[i] < c1[i]:
+        if r > 0 and x1[i] > 0:
             raise NotOptimalPair(f"dual surplus at {i} with x positive")
 
     kappa = Subspace.from_kernel_matrix(A).measures.kappa
-    thr = (kappa + 1) * norm1(vec_sub(c1, c2))
-    R0 = tuple(i for i in range(n) if col_costs[i] < c1[i] - thr)
-    Ru = tuple(i for i in range(n) if col_costs[i] > c1[i] + thr)
+    t = (kappa + 1) * norm1(vec_sub(lp1.c, lp2.c))
+    R0 = tuple(i for i, r in enumerate(rc) if r > t)
+    Ru = tuple(i for i, r in enumerate(rc) if r < -t)
 
-    res2 = solve(LPInstance.bounded(A, b, c2, uv))
+    res2 = solve(lp2)
     if res2.status == INFEASIBLE:
         raise InfeasibleSystem("region became empty", certificate=res2.certificate)
     if res2.status == UNBOUNDED:
         raise UnboundedDirection("second cost is unbounded below", ray=res2.certificate)
-    face_A = A.vstack(RatMatrix.from_rows([list(c2)], cols=n))
-    face_b = list(b) + [res2.objective]
-    # max x_i (cost -x_i) must be 0 on R0, min x_i (cost x_i) must be u_i on Ru
+    # max x_i (tie-break -x_i) must be 0 on R0, min x_i (tie-break x_i) u_i on Ru
     checks = [(i, -1, 0, "max", "fixing-zero") for i in R0]
-    checks += [(i, 1, uv[i], "min", "fixing-upper") for i in Ru]
+    checks += [(i, 1, u[i], "min", "fixing-upper") for i in Ru]
     for i, sense, want, word, prop in checks:
-        c = [Fraction(0)] * n
-        c[i] = Fraction(sense)
-        res = solve(LPInstance.bounded(face_A, face_b, c, uv), start=res2.x)
+        e = [Fraction(0)] * lp2.n
+        e[i] = Fraction(sense)
+        res = solve(lp2, tiebreak=e, start=res2.x)
         if res.status != OPTIMAL:
             raise InternalError(f"{word} x_{i} over the optimal face is not optimal")
-        got = sense * res.objective
-        if got != want:
-            raise AuditFailure(prop, detail=f"{word} x_{i} over the face is {got}")
+        if res.x[i] != want:
+            raise AuditFailure(prop, detail=f"{word} x_{i} over the face is {res.x[i]}")
     return R0, Ru
 
 

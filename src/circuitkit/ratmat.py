@@ -209,11 +209,6 @@ class RatMatrix(NamedTuple):
     def take_cols(self, col_idx: Sequence[int]) -> "RatMatrix":
         return self.submatrix(range(self.rows), col_idx)
 
-    def vstack(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.cols:
-            raise DimensionMismatch("vstack width mismatch")
-        return RatMatrix(data=self.data + other.data, cols=self.cols)
-
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for r in self.data for x in r)
 

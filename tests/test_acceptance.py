@@ -17,7 +17,6 @@ from circuitkit import cli, graver
 from circuitkit.augment import (
     audit_trace,
     guided_walk,
-    max_flow_encoding,
     run,
 )
 from circuitkit.errors import BoxTooLarge, InfeasibleSystem
@@ -26,6 +25,7 @@ from circuitkit.generate import (
     complete_graph_incidence,
     dumbbell_incidence,
     generate,
+    max_flow_encoding,
 )
 from circuitkit.graver import (
     ConjectureReport,

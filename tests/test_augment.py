@@ -13,9 +13,7 @@ from circuitkit.augment import (
     dantzig_direction,
     deepest_direction,
     epsilon_of,
-    flow_to_lp,
     guided_walk,
-    max_flow_encoding,
     maximal_step,
     ratio_circuit,
     run,
@@ -30,7 +28,7 @@ from circuitkit.errors import (
     TargetNotBasic,
     UnboundedDirection,
 )
-from circuitkit.generate import GeneratorSpec, generate
+from circuitkit.generate import GeneratorSpec, flow_to_lp, generate, max_flow_encoding
 from circuitkit.imbalance import imbalances
 from circuitkit.lp import OPTIMAL, LPInstance, solve, vertices
 from circuitkit.ratmat import RatMatrix, vec
@@ -64,6 +62,9 @@ def test_direction_rules_raise_at_optimum():
     lp, W = interior_instance()
     with pytest.raises(AlreadyOptimal):
         steepest_direction(W, lp.c, vec([0, 2, 0]))
+    # the weighted rule signals the optimum with the same class
+    with pytest.raises(AlreadyOptimal):
+        ratio_circuit(W, lp.c, (None, Fraction(1, 2), None))
 
 
 def test_epsilon_of():

@@ -390,6 +390,12 @@ def test_the_generate_choices_are_the_generator_families():
     assert cli.FAMILIES == FAMILIES
 
 
+def test_the_solve_rule_choices_are_the_walk_rules():
+    from circuitkit.augment import RULES
+
+    assert cli.RULES == RULES
+
+
 def test_missing_file_is_input_error(capsys):
     code = cli.main(["analyze", "--input", "/nonexistent/nope.json"])
     assert code == 2

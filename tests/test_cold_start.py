@@ -19,11 +19,11 @@ CONSUMERS = ("augment", "graver", "generate")
 # Where each name of circuitkit.__all__ is defined.
 DEFINED_IN = {
     "augment": (
-        "AugmentationTrace", "audit_trace", "epsilon_of", "flow_to_lp", "guided_walk",
-        "max_flow_encoding", "run", "steepest_direction",
+        "AugmentationTrace", "audit_trace", "epsilon_of", "guided_walk", "run",
+        "steepest_direction",
     ),
     "errors": ("AuditFailure", "CircuitKitError", "InternalError"),
-    "generate": ("GeneratorSpec", "generate"),
+    "generate": ("GeneratorSpec", "flow_to_lp", "generate", "max_flow_encoding"),
     "graver": (
         "appendix_counterexample", "conjecture_decompose", "ej_check", "graver_basis",
         "hk_check", "ip_proximity_check",
@@ -70,6 +70,11 @@ def test_importing_the_cli_leaves_the_consumers_out():
     loaded = _loaded("import circuitkit.cli")
     assert set(CORE) <= set(loaded)
     assert not set(CONSUMERS) & set(loaded)
+
+
+def test_generating_an_instance_leaves_the_walks_out():
+    # `generate` builds its flows from `directed_incidence` and `lp` alone.
+    assert "augment" not in _loaded("import circuitkit.generate")
 
 
 def test_no_process_loads_the_dataclass_machinery():

@@ -279,7 +279,7 @@ def test_tiebreak_matches_the_fraction_simplex_on_the_face_lp(inst):
     if plain.status != OPTIMAL:
         assert res == plain
         return
-    face_A = lp.A.vstack(RatMatrix.from_rows([list(lp.c)], cols=lp.n))
+    face_A = RatMatrix.from_rows([*lp.A.data, lp.c], cols=lp.n)
     face_b = lp.b + (plain.objective,)
     if lp.u is None:
         face = LPInstance.standard(face_A, face_b, c2)

@@ -6,15 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circuitkit import lp as lpmod, proximity
+from circuitkit.augment import ratio_circuit
 from circuitkit.errors import (
     AuditFailure,
     BadParameters,
+    DimensionMismatch,
     InfeasibleSystem,
     InternalError,
     NegativeCost,
     NotOptimalPair,
     OracleInfeasible,
 )
+from circuitkit.generate import flow_to_lp
+from circuitkit.imbalance import diameter_bound, diameter_within
 from circuitkit.lp import INFEASIBLE, OPTIMAL, LPInstance, solve
 from circuitkit.proximity import (
     _nearest_point,
@@ -28,7 +32,7 @@ from circuitkit.proximity import (
 )
 from circuitkit.ratmat import RatMatrix, norm1, vec, vec_dot, vec_sub
 from circuitkit.subspace import Subspace
-from util import random_int_matrix, two_stage_nearest_point
+from util import face_row_solve, random_int_matrix, two_stage_nearest_point
 
 
 def seeded_subspace_and_shift(seed, n=5, m=2):
@@ -153,23 +157,25 @@ def _fixing_instance():
     return A, vec([2]), [1, None, 1], c, c, vec([1, 1, 0]), vec([2])
 
 
-def _face_costs(lp):
-    """(i, sense) of a face LP's cost sense * x_i."""
-    [(i, sense)] = [(i, v) for i, v in enumerate(lp.c) if v != 0]
+def _face_costs(tiebreak):
+    """(i, sense) of a face check's tie-break cost sense * x_i."""
+    [(i, sense)] = [(i, v) for i, v in enumerate(tiebreak) if v != 0]
     return i, sense
 
 
 def test_fixing_sets_optimize_each_coordinate_over_the_face_in_order(monkeypatch):
+    # Each face check is the tie-break stage of the c2 LP itself (one row,
+    # no face row), started from the c2 optimum.
     faces = []
 
     def recording(lp, tiebreak=None, start=None):
         if start is not None:
-            faces.append(_face_costs(lp))
+            faces.append((lp.A.shape, _face_costs(tiebreak)))
         return solve(lp, tiebreak=tiebreak, start=start)
 
     monkeypatch.setattr(proximity, "solve", recording)
     assert fixing_sets_bounds(*_fixing_instance()) == ((2,), (0,))
-    assert faces == [(2, -1), (0, 1)]
+    assert faces == [((1, 3), (2, -1)), ((1, 3), (0, 1))]
 
 
 @pytest.mark.parametrize(
@@ -180,18 +186,79 @@ def test_fixing_sets_optimize_each_coordinate_over_the_face_in_order(monkeypatch
     ],
 )
 def test_a_face_optimum_off_by_one_is_a_fixing_finding(monkeypatch, face, prop, detail):
-    # max x_2 is 0 and min x_0 is 1 over the face; one face LP that answers
-    # one unit lower must be caught by the audit of that set
+    # max x_2 is 0 and min x_0 is 1 over the face; one face check whose
+    # point is one unit worse in its coordinate must be caught by the audit
+    # of that set
     def off_by_one(lp, tiebreak=None, start=None):
         res = solve(lp, tiebreak=tiebreak, start=start)
-        if start is not None and _face_costs(lp) == face:
-            return res._replace(objective=res.objective - 1)
+        if start is not None and _face_costs(tiebreak) == face:
+            i, sense = face
+            x = list(res.x)
+            x[i] -= sense
+            return res._replace(x=tuple(x))
         return res
 
     monkeypatch.setattr(proximity, "solve", off_by_one)
     with pytest.raises(AuditFailure) as exc:
         fixing_sets_bounds(*_fixing_instance())
     assert (exc.value.prop, exc.value.detail) == (prop, detail)
+
+
+@pytest.mark.parametrize(
+    "x1, message",
+    [
+        ((1, 0, 0), "x1 is not feasible"),  # off A x = b
+        ((1, 2, -1), "x1 is not feasible"),  # on A x = b, but negative
+        ((2, 0, 0), "x1 violates an upper bound"),
+        # rc = c - A^T y1 = (-1, 0, 1)
+        ((0, 2, 0), "dual slack negative at 0 with x below its bound"),
+        ((1, 0, 1), "dual surplus at 2 with x positive"),
+    ],
+)
+def test_a_pair_that_is_not_optimal_is_refused(x1, message):
+    A, b, u, c1, c2, _, y1 = _fixing_instance()
+    with pytest.raises(NotOptimalPair, match=f"^{message}$"):
+        fixing_sets_bounds(A, b, u, c1, c2, vec(x1), y1)
+
+
+def test_a_wrong_length_cost_is_a_dimension_mismatch():
+    A, b, u, c1, _, x1, y1 = _fixing_instance()
+    with pytest.raises(DimensionMismatch):
+        fixing_sets_bounds(A, b, u, c1, vec([1, 2]), x1, y1)
+
+
+@st.composite
+def bounded_lp_instances(draw):
+    """(A, b, c, u): a feasible LP with some columns capped, bounded below
+    (negative costs on capped columns only), and small entries, so that its
+    optimal face is often more than a vertex."""
+    n = draw(st.integers(1, 5))
+    rows = draw(
+        st.lists(st.lists(st.sampled_from([-1, 0, 1, 2]), min_size=n, max_size=n), max_size=3)
+    )
+    A = RatMatrix.from_rows(rows, cols=n)
+    u = draw(st.lists(st.sampled_from([None, 1, 2, 3]), min_size=n, max_size=n))
+    x0 = [draw(st.integers(0, 3 if ui is None else ui)) for ui in u]
+    c = [draw(st.sampled_from([0, 0, 1] if ui is None else [-1, 0, 0, 1])) for ui in u]
+    return A, A.matvec(vec(x0)), vec(c), u
+
+
+@given(bounded_lp_instances())
+@settings(max_examples=150, deadline=None)
+def test_the_tiebreak_face_values_match_the_face_row_lp(inst):
+    A, b, c, u = inst
+    lp = LPInstance.bounded(A, b, c, u)
+    opt = solve(lp)
+    assert opt.status == OPTIMAL
+    for i in range(lp.n):
+        for sense in (-1, 1):
+            e = [0] * lp.n
+            e[i] = sense
+            res = solve(lp, tiebreak=vec(e), start=opt.x)
+            ref = face_row_solve(lp, opt.objective, e)
+            assert res.status == ref.status
+            if res.status == OPTIMAL:
+                assert sense * res.x[i] == ref.objective
 
 
 def test_float_bounds_and_epsilons_are_type_errors():
@@ -208,6 +275,24 @@ def test_float_bounds_and_epsilons_are_type_errors():
     with pytest.raises(TypeError):
         feasibility_simplified(W, d, epsilon=1e-6)
     assert feasibility_simplified(W, d, epsilon="0") == feasibility_simplified(W, d, epsilon=0)
+
+
+def test_float_weights_kappas_and_capacities_are_type_errors():
+    # Fraction(1.1) would be a 35-digit binary fraction and Fraction(0.1)
+    # 3602879701896397/36028797018963968: each is refused as a float bound is.
+    with pytest.raises(TypeError):
+        diameter_bound(4, 2, 1.1)
+    with pytest.raises(TypeError):
+        diameter_within(10, 4, 2, 1.1)
+    assert diameter_bound(4, 2, "11/10") == diameter_bound(4, 2, Fraction(11, 10))
+    W = Subspace.from_kernel_matrix(RatMatrix.from_rows([[1, 1, 0], [0, 1, 1]], cols=3))
+    with pytest.raises(TypeError):
+        ratio_circuit(W, vec([1, 0, 1]), [0.5, 1, 1])
+    arcs = [(0, 1), (1, 2)]
+    with pytest.raises(TypeError):
+        flow_to_lp([0, 1, 2], arcs, [0.1, 1], [1, 1], [-1, 0, 1])
+    with pytest.raises(TypeError):
+        flow_to_lp([0, 1, 2], arcs, [1, 1], [1, 1], [-0.5, 0, 0.5])
 
 
 def test_apx_oracle_constraints():
@@ -294,7 +379,7 @@ def nearest_point_instances(draw):
 @settings(max_examples=200, deadline=None)
 def test_nearest_point_matches_the_two_stage_oracle(inst):
     rows, b, anchor, vertex = inst
-    x, tau = _nearest_point(rows, b, anchor, vertex)
+    x, tau = _nearest_point(rows, b, anchor, vertex, range(len(anchor)))
     _, otau, one_norm = two_stage_nearest_point(rows, b, anchor)
     assert tau == otau
     assert sum(abs(v - a) for v, a in zip(x, anchor)) == one_norm
@@ -340,7 +425,7 @@ def test_a_nearest_point_failing_its_recheck_is_an_internal_error(monkeypatch, f
 
     monkeypatch.setattr(proximity, "solve", tampered)
     with pytest.raises(InternalError):
-        _nearest_point([vec([1, 1, 0])], vec([2]), vec([0, 3, 1]), vec([2, 0, 0]))
+        _nearest_point([vec([1, 1, 0])], vec([2]), vec([0, 3, 1]), vec([2, 0, 0]), range(3))
 
 
 def _face_row_oracle(W, d, c, anchor):

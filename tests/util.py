@@ -14,9 +14,10 @@ cycle over all simple cycles in place of the tight-arc witness, the Graver box
 scan and its minimality filter, the IP proximity ball as a plain
 product over its box, the decomposition search, the appendix
 window scan, the nearest point as two separate simplex solves, the
-steepness eps(x) as its dual LP, the recession test as a box LP, the
-greedy basis by one rank per column, the basis forms by determinant,
-inverse and product, and the components of the circuit hypergraph.  Slow
+optimal face as a face row stacked under A, the steepness eps(x) as its
+dual LP, the recession test as a box LP, the greedy basis by one rank
+per column, the basis forms by determinant, inverse and product, and the
+components of the circuit hypergraph.  Slow
 is fine, different is the point.  The routines at the end are ones no verb
 runs, kept here as oracles: the brute-force unimodularity scan, the
 basis-form route to kappa, the pair estimates and rescaled-TU decision
@@ -570,6 +571,16 @@ def _stage(rows, b, width, coord_rows, cost_cols):
     return lpmod.solve(
         lpmod.LPInstance.standard(RatMatrix.from_rows(ext_rows, cols=width), ext_b, cost)
     )
+
+
+def face_row_solve(lp, opt, cost):
+    """min `cost` over the optimal face of `lp`, whose optimum is `opt`,
+    written as its region with the face row c x = opt stacked under A and
+    solved by the Fraction simplex: the oracle of the tie-break stage that
+    `proximity.fixing_sets_bounds` reads its faces from."""
+    face_A = RatMatrix.from_rows([*lp.A.data, lp.c], cols=lp.n)
+    face = lpmod.LPInstance(face_A, (*lp.b, opt), vec(cost), lp.u)
+    return oracle_solve(face)
 
 
 def two_stage_nearest_point(rows, b, anchor):
