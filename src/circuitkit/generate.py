@@ -84,7 +84,8 @@ def directed_incidence(n_nodes, arcs) -> RatMatrix:
 def flow_to_lp(nodes, arcs, capacities, costs, demands) -> LPInstance:
     """Min-cost flow as a bounded LP over the node-arc incidence matrix.
 
-    Row convention: inflow minus outflow equals the node's demand.
+    Row convention: inflow minus outflow equals the node's demand.  An arc
+    naming a node that is not in `nodes` raises BadParameters.
     """
     if len(arcs) != len(costs) or len(arcs) != len(capacities):
         raise DimensionMismatch("arc data lengths disagree")
@@ -94,7 +95,12 @@ def flow_to_lp(nodes, arcs, capacities, costs, demands) -> LPInstance:
     if sum(b) != 0:
         raise UnbalancedDemands("node demands must sum to zero")
     index = {v: i for i, v in enumerate(nodes)}
-    A = directed_incidence(len(nodes), [(index[head], index[tail]) for tail, head in arcs])
+    pairs = []
+    for tail, head in arcs:
+        if tail not in index or head not in index:
+            raise BadParameters(f"arc ({tail}, {head}) names a node that is not in nodes")
+        pairs.append((index[head], index[tail]))
+    A = directed_incidence(len(nodes), pairs)
     return LPInstance.bounded(A, b, costs, capacities)
 
 

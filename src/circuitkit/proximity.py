@@ -8,12 +8,17 @@ LP(W, d, c), certify its dual, then find the nearest point of its optimal
 face, starting the simplex from the optimal vertex just found, so the
 second solve runs no phase 1.  The face is cut by deleting the columns of
 positive reduced cost, so that LP has no face row and fewer columns; the
-feasibility witness is the zero cost, whose face keeps every column.  The
-fixing sets read their optimal face from the simplex itself: each
-coordinate is optimized by the tie-break stage of `lp.solve` on the second
-cost's LP, started from its optimum, and the region test of x1 is
-`LPInstance.violation`.  The region is then known to be nonempty, so an
-infeasible or unbounded answer from these solves is an InternalError.  The
+feasibility witness is the zero cost, whose face keeps every column.  Two
+answers are known before that LP and are checked instead of solved: an
+anchor in the region of cost 0 is its own nearest optimum, with no solve,
+and a face whose kept columns are independent is the one vertex the first
+solve returned.  The fixing sets read their optimal face from the simplex
+itself: each coordinate is optimized by the tie-break stage of `lp.solve`
+on the second cost's LP, started from its optimum, which is solved from x1
+when x1 is a vertex; the region test of x1 is `LPInstance.violation`.
+Column independence is always an exact rank of the LP's own rows, never a
+reading of a simplex basis.  The region is then known to be nonempty, so
+an infeasible or unbounded answer from these solves is an InternalError.  The
 black-box feasibility solver at the bottom composes the same pieces with a
 simulated approximate oracle whose error budget is rational and
 seed-deterministic.
@@ -48,6 +53,7 @@ from .ratmat import (
     neg_part,
     norm1,
     norm2_sq,
+    rank,
     vec,
     vec_add,
     vec_dot,
@@ -175,6 +181,12 @@ def _nearest_point(rows, b, anchor, vertex, K):
     return tuple(x), tau
 
 
+def _independent(A: RatMatrix, cols) -> bool:
+    """Whether the columns `cols` of A are linearly independent: an exact
+    rank of A's own rows, not a reading of any simplex basis."""
+    return len(cols) <= A.rows and rank(A.take_cols(cols)) == len(cols)
+
+
 def _nearest_optimum(W: Subspace, d: Vec, c: Vec, anchor: Vec):
     """Solve LP(W, d, c), then the point of its optimal face nearest to
     `anchor`, as `_nearest_point` returns it: (x, tau).  The optimal vertex
@@ -184,14 +196,26 @@ def _nearest_optimum(W: Subspace, d: Vec, c: Vec, anchor: Vec):
     rc = c - A^T y are certified first: rc >= 0, rc x = 0 and c x = b y,
     else InternalError.  By complementary slackness the optimal face is
     then {x >= 0 : A x = b, x_j = 0 where rc_j > 0}, so the nearest-point
-    LP runs over the columns of zero reduced cost alone, with no face row,
-    and its point is checked to have cost c x.  The zero cost of the
+    LP runs over the columns K of zero reduced cost alone, with no face
+    row, and its point is checked to have cost c x.  The zero cost of the
     feasibility witness has y = 0 and rc = 0, so it keeps every column and
     its face is the whole region.  An infeasible LP raises InfeasibleSystem
     with its certificate.  Every caller has c >= 0, which is dual feasible,
     so an unbounded LP is an InternalError.
+
+    Two answers are known without an LP, and each is checked first:
+
+    - An anchor in the region (`LPInstance.violation`) of cost 0 under
+      c >= 0 is optimal and is its own nearest point: (anchor, 0), with no
+      solve.
+    - When the columns K are independent (`_independent`), A_K x_K = b has
+      one solution, so the face is the one point x of the first solve:
+      x is tested against the region and returned with its sup-norm
+      distance to the anchor, with no nearest-point LP.
     """
     lp = LPInstance.from_subspace(W, d, c)
+    if all(v >= 0 for v in c) and vec_dot(c, anchor) == 0 and lp.violation(anchor) is None:
+        return anchor, Fraction(0)
     res = solve(lp)
     if res.status == INFEASIBLE:
         raise InfeasibleSystem("no nonnegative point in W + d", certificate=res.certificate)
@@ -202,6 +226,10 @@ def _nearest_optimum(W: Subspace, d: Vec, c: Vec, anchor: Vec):
     if any(v < 0 for v in rc) or vec_dot(rc, res.x) != 0 or vec_dot(lp.b, res.y) != opt:
         raise InternalError("the dual of LP(W, d, c) fails its optimality certificate")
     keep = [j for j, v in enumerate(rc) if v == 0]
+    if _independent(lp.A, keep):
+        if lp.violation(res.x) is not None:
+            raise InternalError("the optimum of LP(W, d, c) is not in its region")
+        return res.x, max(map(abs, vec_sub(res.x, anchor)), default=Fraction(0))
     x, tau = _nearest_point(lp.A.data, lp.b, anchor, res.x, keep)
     if vec_dot(c, x) != opt:
         raise InternalError("nearest optimum fails its re-verification: its cost is not optimal")
@@ -314,7 +342,12 @@ def fixing_sets_bounds(A, b, u, c1, c2, x1, y1) -> tuple[tuple[int, ...], tuple[
 
     Both conclusions are verified by optimizing each coordinate over the
     exact c2-optimal face: the tie-break stage of `lp.solve` on the c2 LP,
-    started from its optimum.
+    started from its optimum.  That optimum is solved from x1, with no
+    phase 1, when x1 is a vertex: the columns of its free set
+    {i : 0 < x1_i < u_i} are independent, by an exact rank of A.  Otherwise,
+    and again when c2 is unbounded, so that the ray is the one phase 1
+    reaches, it is solved cold.  R0 and Ru come from (x1, y1) and each
+    face value is unique, so the start moves no output.
     """
     A = A if isinstance(A, RatMatrix) else RatMatrix.from_rows(A)
     lp1 = LPInstance.bounded(A, b, c1, u)
@@ -338,7 +371,11 @@ def fixing_sets_bounds(A, b, u, c1, c2, x1, y1) -> tuple[tuple[int, ...], tuple[
     R0 = tuple(i for i, r in enumerate(rc) if r > t)
     Ru = tuple(i for i, r in enumerate(rc) if r < -t)
 
-    res2 = solve(lp2)
+    free = [i for i, v in enumerate(x1) if v > 0 and (u[i] is None or v < u[i])]
+    warm = _independent(A, free)
+    res2 = solve(lp2, start=x1 if warm else None)
+    if warm and res2.status == UNBOUNDED:
+        res2 = solve(lp2)
     if res2.status == INFEASIBLE:
         raise InfeasibleSystem("region became empty", certificate=res2.certificate)
     if res2.status == UNBOUNDED:

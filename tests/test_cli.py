@@ -191,10 +191,12 @@ def test_prox_transfer_to_an_empty_shift_reports_infeasible(tmp_path, capsys):
     assert (rep["status"], rep["certificate"]) == ("infeasible", ["-1"])
 
 
-@pytest.mark.parametrize("check, extra", [("feasibility", {}), ("optimal", {"c": ["1", "0", "2"]})])
+@pytest.mark.parametrize("check, extra", [("feasibility", {}), ("optimal", {"c": ["1", "1", "0"]})])
 def test_an_infeasible_nearest_point_lp_exits_three(tmp_path, capsys, monkeypatch, check, extra):
     # The witness solve has just shown W + d to meet the orthant, so an
     # infeasible nearest-point LP is a broken invariant, not an answer.
+    # The cost (1, 1, 0) lies in the row space, so every reduced cost is 0
+    # and the optimal face is the whole region, an edge: the LP runs.
     solve = proximity.solve
 
     def broken(lp, tiebreak=None, start=None):

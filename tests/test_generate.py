@@ -7,6 +7,7 @@ from circuitkit.generate import (
     GeneratorSpec,
     complete_graph_incidence,
     dumbbell_incidence,
+    flow_to_lp,
     generate,
 )
 from circuitkit.imbalance import imbalances, is_TU
@@ -87,3 +88,8 @@ def test_unknown_family():
 def test_flow_needs_three_nodes():
     with pytest.raises(BadParameters):
         generate(GeneratorSpec("flow", size=2, seed=0))
+
+
+def test_an_arc_to_a_missing_node_is_bad_parameters():
+    with pytest.raises(BadParameters, match=r"^arc \(0, 2\) names a node that is not in nodes$"):
+        flow_to_lp([0, 1], [(0, 2)], [1], [1], [0, 0])

@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from circuitkit import lp as lpmod, proximity
@@ -16,6 +17,7 @@ from circuitkit.errors import (
     NegativeCost,
     NotOptimalPair,
     OracleInfeasible,
+    UnboundedDirection,
 )
 from circuitkit.generate import flow_to_lp
 from circuitkit.imbalance import diameter_bound, diameter_within
@@ -164,18 +166,25 @@ def _face_costs(tiebreak):
 
 
 def test_fixing_sets_optimize_each_coordinate_over_the_face_in_order(monkeypatch):
-    # Each face check is the tie-break stage of the c2 LP itself (one row,
-    # no face row), started from the c2 optimum.
-    faces = []
+    # The c2 solve starts from x1, a vertex: its one free column, x_1, is
+    # independent.  Each face check is the tie-break stage of the c2 LP
+    # itself (one row, no face row), started from the c2 optimum.
+    c2_solves, faces = [], []
 
     def recording(lp, tiebreak=None, start=None):
-        if start is not None:
-            faces.append((lp.A.shape, _face_costs(tiebreak)))
-        return solve(lp, tiebreak=tiebreak, start=start)
+        res = solve(lp, tiebreak=tiebreak, start=start)
+        if tiebreak is None:
+            c2_solves.append((start, res))
+        else:
+            faces.append((lp.A.shape, _face_costs(tiebreak), start))
+        return res
 
     monkeypatch.setattr(proximity, "solve", recording)
-    assert fixing_sets_bounds(*_fixing_instance()) == ((2,), (0,))
-    assert faces == [((1, 3), (2, -1)), ((1, 3), (0, 1))]
+    inst = _fixing_instance()
+    assert fixing_sets_bounds(*inst) == ((2,), (0,))
+    [(start, res2)] = c2_solves
+    assert start == inst[5]
+    assert faces == [((1, 3), (2, -1), res2.x), ((1, 3), (0, 1), res2.x)]
 
 
 @pytest.mark.parametrize(
@@ -188,10 +197,14 @@ def test_fixing_sets_optimize_each_coordinate_over_the_face_in_order(monkeypatch
 def test_a_face_optimum_off_by_one_is_a_fixing_finding(monkeypatch, face, prop, detail):
     # max x_2 is 0 and min x_0 is 1 over the face; one face check whose
     # point is one unit worse in its coordinate must be caught by the audit
-    # of that set
+    # of that set.  The c2 solve before them starts from x1.
+    c2_starts = []
+
     def off_by_one(lp, tiebreak=None, start=None):
         res = solve(lp, tiebreak=tiebreak, start=start)
-        if start is not None and _face_costs(tiebreak) == face:
+        if tiebreak is None:
+            c2_starts.append(start)
+        elif _face_costs(tiebreak) == face:
             i, sense = face
             x = list(res.x)
             x[i] -= sense
@@ -199,9 +212,11 @@ def test_a_face_optimum_off_by_one_is_a_fixing_finding(monkeypatch, face, prop, 
         return res
 
     monkeypatch.setattr(proximity, "solve", off_by_one)
+    inst = _fixing_instance()
     with pytest.raises(AuditFailure) as exc:
-        fixing_sets_bounds(*_fixing_instance())
+        fixing_sets_bounds(*inst)
     assert (exc.value.prop, exc.value.detail) == (prop, detail)
+    assert c2_starts == [inst[5]]
 
 
 @pytest.mark.parametrize(
@@ -519,6 +534,20 @@ def test_a_dual_with_a_negative_reduced_cost_is_an_internal_error(monkeypatch):
     assert calls == [None]
 
 
+def test_a_one_vertex_face_off_the_region_is_an_internal_error(monkeypatch):
+    # The rows are x0 - x2 = 0, x1 + x2 = 1; the cost (1, 0, 0) has y = (1, 0)
+    # and rc = (0, 0, 1), so it keeps the independent columns x0, x1.  A
+    # witness point (0, 2, 0) passes that certificate (rc x = 0, c x = b y =
+    # 0) but breaks A x = b, so the one-vertex answer refuses it.
+    def tampered(lp, tiebreak=None, start=None):
+        return solve(lp, tiebreak=tiebreak, start=start)._replace(x=vec([0, 2, 0]))
+
+    monkeypatch.setattr(proximity, "solve", tampered)
+    W = Subspace.from_kernel_matrix(RatMatrix.from_rows([[1, 1, 0], [0, 1, 1]], cols=3))
+    with pytest.raises(InternalError, match="not in its region"):
+        hoffman_opt_witness(W, vec([2, -1, 2]), vec([1, 0, 0]))
+
+
 def test_the_nearest_point_solve_starts_from_the_witness_vertex(monkeypatch):
     # The nearest-point LP starts from the vertex its witness solve returned,
     # so its simplex never prices an artificial column: it runs no phase 1.
@@ -541,14 +570,190 @@ def test_the_nearest_point_solve_starts_from_the_witness_vertex(monkeypatch):
     assert witness == {"start": None, "phase1": True, "shape": (2, 3)}
     assert nearest["start"] is not None and not nearest["phase1"]
     assert (wit.point, wit.distance) == (vec([1, 0, 1]), 1)
-    # The cost (1, 0, 0) deletes x0: the nearest-point LP has no face row,
-    # only the 2 rows on the kept columns, 2 rows per kept column and the
-    # floor row, over (x, r, s, w) on the 2 kept columns, tau and z; its
-    # start holds z too.
+    # On x0 + x1 = 1, x2 + x3 = 1 the cost (1, 0, 0, 0) deletes x0, and the
+    # kept columns x1, x2, x3 are dependent: the optimal face is the edge
+    # x0 = 0, x1 = 1, x2 + x3 = 1, so the nearest-point LP runs.  It has no
+    # face row, only the 2 rows on the kept columns, 2 rows per kept column
+    # and the floor row, over (x, r, s, w) on the 3 kept columns, tau and
+    # z; its start holds z too.
     calls.clear()
-    owit = hoffman_opt_witness(W, vec([2, -1, 2]), vec([1, 0, 0]))
+    W2 = Subspace.from_kernel_matrix(RatMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 1]], cols=4))
+    owit = hoffman_opt_witness(W2, vec([2, -1, 2, -1]), vec([1, 0, 0, 0]))
     witness, nearest = calls
-    assert witness == {"start": None, "phase1": True, "shape": (2, 3)}
-    assert nearest["shape"] == (2 + 2 * 2 + 1, 4 * 2 + 2) and not nearest["phase1"]
-    assert len(nearest["start"]) == 4 * 2 + 2
+    assert witness == {"start": None, "phase1": True, "shape": (2, 4)}
+    assert nearest["shape"] == (2 + 2 * 3 + 1, 4 * 3 + 2) and not nearest["phase1"]
+    assert len(nearest["start"]) == 4 * 3 + 2
+    assert (owit.point, owit.distance) == (vec([0, 1, 1, 0]), 2)
+
+
+class _Spy:
+    """Records each `proximity.solve` call as (tiebreak is None, start) and
+    whether `_nearest_point` ran; with `cold`, the solves without a
+    tie-break run from phase 1 whatever start they are given."""
+
+    def __init__(self, cold=False):
+        self.calls, self.nearest_point, self.cold = [], False, cold
+
+    def solve(self, lp, tiebreak=None, start=None):
+        self.calls.append((tiebreak is None, start))
+        if self.cold and tiebreak is None:
+            start = None
+        return solve(lp, tiebreak=tiebreak, start=start)
+
+    def _nearest_point(self, *args):
+        self.nearest_point = True
+        return _nearest_point(*args)
+
+    def __enter__(self):
+        self.patch = mock.patch.multiple(
+            proximity, solve=self.solve, _nearest_point=self._nearest_point
+        )
+        self.patch.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.patch.stop()
+
+
+def test_each_early_answer_pins_its_solve_count():
+    W = Subspace.from_kernel_matrix(RatMatrix.from_rows([[1, 1, 0], [0, 1, 1]], cols=3))
+    # A feasible anchor of cost 0: no solve at all.
+    with _Spy() as spy:
+        wit = hoffman_feasibility_witness(W, vec([1, 0, 1]))
+    assert (spy.calls, spy.nearest_point) == ([], False)
+    assert (wit.point, wit.distance) == (vec([1, 0, 1]), 0)
+    # The cost (1, 0, 0) has rc = (0, 0, 1) on the rows x0 - x2 = 0,
+    # x1 + x2 = 1, and keeps the independent columns x0, x1: the face is the
+    # one vertex (0, 1, 0), answered by the witness solve alone.
+    with _Spy() as spy:
+        owit = hoffman_opt_witness(W, vec([2, -1, 2]), vec([1, 0, 0]))
+    assert (spy.calls, spy.nearest_point) == ([(True, None)], False)
     assert (owit.point, owit.distance) == (vec([0, 1, 0]), 2)
+    # The fixing sets: one c2 solve from the vertex x1, one per face check.
+    inst = _fixing_instance()
+    with _Spy() as spy:
+        assert fixing_sets_bounds(*inst) == ((2,), (0,))
+    assert [(plain, start is None) for plain, start in spy.calls] == [
+        (True, False),
+        (False, False),
+        (False, False),
+    ]
+    assert spy.calls[0][1] == inst[5]
+
+
+def test_an_unbounded_second_cost_reports_the_ray_of_a_cold_solve():
+    # From the vertex x1 = 0 the c2 simplex leaves along (1, 0, 1), from
+    # phase 1 along (0, 1, 0): the fixing sets report the ray phase 1 reaches.
+    A = RatMatrix.from_rows([[1, 0, -1]], cols=3)
+    b, u, zero, c2 = vec([0]), [None] * 3, vec([0, 0, 0]), vec([-1, -1, -1])
+    lp2 = LPInstance.bounded(A, b, c2, u)
+    assert solve(lp2, start=zero).certificate == vec([1, 0, 1])
+    with pytest.raises(UnboundedDirection) as exc:
+        fixing_sets_bounds(A, b, u, zero, c2, zero, vec([0]))
+    assert exc.value.ray == solve(lp2).certificate == vec([0, 1, 0])
+
+
+def test_a_zero_cost_anchor_is_not_taken_as_optimal_under_a_negative_cost():
+    # (0, 0, 1) is in the region and costs 0, but c has a negative entry
+    # and (0, 1, 0) costs -1: the LP answers, not the anchor.
+    W = Subspace.from_kernel_matrix(RatMatrix.from_rows([[1, 1, 1]], cols=3))
+    anchor = vec([0, 0, 1])
+    with _Spy() as spy:
+        x, tau = proximity._nearest_optimum(W, anchor, vec([1, -1, 0]), anchor)
+    assert (x, tau) == (vec([0, 1, 0]), 1)
+    assert spy.calls == [(True, None)]
+
+
+@st.composite
+def feasible_anchor_instances(draw):
+    """(W, d, c, anchor): the anchor is a point of W + d, >= 0, and c >= 0
+    vanishes on its support, so it costs 0."""
+    n = draw(st.integers(1, 5))
+    entries = st.sampled_from([-1, 0, 1])
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=min(3, n)))
+    W = Subspace.from_kernel_matrix(RatMatrix.from_rows(rows, cols=n))
+    anchor = vec(draw(st.lists(st.sampled_from([0, 0, Fraction(1, 2), 1, 2]), min_size=n, max_size=n)))
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=W.span_rep.rows, max_size=W.span_rep.rows))
+    d = vec(a + w for a, w in zip(anchor, W.span_rep.vecmat(vec(coeffs))))
+    c = vec(0 if a else draw(st.integers(0, 2)) for a in anchor)
+    return W, d, c, anchor
+
+
+@given(feasible_anchor_instances())
+@settings(max_examples=150, deadline=None)
+def test_a_feasible_zero_cost_anchor_is_its_own_nearest_optimum(inst):
+    W, d, c, anchor = inst
+    with _Spy() as spy:
+        assert proximity._nearest_optimum(W, d, c, anchor) == (anchor, 0)
+    assert (spy.calls, spy.nearest_point) == ([], False)
+    lp = LPInstance.from_subspace(W, d, c)
+    res = solve(lp)
+    assert _nearest_point(lp.A.data, lp.b, anchor, res.x, range(lp.n)) == (anchor, 0)
+
+
+@given(nearest_optimum_instances())
+@settings(max_examples=200, deadline=None)
+def test_independent_kept_columns_are_the_one_point_of_the_face(inst):
+    W, d, c, anchor = inst
+    with _Spy() as spy:
+        x, tau = proximity._nearest_optimum(W, d, c, anchor)
+    # only the instances answered by the witness solve alone
+    assume(spy.calls == [(True, None)] and not spy.nearest_point)
+    lp = LPInstance.from_subspace(W, d, c)
+    res = solve(lp)
+    rc = vec_sub(c, lp.A.vecmat(res.y))
+    keep = [j for j, v in enumerate(rc) if v == 0]
+    assert _nearest_point(lp.A.data, lp.b, anchor, res.x, keep) == (x, tau)
+    ox, otau, _ = two_stage_nearest_point([*lp.A.data, c], [*lp.b, res.objective], anchor)
+    assert (ox, otau) == (x, tau)
+
+
+def _fixing_outcome(spy, A, b, u, c1, c2, x1, y1):
+    """(R0, Ru) of `fixing_sets_bounds` under `spy`, or the finding or
+    unbounded cost it raises, with its detail or its ray."""
+    with spy:
+        try:
+            return fixing_sets_bounds(A, b, u, c1, c2, x1, y1)
+        except UnboundedDirection as exc:
+            return type(exc), str(exc), exc.ray
+        except AuditFailure as exc:
+            return type(exc), exc.prop, exc.detail
+
+
+@given(bounded_lp_instances(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_the_fixing_sets_from_x1_match_a_cold_c2_solve(inst, data):
+    A, b, c1, u = inst
+    c2 = vec(v + data.draw(st.integers(-1, 1)) for v in c1)
+    res = solve(LPInstance.bounded(A, b, c1, u))
+    warm, cold = _Spy(), _Spy(cold=True)
+    got = _fixing_outcome(warm, A, b, u, c1, c2, res.x, res.y)
+    assert got == _fixing_outcome(cold, A, b, u, c1, c2, res.x, res.y)
+    # the simplex's x1 is a vertex, so the c2 solve starts there
+    assert warm.calls[0] == (True, res.x)
+
+
+@given(bounded_lp_instances(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_non_vertex_x1_runs_the_c2_solve_from_phase_1(inst, data):
+    A, b, c1, u = inst
+    c2 = vec(v + data.draw(st.integers(-1, 1)) for v in c1)
+    lp = LPInstance.bounded(A, b, c1, u)
+    opt = solve(lp)
+    ends = None
+    for i in range(lp.n):
+        e = [0] * lp.n
+        e[i] = 1
+        lo = solve(lp, tiebreak=vec(e), start=opt.x)
+        e[i] = -1
+        hi = solve(lp, tiebreak=vec(e), start=opt.x)  # unbounded on an uncapped face
+        if hi.status == OPTIMAL and lo.x != hi.x:
+            ends = lo.x, hi.x
+            break
+    assume(ends is not None)
+    # the midpoint of two optimal points is optimal, and not a vertex
+    mid = vec((p + q) / 2 for p, q in zip(*ends))
+    spy = _Spy()
+    got = _fixing_outcome(spy, A, b, u, c1, c2, mid, opt.y)
+    assert spy.calls[0] == (True, None)
+    assert got == _fixing_outcome(_Spy(), A, b, u, c1, c2, opt.x, opt.y)
