@@ -1,27 +1,25 @@
 """Hoffman-type proximity bounds with exact verification.
 
-Every bound computed here is also checked: the attained distance is that of
-an exact nearest point, found by one lexicographic simplex solve and
-re-verified, and a distance exceeding its bound raises AuditFailure instead
-of returning quietly.  The three witnesses share `_nearest_optimum`: solve
-LP(W, d, c), certify its dual, then find the nearest point of its optimal
-face, starting the simplex from the optimal vertex just found, so the
-second solve runs no phase 1.  The face is cut by deleting the columns of
-positive reduced cost, so that LP has no face row and fewer columns; the
-feasibility witness is the zero cost, whose face keeps every column.  Two
-answers are known before that LP and are checked instead of solved: an
-anchor in the region of cost 0 is its own nearest optimum, with no solve,
-and a face whose kept columns are independent is the one vertex the first
-solve returned.  The fixing sets read their optimal face from the simplex
-itself: each coordinate is optimized by the tie-break stage of `lp.solve`
-on the second cost's LP, started from its optimum, which is solved from x1
-when x1 is a vertex; the region test of x1 is `LPInstance.violation`.
-Column independence is always an exact rank of the LP's own rows, never a
-reading of a simplex basis.  The region is then known to be nonempty, so
-an infeasible or unbounded answer from these solves is an InternalError.  The
-black-box feasibility solver at the bottom composes the same pieces with a
-simulated approximate oracle whose error budget is rational and
-seed-deterministic.
+Every bound computed here is also checked, and a conclusion that fails its
+check raises AuditFailure instead of returning quietly.  Each check proves
+only what is claimed, from the witness already held where that suffices.
+`_certified_optimum` solves LP(W, d, c) and certifies its optimum: the
+point is in the region (`LPInstance.violation`), and its dual's reduced
+costs are >= 0, complementary to it, with equal objectives.  The Hoffman
+witnesses report the distance to the nearest optimum (`_nearest_on_face`),
+an LP over the columns of zero reduced cost with no face row, started from
+the certified vertex with no phase 1; a face whose kept columns are
+independent (an exact rank of the LP's rows, never a reading of a simplex
+basis) is that one vertex, and an anchor in the region of cost 0 is its
+own nearest optimum, with no solve.  The transfer bound claims only that
+some optimum lies within it, so it runs that LP only when the certified
+optimum is farther.  The fixing sets optimize each claimed coordinate by
+the tie-break stage of `lp.solve` on the second cost's LP, started from
+its optimum, which is solved from x1 when x1 is a vertex, and a face solve
+that is not optimal is an InternalError; with no claim and every bound
+finite they solve nothing.  The black-box feasibility solver at the bottom
+composes the same pieces with a simulated approximate oracle whose error
+budget is rational and seed-deterministic.
 
 LP(W, d, c) throughout means: minimize <c, x> over x in W + d, x >= 0,
 built in one place, `LPInstance.from_subspace`.
@@ -187,53 +185,58 @@ def _independent(A: RatMatrix, cols) -> bool:
     return len(cols) <= A.rows and rank(A.take_cols(cols)) == len(cols)
 
 
-def _nearest_optimum(W: Subspace, d: Vec, c: Vec, anchor: Vec):
-    """Solve LP(W, d, c), then the point of its optimal face nearest to
-    `anchor`, as `_nearest_point` returns it: (x, tau).  The optimal vertex
-    of the first solve is the vertex the nearest-point solve starts from.
+def _sup_dist(x: Vec, anchor: Vec) -> Fraction:
+    return max(map(abs, vec_sub(x, anchor)), default=Fraction(0))
 
-    The face is cut from the dual of the first solve.  Its reduced costs
-    rc = c - A^T y are certified first: rc >= 0, rc x = 0 and c x = b y,
-    else InternalError.  By complementary slackness the optimal face is
-    then {x >= 0 : A x = b, x_j = 0 where rc_j > 0}, so the nearest-point
-    LP runs over the columns K of zero reduced cost alone, with no face
-    row, and its point is checked to have cost c x.  The zero cost of the
-    feasibility witness has y = 0 and rc = 0, so it keeps every column and
-    its face is the whole region.  An infeasible LP raises InfeasibleSystem
-    with its certificate.  Every caller has c >= 0, which is dual feasible,
-    so an unbounded LP is an InternalError.
 
-    Two answers are known without an LP, and each is checked first:
-
-    - An anchor in the region (`LPInstance.violation`) of cost 0 under
-      c >= 0 is optimal and is its own nearest point: (anchor, 0), with no
-      solve.
-    - When the columns K are independent (`_independent`), A_K x_K = b has
-      one solution, so the face is the one point x of the first solve:
-      x is tested against the region and returned with its sup-norm
-      distance to the anchor, with no nearest-point LP.
+def _certified_optimum(lp: LPInstance):
+    """Solve LP(W, d, c) and certify its optimum x: x is in the region
+    (`LPInstance.violation`), and rc = c - A^T y has rc >= 0, rc x = 0 and
+    c x = b y, else InternalError.  Returns (x, K), K the ascending columns
+    of zero reduced cost: by complementary slackness the optimal face is
+    {x >= 0 : A x = b, x_j = 0 off K}.  An infeasible LP raises
+    InfeasibleSystem with its certificate; every caller has c >= 0, which is
+    dual feasible, so an unbounded LP is an InternalError.
     """
-    lp = LPInstance.from_subspace(W, d, c)
-    if all(v >= 0 for v in c) and vec_dot(c, anchor) == 0 and lp.violation(anchor) is None:
-        return anchor, Fraction(0)
     res = solve(lp)
     if res.status == INFEASIBLE:
         raise InfeasibleSystem("no nonnegative point in W + d", certificate=res.certificate)
     if res.status != OPTIMAL:
         raise InternalError("LP(W, d, c) with c >= 0 is unbounded")
-    rc = vec_sub(c, lp.A.vecmat(res.y))
-    opt = vec_dot(c, res.x)
-    if any(v < 0 for v in rc) or vec_dot(rc, res.x) != 0 or vec_dot(lp.b, res.y) != opt:
+    x, y = res.x, res.y
+    rc = vec_sub(lp.c, lp.A.vecmat(y))
+    if any(v < 0 for v in rc) or vec_dot(rc, x) != 0 or vec_dot(lp.b, y) != vec_dot(lp.c, x):
         raise InternalError("the dual of LP(W, d, c) fails its optimality certificate")
-    keep = [j for j, v in enumerate(rc) if v == 0]
-    if _independent(lp.A, keep):
-        if lp.violation(res.x) is not None:
-            raise InternalError("the optimum of LP(W, d, c) is not in its region")
-        return res.x, max(map(abs, vec_sub(res.x, anchor)), default=Fraction(0))
-    x, tau = _nearest_point(lp.A.data, lp.b, anchor, res.x, keep)
-    if vec_dot(c, x) != opt:
+    if lp.violation(x) is not None:
+        raise InternalError("the optimum of LP(W, d, c) is not in its region")
+    return x, [j for j, v in enumerate(rc) if v == 0]
+
+
+def _nearest_on_face(lp: LPInstance, x: Vec, K, anchor: Vec):
+    """The point of the optimal face of `lp` nearest to `anchor`, (x, tau)
+    as `_nearest_point` returns it, from `_certified_optimum`'s (x, K).  If
+    the columns K are independent, A_K x_K = b has one solution, so the face
+    is the point x, with no LP.  Otherwise the nearest-point LP runs over K
+    from x, and its point is checked to cost c x.
+    """
+    if _independent(lp.A, K):
+        return x, _sup_dist(x, anchor)
+    near, tau = _nearest_point(lp.A.data, lp.b, anchor, x, K)
+    if vec_dot(lp.c, near) != vec_dot(lp.c, x):
         raise InternalError("nearest optimum fails its re-verification: its cost is not optimal")
-    return x, tau
+    return near, tau
+
+
+def _nearest_optimum(W: Subspace, d: Vec, c: Vec, anchor: Vec):
+    """The optimum of LP(W, d, c) nearest to `anchor`: (x, tau), the
+    certified optimum of `_certified_optimum`, then `_nearest_on_face`.
+    An anchor in the region (`LPInstance.violation`) of cost 0 under c >= 0
+    is optimal and is its own nearest point: (anchor, 0), with no solve.
+    """
+    lp = LPInstance.from_subspace(W, d, c)
+    if all(v >= 0 for v in c) and vec_dot(c, anchor) == 0 and lp.violation(anchor) is None:
+        return anchor, Fraction(0)
+    return _nearest_on_face(lp, *_certified_optimum(lp), anchor)
 
 
 def hoffman_feasibility_witness(W: Subspace, d) -> ProximityWitness:
@@ -268,33 +271,6 @@ def hoffman_opt_witness(W: Subspace, d, c) -> ProximityWitness:
     return ProximityWitness(point=x, bound=bound, slack=bound - tau)
 
 
-def _dual_face_max(W: Subspace, cost: Vec, x_opt: Vec, i: int) -> Fraction:
-    """Exact max of s_i over the dual optimal face of LP(W, d, cost).
-
-    The face is the dual-feasible set {s in W-perp + cost, s >= 0} cut by
-    complementary slackness with any one primal optimal point.
-    """
-    n = len(cost)
-    keep = [j for j in range(n) if x_opt[j] == 0]
-    if i not in keep:
-        return Fraction(0)
-    M = W.span_rep
-    if M.rows == 0:
-        # W = {0}: the dual face is every nonnegative vector vanishing on
-        # supp(x_opt), so s_i is unbounded whenever unconstrained.
-        raise AuditFailure("transfer-dual", detail="dual face unbounded in a coordinate")
-    rows = [[M.entry(r, j) for j in keep] for r in range(M.rows)]
-    b = M.matvec(cost)
-    c = [Fraction(0)] * len(keep)
-    c[keep.index(i)] = Fraction(-1)
-    res = solve(LPInstance.standard(RatMatrix.from_rows(rows, cols=len(keep)), b, c))
-    if res.status == UNBOUNDED:
-        raise AuditFailure("transfer-dual", detail=f"s_{i} unbounded over the dual face")
-    if res.status != OPTIMAL:
-        raise InternalError(f"dual face LP for s_{i} is infeasible")
-    return -res.objective
-
-
 def transfer_bound(W: Subspace, x_tilde, s, d) -> tuple[Fraction, tuple[int, ...]]:
     """Carry optimality from anchor x_tilde to shift d.
 
@@ -304,9 +280,13 @@ def transfer_bound(W: Subspace, x_tilde, s, d) -> tuple[Fraction, tuple[int, ...
         bound = (kappa + 1) * ||proj_{W-perp}(d - x_tilde)||_1
         R     = {i : x_tilde_i > bound}
 
-    and verifies both conclusions against LP(W, d, s): some optimal point
-    lies within `bound` of x_tilde in sup-norm, and every coordinate in R
-    has every dual-optimal s* vanishing there (max over the dual face is 0).
+    and verifies both conclusions against LP(W, d, s) with one optimum x*
+    within `bound` of x_tilde in sup-norm: x_tilde itself when it is in the
+    region (it costs 0), else the certified optimum when it is near enough,
+    else the nearest optimum (`_nearest_on_face`), an AuditFailure when
+    farther than `bound`.  Then x*_i >= x_tilde_i - bound > 0 on R, checked
+    (else InternalError), and complementary slackness, x*_i s*_i = 0 for
+    every dual optimum s*, shows that each s* vanishes on R.
     """
     xt = vec(x_tilde)
     sv = vec(s)
@@ -320,13 +300,17 @@ def transfer_bound(W: Subspace, x_tilde, s, d) -> tuple[Fraction, tuple[int, ...
     bound = (kappa + 1) * norm1(W.project_onto_perp(vec_sub(dv, xt)))
     R = tuple(i for i in range(n) if xt[i] > bound)
 
-    x_star, tau = _nearest_optimum(W, dv, sv, xt)
-    if tau > bound:
-        raise AuditFailure("transfer-primal", detail=f"nearest optimal at {tau}, bound {bound}")
-    for i in R:
-        top = _dual_face_max(W, sv, x_star, i)
-        if top != 0:
-            raise AuditFailure("transfer-dual", detail=f"max s_{i} over the dual face is {top}")
+    lp = LPInstance.from_subspace(W, dv, sv)
+    x_star = xt
+    if lp.violation(xt) is not None:
+        x_star, keep = _certified_optimum(lp)
+        if _sup_dist(x_star, xt) > bound:
+            x_star, tau = _nearest_on_face(lp, x_star, keep, xt)
+            if tau > bound:
+                detail = f"nearest optimal at {tau}, bound {bound}"
+                raise AuditFailure("transfer-primal", detail=detail)
+    if any(x_star[i] <= 0 for i in R):
+        raise InternalError("an optimum within the transfer bound is not positive on R")
     return bound, R
 
 
@@ -340,8 +324,11 @@ def fixing_sets_bounds(A, b, u, c1, c2, x1, y1) -> tuple[tuple[int, ...], tuple[
         R0 = {i : rc_i > t}      (x_i = 0 in every c2-optimum)
         Ru = {i : rc_i < -t}     (x_i = u_i in every c2-optimum)
 
-    Both conclusions are verified by optimizing each coordinate over the
-    exact c2-optimal face: the tie-break stage of `lp.solve` on the c2 LP,
+    When both sets are empty and every u_i is finite, nothing is left to
+    verify and no LP is solved: x1 has passed the region test, so the
+    region is a nonempty polytope and c2 has an optimum.  Otherwise both
+    conclusions are verified by optimizing each coordinate over the exact
+    c2-optimal face: the tie-break stage of `lp.solve` on the c2 LP,
     started from its optimum.  That optimum is solved from x1, with no
     phase 1, when x1 is a vertex: the columns of its free set
     {i : 0 < x1_i < u_i} are independent, by an exact rank of A.  Otherwise,
@@ -351,7 +338,9 @@ def fixing_sets_bounds(A, b, u, c1, c2, x1, y1) -> tuple[tuple[int, ...], tuple[
     """
     A = A if isinstance(A, RatMatrix) else RatMatrix.from_rows(A)
     lp1 = LPInstance.bounded(A, b, c1, u)
-    lp2 = LPInstance.bounded(A, b, c2, u)
+    c2 = vec(c2)
+    if len(c2) != lp1.n:
+        raise DimensionMismatch("LP data shapes disagree")
     x1 = vec(x1)
     broken = lp1.violation(x1)
     if broken == "equations":
@@ -367,10 +356,13 @@ def fixing_sets_bounds(A, b, u, c1, c2, x1, y1) -> tuple[tuple[int, ...], tuple[
             raise NotOptimalPair(f"dual surplus at {i} with x positive")
 
     kappa = Subspace.from_kernel_matrix(A).measures.kappa
-    t = (kappa + 1) * norm1(vec_sub(lp1.c, lp2.c))
+    t = (kappa + 1) * norm1(vec_sub(lp1.c, c2))
     R0 = tuple(i for i, r in enumerate(rc) if r > t)
     Ru = tuple(i for i, r in enumerate(rc) if r < -t)
+    if not R0 and not Ru and None not in u:
+        return R0, Ru
 
+    lp2 = LPInstance(A, lp1.b, c2, u)
     free = [i for i, v in enumerate(x1) if v > 0 and (u[i] is None or v < u[i])]
     warm = _independent(A, free)
     res2 = solve(lp2, start=x1 if warm else None)

@@ -11,12 +11,12 @@ Floating point appears only in the explicitly inexact spectral estimator
 Each elimination job is done here once.  `bareiss_step` is the one
 fraction-free Edmonds-Bareiss row step, taken by the simplex, the circuit
 enumeration and `_gauss_jordan`.  `_gauss_jordan` is the one elimination
-loop: fraction-free Gauss-Jordan over integer rows, behind `rref` (and so
-`rank`, `rref_nonzero`, `rref_kernel` and `greedy_basis`, the one greedy
-column basis), `solve_linear`, `invert`, `bareiss_det`, `basis_form` and
-`bases`, the one loop over bases with their forms A_B^{-1} A.  The
-simplex and the circuit enumeration keep their own pivot rules (Bland's
-rule, a depth-first tree on tail slices) around the same step.
+loop: fraction-free Gauss-Jordan over integer rows, behind `rank` (its
+pivots), `rref` (and so `rref_nonzero`, `rref_kernel` and `greedy_basis`,
+the one greedy column basis), `solve_linear`, `invert`, `bareiss_det`,
+`basis_form` and `bases`, the one loop over bases with their forms
+A_B^{-1} A.  The simplex and the circuit enumeration keep their own pivot
+rules (Bland's rule, a depth-first tree on tail slices) around the same step.
 
 The scans exponential in the number of columns (the circuits, the square
 submatrices of `imbalance.is_TU`, the bases of `imbalance.chibar`) accept at
@@ -66,6 +66,9 @@ def as_fraction(x) -> Fraction:
 
 
 def vec(entries: Iterable) -> Vec:
+    """The entries as a tuple of Fractions; such a tuple is returned as is."""
+    if type(entries) is tuple and set(map(type, entries)) <= {Fraction}:
+        return entries
     return tuple(as_fraction(e) for e in entries)
 
 
@@ -281,7 +284,8 @@ def rref_nonzero(M: RatMatrix) -> RatMatrix:
 
 
 def rank(M: RatMatrix) -> int:
-    return rref(M)[0]
+    """The pivot count of `_gauss_jordan`, with no Fraction RREF built."""
+    return len(_gauss_jordan(_int_rows(M)[0], range(M.cols))[2])
 
 
 def rref_kernel(M: RatMatrix):

@@ -128,7 +128,8 @@ class Subspace:
 
     @classmethod
     def from_kernel_matrix(cls, A: RatMatrix) -> "Subspace":
-        return cls._live(rref_nonzero(A))
+        """ker(A), with no elimination when A is a live kernel_rep."""
+        return _LIVE.get(A) or cls._live(rref_nonzero(A))
 
     @classmethod
     def from_span_matrix(cls, S: RatMatrix) -> "Subspace":

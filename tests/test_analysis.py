@@ -94,6 +94,21 @@ def test_a_kernel_has_one_live_subspace():
     assert key not in subspace._LIVE
 
 
+def test_a_live_kernel_rep_is_looked_up_with_no_elimination(monkeypatch):
+    # A raw A is eliminated to its canonical kernel_rep; that kernel_rep
+    # itself, or an equal matrix, gives back the same object with no RREF.
+    A = RatMatrix.from_rows([[2, 4, 0, -2], [1, 3, 1, 2]], cols=4)
+    W = Subspace.from_kernel_matrix(A)
+    assert W.kernel_rep != A
+    rrefs = _counting(monkeypatch, subspace, "rref_nonzero")
+    copy = RatMatrix.from_rows([list(r) for r in W.kernel_rep.data], cols=4)
+    assert Subspace.from_kernel_matrix(W.kernel_rep) is W
+    assert Subspace.from_kernel_matrix(copy) is W
+    assert rrefs == []
+    assert Subspace.from_kernel_matrix(A) is W
+    assert len(rrefs) == 1
+
+
 def test_fixing_sets_on_a_live_subspace_enumerate_no_circuits(monkeypatch):
     # the caller holds W, so fixing_sets_bounds(W.kernel_rep, ...) reuses its measures
     W = Subspace.from_kernel_matrix(RatMatrix.from_rows([[1, 1, 0, 1], [0, 1, 1, 2]], cols=4))

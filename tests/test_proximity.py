@@ -11,6 +11,7 @@ from circuitkit.augment import ratio_circuit
 from circuitkit.errors import (
     AuditFailure,
     BadParameters,
+    CircuitKitError,
     DimensionMismatch,
     InfeasibleSystem,
     InternalError,
@@ -32,9 +33,15 @@ from circuitkit.proximity import (
     lambda_set,
     transfer_bound,
 )
-from circuitkit.ratmat import RatMatrix, norm1, vec, vec_dot, vec_sub
+from circuitkit.ratmat import RatMatrix, norm1, vec, vec_add, vec_dot, vec_sub
 from circuitkit.subspace import Subspace
-from util import face_row_solve, random_int_matrix, two_stage_nearest_point
+from util import (
+    always_solve_fixing_sets,
+    always_solve_transfer_bound,
+    face_row_solve,
+    random_int_matrix,
+    two_stage_nearest_point,
+)
 
 
 def seeded_subspace_and_shift(seed, n=5, m=2):
@@ -639,6 +646,47 @@ def test_each_early_answer_pins_its_solve_count():
         (False, False),
     ]
     assert spy.calls[0][1] == inst[5]
+    # No fixing claim on a region with every bound finite: nothing to
+    # verify, so no solve at all.
+    A, b, u = RatMatrix.from_rows([[1, 1]], cols=2), vec([1]), vec([1, 1])
+    c1, c2 = vec([0, 1]), vec([1, 0])
+    res = solve(LPInstance.bounded(A, b, c1, u))
+    with _Spy() as spy:
+        assert fixing_sets_bounds(A, b, u, c1, c2, res.x, res.y) == ((), ())
+    assert (spy.calls, spy.nearest_point) == ([], False)
+    # The transfer bound on W = ker [1, 0] from x_tilde = (2, 0), s = 0, to
+    # d = (5/2, 1): bound 1 and R = (0,).  The optimal face x0 = 5/2 is a
+    # ray, so its kept columns are dependent, but the certified vertex
+    # (5/2, 0) is within the bound: no nearest-point LP.
+    W1 = Subspace.from_kernel_matrix(RatMatrix.from_rows([[1, 0]], cols=2))
+    with _Spy() as spy:
+        assert transfer_bound(W1, vec([2, 0]), vec([0, 0]), vec([Fraction(5, 2), 1])) == (1, (0,))
+    assert (spy.calls, spy.nearest_point) == ([(True, None)], False)
+    # A certified vertex beyond the transfer bound: the witness solve, then
+    # the nearest-point LP started from that vertex.
+    inst = W2, _, s2, d2 = _near_transfer()
+    assert solve(LPInstance.from_subspace(W2, d2, s2)).x == vec([Fraction(5, 2), 0])
+    with _Spy() as spy:
+        assert transfer_bound(*inst) == (1, (1,))
+    assert [(plain, start is None) for plain, start in spy.calls] == [(True, True), (False, False)]
+    assert spy.nearest_point
+
+
+def _near_transfer():
+    """W = ker [1, 1], x_tilde = (0, 2), s = 0 and d = (1/2, 2): bound 1 and
+    R = (1,).  The simplex's vertex (5/2, 0) is 5/2 from x_tilde, beyond the
+    bound, and the nearest optimum (0, 5/2) is 1/2 from it."""
+    W = Subspace.from_kernel_matrix(RatMatrix.from_rows([[1, 1]], cols=2))
+    return W, vec([0, 2]), vec([0, 0]), vec([Fraction(1, 2), 2])
+
+
+def test_an_optimum_zero_on_the_transfer_set_is_an_internal_error(monkeypatch):
+    # An optimum within the bound is positive on R.  With the distance test
+    # broken, the vertex (5/2, 0), 0 on R = (1,), is taken as that optimum
+    # and the complementary-slackness check refuses it.
+    monkeypatch.setattr(proximity, "_sup_dist", lambda x, anchor: Fraction(0))
+    with pytest.raises(InternalError, match="not positive on R"):
+        transfer_bound(*_near_transfer())
 
 
 def test_an_unbounded_second_cost_reports_the_ray_of_a_cold_solve():
@@ -708,16 +756,19 @@ def test_independent_kept_columns_are_the_one_point_of_the_face(inst):
     assert (ox, otau) == (x, tau)
 
 
-def _fixing_outcome(spy, A, b, u, c1, c2, x1, y1):
-    """(R0, Ru) of `fixing_sets_bounds` under `spy`, or the finding or
-    unbounded cost it raises, with its detail or its ray."""
+def _outcome(f, *args):
+    """What `f` returns, or the class, message and fields (a ray, a finding's
+    detail) of the package error it raises."""
+    try:
+        return f(*args)
+    except CircuitKitError as exc:
+        return type(exc), str(exc), vars(exc)
+
+
+def _fixing_outcome(spy, *args):
+    """`_outcome` of `fixing_sets_bounds` under `spy`."""
     with spy:
-        try:
-            return fixing_sets_bounds(A, b, u, c1, c2, x1, y1)
-        except UnboundedDirection as exc:
-            return type(exc), str(exc), exc.ray
-        except AuditFailure as exc:
-            return type(exc), exc.prop, exc.detail
+        return _outcome(fixing_sets_bounds, *args)
 
 
 @given(bounded_lp_instances(), st.data())
@@ -729,8 +780,12 @@ def test_the_fixing_sets_from_x1_match_a_cold_c2_solve(inst, data):
     warm, cold = _Spy(), _Spy(cold=True)
     got = _fixing_outcome(warm, A, b, u, c1, c2, res.x, res.y)
     assert got == _fixing_outcome(cold, A, b, u, c1, c2, res.x, res.y)
-    # the simplex's x1 is a vertex, so the c2 solve starts there
-    assert warm.calls[0] == (True, res.x)
+    if got == ((), ()) and None not in u:
+        # no claim on a polytope: nothing is solved
+        assert warm.calls == []
+    else:
+        # the simplex's x1 is a vertex, so the c2 solve starts there
+        assert warm.calls[0] == (True, res.x)
 
 
 @given(bounded_lp_instances(), st.data())
@@ -755,5 +810,67 @@ def test_a_non_vertex_x1_runs_the_c2_solve_from_phase_1(inst, data):
     mid = vec((p + q) / 2 for p, q in zip(*ends))
     spy = _Spy()
     got = _fixing_outcome(spy, A, b, u, c1, c2, mid, opt.y)
-    assert spy.calls[0] == (True, None)
+    if got == ((), ()) and None not in u:
+        # no claim on a polytope: nothing is solved
+        assert spy.calls == []
+    else:
+        assert spy.calls[0] == (True, None)
     assert got == _fixing_outcome(_Spy(), A, b, u, c1, c2, opt.x, opt.y)
+
+
+@given(bounded_lp_instances(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_the_fixing_sets_match_the_always_solve_oracle(inst, data):
+    # Every answer, the ones given with no solve included, and every error
+    # is the oracle's, which solves c2 and each face whatever is claimed.
+    A, b, c1, u = inst
+    # c2 = c1 often, so that t = 0 and every nonzero reduced cost is a claim
+    c2 = vec(v + data.draw(st.sampled_from([-1, 0, 0, 0, 1])) for v in c1)
+    res = solve(LPInstance.bounded(A, b, c1, u))
+    x1, y1 = list(res.x), list(res.y)
+    fault = data.draw(st.sampled_from(["none", "none", "x1", "y1", "c2"]))
+    if fault == "x1":
+        x1[data.draw(st.integers(0, len(x1) - 1))] += data.draw(st.sampled_from([-1, 1]))
+    elif fault == "y1" and y1:
+        y1[data.draw(st.integers(0, len(y1) - 1))] += data.draw(st.sampled_from([-1, 1]))
+    elif fault == "c2":
+        c2 = c2[:-1]
+    args = A, b, u, c1, c2, vec(x1), vec(y1)
+    assert _outcome(fixing_sets_bounds, *args) == _outcome(always_solve_fixing_sets, *args)
+
+
+@st.composite
+def transfer_instances(draw):
+    """(W, x_tilde, s, d): an optimal pair (x_tilde, s), from a solve of
+    LP(W, d0, c) or with s = 0 and any x_tilde >= 0, carried to a shift d
+    near x_tilde; now and then a pair that is not optimal.  The zero cost
+    makes the whole region optimal, so the vertex is often far from
+    x_tilde."""
+    n = draw(st.integers(1, 5))
+    entries = st.sampled_from([-1, 0, 1, 1])
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=min(3, n)))
+    W = Subspace.from_kernel_matrix(RatMatrix.from_rows(rows, cols=n))
+    if draw(st.booleans()):
+        xt = vec(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        s = vec([0] * n)
+    else:
+        d0 = vec(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        c = vec(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        lp = LPInstance.from_subspace(W, d0, c)
+        res = solve(lp)
+        xt, s = res.x, vec_sub(c, lp.A.vecmat(res.y))
+    if draw(st.integers(0, 9)) == 0:
+        s = vec(v + 1 for v in s)  # positive where x_tilde is, unless x_tilde = 0
+    shift = [0] * n
+    for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2)):
+        shift[i] = draw(st.sampled_from([-1, Fraction(1, 2), 1, 2]))
+    return W, xt, s, vec_add(xt, vec(shift))
+
+
+@given(transfer_instances())
+@settings(max_examples=200, deadline=None)
+def test_the_transfer_bound_matches_the_always_solve_oracle(inst):
+    # Every answer, the ones from an optimum already held included, and
+    # every error is the oracle's, which solves the nearest optimum and the
+    # dual face of each i in R whatever is known.
+    assert _outcome(transfer_bound, *inst) == _outcome(always_solve_transfer_bound, *inst)

@@ -413,3 +413,23 @@ def test_elimination_matches_the_fraction_rref(case):
         else:
             _, _, rows = _oracle_rref(AB, M)
             assert basis_form(M, B) == RatMatrix.from_rows([row[M.rows :] for row in rows])
+
+
+@given(rational_matrices(rows=(0, 4), cols=(1, 7)))
+@settings(max_examples=200, deadline=None)
+def test_rank_counts_the_pivots_of_the_rref(A):
+    # `rank` reads the pivot count of the integer elimination and builds no
+    # Fraction RREF; the RREF and the Fraction elimination agree with it.
+    assert rank(A) == rref(A)[0] == fraction_rref([list(r) for r in A.data], A.cols)[0]
+
+
+def test_vec_passes_a_fraction_tuple_through_and_converts_the_rest():
+    t = (Fraction(1, 2), Fraction(3))
+    assert vec(t) is t
+    assert vec(()) == ()
+    for other in ([Fraction(1, 2), 3], (Fraction(1, 2), 3), (Fraction(1, 2), "3"), iter(t)):
+        out = vec(other)
+        assert out == t and type(out) is tuple and all(type(v) is Fraction for v in out)
+    assert type(vec((True,))[0]) is Fraction
+    with pytest.raises(TypeError):
+        vec((Fraction(1), 0.5))

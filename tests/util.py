@@ -14,7 +14,9 @@ cycle over all simple cycles in place of the tight-arc witness, the Graver box
 scan and its minimality filter, the IP proximity ball as a plain
 product over its box, the decomposition search, the appendix
 window scan, the nearest point as two separate simplex solves, the
-optimal face as a face row stacked under A, the steepness eps(x) as its
+optimal face as a face row stacked under A, the fixing sets and the
+transfer bound with every LP solved whatever is claimed or held (the
+transfer bound's dual face as its own LP), the steepness eps(x) as its
 dual LP, the recession test as a box LP, the greedy basis by one rank
 per column, the basis forms by determinant, inverse and product, and the
 components of the circuit hypergraph.  Slow
@@ -41,9 +43,11 @@ from circuitkit.errors import (
     AuditFailure,
     BadParameters,
     BoxTooLarge,
+    DimensionMismatch,
     InfeasibleSystem,
     InternalError,
     NonIntegerMatrix,
+    NotOptimalPair,
     RankDeficient,
     SeparableInput,
     UnboundedDirection,
@@ -615,6 +619,90 @@ def two_stage_nearest_point(rows, b, anchor):
     if res2.status != lpmod.OPTIMAL:
         raise AssertionError("stage 2 of the nearest point is not optimal")
     return vec(res2.x[:n]), tau, res2.objective
+
+
+def always_solve_transfer_bound(W: Subspace, x_tilde, s, d):
+    """`proximity.transfer_bound` with every LP solved, whatever is already
+    known: LP(W, d, s) by the simplex, the distance to its nearest optimum
+    by the two-stage oracle on its rows plus the face row <s, x> = opt, and
+    for each i in R the largest s*_i over the dual optimal face {s* >= 0 :
+    s* - s in W-perp, <d, s*> = <d, s> - opt}, written with that face row
+    and solved by the Fraction simplex, which must be 0.  The oracle of the
+    transfer bound's answers from the optimum it holds."""
+    xt, sv, dv = vec(x_tilde), vec(s), vec(d)
+    n = W.ambient_dim
+    if len(xt) != n or len(sv) != n or len(dv) != n:
+        raise DimensionMismatch("vector length mismatch")
+    if min((*xt, *sv), default=0) < 0 or fraction_vec_dot(xt, sv) != 0:
+        raise NotOptimalPair("need x >= 0, s >= 0 and <x, s> = 0")
+    gap = [a - b for a, b in zip(dv, xt)]
+    bound = (brute_kappa(W.kernel_rep) + 1) * fraction_norm1(W.project_onto_perp(gap))
+    R = tuple(i for i in range(n) if xt[i] > bound)
+    lp = lpmod.LPInstance.from_subspace(W, dv, sv)
+    res = lpmod.solve(lp)
+    if res.status == lpmod.INFEASIBLE:
+        raise InfeasibleSystem("no nonnegative point in W + d", certificate=res.certificate)
+    if res.status != lpmod.OPTIMAL:
+        raise AssertionError("LP(W, d, s) with s >= 0 is unbounded")
+    _, tau, _ = two_stage_nearest_point([*lp.A.data, sv], [*lp.b, res.objective], xt)
+    if tau > bound:
+        raise AuditFailure("transfer-primal", detail=f"nearest optimal at {tau}, bound {bound}")
+    M = W.span_rep
+    face_A = RatMatrix.from_rows([*M.data, dv], cols=n)
+    face_b = (*fraction_matvec(M, sv), fraction_vec_dot(dv, sv) - res.objective)
+    for i in R:
+        e = [Fraction(0)] * n
+        e[i] = Fraction(-1)
+        top = oracle_solve(lpmod.LPInstance(face_A, face_b, tuple(e)))
+        if top.status == lpmod.UNBOUNDED:
+            raise AuditFailure("transfer-dual", detail=f"s_{i} unbounded over the dual face")
+        if top.status != lpmod.OPTIMAL:
+            raise AssertionError(f"the dual face LP for s_{i} is {top.status}")
+        if top.objective != 0:
+            raise AuditFailure("transfer-dual", detail=f"max s_{i} over the dual face is {-top.objective}")
+    return bound, R
+
+
+def always_solve_fixing_sets(A, b, u, c1, c2, x1, y1):
+    """`proximity.fixing_sets_bounds` with every LP solved, whatever is
+    claimed: the same test of (x1, y1), then the c2 LP solved from phase 1,
+    and each claimed coordinate optimized over the c2-optimal face written
+    with its face row (`face_row_solve`).  The oracle of the fixing sets'
+    answers with no solve."""
+    A = A if isinstance(A, RatMatrix) else RatMatrix.from_rows(A)
+    lp1 = lpmod.LPInstance.bounded(A, b, c1, u)
+    lp2 = lpmod.LPInstance.bounded(A, b, c2, u)
+    x1, u = vec(x1), lp1.u
+    broken = lp1.violation(x1)
+    if broken == "equations":
+        raise NotOptimalPair("x1 is not feasible")
+    if broken == "upper":
+        raise NotOptimalPair("x1 violates an upper bound")
+    rc = [c - a for c, a in zip(lp1.c, fraction_vecmat(A, vec(y1)))]
+    for i, r in enumerate(rc):
+        if r < 0 and (u[i] is None or x1[i] < u[i]):
+            raise NotOptimalPair(f"dual slack negative at {i} with x below its bound")
+        if r > 0 and x1[i] > 0:
+            raise NotOptimalPair(f"dual surplus at {i} with x positive")
+    t = (brute_kappa(A) + 1) * fraction_norm1([p - q for p, q in zip(lp1.c, lp2.c)])
+    R0 = tuple(i for i, r in enumerate(rc) if r > t)
+    Ru = tuple(i for i, r in enumerate(rc) if r < -t)
+    res2 = lpmod.solve(lp2)
+    if res2.status == lpmod.INFEASIBLE:
+        raise InfeasibleSystem("region became empty", certificate=res2.certificate)
+    if res2.status == lpmod.UNBOUNDED:
+        raise UnboundedDirection("second cost is unbounded below", ray=res2.certificate)
+    checks = [(i, -1, 0, "max", "fixing-zero") for i in R0]
+    checks += [(i, 1, u[i], "min", "fixing-upper") for i in Ru]
+    for i, sense, want, word, prop in checks:
+        e = [0] * lp2.n
+        e[i] = sense
+        res = face_row_solve(lp2, res2.objective, e)
+        if res.status != lpmod.OPTIMAL:
+            raise AssertionError(f"{word} x_{i} over the optimal face is not optimal")
+        if sense * res.objective != want:
+            raise AuditFailure(prop, detail=f"{word} x_{i} over the face is {sense * res.objective}")
+    return R0, Ru
 
 
 def fraction_enumerate_circuits(W):
