@@ -167,11 +167,11 @@ def _cmd_solve(args):
 def _cmd_prox(args):
     doc = _read_json(args.input)
     A = serialize.load_matrix(doc)
-    W = Subspace.from_kernel_matrix(A)
     n = A.cols
     payload = {"check": args.check}
     try:
         if args.check in ("feasibility", "optimal"):
+            W = Subspace.from_kernel_matrix(A)
             d = _load_vector("d", doc, length=n)
             c = _load_vector("c", doc, length=n) if args.check == "optimal" else None
             if c is None:
@@ -187,7 +187,7 @@ def _cmd_prox(args):
             d = _load_vector("d", doc, length=n)
             x_tilde = _load_vector("x_tilde", doc, length=n)
             s = _load_vector("s", doc, length=n)
-            bound, R = proximity.transfer_bound(W, x_tilde, s, d)
+            bound, R = proximity.transfer_bound(Subspace.from_kernel_matrix(A), x_tilde, s, d)
             payload["bound"] = serialize.frac_str(bound)
             payload["fixed_to_zero"] = list(R)
         else:

@@ -6,9 +6,11 @@ Three exact measures are computed from the enumerated circuits:
 * kappa_dot  -- lcm of the entries of the gcd-normalized circuit vectors
 * kappa_bar  -- largest absolute entry of a normalized circuit vector
 
-plus the optimal-rescaling value kappa_star (the largest geometric mean of a
-cycle of the circuit ratio digraph, by Karp's maximum-mean-cycle algorithm
-per component, with one rescaling and the least tight cycle as witness), a
+together with the pair maxima (the largest |g_j / g_i| per ordered pair),
+in one integer pass over the circuits, plus the optimal-rescaling value
+kappa_star (the largest geometric mean of a cycle of the circuit ratio
+digraph, by Karp's maximum-mean-cycle algorithm per component, with one
+rescaling and the least tight cycle as witness, all of it in integers), a
 total-unimodularity test, the diameter bound with its logarithm enclosed
 in exact rationals, and one floating-point estimator (`chibar`, the
 spectral norm analogue), this package's only inexact path.
@@ -61,38 +63,65 @@ class ImbalanceReport(NamedTuple):
 
 
 def imbalances(W: Subspace) -> ImbalanceReport:
-    """All three measures in one pass over the circuits, with witnesses for
-    kappa and kappa_bar.
+    """All three measures, with witnesses for kappa and kappa_bar, from the
+    one pass over the circuits that W keeps (`_measure_circuits`).
 
     Trivial subspaces ({0} and R^n) have no ratio structure: all measures 1.
     """
-    circuits = W.circuit_list
+    return W.circuit_measures[0]
+
+
+def _measure_circuits(circuits: tuple) -> tuple:
+    """(ImbalanceReport, pair maxima) in one integer pass over the circuits.
+
+    Per circuit: the first smallest |entry| i and the first largest j give
+    its largest ratio |g_j / g_i|, kept when it beats the best so far by
+    cross-multiplying; its first largest entry is kept when it beats the
+    best entry; kappa_dot takes the lcm of its entries; and each ordered
+    pair (i, j), i != j, of its support keeps the largest |g_j| / |g_i|,
+    as (num, den).  So each witness is the first to attain its maximum in
+    `circuit_list` order.  The maxima are reduced once at the end, keyed in
+    order of first appearance.
+    """
     if not circuits:
-        return ImbalanceReport(Fraction(1), 1, 1, MeasureWitnesses(None, None))
-    best_ratio = Fraction(0)
-    ratio_wit = None
+        return ImbalanceReport(Fraction(1), 1, 1, MeasureWitnesses(None, None)), {}
+    n = len(circuits[0].vector)
+    hi, lo = 0, 1
+    ratio_wit = entry_wit = None
     best_entry = 0
-    entry_wit = None
     acc = 1
+    # the best |g_j| / |g_i| of pair (i, j) is num[k] / den[k], k = i * n + j;
+    # num[k] = 0 until the pair is first seen
+    num, den, order = [0] * (n * n), [1] * (n * n), []
     for ev in circuits:
-        # The first smallest |entry| over the first largest one is the first
-        # pair (i, j), i outer, to reach this circuit's largest ratio.
         mags = [abs(ev.vector[j]) for j in ev.support]
-        i = ev.support[mags.index(min(mags))]
-        j = ev.support[mags.index(max(mags))]
-        r = ev.ratio(i, j)
-        if r > best_ratio:
-            best_ratio, ratio_wit = r, (ev, (i, j))
-        for j in ev.support:
-            if abs(ev.vector[j]) > best_entry:
-                best_entry, entry_wit = abs(ev.vector[j]), (ev, j)
-        acc = math.lcm(acc, ev.entries_lcm())
-    return ImbalanceReport(
-        kappa=best_ratio,
+        small, large = min(mags), max(mags)
+        if large * lo > hi * small:
+            hi, lo = large, small
+            ratio_wit = (ev, (ev.support[mags.index(small)], ev.support[mags.index(large)]))
+        if large > best_entry:
+            best_entry, entry_wit = large, (ev, ev.support[mags.index(large)])
+        acc = math.lcm(acc, *mags)
+        pairs = list(zip(ev.support, mags))
+        for i, a in pairs:
+            base = i * n
+            for j, b in pairs:
+                k = base + j
+                if b * den[k] > num[k] * a and j != i:
+                    if not num[k]:
+                        order.append(k)
+                    num[k], den[k] = b, a
+    maxima = {}
+    for k in order:
+        g = math.gcd(num[k], den[k])
+        maxima[divmod(k, n)] = (num[k] // g, den[k] // g)
+    report = ImbalanceReport(
+        kappa=Fraction(hi, lo),
         kappa_dot=acc,
         kappa_bar=best_entry,
         witnesses=MeasureWitnesses(ratio_wit, entry_wit),
     )
+    return report, maxima
 
 
 class CircuitRatioDigraph(NamedTuple):
@@ -193,7 +222,11 @@ def kappa_star(W: Subspace) -> KappaStarResult:
     pair maxima (`_max_mean`), at the shortest length with a rational
     product; one Bellman-Ford solve at that value gives the rescaling, and
     its tight arcs the witness (`_tight_witness`).  The rescaling is
-    audited as feasible and tight, and the witness as attaining the value.
+    audited as feasible and tight (`_tight_arcs`), and the witness as
+    attaining the value.  Every stage works in integers: each arc's
+    kappa_ij = p / q is raised to the value's length once, as the pair
+    (p^length, q^length), and ratios are compared by cross-multiplying or
+    cross-powering.
 
     The rescaling d satisfies kappa_ij * d_j / d_i <= value for every pair,
     with equality along the witness cycle.  When value has length 1, d is
@@ -202,18 +235,26 @@ def kappa_star(W: Subspace) -> KappaStarResult:
     """
     n = W.ambient_dim
     maxima = W.pair_maxima
-    kappa = {arc: Fraction(p, q) for arc, (p, q) in maxima.items()}
     nodes = sorted({i for i, _ in maxima})
     value = _max_mean(maxima, nodes)
     if value is None:
         one = (Fraction(1),) * n
         return KappaStarResult(GeoMeanValue(Fraction(1), 1), (), one, one)
-    d = _mult_bellman_ford(kappa, nodes, n, value.product, value.length)
-    _check_feasible(kappa, d, value.product, value.length)
-    cycle = _tight_witness(kappa, d, value.product, value.length, nodes)
-    if GeoMeanValue(_cycle_product(kappa, cycle), len(cycle))._cmp(value) != 0:
+    rho, power = value.product, value.length
+    powered = {arc: (p**power, q**power) for arc, (p, q) in maxima.items()}
+    d = _mult_bellman_ford(powered, nodes, n, rho)
+    cycle = _tight_witness(_tight_arcs(powered, d, rho), nodes)
+    arcs = [maxima[arc] for arc in zip(cycle, cycle[1:] + cycle[:1])]
+    P, Q, L = math.prod(p for p, _ in arcs), math.prod(q for _, q in arcs), len(cycle)
+    if P**power * rho.denominator**L != rho.numerator**L * Q**power:
         raise InternalError("witness cycle misses the maximum mean")
-    return KappaStarResult(value, cycle, d if value.length == 1 else None, d)
+    return KappaStarResult(value, cycle, d if power == 1 else None, d)
+
+
+def _beats(a: tuple, b: tuple) -> bool:
+    """(num_a / den_a)^(1 / len_a) > (num_b / den_b)^(1 / len_b), for
+    positive integer (num, den, len) triples, by cross-powering."""
+    return a[0] ** b[2] * b[1] ** a[2] > b[0] ** a[2] * a[1] ** b[2]
 
 
 def _max_mean(maxima: dict, nodes: list):
@@ -225,9 +266,9 @@ def _max_mean(maxima: dict, nodes: list):
     denominators in the component, arc ij weighs the integer a_ij = L *
     kappa_ij.  From a source s, D_k(v) is the largest product of a k-arc
     walk from s to v, and with N nodes the best mean is
-    max_v min_k (D_N(v) / D_k(v))^(1 / (N - k)), each root compared by
-    cross-powering, the common factor L cancelling.  O(N^3) products per
-    component.
+    max_v min_k (D_N(v) / D_k(v))^(1 / (N - k)), each root compared in
+    integers by cross-powering (`_beats`), the common factor L cancelling.
+    O(N^3) products per component.
     """
     succ: dict = {v: [] for v in nodes}
     for i, j in maxima:
@@ -258,31 +299,37 @@ def _max_mean(maxima: dict, nodes: list):
                     if x > nxt.get(v, 0):
                         nxt[v] = x
             D.append(nxt)
-        top = max(
-            min(GeoMeanValue(Fraction(dn, D[k][v]), N - k) for k in range(N) if v in D[k])
-            for v, dn in D[N].items()
-        )
-        value = GeoMeanValue(top.product / L**top.length, top.length)
-        if best is None or value > best:
+        top = None
+        for v, dn in D[N].items():
+            low = None
+            for k in range(N):
+                if v in D[k]:
+                    mean = (dn, D[k][v], N - k)
+                    if low is None or _beats(low, mean):
+                        low = mean
+            if top is None or _beats(low, top):
+                top = low
+        value = (top[0], top[1] * L ** top[2], top[2])
+        if best is None or _beats(value, best):
             best = value
-    return None if best is None else best.shortest()
+    if best is None:
+        return None
+    return GeoMeanValue(Fraction(best[0], best[1]), best[2]).shortest()
 
 
-def _tight_witness(kappa: dict, d: tuple, rho: Fraction, power: int, nodes: list) -> tuple:
+def _tight_witness(tight: set, nodes: list) -> tuple:
     """The witness cycle among the cycles of largest geometric mean.
 
-    Under the rescaling d at the optimum, kappa_ij^power * d_j <= rho * d_i
-    holds on every arc, and the optimal cycles are exactly the cycles of the
-    arcs where it is tight.  The witness is the lexicographically least of
-    the shortest optimal cycles through the least node s that lies on one;
-    those cycles use only nodes >= s.  With fwd and back the tight-arc
-    distances from and to s inside those nodes and L the shortest length, a
-    node x can stand at position pos of such a cycle exactly when fwd(x) =
-    pos and back(x) = L - pos, and each such successor of the node before
-    it extends to a whole cycle.  So one pass takes the least such
-    successor at each position.
+    Under the rescaling d at the optimum, the optimal cycles are exactly
+    the cycles of the `tight` arcs (`_tight_arcs`).  The witness is the
+    lexicographically least of the shortest optimal cycles through the
+    least node s that lies on one; those cycles use only nodes >= s.  With
+    fwd and back the tight-arc distances from and to s inside those nodes
+    and L the shortest length, a node x can stand at position pos of such a
+    cycle exactly when fwd(x) = pos and back(x) = L - pos, and each such
+    successor of the node before it extends to a whole cycle.  So one pass
+    takes the least such successor at each position.
     """
-    tight = {(i, j) for (i, j), k in kappa.items() if k**power * d[j] == rho * d[i]}
     succ: dict = {v: [] for v in nodes}
     pred: dict = {v: [] for v in nodes}
     for i, j in tight:
@@ -316,39 +363,50 @@ def _tight_witness(kappa: dict, d: tuple, rho: Fraction, power: int, nodes: list
     raise InternalError("no tight cycle at the maximum mean")
 
 
-def _mult_bellman_ford(kappa: dict, nodes, n, rho: Fraction, power: int):
-    """Feasible point of kappa_ij^power * e_j <= rho * e_i via min path products.
+def _mult_bellman_ford(powered: dict, nodes, n, rho: Fraction) -> tuple:
+    """Feasible point of kappa_ij^power * e_j <= rho * e_i via min path
+    products, with `powered` the arcs' (p^power, q^power) pairs.
 
     All cycles of the powered system have product >= 1 by optimality of rho,
-    so the Bellman-Ford fixpoint exists and is reached within n rounds.
+    so the Bellman-Ford fixpoint exists, is unique, and is reached within n
+    rounds.  Each e_i is held as an unreduced integer pair, compared by
+    cross-multiplying; every value is a simple-path product (a path through
+    a node again would close a cycle of product >= 1), so the pairs stay
+    within n arcs' worth of digits, and they are reduced once at the end.
     """
-    steps = [(i, j, rho / k**power) for (i, j), k in kappa.items()]
-    d = {v: Fraction(1) for v in nodes}
+    rn, rd = rho.numerator, rho.denominator
+    steps = [(i, j, rn * q, rd * p) for (i, j), (p, q) in powered.items()]
+    num = {v: 1 for v in nodes}
+    den = dict(num)
     for _ in range(len(nodes)):
         changed = False
-        for i, j, f in steps:
-            cand = d[i] * f
-            if cand < d[j]:
-                d[j] = cand
+        for i, j, fn, fd in steps:
+            cn, cd = num[i] * fn, den[i] * fd
+            if cn * den[j] < num[j] * cd:
+                num[j], den[j] = cn, cd
                 changed = True
         if not changed:
             break
     else:  # guarded by the max-cycle optimality of rho
         raise InternalError("rescaling system failed to converge")
-    return tuple(d.get(i, Fraction(1)) for i in range(n))
+    return tuple(Fraction(num[i], den[i]) if i in num else Fraction(1) for i in range(n))
 
 
-def _check_feasible(kappa: dict, d, rho: Fraction, power: int):
-    tight = False
-    for (i, j), k in kappa.items():
-        lhs = (k**power) * d[j]
-        rhs = rho * d[i]
+def _tight_arcs(powered: dict, d: tuple, rho: Fraction) -> set:
+    """The arcs where kappa_ij^power * d_j = rho * d_i, after checking that
+    no arc exceeds it and that some arc attains it (else InternalError)."""
+    rn, rd = rho.numerator, rho.denominator
+    tight = set()
+    for (i, j), (p, q) in powered.items():
+        lhs = p * d[j].numerator * rd * d[i].denominator
+        rhs = rn * d[i].numerator * q * d[j].denominator
         if lhs > rhs:
             raise InternalError("rescaling infeasible")
         if lhs == rhs:
-            tight = True
+            tight.add((i, j))
     if not tight:
         raise InternalError("rescaling does not attain the optimum")
+    return tight
 
 
 def rescale(W: Subspace, d: Sequence) -> Subspace:

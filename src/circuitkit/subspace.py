@@ -9,6 +9,7 @@ nonzero vectors of W) drive everything in `imbalance` and `augment`.
 from __future__ import annotations
 
 import math
+import operator
 import weakref
 from fractions import Fraction
 from functools import cached_property
@@ -56,9 +57,6 @@ class ElementaryVector(NamedTuple):
     def ratio(self, i: int, j: int) -> Fraction:
         """|v_j / v_i| for i, j in the support."""
         return Fraction(abs(self.vector[j]), abs(self.vector[i]))
-
-    def entries_lcm(self) -> int:
-        return math.lcm(*(abs(self.vector[i]) for i in self.support))
 
 
 class ConformalDecomposition(NamedTuple):
@@ -164,37 +162,27 @@ class Subspace:
         return _enumerate_circuits(self)
 
     @cached_property
+    def circuit_measures(self) -> tuple:
+        """(the `imbalance.imbalances` report, the pair maxima), from one
+        integer pass over `circuit_list` (`imbalance._measure_circuits`)."""
+        from .imbalance import _measure_circuits  # imbalance builds on this module
+
+        return _measure_circuits(self.circuit_list)
+
+    @cached_property
     def measures(self):
         """The `imbalance.imbalances` report of this subspace."""
-        from .imbalance import imbalances  # imbalance builds on this module
+        from .imbalance import imbalances
 
         return imbalances(self)
 
-    @cached_property
+    @property
     def pair_maxima(self) -> dict:
         """(i, j) -> (num, den), the largest |g_j / g_i| over the circuits g
         with i, j in the support, for every ordered pair i != j sharing a
-        circuit.
-
-        One integer pass over `circuit_list`: ratios are compared by
-        cross-multiplying and each maximum is reduced once at the end.  Keys
-        are in order of first appearance in `circuit_list`.
-        """
-        best: dict = {}
-        for ev in self.circuit_list:
-            mags = [(i, abs(ev.vector[i])) for i in ev.support]
-            for i, a in mags:
-                for j, b in mags:
-                    if i == j:
-                        continue
-                    cur = best.get((i, j))
-                    if cur is None or b * cur[1] > cur[0] * a:
-                        best[(i, j)] = (b, a)
-        out = {}
-        for k, (b, a) in best.items():
-            g = math.gcd(b, a)
-            out[k] = (b // g, a // g)
-        return out
+        circuit, reduced; keys in order of first appearance in
+        `circuit_list`."""
+        return self.circuit_measures[1]
 
     def project_onto_perp(self, v: Vec) -> Vec:
         """Orthogonal projection of v onto W-perp, computed exactly."""
@@ -215,34 +203,82 @@ def dual(W: Subspace) -> Subspace:
 def _enumerate_circuits(W: Subspace) -> tuple:
     """All circuits of W, ordered by size, then lexicographically by support.
 
-    Independent column sets I of A are grown depth-first in lexicographic
+    The circuits of W = ker A are the circuits of the column matroid of A,
+    and the complements of the hyperplanes of the column matroid of any
+    basis matrix of W (its dual; Oxley, Matroid Theory, ch. 2).  Either
+    side grows independent column sets I depth-first in lexicographic
     order, each by one Edmonds-Bareiss pivot (`ratmat.bareiss_step` on each
-    row) of a fraction-free Gauss-Jordan tableau of the integer rows (each
-    row of A scaled to integers once, which keeps its kernel).  Every row
-    is held over one common denominator D > 0: pivot rows read D at their
-    pivot column, and a column e with no nonzero entry in the rows without
-    a pivot is dependent on I.  Then I + e holds exactly one circuit, whose
-    kernel line is D at e and -T[p][e] at the pivot column of each row p;
-    it is I + e itself exactly when no entry on I is zero.  A circuit C is
-    found only from I = C minus its largest element, so each is found
-    once.  The subtree under I only reads columns after max(I), so each
-    tableau keeps those alone.
+    row) of a fraction-free tableau over one common denominator D > 0, and
+    builds each circuit found with one leaf builder (gcd-normalized, first
+    nonzero entry positive, audited as a kernel vector of A's integer rows
+    with entries within Hadamard's bound; an inexact division or a failed
+    audit raises InternalError).  The rows
+    that hold no pivot show the columns dependent on I: those that are 0 in
+    all of them.  A side visits at most sum over k <= depth of C(n, k) sets,
+    n within the desk-scale cap, and recurses at most depth deep: depth =
+    rank A on the primal side and dim W - 1 on the dual side.  The dual side
+    is taken when dim W <= rank A, so the bound is the sum over
+    k < min(rank A + 1, dim W) of C(n, k).
 
-    A subtree is cut when some pivoted row is 0 on every tail column.  Its
-    element of I is then a coloop of I plus the tail: a step keeps that row
-    0 there (its entry in each later pivot column is 0), so every kernel
-    line below reads 0 at that element and no circuit holding all of I is
-    found.  The cut is tested on a child's pivoted rows before its other
-    rows are eliminated, so a cut subtree costs no step on those.  The cut
-    skips only subtrees that find nothing, so the circuits are exactly
-    those of the uncut growth.  There are at most 2^n sets, n within the
-    desk-scale cap, and the recursion is at most rank A deep.  An inexact
-    division raises InternalError.
+    Primal side (`_primal_circuits`): the rows of A, each scaled to integers
+    once.  A column e dependent on I closes exactly one circuit inside
+    I + e, whose kernel line is D at e and -T[p][e] at the pivot column of
+    each pivoted row p; it is I + e itself exactly when no entry on I is
+    zero, and C is found only from I = C minus its largest element.  The
+    tableau under I keeps only the columns after max(I), and a subtree is
+    cut when some pivoted row is 0 on all of them: that element of I is
+    then a coloop of I plus the tail, and every kernel line below reads 0
+    there.
+
+    Dual side (`_dual_circuits`): an integer basis of W, one row per free
+    column of the RREF kernel_rep, with full-width rows.  Pivoted rows are
+    never read, so only the others are eliminated.  At depth dim W - 1 the
+    one row left vanishes exactly on the hyperplane spanned by I, and is
+    the circuit vector on its complement.  It is kept only when I is the
+    greedy basis of that hyperplane, i.e. when no column passed over as
+    independent of an earlier prefix of I lies in it; a subtree is cut as
+    soon as such a column becomes dependent on I, since the hyperplanes
+    below all hold it.  So each circuit is found once.  Both cuts skip only
+    subtrees that find nothing.
     """
     n = W.ambient_dim
     check_desk_scale(n, "circuit enumeration")
     int_rows = [integer_normalize(row)[0] for row in W.kernel_rep.data]
+    # The audit packs the rows into one integer per column, K bits a row, so
+    # that the K-bit digits of sum_j v_j * packed[j] are the entries of A v.
+    # A circuit's coprime vector divides a vector of minors of the rows
+    # (Cramer), so its entries are at most H, the product of the rows'
+    # 1-norms (Hadamard); then each
+    # |(A v)_i| < 2^(K - 1), and the sum is 0 exactly when A v = 0.
+    norms = [sum(map(abs, r)) for r in int_rows]
+    H = math.prod(norms)
+    K = (max(norms, default=0) * H).bit_length() + 2
+    packed = [sum(r[j] << (K * i) for i, r in enumerate(int_rows)) for j in range(n)]
     found: list[ElementaryVector] = []
+
+    def leaf(S: tuple, v: list):
+        # S: the support; v: the nonzero entries on it, in order.
+        g = math.gcd(*v)
+        if v[0] < 0:
+            g = -g
+        v = [x // g for x in v]
+        if max(map(abs, v)) > H or sum(map(operator.mul, map(packed.__getitem__, S), v)):
+            raise InternalError(f"kernel line of support {S} is not in the kernel")
+        full = [0] * n
+        for j, x in zip(S, v):
+            full[j] = x
+        found.append(ElementaryVector(support=S, vector=tuple(full)))
+
+    if W.dim <= W.codim:
+        _dual_circuits(W, leaf)
+    else:
+        _primal_circuits(n, int_rows, leaf)
+    found.sort(key=lambda ev: (len(ev.support), ev.support))
+    return tuple(found)
+
+
+def _primal_circuits(n: int, int_rows: list, leaf):
+    """The primal side of `_enumerate_circuits`: independent sets of A."""
 
     def grow(I: tuple, pivoted: list, rest: list, D: int, start: int):
         # pivoted: the rows holding a pivot, in the order of I; rest: the
@@ -252,19 +288,9 @@ def _enumerate_circuits(W: Subspace) -> tuple:
             row = next((row for row in rest if row[k]), None)
             if row is None:
                 v = [-prow[k] for prow in pivoted]
-                if 0 in v:
-                    continue
-                v.append(D)
-                S = I + (e,)
-                if any(sum(r[j] * x for j, x in zip(S, v)) for r in int_rows):
-                    raise InternalError(f"kernel line of support {S} is not in the kernel")
-                g = math.gcd(*v)
-                if v[0] < 0:
-                    g = -g
-                full = [0] * n
-                for j, x in zip(S, v):
-                    full[j] = x // g
-                found.append(ElementaryVector(support=S, vector=tuple(full)))
+                if 0 not in v:
+                    v.append(D)
+                    leaf(I + (e,), v)
                 continue
             prow = row if row[k] > 0 else [-a for a in row]
             p = prow[k]
@@ -279,8 +305,50 @@ def _enumerate_circuits(W: Subspace) -> tuple:
                 grow(I + (e,), child, [eliminate(old) for old in rest if old is not row], p, e + 1)
 
     grow((), [], int_rows, 1, 0)
-    found.sort(key=lambda ev: (len(ev.support), ev.support))
-    return tuple(found)
+
+
+def _dual_circuits(W: Subspace, leaf):
+    """The dual side of `_enumerate_circuits`: independent sets of a basis
+    of W, whose rows come from the free columns of the RREF kernel_rep:
+    L at the free column f and -L * a_if at the pivot column of row i, with
+    L the lcm of the denominators of column f (so the row is coprime)."""
+    n = W.ambient_dim
+    A = W.kernel_rep.data
+    pivots = [next(j for j, x in enumerate(row) if x) for row in A]
+    basis = []
+    for f in sorted(set(range(n)).difference(pivots)):
+        L = math.lcm(*(row[f].denominator for row in A))
+        out = [0] * n
+        out[f] = L
+        for row, p in zip(A, pivots):
+            out[p] = -int(row[f] * L)
+        basis.append(out)
+
+    def grow(rest: list, D: int, start: int, skipped: list):
+        # rest: the unpivoted rows, full width; skipped: the columns before
+        # start, not in I, that were independent of the prefix of I before
+        # them.
+        if len(rest) == 1:
+            S = tuple(j for j, x in enumerate(rest[0]) if x)
+            leaf(S, [rest[0][j] for j in S])
+            return
+        skipped = list(skipped)
+        for e in range(start, n - len(rest) + 2):  # len(rest) - 2 pivots follow e
+            row = next((row for row in rest if row[e]), None)
+            if row is None:
+                continue
+            prow = row if row[e] > 0 else [-a for a in row]
+            p = prow[e]
+            others = [old for old in rest if old is not row]
+            # A skipped column that depends on I + e lies in every
+            # hyperplane below, so no leaf below is a greedy basis: cut.
+            if all(any(p * old[j] != old[e] * prow[j] for old in others) for j in skipped):
+                psum = sum(prow)
+                grow([bareiss_step(old, prow, old[e], p, D, psum) for old in others], p, e + 1, skipped)
+            skipped.append(e)
+
+    if basis:
+        grow(basis, 1, 0, [])
 
 
 def circuits(W: Subspace) -> tuple:

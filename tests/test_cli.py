@@ -386,6 +386,33 @@ def test_prox_fixing_accepts_an_unbounded_coordinate(tmp_path, capsys):
     assert rep["fixed_to_upper"] == [0]
 
 
+def test_prox_fixing_eliminates_the_matrix_once(tmp_path, capsys, monkeypatch):
+    # The fixing sets build their own subspace from the raw A, whose RREF
+    # differs from A; the verb builds none beside it.
+    calls = []
+    original = subspace.rref_nonzero
+    monkeypatch.setattr(subspace, "rref_nonzero", lambda M: calls.append(M.shape) or original(M))
+    doc = write_json(
+        tmp_path / "fix.json",
+        {
+            "schema_version": "1",
+            "A": [["1", "1", "1"], ["0", "1", "2"]],
+            "b": ["2", "1"],
+            "u": ["1", "1", "1"],
+            "c1": ["-1", "-1", "1"],
+            "c2": ["-1", "-1", "1"],
+            "x1": ["1", "1", "0"],
+            "y1": ["0", "0"],
+        },
+    )
+    code, out = run_cli(capsys, ["prox", "--check", "fixing", "--input", doc])
+    assert code == 0
+    rep = loads(out)
+    assert rep["fixed_to_zero"] == [2]
+    assert rep["fixed_to_upper"] == [0, 1]
+    assert calls == [(2, 3)]
+
+
 def test_the_generate_choices_are_the_generator_families():
     from circuitkit.generate import FAMILIES
 

@@ -16,6 +16,7 @@ from circuitkit.imbalance import (
     _log2_enclosure,
     _max_mean,
     _mult_bellman_ford,
+    _tight_arcs,
     _tight_witness,
     chibar,
     diameter_bound,
@@ -39,12 +40,17 @@ from util import (
     check_kappa_star_one,
     delta_min_angle,
     estimate_kappa,
+    fraction_bellman_ford,
+    fraction_check_feasible,
+    fraction_kappa_star,
+    fraction_tight_witness,
     int_max_mean_cycle,
     int_representation,
     kappa_via_basis_forms,
     knuth_basis,
     oracle_imbalances,
     oracle_kappa_star,
+    oracle_pair_maxima,
     prime_powers,
     random_int_matrix,
     rational_matrices,
@@ -301,6 +307,8 @@ def test_minor_monotone(seed):
 def test_imbalances_match_the_pairwise_scan(A):
     W = Subspace.from_kernel_matrix(A)
     assert imbalances(W) == oracle_imbalances(W)
+    want = oracle_pair_maxima(W)
+    assert W.pair_maxima == want and list(W.pair_maxima) == list(want)
 
 
 @given(rational_matrices(rows=(1, 3), cols=(2, 6)))
@@ -324,6 +332,7 @@ def test_kappa_star_matches_the_fraction_dp(A):
     W = Subspace.from_kernel_matrix(A)
     res = kappa_star(W)
     assert res == oracle_kappa_star(W) == oracle_kappa_star(W, int_max_mean_cycle)
+    assert res == fraction_kappa_star(W)
     if is_separable(W):
         # the maximum over the components, against every simple cycle
         best = brute_kappa_star(A)
@@ -371,10 +380,21 @@ def test_karp_matches_the_path_dp_and_the_witness_the_cycle_scan(case):
         assert best is None
         return
     assert best == GeoMeanValue(prod, len(cycle)).shortest()
-    d = _mult_bellman_ford(kappa, nodes, n, best.product, best.length)
+    d, got = _rescale_and_witness(maxima, nodes, n, best)
     value, witness = brute_witness_cycle(kappa)
     assert value._cmp(best) == 0
-    assert _tight_witness(kappa, d, best.product, best.length, nodes) == witness
+    assert got == witness
+    # the integer stages against their Fraction oracles
+    assert d == fraction_bellman_ford(kappa, nodes, n, best.product, best.length)
+    fraction_check_feasible(kappa, d, best.product, best.length)
+    assert fraction_tight_witness(kappa, d, best.product, best.length, nodes) == witness
+
+
+def _rescale_and_witness(maxima, nodes, n, value):
+    """kappa_star's stages after Karp's value: the rescaling and the witness."""
+    powered = {arc: (p**value.length, q**value.length) for arc, (p, q) in maxima.items()}
+    d = _mult_bellman_ford(powered, nodes, n, value.product)
+    return d, _tight_witness(_tight_arcs(powered, d, value.product), nodes)
 
 
 def test_the_witness_is_the_least_of_the_tied_cycles():
@@ -384,8 +404,9 @@ def test_the_witness_is_the_least_of_the_tied_cycles():
     nodes = list(range(6))
     best = _max_mean(maxima, nodes)
     assert best == GeoMeanValue(Fraction(2), 1)
-    d = _mult_bellman_ford(kappa, nodes, 6, best.product, best.length)
-    assert _tight_witness(kappa, d, best.product, best.length, nodes) == (0, 3, 5, 1)
+    d, cycle = _rescale_and_witness(maxima, nodes, 6, best)
+    assert cycle == (0, 3, 5, 1)
+    assert fraction_tight_witness(kappa, d, best.product, best.length, nodes) == cycle
 
 
 # The optimal cycle (0, 3, 5, 2) has product 400: the value is sqrt(20), at
@@ -404,9 +425,13 @@ def test_kappa_star_solves_one_rescaling(monkeypatch, W3, A_app):
     monkeypatch.setattr(imbalance, "_mult_bellman_ford", counted)
     for A in (W3.kernel_rep, A_app, RatMatrix.from_rows(SQUARE_MEAN, cols=7)):
         calls.clear()
-        res = kappa_star(Subspace.from_kernel_matrix(A))
+        W = Subspace.from_kernel_matrix(A)
+        res = kappa_star(W)
         assert len(calls) == 1
-        assert calls[0][3:] == (res.value.product, res.value.length)
+        powered, _, _, rho = calls[0]
+        assert rho == res.value.product
+        L = res.value.length
+        assert powered == {arc: (p**L, q**L) for arc, (p, q) in W.pair_maxima.items()}
     assert res.value == GeoMeanValue(Fraction(20), 2)
     assert res.witness_cycle == (0, 3, 5, 2)
 

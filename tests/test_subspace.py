@@ -334,3 +334,90 @@ def test_the_coloop_cut_takes_fewer_steps_on_a_flow(monkeypatch):
     calls.clear()
     assert cut == unpruned_enumerate_circuits(W)
     assert 0 < cut_steps < len(calls) // 2
+
+
+@st.composite
+def side_matrices(draw):
+    """Integer matrices whose kernels fall on either side of the circuit
+    enumeration's rule (dim W <= rank A or not), with the shapes its growth
+    treats apart: zero columns, parallel columns, coloops (a row with one
+    nonzero entry), dependent rows, block-diagonal matrices and
+    dim W in {0, 1, n}."""
+    n = draw(st.integers(1, 8))
+    entry = st.integers(-3, 3)
+    dim = draw(st.sampled_from(["any", "any", "any", "zero", "one", "full"]))
+    if dim == "full" or dim == "one" and n == 1:
+        return RatMatrix.from_rows([[0] * n], cols=n)
+    if dim == "any":
+        m = draw(st.integers(1, n))
+        rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    else:
+        # triangular with a nonzero diagonal: rank n (dim W = 0) or n - 1
+        m = n if dim == "zero" else n - 1
+        nonzero = st.sampled_from([1, -1, 2, -3])
+        rows = [
+            [0] * i + [draw(nonzero)] + [draw(entry) for _ in range(n - i - 1)]
+            for i in range(m)
+        ]
+    if dim == "any" and n >= 4 and draw(st.booleans()):
+        # two diagonal blocks
+        k = draw(st.integers(1, n - 1))
+        rows = [r[:k] + [0] * (n - k) for r in rows] + [
+            [0] * k + [draw(entry) for _ in range(n - k)] for _ in rows
+        ]
+    if dim == "any" and n >= 2:
+        for _ in range(draw(st.integers(0, 2))):
+            j = draw(st.integers(0, n - 1))
+            shape = draw(st.sampled_from(["zero", "parallel", "coloop"]))
+            if shape == "zero":
+                for r in rows:
+                    r[j] = 0
+            elif shape == "parallel":
+                i = draw(st.integers(0, n - 1).filter(lambda i: i != j))
+                f = draw(st.sampled_from([1, -1, 2, -3]))
+                for r in rows:
+                    r[j] = f * r[i]
+            else:
+                rows.append([0] * j + [draw(st.sampled_from([1, -2]))] + [0] * (n - j - 1))
+    if draw(st.booleans()):
+        # a dependent row: the input is rank deficient
+        a, b = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        rows.append([x + 2 * y for x, y in zip(rows[a], rows[b])])
+    if not any(map(any, rows)):
+        rows[0][0] = 1
+    return RatMatrix.from_rows(rows, cols=n)
+
+
+@given(side_matrices())
+@settings(max_examples=300, deadline=None)
+def test_both_sides_find_the_circuits_of_the_brute_force(A):
+    W = Subspace.from_kernel_matrix(A)
+    got = _enumerate_circuits(W)
+    assert got == unpruned_enumerate_circuits(W)
+    assert sorted(ev.vector for ev in got) == brute_circuits(A)
+
+
+@pytest.mark.parametrize(
+    "rows, dual_side",
+    [
+        ([[1, 2, 0], [0, 1, 1], [1, 0, 3]], True),  # dim W = 0
+        ([[1, 2, 0, 1], [0, 1, 1, 0], [1, 0, 3, 0]], True),  # dim W = 1
+        ([[0, 0, 0, 0]], False),  # dim W = n: every column a circuit
+        # a zero column, parallel columns and a dependent row
+        ([[1, 2, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [1, 2, 1, 1, 0]], True),
+        ([[1, 2, 0, 0, 0, 1], [0, 0, 1, 0, 0, 1]], False),
+        ([[1, 2, 3, 4, 5, 6]], False),
+        ([[1, 0, 0, 2, 0, 0], [0, 1, 0, 0, 1, 0], [0, 0, 0, 1, 0, 1], [2, 2, 0, 4, 2, 0]], True),
+    ],
+)
+def test_the_side_rule(monkeypatch, rows, dual_side):
+    # The dual side runs exactly when dim W <= rank A, and both sides give
+    # the circuits of the support-by-support search.
+    A = RatMatrix.from_rows(rows, cols=len(rows[0]))
+    W = Subspace.from_kernel_matrix(A)
+    calls = []
+    original = subspace._dual_circuits
+    monkeypatch.setattr(subspace, "_dual_circuits", lambda *a: calls.append(1) or original(*a))
+    got = _enumerate_circuits(W)
+    assert (calls == [1]) == dual_side == (W.dim <= W.codim)
+    assert got == unpruned_enumerate_circuits(W) == int_enumerate_circuits(W)

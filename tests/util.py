@@ -8,7 +8,9 @@ and norms as per-term Fraction sums, the simplex tableau built and its
 duals read with per-entry Fraction arithmetic, the RREF over Fractions,
 the circuit enumeration support by support (over Fractions, and over
 ints with `int_kernel_line`) and as the independent-set growth without its coloop
-cut, the imbalance scan, the kappa_star bitmask DP over simple paths (over
+cut, the imbalance scan and the pair maxima with one Fraction per pair,
+the kappa_star stages over Fractions (Bellman-Ford, its audit and the
+tight-arc witness), the kappa_star bitmask DP over simple paths (over
 Fractions and over ints) that Karp's algorithm replaced, the least optimal
 cycle over all simple cycles in place of the tight-arc witness, the Graver box
 scan and its minimality filter, the IP proximity ball as a plain
@@ -881,7 +883,7 @@ def oracle_imbalances(W):
         for j in ev.support:
             if abs(ev.vector[j]) > best_entry:
                 best_entry, entry_wit = abs(ev.vector[j]), (ev, j)
-        acc = lcm(acc, ev.entries_lcm())
+        acc = lcm(acc, *(abs(ev.vector[j]) for j in ev.support))
     return imbmod.ImbalanceReport(
         kappa=best_ratio,
         kappa_dot=acc,
@@ -980,10 +982,114 @@ def int_max_mean_cycle(kappa, nodes):
     return Fraction(best_prod, L ** len(best_cycle)), best_cycle
 
 
+def oracle_pair_maxima(W):
+    """`Subspace.pair_maxima` with one Fraction ratio per ordered pair of
+    each circuit, keys in order of first appearance."""
+    best = {}
+    for ev in W.circuit_list:
+        for i in ev.support:
+            for j in ev.support:
+                if i != j and ((i, j) not in best or ev.ratio(i, j) > best[(i, j)]):
+                    best[(i, j)] = ev.ratio(i, j)
+    return {k: (r.numerator, r.denominator) for k, r in best.items()}
+
+
+def fraction_bellman_ford(kappa, nodes, n, rho, power):
+    """`imbalance._mult_bellman_ford` over Fractions: a feasible point of
+    kappa_ij^power * e_j <= rho * e_i by min path products, with
+    kappa_ij^power recomputed on every arc."""
+    steps = [(i, j, rho / k**power) for (i, j), k in kappa.items()]
+    d = {v: Fraction(1) for v in nodes}
+    for _ in range(len(nodes)):
+        changed = False
+        for i, j, f in steps:
+            cand = d[i] * f
+            if cand < d[j]:
+                d[j] = cand
+                changed = True
+        if not changed:
+            break
+    else:
+        raise InternalError("rescaling system failed to converge")
+    return tuple(d.get(i, Fraction(1)) for i in range(n))
+
+
+def fraction_check_feasible(kappa, d, rho, power):
+    """`imbalance._tight_arcs`'s audit over Fractions: raise unless
+    kappa_ij^power * d_j <= rho * d_i on every arc, with equality on one."""
+    tight = False
+    for (i, j), k in kappa.items():
+        lhs = (k**power) * d[j]
+        rhs = rho * d[i]
+        if lhs > rhs:
+            raise InternalError("rescaling infeasible")
+        if lhs == rhs:
+            tight = True
+    if not tight:
+        raise InternalError("rescaling does not attain the optimum")
+
+
+def fraction_tight_witness(kappa, d, rho, power, nodes):
+    """`imbalance._tight_witness` with its tight arcs found over Fractions:
+    the lexicographically least of the shortest cycles of tight arcs
+    through the least node on one, one position at a time."""
+    tight = {(i, j) for (i, j), k in kappa.items() if k**power * d[j] == rho * d[i]}
+    succ = {v: [] for v in nodes}
+    pred = {v: [] for v in nodes}
+    for i, j in tight:
+        succ[i].append(j)
+        pred[j].append(i)
+
+    def dist(s, adj):
+        out = {s: 0}
+        queue = [s]
+        for u in queue:
+            for v in adj[u]:
+                if v > s and v not in out:
+                    out[v] = out[u] + 1
+                    queue.append(v)
+        return out
+
+    for s in nodes:
+        fwd = dist(s, succ)
+        ends = [x for x in pred[s] if x in fwd and x != s]
+        if not ends:
+            continue
+        back = dist(s, pred)
+        L = 1 + min(fwd[x] for x in ends)
+        cycle = [s]
+        for pos in range(1, L):
+            steps = [x for x in succ[cycle[-1]] if fwd.get(x) == pos and back.get(x) == L - pos]
+            if not steps:
+                raise InternalError("tight layers lost their shortest cycle")
+            cycle.append(min(steps))
+        return tuple(cycle)
+    raise InternalError("no tight cycle at the maximum mean")
+
+
+def fraction_kappa_star(W):
+    """`imbalance.kappa_star` with Karp's value and every later stage over
+    Fractions: the Bellman-Ford rescaling, its feasibility audit, the
+    tight-arc witness and the witness's mean, as GeoMeanValue compares."""
+    kappa = {k: Fraction(p, q) for k, (p, q) in W.pair_maxima.items()}
+    nodes = sorted({i for (i, _) in kappa})
+    n = W.ambient_dim
+    value = imbmod._max_mean(W.pair_maxima, nodes)
+    if value is None:
+        one = (Fraction(1),) * n
+        return imbmod.KappaStarResult(imbmod.GeoMeanValue(Fraction(1), 1), (), one, one)
+    d = fraction_bellman_ford(kappa, nodes, n, value.product, value.length)
+    fraction_check_feasible(kappa, d, value.product, value.length)
+    cycle = fraction_tight_witness(kappa, d, value.product, value.length, nodes)
+    if imbmod.GeoMeanValue(imbmod._cycle_product(kappa, cycle), len(cycle))._cmp(value) != 0:
+        raise InternalError("witness cycle misses the maximum mean")
+    return imbmod.KappaStarResult(value, cycle, d if value.length == 1 else None, d)
+
+
 def oracle_kappa_star(W, dp=fraction_max_mean_cycle):
     """`imbalance.kappa_star` from a path DP above in place of Karp's
-    algorithm, its own Bellman-Ford solve at that value, and the witness of
-    `brute_witness_cycle` in place of the tight-arc pass."""
+    algorithm, the Fraction Bellman-Ford solve at that value, and the
+    witness of `brute_witness_cycle` in place of the tight-arc pass."""
     kappa = {k: Fraction(p, q) for k, (p, q) in W.pair_maxima.items()}
     nodes = sorted({i for (i, _) in kappa})
     n = W.ambient_dim
@@ -992,7 +1098,7 @@ def oracle_kappa_star(W, dp=fraction_max_mean_cycle):
         one = (Fraction(1),) * n
         return imbmod.KappaStarResult(imbmod.GeoMeanValue(Fraction(1), 1), (), one, one)
     value = imbmod.GeoMeanValue(prod, len(cycle)).shortest()
-    d = imbmod._mult_bellman_ford(kappa, nodes, n, value.product, value.length)
+    d = fraction_bellman_ford(kappa, nodes, n, value.product, value.length)
     witness = brute_witness_cycle(kappa)[1]
     return imbmod.KappaStarResult(value, witness, d if value.length == 1 else None, d)
 
