@@ -6,13 +6,14 @@ Three exact measures are computed from the enumerated circuits:
 * kappa_dot  -- lcm of the entries of the gcd-normalized circuit vectors
 * kappa_bar  -- largest absolute entry of a normalized circuit vector
 
-together with the pair maxima (the largest |g_j / g_i| per ordered pair),
-in one integer pass over the circuits, plus the optimal-rescaling value
+in one integer pass over the circuits (the report); the pair maxima (the
+largest |g_j / g_i| per ordered pair) in a second integer pass, made only
+when `kappa_star` or `pairwise` reads them; the optimal-rescaling value
 kappa_star (the largest geometric mean of a cycle of the circuit ratio
 digraph, by Karp's maximum-mean-cycle algorithm per component, with one
-rescaling and the least tight cycle as witness, all of it in integers), a
-total-unimodularity test, the diameter bound with its logarithm enclosed
-in exact rationals, and one floating-point estimator (`chibar`, the
+rescaling and the least tight cycle as witness, all of it in integers); a
+total-unimodularity test; the diameter bound with its logarithm enclosed
+in exact rationals; and one floating-point estimator (`chibar`, the
 spectral norm analogue), this package's only inexact path.
 """
 
@@ -64,35 +65,29 @@ class ImbalanceReport(NamedTuple):
 
 def imbalances(W: Subspace) -> ImbalanceReport:
     """All three measures, with witnesses for kappa and kappa_bar, from the
-    one pass over the circuits that W keeps (`_measure_circuits`).
+    one report pass over the circuits that W keeps (`_measure_circuits`);
+    the pair maxima are left to their own pass.
 
     Trivial subspaces ({0} and R^n) have no ratio structure: all measures 1.
     """
-    return W.circuit_measures[0]
+    return W.circuit_measures
 
 
-def _measure_circuits(circuits: tuple) -> tuple:
-    """(ImbalanceReport, pair maxima) in one integer pass over the circuits.
+def _measure_circuits(circuits: tuple) -> ImbalanceReport:
+    """The report in one integer pass over the circuits.
 
     Per circuit: the first smallest |entry| i and the first largest j give
     its largest ratio |g_j / g_i|, kept when it beats the best so far by
     cross-multiplying; its first largest entry is kept when it beats the
-    best entry; kappa_dot takes the lcm of its entries; and each ordered
-    pair (i, j), i != j, of its support keeps the largest |g_j| / |g_i|,
-    as (num, den).  So each witness is the first to attain its maximum in
-    `circuit_list` order.  The maxima are reduced once at the end, keyed in
-    order of first appearance.
+    best entry; and kappa_dot takes the lcm of its entries.  So each
+    witness is the first to attain its maximum in `circuit_list` order.
     """
     if not circuits:
-        return ImbalanceReport(Fraction(1), 1, 1, MeasureWitnesses(None, None)), {}
-    n = len(circuits[0].vector)
+        return ImbalanceReport(Fraction(1), 1, 1, MeasureWitnesses(None, None))
     hi, lo = 0, 1
     ratio_wit = entry_wit = None
     best_entry = 0
     acc = 1
-    # the best |g_j| / |g_i| of pair (i, j) is num[k] / den[k], k = i * n + j;
-    # num[k] = 0 until the pair is first seen
-    num, den, order = [0] * (n * n), [1] * (n * n), []
     for ev in circuits:
         mags = [abs(ev.vector[j]) for j in ev.support]
         small, large = min(mags), max(mags)
@@ -102,7 +97,27 @@ def _measure_circuits(circuits: tuple) -> tuple:
         if large > best_entry:
             best_entry, entry_wit = large, (ev, ev.support[mags.index(large)])
         acc = math.lcm(acc, *mags)
-        pairs = list(zip(ev.support, mags))
+    return ImbalanceReport(
+        kappa=Fraction(hi, lo),
+        kappa_dot=acc,
+        kappa_bar=best_entry,
+        witnesses=MeasureWitnesses(ratio_wit, entry_wit),
+    )
+
+
+def _pair_maxima(circuits: tuple) -> dict:
+    """The pair maxima in one integer pass over the circuits: each ordered
+    pair (i, j), i != j, of a circuit's support keeps the largest
+    |g_j| / |g_i|, as (num, den), compared by cross-multiplying and reduced
+    once at the end, keyed in order of first appearance."""
+    if not circuits:
+        return {}
+    n = len(circuits[0].vector)
+    # the best |g_j| / |g_i| of pair (i, j) is num[k] / den[k], k = i * n + j;
+    # num[k] = 0 until the pair is first seen
+    num, den, order = [0] * (n * n), [1] * (n * n), []
+    for ev in circuits:
+        pairs = [(j, abs(ev.vector[j])) for j in ev.support]
         for i, a in pairs:
             base = i * n
             for j, b in pairs:
@@ -115,13 +130,7 @@ def _measure_circuits(circuits: tuple) -> tuple:
     for k in order:
         g = math.gcd(num[k], den[k])
         maxima[divmod(k, n)] = (num[k] // g, den[k] // g)
-    report = ImbalanceReport(
-        kappa=Fraction(hi, lo),
-        kappa_dot=acc,
-        kappa_bar=best_entry,
-        witnesses=MeasureWitnesses(ratio_wit, entry_wit),
-    )
-    return report, maxima
+    return maxima
 
 
 class CircuitRatioDigraph(NamedTuple):
@@ -130,9 +139,6 @@ class CircuitRatioDigraph(NamedTuple):
     n: int
     kappa: dict  # (i, j) -> Fraction, max of K_ij
     sets: dict  # (i, j) -> frozenset of Fraction
-
-    def cycle_product(self, cycle: Sequence[int]) -> Fraction:
-        return _cycle_product(self.kappa, cycle)
 
 
 def _cycle_product(kappa: dict, cycle: Sequence[int]) -> Fraction:

@@ -2,9 +2,15 @@
 
 Everything here and downstream is exact.  Vectors and matrices at the API
 are `fractions.Fraction`; the hot loops run fraction-free over Python ints
-with the same results: the simplex tableau in `lp`, the Gauss-Jordan
-tableau of the circuit enumeration in `subspace`, and the pair maxima and
-Karp's maximum-mean-cycle search behind kappa_star in `imbalance`.
+with the same results: the simplex tableau in `lp`; the Gauss-Jordan
+tableau of the circuit enumeration, its last level closed from 2 x 2
+minors, and the Gram solve of the projection onto W-perp, both on the
+coprime integer rows of the kernel representation, in `subspace`; and the
+report pass, the pair maxima and Karp's maximum-mean-cycle search behind
+kappa_star in `imbalance`.  Rationals become ints without a Fraction
+product: a numerator times the quotient of the common denominator by its
+own (`_int_rows`, `integer_normalize`), and an integer string through
+`int()` (`as_fraction`).
 Floating point appears only in the explicitly inexact spectral estimator
 `imbalance.chibar`.
 
@@ -49,6 +55,9 @@ Vec = tuple  # tuple[Fraction, ...]
 
 MAX_ENUM_COLS = 12
 
+# A string holding one of these is no decimal integer literal.
+_NOT_INT = frozenset("/.eE")
+
 
 def check_desk_scale(width: int, what: str):
     if width > MAX_ENUM_COLS:
@@ -56,11 +65,21 @@ def check_desk_scale(width: int, what: str):
 
 
 def as_fraction(x) -> Fraction:
+    """x as a Fraction: a Fraction as is, an int or a string exactly.
+
+    A string with none of `/ . e E` is read by `int()`, which skips the
+    Fraction string parser; anything `int()` rejects goes to
+    `Fraction(str)`, so the value or the exception class is Fraction's."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if _NOT_INT.isdisjoint(x):
+            try:
+                return Fraction(int(x))
+            except ValueError:
+                pass
         return Fraction(x)
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
 
@@ -192,7 +211,9 @@ class RatMatrix(NamedTuple):
     def vecmat(self, v: Vec) -> Vec:
         if len(v) != self.rows:
             raise DimensionMismatch("vecmat height mismatch")
-        return self.transpose().matvec(v)
+        if not self.data:
+            return vec_zero(self.cols)
+        return tuple(vec_dot(c, v) for c in zip(*self.data))
 
     def mul(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
@@ -407,10 +428,10 @@ def integer_normalize(v: Vec):
     and the first nonzero entry of g positive.
     """
     v = vec(v)
-    if all(x == 0 for x in v):
-        raise ZeroVector("cannot normalize the zero vector")
     den = math.lcm(*(x.denominator for x in v))
-    ints = [int(x * den) for x in v]
+    ints = [x.numerator * (den // x.denominator) for x in v]
+    if not any(ints):
+        raise ZeroVector("cannot normalize the zero vector")
     g = math.gcd(*ints)
     ints = [x // g for x in ints]
     first = next(x for x in ints if x != 0)

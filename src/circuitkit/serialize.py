@@ -36,8 +36,11 @@ def parse_frac(value) -> Fraction:
     if isinstance(value, str):
         if not _FRACTION_RE.match(value):
             raise InputFormatError(f"not an exact fraction string: {value!r}")
+        # The match leaves p or p/q with q > 0, which int() reads as
+        # Fraction(str) would, without its string parser.
+        p, _, q = value.partition("/")
         try:
-            return Fraction(value)
+            return Fraction(int(p), int(q)) if q else Fraction(int(p))
         except ValueError as exc:  # e.g. past the int/str digit limit
             raise InputFormatError(f"cannot read the fraction: {exc}") from exc
     raise InputFormatError(f"expected a fraction string, got {type(value).__name__}")

@@ -26,6 +26,7 @@ from .errors import (
 from .ratmat import (
     RatMatrix,
     Vec,
+    _gauss_jordan,
     bareiss_step,
     check_desk_scale,
     integer_normalize,
@@ -158,13 +159,20 @@ class Subspace:
         return self.dim == 0 or self.dim == self.ambient_dim
 
     @cached_property
+    def int_kernel_rows(self) -> tuple:
+        """The rows of kernel_rep as coprime integer tuples, first nonzero
+        entry positive: they span W-perp, and the circuit enumeration and
+        `project_onto_perp` work on them."""
+        return tuple(integer_normalize(row)[0] for row in self.kernel_rep.data)
+
+    @cached_property
     def circuit_list(self) -> tuple:
         return _enumerate_circuits(self)
 
     @cached_property
-    def circuit_measures(self) -> tuple:
-        """(the `imbalance.imbalances` report, the pair maxima), from one
-        integer pass over `circuit_list` (`imbalance._measure_circuits`)."""
+    def circuit_measures(self):
+        """The `imbalance.imbalances` report, from one integer pass over
+        `circuit_list` (`imbalance._measure_circuits`)."""
         from .imbalance import _measure_circuits  # imbalance builds on this module
 
         return _measure_circuits(self.circuit_list)
@@ -176,23 +184,42 @@ class Subspace:
 
         return imbalances(self)
 
-    @property
+    @cached_property
     def pair_maxima(self) -> dict:
         """(i, j) -> (num, den), the largest |g_j / g_i| over the circuits g
         with i, j in the support, for every ordered pair i != j sharing a
         circuit, reduced; keys in order of first appearance in
-        `circuit_list`."""
-        return self.circuit_measures[1]
+        `circuit_list`.  Its own integer pass (`imbalance._pair_maxima`),
+        made when `kappa_star` or `pairwise` first reads it."""
+        from .imbalance import _pair_maxima
+
+        return _pair_maxima(self.circuit_list)
 
     def project_onto_perp(self, v: Vec) -> Vec:
-        """Orthogonal projection of v onto W-perp, computed exactly."""
-        B = self.kernel_rep  # rows span W-perp
-        if B.rows == 0:
+        """Orthogonal projection of v onto W-perp, computed exactly.
+
+        With R = `int_kernel_rows`, which span W-perp, and v = w / s for an
+        integer vector w and integer s > 0, the projection is R^T nu where
+        G nu = R v and G = R R^T.  One fraction-free `ratmat._gauss_jordan`
+        pass reduces the integer rows [G | R w] to D [I | s nu], and each
+        entry of R^T nu is then one integer sum over D s.
+        """
+        R = self.int_kernel_rows
+        if not R:
             return vec_zero(self.ambient_dim)
-        gram = B.mul(B.transpose())
-        rhs = B.matvec(vec(v))
-        mu = solve_linear(gram, rhs)
-        return B.vecmat(mu)
+        v = vec(v)
+        if len(v) != self.ambient_dim:
+            raise DimensionMismatch("vector has the wrong ambient dimension")
+        s = math.lcm(*(x.denominator for x in v))
+        w = [x.numerator * (s // x.denominator) for x in v]
+        k = len(R)
+        rows = [[sum(map(operator.mul, a, b)) for b in (*R, w)] for a in R]
+        T, D, pivots, _ = _gauss_jordan(rows, range(k))
+        if len(pivots) < k:
+            raise InternalError("the rows of kernel_rep are dependent")
+        nu = [row[k] for row in T]
+        den = D * s
+        return tuple(Fraction(sum(map(operator.mul, col, nu)), den) for col in zip(*R))
 
 
 def dual(W: Subspace) -> Subspace:
@@ -214,21 +241,26 @@ def _enumerate_circuits(W: Subspace) -> tuple:
     with entries within Hadamard's bound; an inexact division or a failed
     audit raises InternalError).  The rows
     that hold no pivot show the columns dependent on I: those that are 0 in
-    all of them.  A side visits at most sum over k <= depth of C(n, k) sets,
-    n within the desk-scale cap, and recurses at most depth deep: depth =
-    rank A on the primal side and dim W - 1 on the dual side.  The dual side
-    is taken when dim W <= rank A, so the bound is the sum over
-    k < min(rank A + 1, dim W) of C(n, k).
+    all of them.  Each node is one independent set I, n is within the
+    desk-scale cap, and the depth of the recursion is |I|.  The primal side
+    builds nodes with |I| < rank A, and at those with |I| = rank A - 1 it
+    reads at most C(n, 2) column pairs; the dual side builds nodes with
+    |I| < dim W, those with |I| = dim W - 1 being its leaves.  The dual side
+    is taken when dim W <= rank A, so besides the root at most the sum over
+    0 < k < min(rank A, dim W) of C(n, k) nodes are built.
 
-    Primal side (`_primal_circuits`): the rows of A, each scaled to integers
-    once.  A column e dependent on I closes exactly one circuit inside
-    I + e, whose kernel line is D at e and -T[p][e] at the pivot column of
-    each pivoted row p; it is I + e itself exactly when no entry on I is
-    zero, and C is found only from I = C minus its largest element.  The
-    tableau under I keeps only the columns after max(I), and a subtree is
-    cut when some pivoted row is 0 on all of them: that element of I is
-    then a coloop of I plus the tail, and every kernel line below reads 0
-    there.
+    Primal side (`_primal_circuits`): `Subspace.int_kernel_rows`, the rows
+    of A as coprime integers.  A column e dependent on I closes exactly one
+    circuit inside I + e, whose kernel line is D at e and -T[p][e] at the
+    pivot column of each pivoted row p; it is I + e itself exactly when no
+    entry on I is zero, and C is found only from I = C minus its largest
+    element.  The tableau under I keeps only the columns after max(I), and
+    a subtree is cut when some pivoted row is 0 on all of them: that
+    element of I is then a coloop of I plus the tail, and every kernel line
+    below reads 0 there.  The last level is closed from 2 x 2 minors: at a
+    node with one unpivoted row R left, pivoting on R at e leaves none, so
+    each later column e2 closes I + e + e2, and its kernel line is read off
+    the pivoted rows P at e and e2 with no child node built (`close`).
 
     Dual side (`_dual_circuits`): an integer basis of W, one row per free
     column of the RREF kernel_rep, with full-width rows.  Pivoted rows are
@@ -243,7 +275,7 @@ def _enumerate_circuits(W: Subspace) -> tuple:
     """
     n = W.ambient_dim
     check_desk_scale(n, "circuit enumeration")
-    int_rows = [integer_normalize(row)[0] for row in W.kernel_rep.data]
+    int_rows = W.int_kernel_rows
     # The audit packs the rows into one integer per column, K bits a row, so
     # that the K-bit digits of sum_j v_j * packed[j] are the entries of A v.
     # A circuit's coprime vector divides a vector of minors of the rows
@@ -283,6 +315,8 @@ def _primal_circuits(n: int, int_rows: list, leaf):
     def grow(I: tuple, pivoted: list, rest: list, D: int, start: int):
         # pivoted: the rows holding a pivot, in the order of I; rest: the
         # others.  Both hold the columns start..n-1 only.
+        if len(rest) == 1:
+            return close(I, pivoted, rest[0], D, start)
         for k in range(n - start):
             e = start + k
             row = next((row for row in rest if row[k]), None)
@@ -304,6 +338,34 @@ def _primal_circuits(n: int, int_rows: list, leaf):
             if all(map(any, child)):  # else an element of I + e is a coloop: cut
                 grow(I + (e,), child, [eliminate(old) for old in rest if old is not row], p, e + 1)
 
+    def close(I: tuple, pivoted: list, R: list, D: int, start: int):
+        # The last level: pivoting on R at column e leaves no unpivoted row,
+        # so every column e2 after e closes I + e + e2 with the kernel line
+        # the child node would read, -(p P[e2] - P[e] R[e2]) / D on each
+        # pivoted row P, -R[e2] at e and p at e2, and no child is built.
+        for k in range(n - start):
+            e = start + k
+            a = R[k]
+            if not a:
+                v = [-prow[k] for prow in pivoted]
+                if 0 not in v:
+                    v.append(D)
+                    leaf(I + (e,), v)
+                continue
+            prow, p = (R, a) if a > 0 else ([-x for x in R], -a)
+            for k2 in range(k + 1, n - start):
+                b = prow[k2]
+                if not b:
+                    continue
+                num = [P[k] * b - p * P[k2] for P in pivoted]
+                if 0 in num:
+                    continue
+                v = [x // D for x in num]
+                if D * sum(v) != sum(num):  # floor remainders share D's sign
+                    raise InternalError(f"inexact Bareiss step: pivot {p} over {D}")
+                v += (-b, p)
+                leaf(I + (e, start + k2), v)
+
     grow((), [], int_rows, 1, 0)
 
 
@@ -321,7 +383,8 @@ def _dual_circuits(W: Subspace, leaf):
         out = [0] * n
         out[f] = L
         for row, p in zip(A, pivots):
-            out[p] = -int(row[f] * L)
+            x = row[f]
+            out[p] = -(x.numerator * (L // x.denominator))
         basis.append(out)
 
     def grow(rest: list, D: int, start: int, skipped: list):

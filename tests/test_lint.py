@@ -308,3 +308,64 @@ def test_every_layer_the_benchmark_traces_exists():
             if owner is None or vars(owner).get(name) is None:
                 missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+def _plain_methods():
+    """Names of the functions defined in a class body of the package that
+    are not properties, less every name the package also gives a property
+    or a class field, so that an uncalled read of one is a bound method."""
+    methods, other = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = {getattr(d, "id", getattr(d, "attr", "")) for d in node.decorator_list}
+                    is_property = bool(names & {"property", "cached_property"})
+                    (other if is_property else methods).add(node.name)
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    other.add(node.target.id)
+                elif isinstance(node, ast.Assign):
+                    other.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return methods - other
+
+
+def _truth_reads(tree):
+    """The expressions whose truth value is read: the test of an `if`
+    (statement, expression or comprehension clause), `while` or `assert`,
+    the operand of `not`, and each operand of `and` and `or`."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.If, ast.IfExp, ast.While, ast.Assert)):
+            yield node.test
+        elif isinstance(node, ast.comprehension):
+            yield from node.ifs
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            yield node.operand
+        elif isinstance(node, ast.BoolOp):
+            yield from node.values
+
+
+def _uncalled_method_reads(tree, methods):
+    return [
+        f"{e.lineno} .{e.attr}"
+        for e in _truth_reads(tree)
+        if isinstance(e, ast.Attribute) and e.attr in methods
+    ]
+
+
+def test_no_method_is_read_as_a_truth_value():
+    # A bound method is always true, so `assert W.is_trivial` or
+    # `if W.is_trivial: return` checks nothing; call it.
+    methods = _plain_methods()
+    assert {"is_trivial", "contains", "verify"} <= methods
+    assert "rows" not in methods and "kappa" not in methods
+    sample = "assert W.is_trivial\nif not W.is_trivial() and W.contains: pass"
+    assert _uncalled_method_reads(ast.parse(sample), methods) == ["1 .is_trivial", "2 .contains"]
+    root = SRC.parent.parent
+    paths = sorted([*(root / "tests").glob("*.py"), *(root / "scripts").glob("*.py")])
+    assert paths
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{hit}" for hit in _uncalled_method_reads(tree, methods)]
+    assert found == []

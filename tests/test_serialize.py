@@ -1,14 +1,15 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circuitkit.errors import InputFormatError
 from circuitkit.generate import GeneratorSpec, generate
 from circuitkit.lp import LPInstance
-from circuitkit.ratmat import RatMatrix, vec
+from circuitkit.ratmat import RatMatrix, as_fraction, vec
 from circuitkit.serialize import (
+    _FRACTION_RE,
     SCHEMA_VERSION,
     dumps,
     frac_str,
@@ -142,3 +143,52 @@ def test_matrix_from_obj_rejects_ragged():
 def test_matrix_from_obj_rejects_empty():
     with pytest.raises(InputFormatError):
         matrix_from_obj([])
+
+
+# Signs, whitespace (ASCII and not), underscores, slashes, ASCII and
+# non-ASCII decimal digits, digits that are not decimal (superscript two,
+# a vulgar fraction), and the characters of float and exponent text.
+_NUMBER_CHARS = [
+    *"0123456789+-_/ .eE\t\n",
+    *"\xa0\x1c\u2007\u3000",
+    *"\u0663\u0660\u0967\uff13\U0001d7d9\u00b2\u2155",
+]
+
+
+@st.composite
+def number_text(draw):
+    """Free text over `_NUMBER_CHARS`, or an optionally signed and padded
+    p or p/q with digit runs joined by underscores."""
+    if draw(st.booleans()):
+        return draw(st.text(st.sampled_from(_NUMBER_CHARS), max_size=10))
+    space = st.text(st.sampled_from([" ", "\t", "\n", "\xa0", "\u3000"]), max_size=2)
+    digit = st.sampled_from([*"0123456789", "\u0663", "\u0967", "\uff13"])
+    runs = st.lists(st.text(digit, min_size=1, max_size=3), min_size=1, max_size=3)
+    part = st.builds("_".join, runs)
+    text = draw(st.sampled_from(["", "+", "-"])) + draw(part)
+    if draw(st.booleans()):
+        text += "/" + draw(part)
+    return draw(space) + text + draw(space)
+
+
+def _outcome(read, text):
+    """The value `read` returns on `text`, or the class of what it raises."""
+    try:
+        return read(text)
+    except (ValueError, ZeroDivisionError, InputFormatError) as exc:
+        return type(exc)
+
+
+@given(number_text())
+@settings(max_examples=500)
+def test_strings_read_as_fraction_reads_them(text):
+    # as_fraction and parse_frac read integer strings with int(), which
+    # must give Fraction(str)'s value, or its exception class.
+    want = _outcome(Fraction, text)
+    got = _outcome(as_fraction, text)
+    assert got == want and type(got) is type(want)
+    got = _outcome(parse_frac, text)
+    if _FRACTION_RE.match(text) and isinstance(want, Fraction):
+        assert got == want and type(got) is Fraction
+    else:
+        assert got is InputFormatError

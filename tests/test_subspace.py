@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circuitkit.errors import EmptyIndexSet, NotInProjection, NotInSubspace
-from circuitkit.ratmat import RatMatrix, is_conformal, norm2_sq, vec
+from circuitkit.ratmat import RatMatrix, is_conformal, norm2_sq, vec, vec_sub
 from circuitkit.subspace import (
     Subspace,
     _enumerate_circuits,
@@ -25,6 +25,7 @@ import util
 from util import (
     brute_circuits,
     fraction_enumerate_circuits,
+    fraction_project_onto_perp,
     hypergraph_components,
     int_enumerate_circuits,
     random_int_matrix,
@@ -110,7 +111,7 @@ def test_conformal_circuit_none_for_zero(W3):
 def test_minor_restrict_trivial(A_int):
     W = Subspace.from_kernel_matrix(A_int)
     R = minor(W, [0, 1], "restrict")
-    assert R.is_trivial
+    assert R.is_trivial()
 
 
 def test_minor_project(A_int):
@@ -159,7 +160,7 @@ def test_decomposition_invariants(seed):
     rng = random.Random(seed)
     A = random_int_matrix(rng, 2, 4, lo=-3, hi=3)
     W = Subspace.from_kernel_matrix(A)
-    if W.is_trivial:
+    if W.is_trivial():
         return
     coeffs = [rng.randint(-3, 3) for _ in range(W.span_rep.rows)]
     z = W.span_rep.vecmat(vec(coeffs))
@@ -421,3 +422,50 @@ def test_the_side_rule(monkeypatch, rows, dual_side):
     got = _enumerate_circuits(W)
     assert (calls == [1]) == dual_side == (W.dim <= W.codim)
     assert got == unpruned_enumerate_circuits(W) == int_enumerate_circuits(W)
+
+
+@st.composite
+def last_level_matrices(draw):
+    """Integer matrices with dim W > rank A, so that the primal side grows
+    their circuits and closes its last level: columns drawn from a small
+    pool, so that some repeat, up to sign; up to two zero columns (loops);
+    and entries mostly zero, so that kernel lines at the last level have
+    zero entries."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(2 * m + 1, 11))  # dim W >= n - m > m >= rank A
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    pool = [[draw(entry) for _ in range(m)] for _ in range(draw(st.integers(1, n)))]
+    cols = []
+    for _ in range(n):
+        sign = draw(st.sampled_from([1, -1]))
+        cols.append([sign * x for x in draw(st.sampled_from(pool))])
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        cols[j] = [0] * m
+    if not any(map(any, cols)):
+        cols[0][0] = 1
+    return RatMatrix.from_rows([list(r) for r in zip(*cols)], cols=n)
+
+
+@given(last_level_matrices())
+@settings(max_examples=300, deadline=None)
+def test_the_closed_last_level_keeps_every_circuit(A):
+    W = Subspace.from_kernel_matrix(A)
+    assert W.dim > W.codim
+    assert _enumerate_circuits(W) == unpruned_enumerate_circuits(W)
+
+
+@given(rational_matrices(rows=(1, 4), cols=(1, 7)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_the_projection_matches_the_fraction_gram_solve(A, data):
+    W = Subspace.from_kernel_matrix(A)
+    entry = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    v = vec(data.draw(st.lists(entry, min_size=A.cols, max_size=A.cols)))
+    got = W.project_onto_perp(v)
+    assert got == fraction_project_onto_perp(W, v)
+    assert W.contains(vec_sub(v, got)) and dual(W).contains(got)
+
+
+def test_the_projection_onto_the_perp_of_everything_is_zero():
+    W = Subspace.from_kernel_matrix(RatMatrix.zeros(1, 3))
+    assert W.kernel_rep.rows == 0
+    assert W.project_onto_perp(vec([1, 2, 3])) == (0, 0, 0)

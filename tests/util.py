@@ -4,7 +4,8 @@ Everything here is deliberately naive: cofactor determinants, support-set
 circuit search, augmenting-path max flow, a Fraction simplex tableau that
 recomputes every reduced cost on every iteration, and the slower forms of
 what the package runs faster: the dot products, matrix-vector products
-and norms as per-term Fraction sums, the simplex tableau built and its
+and norms as per-term Fraction sums, the projection onto W-perp through
+a Fraction Gram matrix, the simplex tableau built and its
 duals read with per-entry Fraction arithmetic, the RREF over Fractions,
 the circuit enumeration support by support (over Fractions, and over
 ints with `int_kernel_line`) and as the independent-set growth without its coloop
@@ -97,6 +98,17 @@ def fraction_vecmat(M: RatMatrix, v) -> tuple:
     return tuple(
         sum((v[i] * M.data[i][j] for i in range(M.rows)), Fraction(0)) for j in range(M.cols)
     )
+
+
+def fraction_project_onto_perp(W: Subspace, v) -> tuple:
+    """`Subspace.project_onto_perp` over Fractions: the Gram matrix B B^T
+    of B = kernel_rep, one `solve_linear` for mu and B^T mu as a product
+    with the transpose."""
+    B = W.kernel_rep
+    if B.rows == 0:
+        return (Fraction(0),) * W.ambient_dim
+    mu = solve_linear(B.mul(B.transpose()), B.matvec(vec(v)))
+    return B.transpose().matvec(mu)
 
 
 def fraction_norm1(a) -> Fraction:
@@ -638,7 +650,7 @@ def always_solve_transfer_bound(W: Subspace, x_tilde, s, d):
     if min((*xt, *sv), default=0) < 0 or fraction_vec_dot(xt, sv) != 0:
         raise NotOptimalPair("need x >= 0, s >= 0 and <x, s> = 0")
     gap = [a - b for a, b in zip(dv, xt)]
-    bound = (brute_kappa(W.kernel_rep) + 1) * fraction_norm1(W.project_onto_perp(gap))
+    bound = (brute_kappa(W.kernel_rep) + 1) * fraction_norm1(fraction_project_onto_perp(W, gap))
     R = tuple(i for i in range(n) if xt[i] > bound)
     lp = lpmod.LPInstance.from_subspace(W, dv, sv)
     res = lpmod.solve(lp)
