@@ -301,20 +301,26 @@ class _Tableau:
         """Make the support of the standardized point x >= 0 basic: each
         support column, in ascending order, is pivoted into the first row
         whose basic is still artificial and that is nonzero there.  The
-        tableau must then read back x, with every artificial at 0.  A
+        tableau must then read back x, with every artificial at 0: each
+        basic value T[r][-1] / den[r] is compared with its x_j = p / q as
+        the integers T[r][-1] q and p den[r], so no Fraction is built.  A
         negative x, a dependent support or a misread raises InternalError."""
         if any(v < 0 for v in x):
             raise InternalError("start is not feasible: a coordinate is negative or over its bound")
-        for j, v in enumerate(x):
-            if v:
-                r = next(
-                    (r for r, row in enumerate(self.T) if self.basis[r] >= self.n and row[j]),
-                    None,
-                )
-                if r is None:
-                    raise InternalError("start is not a vertex: its support is dependent")
-                self.pivot(r, j)
-        if self.solution() != list(x) + [0] * self.m:
+        support = [j for j, v in enumerate(x) if v]
+        for j in support:
+            r = next(
+                (r for r, row in enumerate(self.T) if self.basis[r] >= self.n and row[j]),
+                None,
+            )
+            if r is None:
+                raise InternalError("start is not a vertex: its support is dependent")
+            self.pivot(r, j)
+        want = list(x) + [0] * self.m
+        if not set(support) <= set(self.basis) or any(
+            row[-1] * want[j].denominator != want[j].numerator * d
+            for row, d, j in zip(self.T, self.den, self.basis)
+        ):
             raise InternalError("start is not feasible: A x != b")
 
     def drive_out_artificials(self, order):

@@ -5,15 +5,19 @@ check raises AuditFailure instead of returning quietly.  Each check proves
 only what is claimed, from the witness already held where that suffices.
 `_certified_optimum` solves LP(W, d, c) and certifies its optimum: the
 point is in the region (`LPInstance.violation`), and its dual's reduced
-costs are >= 0, complementary to it, with equal objectives.  The Hoffman
+costs are >= 0, complementary to it, with equal objectives, checked in
+one integer pass over common-denominator vectors.  The Hoffman
 witnesses report the distance to the nearest optimum (`_nearest_on_face`),
 an LP over the columns of zero reduced cost with no face row, started from
 the certified vertex with no phase 1; a face whose kept columns are
 independent (an exact rank of the LP's rows, never a reading of a simplex
 basis) is that one vertex, and an anchor in the region of cost 0 is its
 own nearest optimum, with no solve.  The transfer bound claims only that
-some optimum lies within it, so it runs that LP only when the certified
-optimum is farther.  The fixing sets optimize each claimed coordinate by
+some optimum lies within it.  When the zero-cost face of LP(W, d, s) is
+one point (`_zero_cost_face`: one integer elimination), that point is
+the optimum, certified by the dual y = 0, with no solve; otherwise it
+solves and certifies LP(W, d, s), and runs the nearest-point LP only when
+the certified optimum is farther.  The fixing sets optimize each claimed coordinate by
 the tie-break stage of `lp.solve` on the second cost's LP, started from
 its optimum, which is solved from x1 when x1 is a vertex, and a face solve
 that is not optimal is an InternalError; with no claim and every bound
@@ -29,7 +33,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
+from operator import mul, sub
 from typing import NamedTuple
 
 from .errors import (
@@ -47,10 +52,13 @@ from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPInstance, solve
 from .ratmat import (
     RatMatrix,
     Vec,
+    _gauss_jordan,
+    _int_rows,
     as_fraction,
     neg_part,
     norm1,
     norm2_sq,
+    over_common_den,
     rank,
     vec,
     vec_add,
@@ -133,24 +141,25 @@ def _nearest_point(rows, b, anchor, vertex, K):
     floor = max(off, default=zero)
     cut = 1 if off else 0  # the z column and the floor row
     width = 4 * k + 1 + cut
-    # Every row below is Fractions and `width` wide by construction, so the
-    # matrix is built without the per-entry pass of RatMatrix.from_rows;
-    # the padding is one shared zero.
-    pad = (zero,) * (width - k)
+    # Every row below is `width` wide by construction, so the matrix is
+    # built without the per-entry pass of RatMatrix.from_rows; the
+    # structural entries are the ints 0 and +-1, which the simplex reads
+    # as they are, and the padding is one shared zero.
+    pad = (0,) * (width - k)
     ext_rows = [(*(row[j] for j in K), *pad) for row in rows]
     ext_b = list(b)
     for i, j in enumerate(K):
-        dev, cap = [zero] * width, [zero] * width
-        dev[i], dev[k + i], dev[2 * k + i] = one, -one, one
-        cap[k + i] = cap[2 * k + i] = cap[3 * k + i] = one
-        cap[4 * k] = -one
+        dev, cap = [0] * width, [0] * width
+        dev[i], dev[k + i], dev[2 * k + i] = 1, -1, 1
+        cap[k + i] = cap[2 * k + i] = cap[3 * k + i] = 1
+        cap[4 * k] = -1
         ext_rows += [tuple(dev), tuple(cap)]
-        ext_b += [anchor[j], zero]
+        ext_b += [anchor[j], 0]
     if cut:
-        ext_rows.append((*(zero,) * (4 * k), one, -one))
+        ext_rows.append((*(0,) * (4 * k), 1, -1))
         ext_b.append(floor)
-    tau_cost = [zero] * (4 * k) + [one] + [zero] * cut
-    l1_cost = [zero] * k + [one] * (2 * k) + [zero] * (k + 1 + cut)
+    tau_cost = (0,) * (4 * k) + (1,) + (0,) * cut
+    l1_cost = (zero,) * k + (one,) * (2 * k) + (zero,) * (k + 1 + cut)
     dev = [vertex[j] - anchor[j] for j in K]
     top = max((floor, *map(abs, dev)))
     start = [
@@ -161,21 +170,30 @@ def _nearest_point(rows, b, anchor, vertex, K):
         top,
         *[top - floor] * cut,
     ]
-    lp = LPInstance.standard(RatMatrix(data=tuple(ext_rows), cols=width), ext_b, tau_cost)
+    lp = LPInstance(RatMatrix(data=tuple(ext_rows), cols=width), tuple(ext_b), tau_cost)
     res = solve(lp, tiebreak=l1_cost, start=start)
     if res.status != OPTIMAL:
         raise InternalError(f"nearest-point LP of a nonempty region is {res.status}")
+    # The re-verification in integers: the solution is X / q, the anchor
+    # P / qa, and gap = L (x_K - anchor_K) with L = lcm(q, qa).  Off K, x is
+    # 0, so those coordinates put the floor under tau and add norm1(off) to
+    # both sides of the 1-norm equation, which leaves sum |gap| = L sum(r + s).
+    tau = res.objective
+    X, q = over_common_den(res.x)
+    P, qa = over_common_den(anchor)
+    L = lcm(q, qa)
+    gap = [X[i] * (L // q) - P[j] * (L // qa) for i, j in enumerate(K)]  # L (x_K - anchor_K)
+    far = max((floor.numerator * (L // floor.denominator), *map(abs, gap)))  # L tau
+    if (
+        min(X[:k], default=0) < 0
+        or any(vec_dot([row[j] for j in K], X[:k]) != bi * q for row, bi in zip(rows, b))
+        or far * tau.denominator != tau.numerator * L
+        or sum(map(abs, gap)) * q != sum(X[k : 3 * k]) * L
+    ):
+        raise InternalError("nearest point fails its re-verification")
     x = [zero] * n
     for j, v in zip(K, res.x):
         x[j] = v
-    tau, gap = res.objective, vec_sub(x, anchor)
-    if (
-        any(v < 0 for v in x)
-        or any(vec_dot(row, x) != bi for row, bi in zip(rows, b))
-        or max(map(abs, gap), default=zero) != tau
-        or norm1(gap) != vec_dot(l1_cost, res.x) + norm1(off)
-    ):
-        raise InternalError("nearest point fails its re-verification")
     return tuple(x), tau
 
 
@@ -186,7 +204,26 @@ def _independent(A: RatMatrix, cols) -> bool:
 
 
 def _sup_dist(x: Vec, anchor: Vec) -> Fraction:
-    return max(map(abs, vec_sub(x, anchor)), default=Fraction(0))
+    """max |x_i - anchor_i|, from one integer pass over a common denominator."""
+    V, q = over_common_den((*x, *anchor))
+    n = len(x)
+    return Fraction(max(map(abs, map(sub, V[:n], V[n:])), default=0), q)
+
+
+def _scaled_reduced_costs(A: RatMatrix, c: Vec, y: Vec) -> tuple[list, int]:
+    """(R, M) with R = M (c - A^T y) integers and M > 0, so that R carries
+    the signs and zeros of the reduced costs: one integer pass over A's
+    rows P_i / a_i (`ratmat._int_rows`), y = Y / q_y and c = C / q_c, with
+    M = q_c q_y lcm(a_i).  A y of the wrong length is a DimensionMismatch."""
+    if len(y) != A.rows:
+        raise DimensionMismatch("vecmat height mismatch")
+    P, scales = _int_rows(A)
+    a = lcm(*scales)
+    Y, qy = over_common_den(y)
+    Ya = [v * (a // s) for v, s in zip(Y, scales)]  # A^T y = P^T Ya / (q_y a)
+    C, qc = over_common_den(c)
+    cols = zip(*P) if P else ((),) * A.cols
+    return [cj * qy * a - qc * sum(map(mul, col, Ya)) for cj, col in zip(C, cols)], qc * qy * a
 
 
 def _certified_optimum(lp: LPInstance):
@@ -196,20 +233,58 @@ def _certified_optimum(lp: LPInstance):
     of zero reduced cost: by complementary slackness the optimal face is
     {x >= 0 : A x = b, x_j = 0 off K}.  An infeasible LP raises
     InfeasibleSystem with its certificate; every caller has c >= 0, which is
-    dual feasible, so an unbounded LP is an InternalError.
+    dual feasible, so an unbounded LP is an InternalError.  The reduced
+    costs are the integers M rc of `_scaled_reduced_costs`, so rc >= 0 and
+    rc x = 0 are read off one integer pass, and each dot product is one
+    `ratmat.vec_dot`.
     """
     res = solve(lp)
     if res.status == INFEASIBLE:
         raise InfeasibleSystem("no nonnegative point in W + d", certificate=res.certificate)
     if res.status != OPTIMAL:
         raise InternalError("LP(W, d, c) with c >= 0 is unbounded")
-    x, y = res.x, res.y
-    rc = vec_sub(lp.c, lp.A.vecmat(y))
-    if any(v < 0 for v in rc) or vec_dot(rc, x) != 0 or vec_dot(lp.b, y) != vec_dot(lp.c, x):
+    R, _ = _scaled_reduced_costs(lp.A, lp.c, res.y)
+    if min(R, default=0) < 0 or vec_dot(R, res.x) or vec_dot(lp.c, res.x) != vec_dot(lp.b, res.y):
         raise InternalError("the dual of LP(W, d, c) fails its optimality certificate")
-    if lp.violation(x) is not None:
+    if lp.violation(res.x) is not None:
         raise InternalError("the optimum of LP(W, d, c) is not in its region")
-    return x, [j for j, v in enumerate(rc) if v == 0]
+    return res.x, [j for j, v in enumerate(R) if v == 0]
+
+
+def _zero_cost_face(W: Subspace, d: Vec, s: Vec, lp: LPInstance):
+    """The optimum of LP(W, d, s), s >= 0, when the zero-cost face
+    {x >= 0 in W + d : x_j = 0 where s_j > 0} is one point: (x, K) as
+    `_certified_optimum` returns it, with K = Z = {j : s_j = 0}, else None.
+
+    x is in W + d exactly when G x = G d for the integer rows G of W-perp
+    (`Subspace.int_kernel_rows`).  With d = D / q for an integer vector D,
+    one fraction-free `ratmat._gauss_jordan` pass over the integer rows
+    [G_Z | G D] decides the face: columns Z that are dependent leave it a
+    segment or more, a nonzero right-hand side on a row with no pivot
+    leaves it empty, and otherwise its one candidate is x_Z = q^-1 times the
+    solution of G_Z u = G D.  A negative entry leaves the face empty.  Each
+    of these returns None, and the caller solves the LP.  The point is
+    optimal with the dual y = 0: its reduced costs are s >= 0, and s x = 0
+    since x is 0 off Z.  It must pass the region test
+    (`LPInstance.violation`), else InternalError.
+    """
+    G = W.int_kernel_rows
+    Z = [j for j, v in enumerate(s) if v == 0]
+    k = len(Z)
+    if k > len(G):
+        return None
+    D, q = over_common_den(d)
+    rows = [[*(g[j] for j in Z), sum(map(mul, g, D))] for g in G]
+    T, det, pivots, _ = _gauss_jordan(rows, range(k))
+    if len(pivots) < k or any(row[k] for row in T[k:]) or any(row[k] < 0 for row in T[:k]):
+        return None
+    x = [Fraction(0)] * len(d)
+    for j, row in zip(Z, T):
+        x[j] = Fraction(row[k], det * q)
+    x = tuple(x)
+    if lp.violation(x) is not None:
+        raise InternalError("the zero-cost face point of LP(W, d, s) is not in its region")
+    return x, Z
 
 
 def _nearest_on_face(lp: LPInstance, x: Vec, K, anchor: Vec):
@@ -282,7 +357,11 @@ def transfer_bound(W: Subspace, x_tilde, s, d) -> tuple[Fraction, tuple[int, ...
 
     and verifies both conclusions against LP(W, d, s) with one optimum x*
     within `bound` of x_tilde in sup-norm: x_tilde itself when it is in the
-    region (it costs 0), else the certified optimum when it is near enough,
+    region (it costs 0).  Else the optimum is the one point of the zero-cost
+    face {x >= 0 in W + d : x_j = 0 where s_j > 0} when that face is one
+    point (`_zero_cost_face`), certified by the dual y = 0, whose reduced
+    costs are s >= 0 with s x* = 0; else it is LP(W, d, s)'s certified
+    optimum (`_certified_optimum`).  That optimum is x* when near enough,
     else the nearest optimum (`_nearest_on_face`), an AuditFailure when
     farther than `bound`.  Then x*_i >= x_tilde_i - bound > 0 on R, checked
     (else InternalError), and complementary slackness, x*_i s*_i = 0 for
@@ -303,7 +382,7 @@ def transfer_bound(W: Subspace, x_tilde, s, d) -> tuple[Fraction, tuple[int, ...
     lp = LPInstance.from_subspace(W, dv, sv)
     x_star = xt
     if lp.violation(xt) is not None:
-        x_star, keep = _certified_optimum(lp)
+        x_star, keep = _zero_cost_face(W, dv, sv, lp) or _certified_optimum(lp)
         if _sup_dist(x_star, xt) > bound:
             x_star, tau = _nearest_on_face(lp, x_star, keep, xt)
             if tau > bound:
@@ -324,9 +403,11 @@ def fixing_sets_bounds(A, b, u, c1, c2, x1, y1) -> tuple[tuple[int, ...], tuple[
         R0 = {i : rc_i > t}      (x_i = 0 in every c2-optimum)
         Ru = {i : rc_i < -t}     (x_i = u_i in every c2-optimum)
 
-    When both sets are empty and every u_i is finite, nothing is left to
-    verify and no LP is solved: x1 has passed the region test, so the
-    region is a nonempty polytope and c2 has an optimum.  Otherwise both
+    The pair test and both sets read the integers M rc of
+    `_scaled_reduced_costs` against M t.  When both sets are empty and
+    every u_i is finite, nothing is left to verify and no LP is solved: x1
+    has passed the region test, so the region is a nonempty polytope and
+    c2 has an optimum.  Otherwise both
     conclusions are verified by optimizing each coordinate over the exact
     c2-optimal face: the tie-break stage of `lp.solve` on the c2 LP,
     started from its optimum.  That optimum is solved from x1, with no
@@ -348,7 +429,7 @@ def fixing_sets_bounds(A, b, u, c1, c2, x1, y1) -> tuple[tuple[int, ...], tuple[
     if broken == "upper":
         raise NotOptimalPair("x1 violates an upper bound")
     u = lp1.u
-    rc = vec_sub(lp1.c, A.vecmat(vec(y1)))
+    rc, M = _scaled_reduced_costs(A, lp1.c, vec(y1))  # M (c1 - A^T y1)
     for i, r in enumerate(rc):
         if r < 0 and (u[i] is None or x1[i] < u[i]):
             raise NotOptimalPair(f"dual slack negative at {i} with x below its bound")
@@ -356,7 +437,7 @@ def fixing_sets_bounds(A, b, u, c1, c2, x1, y1) -> tuple[tuple[int, ...], tuple[
             raise NotOptimalPair(f"dual surplus at {i} with x positive")
 
     kappa = Subspace.from_kernel_matrix(A).measures.kappa
-    t = (kappa + 1) * norm1(vec_sub(lp1.c, c2))
+    t = M * (kappa + 1) * norm1(vec_sub(lp1.c, c2))
     R0 = tuple(i for i, r in enumerate(rc) if r > t)
     Ru = tuple(i for i, r in enumerate(rc) if r < -t)
     if not R0 and not Ru and None not in u:

@@ -421,15 +421,20 @@ def bareiss_det(M: RatMatrix) -> Fraction:
     return Fraction(sign * D, math.prod(scales)) if len(pivots) == M.rows else Fraction(0)
 
 
+def over_common_den(v) -> tuple[list, int]:
+    """(ints, den) with v = ints / den entry by entry: den > 0 is the least
+    common denominator of the entries of v, ints or Fractions."""
+    den = math.lcm(*(x.denominator for x in v))
+    return [x.numerator * (den // x.denominator) for x in v], den
+
+
 def integer_normalize(v: Vec):
     """Scale a nonzero rational vector to a coprime integer vector.
 
     Returns (g, scale) with v = scale * g, g integer entries with gcd 1,
     and the first nonzero entry of g positive.
     """
-    v = vec(v)
-    den = math.lcm(*(x.denominator for x in v))
-    ints = [x.numerator * (den // x.denominator) for x in v]
+    ints, den = over_common_den(vec(v))
     if not any(ints):
         raise ZeroVector("cannot normalize the zero vector")
     g = math.gcd(*ints)

@@ -31,6 +31,7 @@ from .ratmat import (
     check_desk_scale,
     integer_normalize,
     is_conformal,
+    over_common_den,
     rref_kernel,
     rref_nonzero,
     solve_linear,
@@ -210,8 +211,7 @@ class Subspace:
         v = vec(v)
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector has the wrong ambient dimension")
-        s = math.lcm(*(x.denominator for x in v))
-        w = [x.numerator * (s // x.denominator) for x in v]
+        w, s = over_common_den(v)
         k = len(R)
         rows = [[sum(map(operator.mul, a, b)) for b in (*R, w)] for a in R]
         T, D, pivots, _ = _gauss_jordan(rows, range(k))

@@ -33,12 +33,13 @@ from circuitkit.proximity import (
     lambda_set,
     transfer_bound,
 )
-from circuitkit.ratmat import RatMatrix, norm1, vec, vec_add, vec_dot, vec_sub
+from circuitkit.ratmat import RatMatrix, _gauss_jordan, norm1, rank, vec, vec_add, vec_dot, vec_sub
 from circuitkit.subspace import Subspace
 from util import (
     always_solve_fixing_sets,
     always_solve_transfer_bound,
     face_row_solve,
+    fraction_certified_optimum,
     random_int_matrix,
     two_stage_nearest_point,
 )
@@ -541,6 +542,62 @@ def test_a_dual_with_a_negative_reduced_cost_is_an_internal_error(monkeypatch):
     assert calls == [None]
 
 
+def _tampered_solve(**fields):
+    """`solve` with the given fields of an optimal result replaced."""
+
+    def tampered(lp, tiebreak=None, start=None):
+        return solve(lp, tiebreak=tiebreak, start=start)._replace(**fields)
+
+    return tampered
+
+
+@pytest.mark.parametrize(
+    "rows, d, c, fields",
+    [
+        # On x0 - x2 = 1, x1 + x2 = 0 the one point is (1, 0, 0), and the
+        # zero cost has y = 0.  With y = (0, 1), rc = (0, -1, -1): rc x = 0
+        # and c x = b y = 0, so only rc >= 0 refuses it.
+        ([[1, 0, -1], [0, 1, 1]], [1, 0, 0], [0, 0, 0], {"y": vec([0, 1])}),
+        # The optimum of cost (1, 0, 0) on x0 + x1 + x2 = 3 has y = 0.  With
+        # y = -1, rc = (2, 1, 1) >= 0, but rc x = 3 != 0.
+        ([[1, 1, 1]], [1, 1, 1], [1, 0, 0], {"y": vec([-1])}),
+        # The cost (1, 1, 2) has y = 1 and rc = (0, 0, 1).  With x in the
+        # region, c x = b y follows from rc x = 0, so the point is moved off
+        # it: (0, 2, 0) has rc x = 0 but c x = 2 != b y = 3, and the
+        # certificate refuses it before the region test is reached.
+        ([[1, 1, 1]], [1, 1, 1], [1, 1, 2], {"x": vec([0, 2, 0])}),
+    ],
+)
+def test_a_tampered_dual_certificate_is_an_internal_error(monkeypatch, rows, d, c, fields):
+    W = Subspace.from_kernel_matrix(RatMatrix.from_rows(rows, cols=3))
+    lp = LPInstance.from_subspace(W, vec(d), vec(c))
+    with pytest.raises(InternalError, match="certificate"):
+        fraction_certified_optimum(lp, solve=_tampered_solve(**fields))
+    monkeypatch.setattr(proximity, "solve", _tampered_solve(**fields))
+    with pytest.raises(InternalError, match="certificate"):
+        proximity._certified_optimum(lp)
+
+
+@given(nearest_optimum_instances(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_the_integer_certificate_decides_as_the_fraction_certificate(inst, data):
+    # Each answer and each refusal of a dual or a point moved by a small
+    # step is the Fraction certificate's, on integer and fractional costs.
+    W, d, c, _ = inst
+    scale = data.draw(st.sampled_from([1, Fraction(1, 2), Fraction(2, 3)]))
+    lp = LPInstance.from_subspace(W, d, vec(scale * v for v in c))
+    res = solve(lp)
+    step = st.sampled_from([0, 0, Fraction(-1, 2), 1, -1])
+    fields = {
+        "x": vec(v + data.draw(step) for v in res.x),
+        "y": vec(v + data.draw(step) for v in res.y),
+    }
+    tampered = _tampered_solve(**fields)
+    with mock.patch.object(proximity, "solve", tampered):
+        got = _outcome(proximity._certified_optimum, lp)
+    assert got == _outcome(fraction_certified_optimum, lp, tampered)
+
+
 def test_a_one_vertex_face_off_the_region_is_an_internal_error(monkeypatch):
     # The rows are x0 - x2 = 0, x1 + x2 = 1; the cost (1, 0, 0) has y = (1, 0)
     # and rc = (0, 0, 1), so it keeps the independent columns x0, x1.  A
@@ -670,6 +727,80 @@ def test_each_early_answer_pins_its_solve_count():
         assert transfer_bound(*inst) == (1, (1,))
     assert [(plain, start is None) for plain, start in spy.calls] == [(True, True), (False, False)]
     assert spy.nearest_point
+
+
+def test_the_zero_cost_face_pins_its_solve_count():
+    # W = ker [1, 1], x_tilde = (2, 0), s = (0, 1), d = (5/2, 0): bound 1
+    # and R = (0,).  The zero-cost face x1 = 0 is the one point (5/2, 0),
+    # 1/2 from x_tilde: no solve at all.
+    W = Subspace.from_kernel_matrix(RatMatrix.from_rows([[1, 1]], cols=2))
+    with _Spy() as spy:
+        assert transfer_bound(W, vec([2, 0]), vec([0, 1]), vec([Fraction(5, 2), 0])) == (1, (0,))
+    assert (spy.calls, spy.nearest_point) == ([], False)
+    # On x0 - x2 = 1/2, x1 + x2 = 2 the cost (1, 0, 1) has the empty
+    # zero-cost face x0 = x2 = 0, so LP(W, d, s) is solved: its vertex
+    # (1/2, 2, 0) is within the bound 4/3 of x_tilde = (0, 2, 0), and the
+    # witness solve is the only one.
+    W2 = Subspace.from_kernel_matrix(RatMatrix.from_rows([[1, 0, -1], [0, 1, 1]], cols=3))
+    inst = W2, vec([0, 2, 0]), vec([1, 0, 1]), vec([Fraction(1, 2), 2, 0])
+    with _Spy() as spy:
+        assert transfer_bound(*inst) == (Fraction(4, 3), (1,))
+    assert (spy.calls, spy.nearest_point) == ([(True, None)], False)
+
+
+def test_a_zero_cost_face_point_off_the_region_is_an_internal_error(monkeypatch):
+    # One more unit in the elimination's right-hand side moves the face
+    # point (5/2, 0) to (3, 0), which the region test refuses.
+    def tampered(rows, cols):
+        T, D, pivots, sign = _gauss_jordan(rows, cols)
+        return [[*T[0][:-1], T[0][-1] + 1], *T[1:]], D, pivots, sign
+
+    monkeypatch.setattr(proximity, "_gauss_jordan", tampered)
+    W = Subspace.from_kernel_matrix(RatMatrix.from_rows([[1, 1]], cols=2))
+    with pytest.raises(InternalError, match="not in its region"):
+        transfer_bound(W, vec([2, 0]), vec([0, 1]), vec([Fraction(5, 2), 0]))
+
+
+def _check_zero_cost_face(W, s, d):
+    """`proximity._zero_cost_face` of LP(W, d, s) against the always-LP
+    oracle, the certified simplex optimum: the face answers exactly when its
+    columns are independent and the LP's optimum costs 0, and then with the
+    oracle's optimum, in the region, 0 where s is not.  Returns the face's
+    answer."""
+    lp = LPInstance.from_subspace(W, d, s)
+    face = proximity._zero_cost_face(W, d, s, lp)
+    Z = [j for j, v in enumerate(s) if v == 0]
+    try:
+        x, _ = fraction_certified_optimum(lp)
+    except InfeasibleSystem:
+        x = None
+    zero_cost = x is not None and vec_dot(s, x) == 0
+    assert (face is not None) == (zero_cost and rank(lp.A.take_cols(Z)) == len(Z))
+    if face is not None:
+        point, K = face
+        assert K == Z and point == x and lp.violation(point) is None
+        assert all(v == 0 for v, sj in zip(point, s) if sj)
+    return face
+
+
+@pytest.mark.parametrize(
+    "rows, s, d, face",
+    [
+        # one point: x1 = 0 leaves x0 = 5/2
+        ([[1, 1]], [0, 1], [Fraction(5, 2), 0], (vec([Fraction(5, 2), 0]), [0])),
+        # Z empty and d in W: the face is the origin
+        ([[1, 1]], [1, 1], [1, -1], (vec([0, 0]), [])),
+        # dependent: x0 + x1 = 3 with x2 = 0 is a segment
+        ([[1, 1, 1]], [0, 0, 1], [1, 1, 1], None),
+        # empty: x0 = x2 = 0 breaks x0 - x2 = 1/2
+        ([[1, 0, -1], [0, 1, 1]], [1, 0, 1], [Fraction(1, 2), 2, 0], None),
+        # empty: the one candidate (-1, 0) is negative
+        ([[1, 1]], [0, 1], [-2, 1], None),
+    ],
+)
+def test_each_kind_of_zero_cost_face(rows, s, d, face):
+    W = Subspace.from_kernel_matrix(RatMatrix.from_rows(rows, cols=len(s)))
+    assert _check_zero_cost_face(W, vec(s), vec(d)) == face
 
 
 def _near_transfer():
@@ -874,3 +1005,10 @@ def test_the_transfer_bound_matches_the_always_solve_oracle(inst):
     # every error is the oracle's, which solves the nearest optimum and the
     # dual face of each i in R whatever is known.
     assert _outcome(transfer_bound, *inst) == _outcome(always_solve_transfer_bound, *inst)
+
+
+@given(transfer_instances())
+@settings(max_examples=200, deadline=None)
+def test_the_zero_cost_face_matches_the_always_lp_oracle(inst):
+    W, _, s, d = inst
+    _check_zero_cost_face(W, s, d)

@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         ("fractionality_sweep.py", ["--trials", "3"]),
         ("steepest_shape.py", ["--sizes", "4", "--seeds", "1"]),
+        ("prox_layers.py", ["--instances", "4", "--repeats", "1"]),
     ],
 )
 def test_script_exits_cleanly(script, args):

@@ -17,7 +17,9 @@ cycle over all simple cycles in place of the tight-arc witness, the Graver box
 scan and its minimality filter, the IP proximity ball as a plain
 product over its box, the decomposition search, the appendix
 window scan, the nearest point as two separate simplex solves, the
-optimal face as a face row stacked under A, the fixing sets and the
+optimal face as a face row stacked under A, the certified optimum with
+its dual certificate over Fractions (the always-LP path the transfer
+bound's zero-cost face skips), the fixing sets and the
 transfer bound with every LP solved whatever is claimed or held (the
 transfer bound's dual face as its own LP), the steepness eps(x) as its
 dual LP, the recession test as a box LP, the greedy basis by one rank
@@ -633,6 +635,30 @@ def two_stage_nearest_point(rows, b, anchor):
     if res2.status != lpmod.OPTIMAL:
         raise AssertionError("stage 2 of the nearest point is not optimal")
     return vec(res2.x[:n]), tau, res2.objective
+
+
+def fraction_certified_optimum(lp, solve=lpmod.solve):
+    """`proximity._certified_optimum` with its certificate over Fractions,
+    as the package ran it before the integer pass: rc = c - A^T y entry by
+    entry, then rc >= 0, rc x = 0 and c x = b y as Fraction sums, then the
+    region test.  Returns (x, K) or raises the same errors; `solve` may be
+    a tampered simplex.  The always-LP path that the zero-cost face of
+    `proximity.transfer_bound` skips."""
+    res = solve(lp)
+    if res.status == lpmod.INFEASIBLE:
+        raise InfeasibleSystem("no nonnegative point in W + d", certificate=res.certificate)
+    if res.status != lpmod.OPTIMAL:
+        raise InternalError("LP(W, d, c) with c >= 0 is unbounded")
+    rc = [c - a for c, a in zip(lp.c, fraction_vecmat(lp.A, res.y))]
+    if (
+        min(rc, default=0) < 0
+        or fraction_vec_dot(rc, res.x) != 0
+        or fraction_vec_dot(lp.b, res.y) != fraction_vec_dot(lp.c, res.x)
+    ):
+        raise InternalError("the dual of LP(W, d, c) fails its optimality certificate")
+    if lp.violation(res.x) is not None:
+        raise InternalError("the optimum of LP(W, d, c) is not in its region")
+    return res.x, [j for j, v in enumerate(rc) if v == 0]
 
 
 def always_solve_transfer_bound(W: Subspace, x_tilde, s, d):
