@@ -14,7 +14,6 @@ import math
 
 from circuitkit.augment import audit_trace, run
 from circuitkit.generate import GeneratorSpec, generate
-from circuitkit.imbalance import imbalances
 from circuitkit.lp import solve
 from circuitkit.subspace import Subspace
 
@@ -37,7 +36,7 @@ def main() -> int:
             audit_trace(trace, lp.A, u=lp.u)
             assert trace.final_objective == solve(lp).objective
             n, m = lp.A.cols, lp.A.rows
-            kappa = imbalances(Subspace.from_kernel_matrix(lp.A)).kappa
+            kappa = Subspace.from_kernel_matrix(lp.A).measures.kappa
             shape = n * n * m * float(kappa) * math.log2(float(kappa) + n)
             steps = len(trace.steps)
             total_steps += steps

@@ -109,13 +109,13 @@ def _residual_set(x, u, n: int) -> list:
 def _best_direction(W: Subspace, c, x, u, score):
     """Among the oriented circuits g that improve (<c, g> < 0) and are
     feasible at x (g_i >= 0 where x_i = 0, g_i <= 0 where x_i = u_i), the
-    one with the least (score(gv, <c, g>), support, vector), gv its Fraction
-    vector, and that score; AlreadyOptimal when there is none."""
+    one with the least (score(g.vector, <c, g>), support, vector), and that
+    score; AlreadyOptimal when there is none."""
     best = _least(
-        (score(gv, cg), g)
-        for g, gv in oriented_circuits(W)
-        if not any(_blocked(x, u, i, gi) for i, gi in enumerate(gv))
-        and (cg := vec_dot(c, gv)) < 0
+        (score(g.vector, cg), g)
+        for g in oriented_circuits(W)
+        if not any(_blocked(x, u, i, gi) for i, gi in enumerate(g.vector))
+        and (cg := vec_dot(c, g.vector)) < 0
     )
     if best is None:
         raise AlreadyOptimal("no augmenting circuit improves the objective")
@@ -145,17 +145,17 @@ def dantzig_direction(W: Subspace, c, x, u=None) -> ElementaryVector:
 
 
 def maximal_step(x, g, u=None) -> Fraction:
-    """Largest alpha keeping x + alpha*g within the bounds."""
+    """Largest alpha keeping x + alpha*g within the bounds; g is taken as
+    given, int or Fraction entries."""
     xv = vec(x)
-    gv = vec(g)
     alphas = []
-    for i, gi in enumerate(gv):
+    for i, gi in enumerate(g):
         if gi < 0:
             alphas.append(xv[i] / -gi)
         elif gi > 0 and u is not None and u[i] is not None:
             alphas.append((u[i] - xv[i]) / gi)
     if not alphas:
-        raise UnboundedDirection("no constraint limits the step", ray=tuple(gv))
+        raise UnboundedDirection("no constraint limits the step", ray=tuple(g))
     return min(alphas)
 
 
@@ -164,7 +164,7 @@ def deepest_direction(W: Subspace, c, x, u=None):
     xv = vec(x)
     # maximal_step raises UnboundedDirection, which flags LP unboundedness
     g, _ = _best_direction(W, vec(c), xv, u, lambda gv, cg: maximal_step(xv, gv, u) * cg)
-    return g, maximal_step(xv, g.as_fractions(), u)
+    return g, maximal_step(xv, g.vector, u)
 
 
 def _cost_per_weight(cv, gv, wz):
@@ -220,16 +220,16 @@ def ratio_circuit(W: Subspace, c, w) -> ElementaryVector:
     best = _least(
         (ratio, _circuit(gint))
         for _, gint in conformal_decompose(W, net(res.x)).terms
-        if (ratio := _cost_per_weight(cv, tuple(Fraction(v) for v in gint), wz)) is not None
+        if (ratio := _cost_per_weight(cv, gint, wz)) is not None
     )
     if best is None:
         raise InternalError("negative optimum without negative term")
     # cross-oracle: exhaustive scan over oriented circuits
     scan = _least(
         (ratio, g)
-        for g, gv in oriented_circuits(W)
-        if not any(gv[i] < 0 and w[i] is None for i in range(n))
-        and (ratio := _cost_per_weight(cv, gv, wz)) is not None
+        for g in oriented_circuits(W)
+        if not any(g.vector[i] < 0 and w[i] is None for i in range(n))
+        and (ratio := _cost_per_weight(cv, g.vector, wz)) is not None
     )
     scan = None if scan is None else scan[0]
     if scan != res.objective or best[0] != scan:
@@ -247,15 +247,13 @@ def support_circuit(W: Subspace, c, x) -> ElementaryVector:
     xv = vec(x)
     supp = frozenset(i for i, v in enumerate(xv) if v != 0)
     inside = [
-        (vec_dot(cv, gv), g, gv)
-        for g, gv in oriented_circuits(W)
-        if supp.issuperset(g.support)
+        (vec_dot(cv, g.vector), g) for g in oriented_circuits(W) if supp.issuperset(g.support)
     ]
-    for cg, _, gv in inside:
-        if cg < 0 and min(gv) >= 0:
-            raise UnboundedDirection("nonnegative circuit decreases cost", ray=gv)
+    for cg, g in inside:
+        if cg < 0 and min(g.vector) >= 0:
+            raise UnboundedDirection("nonnegative circuit decreases cost", ray=g.vector)
     # A nonnegative circuit with <c,g> = 0 has nothing to zero; its flip covers it.
-    best = _least((cg, g) for cg, g, gv in inside if cg <= 0 and min(gv) < 0)
+    best = _least((cg, g) for cg, g in inside if cg <= 0 and min(g.vector) < 0)
     if best is None:
         raise AlreadyBasic("supp(x) holds no circuit; x is a basic solution")
     return best[1]
@@ -362,7 +360,7 @@ def run(lp: LPInstance, rule: str, cap: int | None = None, x0=None) -> Augmentat
         except AlreadyBasic:
             terminated = "basic"
             break
-        gv = g.as_fractions()
+        gv = g.vector
         alpha = maximal_step(x, gv, u)
         x_prev = x
         x = tuple(xi + alpha * gi for xi, gi in zip(x, gv))
@@ -436,7 +434,7 @@ def audit_trace(trace: AugmentationTrace, A: RatMatrix, *, u=None) -> AuditRepor
     # feasibility and maximality of every recorded step
     prev = trace.start
     for t, step in enumerate(trace.steps):
-        gv = step.direction.as_fractions()
+        gv = step.direction.vector
         expect = tuple(xi + step.alpha * gi for xi, gi in zip(prev, gv))
         if expect != step.x_after:
             raise AuditFailure("step-consistency", t, "iterate does not match step data")
@@ -505,11 +503,11 @@ def guided_walk(lp: LPInstance, x_start, x_target) -> AugmentationTrace:
         # Conformal terms are distinct circuits, so each has one coefficient.
         coeffs = {gint: coeff for coeff, gint in conformal_decompose(W, diff).terms}
         score, g = _least(
-            (-coeff * sum(abs(Fraction(gint[i])) for i in off_basis), _circuit(gint))
+            (-coeff * sum(abs(gint[i]) for i in off_basis), _circuit(gint))
             for gint, coeff in coeffs.items()
         )
         coeff, mass = coeffs[g.vector], -score
-        h = tuple(coeff * Fraction(v) for v in g.vector)
+        h = tuple(coeff * v for v in g.vector)
         alpha = maximal_step(x, h, u)
         if not (1 <= alpha <= n):
             raise AuditFailure("guided-step-range", len(steps), f"alpha = {alpha}")

@@ -318,7 +318,7 @@ def conjecture_decompose(W: Subspace, z) -> ConjectureReport:
     if not any(zi):
         return ConjectureReport(target=zi, status="holds", decomposition=(), searched=0)
 
-    oriented = sorted(g.vector for g, gv in oriented_circuits(W) if is_conformal(gv, zv))
+    oriented = sorted(g.vector for g in oriented_circuits(W) if is_conformal(g.vector, zv))
     searched = 0
 
     def attempt(start, R, depth, limit, acc):

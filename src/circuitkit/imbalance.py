@@ -66,11 +66,12 @@ class ImbalanceReport(NamedTuple):
 def imbalances(W: Subspace) -> ImbalanceReport:
     """All three measures, with witnesses for kappa and kappa_bar, from the
     one report pass over the circuits that W keeps (`_measure_circuits`);
-    the pair maxima are left to their own pass.
+    the pair maxima are left to their own pass.  `Subspace.measures`
+    keeps the report, so read that to compute it once per subspace.
 
     Trivial subspaces ({0} and R^n) have no ratio structure: all measures 1.
     """
-    return W.circuit_measures
+    return _measure_circuits(W.circuit_list)
 
 
 def _measure_circuits(circuits: tuple) -> ImbalanceReport:
@@ -169,7 +170,8 @@ def pairwise(W: Subspace) -> CircuitRatioDigraph:
 
 
 class GeoMeanValue(namedtuple("GeoMeanValue", "product length")):
-    """product^(1/length), compared exactly by cross-powering.
+    """product^(1/length), compared exactly by cross-powering (`_beats` on
+    the (numerator, denominator, length) triples).
 
     product: a positive Fraction; length: an int >= 1, checked on every
     construction (`_replace` and `_make` would skip the check, so this
@@ -184,9 +186,9 @@ class GeoMeanValue(namedtuple("GeoMeanValue", "product length")):
         return super().__new__(cls, product, length)
 
     def _cmp(self, other: "GeoMeanValue") -> int:
-        lhs = self.product**other.length
-        rhs = other.product**self.length
-        return (lhs > rhs) - (lhs < rhs)
+        a = (self.product.numerator, self.product.denominator, self.length)
+        b = (other.product.numerator, other.product.denominator, other.length)
+        return _beats(a, b) - _beats(b, a)
 
     def __lt__(self, other):
         return self._cmp(other) < 0

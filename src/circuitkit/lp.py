@@ -1,8 +1,8 @@
 """Exact rational linear programming.
 
 Two-phase primal simplex with Bland's rule on a fraction-free integer
-tableau: rows are scaled to integers once, from one integer ratio per
-entry, each row is kept over its own positive denominator, and the reduced
+tableau: rows are scaled to integers once, by `ratmat.over_common_den`,
+each row is kept over its own positive denominator, and the reduced
 costs are carried as one more row.  A pivot is an Edmonds-Bareiss step on
 the rows that are nonzero in the pivot column only; every other row keeps
 its integers and its denominator.  The pivots are exactly those of Bland's
@@ -40,10 +40,12 @@ from .errors import (
 )
 from .ratmat import (
     RatMatrix,
+    _int_rows,
     as_fraction,
     bareiss_step,
     bases,
     greedy_basis,
+    over_common_den,
     rank,
     vec,
     vec_zero,
@@ -142,9 +144,9 @@ class _Tableau:
 
     Row i of the input, sign-flipped so that its right-hand side is >= 0, is
     scaled by the least positive integer s_i that clears its denominators,
-    and gets the artificial column n + i.  Each entry is read once, as its
-    integer ratio (p, d), and becomes p * (sign * s_i // d); a zero entry
-    stays the int 0.  Row r is stored as integers T[r] over its own
+    and gets the artificial column n + i.  Each row is read once, with its
+    right-hand side, through `ratmat._int_rows`, and then negated when that
+    right-hand side is negative.  Row r is stored as integers T[r] over its own
     denominator den[r] > 0, and its tableau entries are T[r][k] / den[r].
     D > 0 is the absolute value of the current basis determinant, and
     T[r] * D / den[r] is the integer Bareiss row at D.
@@ -158,7 +160,7 @@ class _Tableau:
     The reduced costs of the current phase are one more such row, `reduced`
     over `red_den`, holding L times the reduced cost, where L clears the
     denominators of the cost vector; its integers are read from the costs
-    as the rows are, one integer ratio per entry.
+    by `ratmat.over_common_den`, the reader behind `_int_rows`.
 
     The scaling substitutes s_i * a_i for artificial a_i, so artificial i
     costs 1/s_i in phase 1.  Every reduced cost keeps its sign and every
@@ -173,23 +175,18 @@ class _Tableau:
         self.m = m = len(rows)
         self.n = n
         self.flip: list[int] = []
-        self.scale: list[int] = []
         self.T: list[list[int]] = []
-        for i in range(m):
-            # one integer ratio per entry; the row's sign rides on its scale
-            pairs = [x.as_integer_ratio() for x in rows[i]]
-            pairs.append(b[i].as_integer_ratio())
-            s = math.lcm(*[d for _, d in pairs])
-            sign = -1 if pairs[-1][0] < 0 else 1
-            q = sign * s
-            ints = [p * (q // d) if p else 0 for p, d in pairs]
-            rhs = ints.pop()
-            ints += [0] * m
-            ints[n + i] = 1
-            ints.append(rhs)
-            self.T.append(ints)
+        ints, self.scale = _int_rows([(*row, bi) for row, bi in zip(rows, b)])
+        for i, row in enumerate(ints):
+            sign = -1 if row[-1] < 0 else 1
+            if sign < 0:
+                row = [-a for a in row]
+            rhs = row.pop()
+            row += [0] * m
+            row[n + i] = 1
+            row.append(rhs)
+            self.T.append(row)
             self.flip.append(sign)
-            self.scale.append(s)
         self.den = [1] * self.m
         self.D = 1
         self.costs: list[Fraction] = []
@@ -206,9 +203,7 @@ class _Tableau:
     def set_costs(self, costs: list[Fraction]):
         """Install the reduced-cost row of `costs` for the current basis,
         over the denominator D."""
-        pairs = [c.as_integer_ratio() for c in costs]
-        L = math.lcm(*[d for _, d in pairs])
-        C = [p * (L // d) if p else 0 for p, d in pairs]
+        C, L = over_common_den(costs)
         D = self.D
         red = [D * v for v in C] + [0]
         for r, row in enumerate(self.T):
@@ -269,8 +264,8 @@ class _Tableau:
         n = self.n
         y = []
         for f, s, c, rc in zip(self.flip, self.scale, self.costs[n:], self.reduced[n:]):
-            c_num, c_den = c.as_integer_ratio()
-            y.append(Fraction(f * s * (c_num * LD - rc * c_den), c_den * LD))
+            q = c.denominator
+            y.append(Fraction(f * s * (c.numerator * LD - rc * q), q * LD))
         return y
 
     def run(self, cols):

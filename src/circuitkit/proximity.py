@@ -217,7 +217,7 @@ def _scaled_reduced_costs(A: RatMatrix, c: Vec, y: Vec) -> tuple[list, int]:
     M = q_c q_y lcm(a_i).  A y of the wrong length is a DimensionMismatch."""
     if len(y) != A.rows:
         raise DimensionMismatch("vecmat height mismatch")
-    P, scales = _int_rows(A)
+    P, scales = _int_rows(A.data)
     a = lcm(*scales)
     Y, qy = over_common_den(y)
     Ya = [v * (a // s) for v, s in zip(Y, scales)]  # A^T y = P^T Ya / (q_y a)

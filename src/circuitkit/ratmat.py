@@ -7,19 +7,24 @@ tableau of the circuit enumeration, its last level closed from 2 x 2
 minors, and the Gram solve of the projection onto W-perp, both on the
 coprime integer rows of the kernel representation, in `subspace`; and the
 report pass, the pair maxima and Karp's maximum-mean-cycle search behind
-kappa_star in `imbalance`.  Rationals become ints without a Fraction
-product: a numerator times the quotient of the common denominator by its
-own (`_int_rows`, `integer_normalize`), and an integer string through
-`int()` (`as_fraction`).
+kappa_star in `imbalance`.  Rationals become ints in one reader,
+`over_common_den`: a vector as integers over its least common
+denominator, each a numerator times the quotient of that denominator by
+its own, with no Fraction product.  `_int_rows` reads each row of a matrix
+through it, and so do the simplex tableau and its cost row in `lp`, the
+dual side of the circuit enumeration and the projection onto W-perp in
+`subspace`, `integer_normalize` and the certificates of `proximity`.  An
+integer string becomes an int through `int()` (`as_fraction`).  Integer
+data stays integer: the circuits reach every consumer as int vectors.
 Floating point appears only in the explicitly inexact spectral estimator
 `imbalance.chibar`.
 
 Each elimination job is done here once.  `bareiss_step` is the one
 fraction-free Edmonds-Bareiss row step, taken by the simplex, the circuit
 enumeration and `_gauss_jordan`.  `_gauss_jordan` is the one elimination
-loop: fraction-free Gauss-Jordan over integer rows, behind `rank` (its
-pivots), `rref` (and so `rref_nonzero`, `rref_kernel` and `greedy_basis`,
-the one greedy column basis), `solve_linear`, `invert`, `bareiss_det`,
+loop: fraction-free Gauss-Jordan over integer rows, behind `rank` and
+`greedy_basis`, the one greedy column basis (their pivots), `rref` (and
+so `rref_nonzero` and `rref_kernel`), `solve_linear`, `invert`, `bareiss_det`,
 `basis_form` and `bases`, the one loop over bases with their forms
 A_B^{-1} A.  The simplex and the circuit enumeration keep their own pivot
 rules (Bland's rule, a depth-first tree on tail slices) around the same step.
@@ -284,17 +289,26 @@ def _over(T: list, D: int, cols: int) -> RatMatrix:
     )
 
 
-def _int_rows(A: RatMatrix):
-    """(rows, scales): each row of A times the least positive integer
-    clearing its denominators, which keeps its row space, so every RREF
-    and every basis form A_B^{-1} A."""
-    scales = [math.lcm(*(x.denominator for x in r)) for r in A.data]
-    return [[x.numerator * (s // x.denominator) for x in r] for r, s in zip(A.data, scales)], scales
+def over_common_den(v) -> tuple[list, int]:
+    """(ints, den) with v = ints / den entry by entry: den > 0 is the least
+    common denominator of the entries of v, ints or Fractions, each read
+    once as its integer ratio; a zero entry stays the int 0."""
+    pairs = [x.as_integer_ratio() for x in v]
+    den = math.lcm(*[d for _, d in pairs])
+    return [p * (den // d) if p else 0 for p, d in pairs], den
+
+
+def _int_rows(rows: Sequence):
+    """(ints, scales): each row, of ints or Fractions, as its integers over
+    its least common denominator (`over_common_den`).  Scaling a row keeps
+    the row space, so every RREF and every basis form A_B^{-1} A."""
+    read = [over_common_den(r) for r in rows]
+    return [ints for ints, _ in read], [s for _, s in read]
 
 
 def rref(M: RatMatrix):
     """Reduced row echelon form.  Returns (rank, pivot_cols, R)."""
-    T, D, pivots, _ = _gauss_jordan(_int_rows(M)[0], range(M.cols))
+    T, D, pivots, _ = _gauss_jordan(_int_rows(M.data)[0], range(M.cols))
     return len(pivots), pivots, _over(T, D, M.cols)
 
 
@@ -306,7 +320,7 @@ def rref_nonzero(M: RatMatrix) -> RatMatrix:
 
 def rank(M: RatMatrix) -> int:
     """The pivot count of `_gauss_jordan`, with no Fraction RREF built."""
-    return len(_gauss_jordan(_int_rows(M)[0], range(M.cols))[2])
+    return len(_gauss_jordan(_int_rows(M.data)[0], range(M.cols))[2])
 
 
 def rref_kernel(M: RatMatrix):
@@ -333,7 +347,7 @@ def solve_linear(A: RatMatrix, b: Vec):
     """One exact solution of Ax = b, or None when inconsistent."""
     if len(b) != A.rows:
         raise DimensionMismatch("rhs height mismatch")
-    aug = RatMatrix(data=tuple(r + (bb,) for r, bb in zip(A.data, vec(b))), cols=A.cols + 1)
+    aug = [(*r, bb) for r, bb in zip(A.data, vec(b))]
     T, D, pivots, _ = _gauss_jordan(_int_rows(aug)[0], range(A.cols + 1))
     if A.cols in pivots:
         return None
@@ -347,7 +361,7 @@ def invert(M: RatMatrix) -> RatMatrix:
     if M.rows != M.cols:
         raise NotSquare("inverse needs a square matrix")
     n = M.rows
-    rows, scales = _int_rows(M)
+    rows, scales = _int_rows(M.data)
     # Row i carries its scale s_i as its identity entry: [S M | S] reduces
     # to [I | M^{-1}].
     aug = [r + [0] * i + [s] + [0] * (n - 1 - i) for i, (r, s) in enumerate(zip(rows, scales))]
@@ -359,8 +373,8 @@ def invert(M: RatMatrix) -> RatMatrix:
 
 def greedy_basis(A: RatMatrix, order: Sequence[int]) -> tuple:
     """Each column of `order` independent of those kept before it, in scan
-    order: the pivot columns of one RREF of A's columns taken in `order`."""
-    return tuple(order[j] for j in rref(A.take_cols(order))[1])
+    order: the pivots of `_gauss_jordan` taking A's columns in `order`."""
+    return _gauss_jordan(_int_rows(A.data)[0], order)[2]
 
 
 def basis_form(A: RatMatrix, basis: Sequence[int]) -> RatMatrix:
@@ -368,7 +382,7 @@ def basis_form(A: RatMatrix, basis: Sequence[int]) -> RatMatrix:
     basis = list(basis)
     if len(basis) != A.rows:
         raise SingularBasis(f"basis needs exactly {A.rows} columns, got {len(basis)}")
-    T, D, pivots, _ = _gauss_jordan(_int_rows(A)[0], basis)
+    T, D, pivots, _ = _gauss_jordan(_int_rows(A.data)[0], basis)
     if len(pivots) < A.rows:
         raise SingularBasis("matrix is singular")
     return _over(T, D, A.cols)
@@ -380,7 +394,7 @@ def bases(A: RatMatrix, over: Sequence[int] | None = None):
     B is a basis exactly when each of its columns finds a pivot, and its
     rows over D are then A_B^{-1} A."""
     over = range(A.cols) if over is None else over
-    rows = _int_rows(A)[0]
+    rows = _int_rows(A.data)[0]
     for B in itertools.combinations(over, A.rows):
         T, D, pivots, _ = _gauss_jordan(rows, B)
         if len(pivots) == A.rows:
@@ -416,16 +430,9 @@ def bareiss_det(M: RatMatrix) -> Fraction:
         raise NotSquare("determinant needs a square matrix")
     if M.rows == 0:
         return Fraction(1)
-    rows, scales = _int_rows(M)
+    rows, scales = _int_rows(M.data)
     _, D, pivots, sign = _gauss_jordan(rows, range(M.cols))
     return Fraction(sign * D, math.prod(scales)) if len(pivots) == M.rows else Fraction(0)
-
-
-def over_common_den(v) -> tuple[list, int]:
-    """(ints, den) with v = ints / den entry by entry: den > 0 is the least
-    common denominator of the entries of v, ints or Fractions."""
-    den = math.lcm(*(x.denominator for x in v))
-    return [x.numerator * (den // x.denominator) for x in v], den
 
 
 def integer_normalize(v: Vec):

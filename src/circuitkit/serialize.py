@@ -22,10 +22,11 @@ _FRACTION_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
 def frac_str(x) -> str:
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    """An int or a Fraction as "p" or "p/q", read off its numerator and
+    denominator, so an int is not made a Fraction first."""
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"
 
 
 def parse_frac(value) -> Fraction:
@@ -134,7 +135,7 @@ def trace_to_obj(trace) -> dict:
     for s in trace.steps:
         steps.append(
             {
-                "direction": vec_to_obj(s.direction.as_fractions()),
+                "direction": vec_to_obj(s.direction.vector),
                 "alpha": frac_str(s.alpha),
                 "x_after": vec_to_obj(s.x_after),
                 "objective_after": frac_str(s.objective_after),

@@ -53,9 +53,6 @@ class ElementaryVector(NamedTuple):
     support: tuple
     vector: tuple
 
-    def as_fractions(self) -> Vec:
-        return tuple(Fraction(x) for x in self.vector)
-
     def ratio(self, i: int, j: int) -> Fraction:
         """|v_j / v_i| for i, j in the support."""
         return Fraction(abs(self.vector[j]), abs(self.vector[i]))
@@ -70,14 +67,12 @@ class ConformalDecomposition(NamedTuple):
     def verify(self) -> bool:
         n = len(self.target)
         acc = vec_zero(n)
+        target = vec(self.target)
         for coeff, g in self.terms:
-            if coeff <= 0:
+            if coeff <= 0 or not is_conformal(g, target):
                 return False
-            gv = vec(g)
-            if not is_conformal(gv, vec(self.target)):
-                return False
-            acc = tuple(a + coeff * x for a, x in zip(acc, gv))
-        return acc == vec(self.target) and len(self.terms) <= n
+            acc = tuple(a + coeff * x for a, x in zip(acc, g))
+        return acc == target and len(self.terms) <= n
 
 
 # Canonical kernel_rep -> the live Subspace; an entry goes when its object does.
@@ -171,17 +166,9 @@ class Subspace:
         return _enumerate_circuits(self)
 
     @cached_property
-    def circuit_measures(self):
-        """The `imbalance.imbalances` report, from one integer pass over
-        `circuit_list` (`imbalance._measure_circuits`)."""
-        from .imbalance import _measure_circuits  # imbalance builds on this module
-
-        return _measure_circuits(self.circuit_list)
-
-    @cached_property
     def measures(self):
-        """The `imbalance.imbalances` report of this subspace."""
-        from .imbalance import imbalances
+        """The `imbalance.imbalances` report of this subspace, made once."""
+        from .imbalance import imbalances  # imbalance builds on this module
 
         return imbalances(self)
 
@@ -312,6 +299,14 @@ def _enumerate_circuits(W: Subspace) -> tuple:
 def _primal_circuits(n: int, int_rows: list, leaf):
     """The primal side of `_enumerate_circuits`: independent sets of A."""
 
+    def dependent(I: tuple, pivoted: list, D: int, k: int, e: int):
+        # Column e (tail slot k) depends on I: its kernel line closes I + e
+        # when no entry on I is zero.
+        v = [-prow[k] for prow in pivoted]
+        if 0 not in v:
+            v.append(D)
+            leaf(I + (e,), v)
+
     def grow(I: tuple, pivoted: list, rest: list, D: int, start: int):
         # pivoted: the rows holding a pivot, in the order of I; rest: the
         # others.  Both hold the columns start..n-1 only.
@@ -321,10 +316,7 @@ def _primal_circuits(n: int, int_rows: list, leaf):
             e = start + k
             row = next((row for row in rest if row[k]), None)
             if row is None:
-                v = [-prow[k] for prow in pivoted]
-                if 0 not in v:
-                    v.append(D)
-                    leaf(I + (e,), v)
+                dependent(I, pivoted, D, k, e)
                 continue
             prow = row if row[k] > 0 else [-a for a in row]
             p = prow[k]
@@ -347,10 +339,7 @@ def _primal_circuits(n: int, int_rows: list, leaf):
             e = start + k
             a = R[k]
             if not a:
-                v = [-prow[k] for prow in pivoted]
-                if 0 not in v:
-                    v.append(D)
-                    leaf(I + (e,), v)
+                dependent(I, pivoted, D, k, e)
                 continue
             prow, p = (R, a) if a > 0 else ([-x for x in R], -a)
             for k2 in range(k + 1, n - start):
@@ -379,12 +368,11 @@ def _dual_circuits(W: Subspace, leaf):
     pivots = [next(j for j, x in enumerate(row) if x) for row in A]
     basis = []
     for f in sorted(set(range(n)).difference(pivots)):
-        L = math.lcm(*(row[f].denominator for row in A))
+        col, L = over_common_den([row[f] for row in A])
         out = [0] * n
         out[f] = L
-        for row, p in zip(A, pivots):
-            x = row[f]
-            out[p] = -(x.numerator * (L // x.denominator))
+        for x, p in zip(col, pivots):
+            out[p] = -x
         basis.append(out)
 
     def grow(rest: list, D: int, start: int, skipped: list):
@@ -419,15 +407,17 @@ def circuits(W: Subspace) -> tuple:
 
 
 def oriented_circuits(W: Subspace):
-    """Every circuit of W in both orientations, as (circuit, Fraction vector).
+    """Every circuit of W in both orientations, as an `ElementaryVector`
+    whose `vector` is a tuple of ints.
 
     Circuits come in `circuit_list` order, each with its canonical sign
-    first, so a scan that keeps its first match is deterministic.
+    first and then its negation, so a scan that keeps its first match is
+    deterministic.  Consumers compute on the int entries directly: the
+    `ratmat` kernels, `/` and `<` take ints and Fractions alike.
     """
     for ev in W.circuit_list:
-        for sign in (1, -1):
-            g = ev if sign == 1 else ElementaryVector(ev.support, tuple(-x for x in ev.vector))
-            yield g, g.as_fractions()
+        yield ev
+        yield ElementaryVector(ev.support, tuple(-x for x in ev.vector))
 
 
 def conformal_circuit(W: Subspace, z: Vec):
@@ -435,8 +425,8 @@ def conformal_circuit(W: Subspace, z: Vec):
     when z = 0."""
     zv = vec(z)
     best = None
-    for g, gv in oriented_circuits(W):
-        if is_conformal(gv, zv) and (best is None or g.support < best.support):
+    for g in oriented_circuits(W):
+        if is_conformal(g.vector, zv) and (best is None or g.support < best.support):
             best = g
     return best
 
@@ -460,9 +450,9 @@ def conformal_decompose(W: Subspace, z: Vec) -> ConformalDecomposition:
         g = conformal_circuit(W, r)
         if g is None:
             raise InternalError("no conformal circuit found for a nonzero remainder")
-        gv = g.as_fractions()
+        gv = g.vector
         alpha = min(r[i] / gv[i] for i in g.support)
-        terms.append((alpha, g.vector))
+        terms.append((alpha, gv))
         r = tuple(a - alpha * b for a, b in zip(r, gv))
     dec = ConformalDecomposition(target=zv, terms=tuple(terms))
     if not dec.verify():
@@ -521,9 +511,8 @@ def lift_min_norm(W: Subspace, I: Sequence[int], p: Vec) -> Vec:
         stack_rows.append(e)
     _, _, V0 = rref_kernel(RatMatrix.from_rows(stack_rows, cols=W.ambient_dim))
     if V0.rows:
-        gram = V0.mul(V0.transpose())
-        mu = solve_linear(gram, V0.matvec(z0))
-        z0 = vec_sub(z0, V0.vecmat(mu))
+        # the rows of V0 span ker(V0)-perp: this is z0's projection onto them
+        z0 = vec_sub(z0, Subspace.from_kernel_matrix(V0).project_onto_perp(z0))
     if any(z0[i] != p[pos] for pos, i in enumerate(I)) or not W.contains(z0):
         raise InternalError("minimum-norm lift misses p or leaves W")
     return z0

@@ -187,7 +187,7 @@ def _restep(trace, t, alpha):
     """`trace` with step t taken at length alpha, its iterate recomputed."""
     prev = trace.iterates()[t]
     step = trace.steps[t]
-    x = tuple(xi + alpha * gi for xi, gi in zip(prev, step.direction.as_fractions()))
+    x = tuple(xi + alpha * gi for xi, gi in zip(prev, step.direction.vector))
     steps = list(trace.steps)
     steps[t] = step._replace(alpha=alpha, x_after=x)
     return trace._replace(steps=tuple(steps))
@@ -260,8 +260,8 @@ def test_support_circuit_shrinks_support():
     A = RatMatrix.from_rows([[1, 1, 0], [0, 1, 1]], cols=3)
     g = support_circuit(Subspace.from_kernel_matrix(A), vec([0, 0, 0]), vec([1, 1, 1]))
     x = vec([1, 1, 1])
-    alpha = maximal_step(x, g.as_fractions())
-    moved = tuple(a + alpha * b for a, b in zip(x, g.as_fractions()))
+    alpha = maximal_step(x, g.vector)
+    moved = tuple(a + alpha * b for a, b in zip(x, g.vector))
     assert sum(1 for v in moved if v == 0) > 0
 
 

@@ -176,6 +176,22 @@ def test_dot_products_go_through_ratmat():
     assert found == []
 
 
+def test_only_ratmat_reads_integer_ratios():
+    # One rational-to-integer reader: ratmat.over_common_den (and _int_rows,
+    # row by row) writes a vector as integers over its least common
+    # denominator; every other module goes through it or reads
+    # .numerator and .denominator.
+    sample = "pairs = [x.as_integer_ratio() for x in row]"
+    assert _calls(ast.parse(sample), "as_integer_ratio")
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "ratmat.py"]
+    assert paths
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{n.lineno}" for n in _calls(tree, "as_integer_ratio")]
+    assert found == []
+
+
 def test_the_package_reads_no_environment():
     # ROADMAP item 4: "Add no environment variable."  The column cap is the
     # constant ratmat.MAX_ENUM_COLS, and no knob outside the arguments may

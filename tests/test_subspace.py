@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circuitkit.errors import EmptyIndexSet, NotInProjection, NotInSubspace
-from circuitkit.ratmat import RatMatrix, is_conformal, norm2_sq, vec, vec_sub
+from circuitkit.ratmat import (
+    RatMatrix,
+    is_conformal,
+    norm2_sq,
+    rref_kernel,
+    vec,
+    vec_dot,
+    vec_sub,
+)
 from circuitkit.subspace import (
     Subspace,
     _enumerate_circuits,
@@ -18,6 +26,7 @@ from circuitkit.subspace import (
     is_separable,
     lift_min_norm,
     minor,
+    oriented_circuits,
 )
 from circuitkit import subspace
 from circuitkit.generate import GeneratorSpec, generate
@@ -25,6 +34,7 @@ import util
 from util import (
     brute_circuits,
     fraction_enumerate_circuits,
+    fraction_lift_min_norm,
     fraction_project_onto_perp,
     hypergraph_components,
     int_enumerate_circuits,
@@ -77,6 +87,21 @@ def test_dual_is_orthogonal_complement(W3):
     for w in W3.span_rep.data:
         for z in D.span_rep.data:
             assert sum(a * b for a, b in zip(w, z)) == 0
+
+
+@given(rational_matrices(rows=(1, 3), cols=(2, 6)))
+@settings(max_examples=60, deadline=None)
+def test_oriented_circuits_are_int_vectors_in_both_signs(A):
+    W = Subspace.from_kernel_matrix(A)
+    got = list(oriented_circuits(W))
+    assert len(got) == 2 * len(W.circuit_list)
+    for ev, plus, minus in zip(W.circuit_list, got[::2], got[1::2]):
+        assert plus == ev
+        assert minus.support == ev.support
+        assert minus.vector == tuple(-x for x in ev.vector)
+        for g in (plus, minus):
+            assert type(g.vector) is tuple and all(type(x) is int for x in g.vector)
+        assert next(x for x in plus.vector if x) > 0
 
 
 def test_conformal_decompose_int(A_int):
@@ -463,6 +488,24 @@ def test_the_projection_matches_the_fraction_gram_solve(A, data):
     got = W.project_onto_perp(v)
     assert got == fraction_project_onto_perp(W, v)
     assert W.contains(vec_sub(v, got)) and dual(W).contains(got)
+
+
+@given(rational_matrices(rows=(1, 4), cols=(1, 7)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_the_least_norm_lift_matches_the_fraction_gram_solve(A, data):
+    W = Subspace.from_kernel_matrix(A)
+    n = W.ambient_dim
+    I = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=W.dim, max_size=W.dim))
+    w = W.span_rep.vecmat(vec(coeffs))
+    p = tuple(w[i] for i in I)
+    got = lift_min_norm(W, I, p)
+    assert got == fraction_lift_min_norm(W, I, p)
+    assert W.contains(got) and tuple(got[i] for i in I) == p
+    # orthogonal to W ∩ {x_I = 0}, the kernel of kernel_rep stacked on e_I
+    units = [[int(j == i) for j in range(n)] for i in I]
+    _, _, V0 = rref_kernel(RatMatrix.from_rows([*W.kernel_rep.data, *units], cols=n))
+    assert all(vec_dot(v, got) == 0 for v in V0.data)
 
 
 def test_the_projection_onto_the_perp_of_everything_is_zero():

@@ -113,6 +113,24 @@ def fraction_project_onto_perp(W: Subspace, v) -> tuple:
     return B.transpose().matvec(mu)
 
 
+def fraction_lift_min_norm(W: Subspace, I, p) -> tuple:
+    """`subspace.lift_min_norm` with its own Fraction Gram solve, the form
+    it replaced: a lift z0 of p, less V0^T mu with (V0 V0^T) mu = V0 z0,
+    where the rows of V0 span W ∩ {x_I = 0}.  p must be in the projection."""
+    I = sorted(set(I))
+    n = W.ambient_dim
+    S = W.span_rep
+    if S.rows == 0:
+        return (Fraction(0),) * n
+    z0 = S.vecmat(solve_linear(S.take_cols(I).transpose(), vec(p)))
+    units = [[Fraction(int(j == i)) for j in range(n)] for i in I]
+    _, _, V0 = rref_kernel(RatMatrix.from_rows([*W.kernel_rep.data, *units], cols=n))
+    if V0.rows == 0:
+        return z0
+    mu = solve_linear(V0.mul(V0.transpose()), V0.matvec(z0))
+    return tuple(a - b for a, b in zip(z0, V0.vecmat(mu)))
+
+
 def fraction_norm1(a) -> Fraction:
     return sum((abs(x) for x in a), Fraction(0))
 
@@ -1294,7 +1312,7 @@ def fraction_conjecture_decompose(W, z):
     target = tuple(int(v) for v in zv)
     if all(v == 0 for v in zv):
         return gmod.ConjectureReport(target=target, status="holds", decomposition=(), searched=0)
-    oriented = sorted(g.vector for g, gv in oriented_circuits(W) if is_conformal(gv, zv))
+    oriented = sorted(g.vector for g in oriented_circuits(W) if is_conformal(g.vector, zv))
     searched = 0
 
     def attempt(start, remaining, depth, limit, acc):
@@ -1700,7 +1718,7 @@ def delta_min_angle(vectors) -> float:
 def steepness_spectrum(W: Subspace, c) -> frozenset:
     """All values of <c,g>/||g||_1 over oriented elementary vectors."""
     cv = vec(c)
-    values = {vec_dot(cv, gv) / norm1(gv) for _, gv in oriented_circuits(W)}
+    values = {vec_dot(cv, g.vector) / norm1(g.vector) for g in oriented_circuits(W)}
     n = W.ambient_dim
     m = W.codim
     if values and all(x.denominator == 1 for x in cv):
