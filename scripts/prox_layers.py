@@ -11,9 +11,18 @@ its measures before any timing, so each row is its entry point's own
 work; the `measures` row times the circuit enumeration and the measures on
 fresh objects, built by the constructor, which bypasses the table of live
 subspaces.  A row's time is the best over --repeats passes over
-every instance, in process time; its `lp.solve` calls and pivots come from
-one more pass through a counting wrapper.  The digest covers every output,
-so two versions of the package that agree print the same one.
+every instance, in process time.  Its counts come from one more pass with
+counting wrappers installed:
+- `solves`, `pivots`: `lp.solve` calls and their pivots;
+- `reads`: vectors and rows read into integers by `ratmat.over_common_den`;
+- `rows`: of those, the rows of a matrix, read through `ratmat._int_rows`;
+- `fracs`, `cmps`, `hashes`: Fractions built, compared and hashed.
+The first three wrappers rebind the name in every loaded `circuitkit`
+module, as `perfbench/tracer.py` does; the Fraction counts wrap
+`Fraction.__new__`, the rich comparisons and `__hash__` on the class for
+the pass.  Counts are exact, so they repeat from run to run where the
+times do not.  The digest covers every output, so two versions of the
+package that agree print the same one.
 
 Usage: python3 scripts/prox_layers.py [--instances 80] [--repeats 7] [--seed 0]
 """
@@ -21,10 +30,11 @@ Usage: python3 scripts/prox_layers.py [--instances 80] [--repeats 7] [--seed 0]
 import argparse
 import hashlib
 import random
+import sys
 import time
 from fractions import Fraction
 
-from circuitkit import proximity
+from circuitkit import proximity, ratmat
 from circuitkit.errors import InfeasibleSystem
 from circuitkit.lp import OPTIMAL, LPInstance, solve
 from circuitkit.ratmat import RatMatrix, rank, vec, vec_sub
@@ -93,23 +103,70 @@ def entry_points(prepared):
     ]
 
 
-def lp_work(thunk) -> tuple:
-    """(outputs, lp.solve calls, pivots) of one pass of `thunk`, counted by
-    wrapping the `solve` that the proximity module calls."""
-    calls, pivots = 0, 0
+FRACTION_COUNTS = {
+    "__new__": "fracs",
+    "__eq__": "cmps",
+    "__lt__": "cmps",
+    "__le__": "cmps",
+    "__gt__": "cmps",
+    "__ge__": "cmps",
+    "__hash__": "hashes",
+}
+COLUMNS = ("solves", "pivots", "reads", "rows", "fracs", "cmps", "hashes")
 
-    def counting(lp, tiebreak=None, start=None):
-        nonlocal calls, pivots
+
+def _rebind(old, new):
+    """Rebind every name that holds `old` in a loaded circuitkit module;
+    returns the (module, name, old) triples rebound."""
+    done = []
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is None or not (mod_name == "circuitkit" or mod_name.startswith("circuitkit.")):
+            continue
+        for key, value in list(vars(mod).items()):
+            if value is old:
+                setattr(mod, key, new)
+                done.append((mod, key, old))
+    return done
+
+
+def work(thunk) -> tuple:
+    """(outputs, counts) of one pass of `thunk`: counts maps each of
+    COLUMNS to its total."""
+    counts = dict.fromkeys(COLUMNS, 0)
+
+    def counting_solve(lp, tiebreak=None, start=None):
         res = solve(lp, tiebreak=tiebreak, start=start)
-        calls, pivots = calls + 1, pivots + res.pivots
+        counts["solves"] += 1
+        counts["pivots"] += res.pivots
         return res
 
-    proximity.solve = counting
+    def counted(key, fn, amount=lambda *args: 1):
+        def wrapper(*args, **kwargs):
+            counts[key] += amount(*args)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    saved = {name: vars(Fraction)[name] for name in FRACTION_COUNTS}
+    reader, rows_reader = ratmat.over_common_den, ratmat._int_rows
+    rebound = (
+        _rebind(solve, counting_solve)
+        + _rebind(reader, counted("reads", reader))
+        + _rebind(rows_reader, counted("rows", rows_reader, len))
+    )
+    for name, key in FRACTION_COUNTS.items():
+        if name == "__new__":
+            setattr(Fraction, name, staticmethod(counted(key, saved[name])))
+        else:
+            setattr(Fraction, name, counted(key, saved[name]))
     try:
         outputs = thunk()
     finally:
-        proximity.solve = solve
-    return outputs, calls, pivots
+        for name, fn in saved.items():
+            setattr(Fraction, name, fn)
+        for mod, key, old in rebound:
+            setattr(mod, key, old)
+    return outputs, counts
 
 
 def main() -> int:
@@ -125,10 +182,10 @@ def main() -> int:
     prepared = prepare(instances)
     digest = hashlib.sha256()
     print(f"{args.instances} instances, seed {args.seed}, best of {args.repeats} passes")
-    print(f"{'entry point':<28} {'ms/pass':>9} {'ms/call':>8} {'solves':>7} {'pivots':>7}")
+    print(f"{'entry point':<28} {'ms/pass':>9} {'ms/call':>8}" + "".join(f" {c:>7}" for c in COLUMNS))
     total = 0.0
     for name, thunk in entry_points(prepared):
-        outputs, calls, pivots = lp_work(thunk)
+        outputs, counts = work(thunk)
         digest.update(repr((name, outputs)).encode())
         best = float("inf")
         for _ in range(args.repeats):
@@ -137,7 +194,8 @@ def main() -> int:
             best = min(best, time.process_time() - t0)
         total += best
         per_call = 1000 * best / max(len(outputs), 1)
-        print(f"{name:<28} {1000 * best:>9.2f} {per_call:>8.3f} {calls:>7} {pivots:>7}")
+        cells = "".join(f" {counts[c]:>7}" for c in COLUMNS)
+        print(f"{name:<28} {1000 * best:>9.2f} {per_call:>8.3f}{cells}")
     print(f"{'total':<28} {1000 * total:>9.2f}")
     print(f"digest {digest.hexdigest()[:16]}")
     return 0

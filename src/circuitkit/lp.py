@@ -1,11 +1,14 @@
 """Exact rational linear programming.
 
 Two-phase primal simplex with Bland's rule on a fraction-free integer
-tableau: rows are scaled to integers once, by `ratmat.over_common_den`,
-each row is kept over its own positive denominator, and the reduced
-costs are carried as one more row.  A pivot is an Edmonds-Bareiss step on
-the rows that are nonzero in the pivot column only; every other row keeps
-its integers and its denominator.  The pivots are exactly those of Bland's
+tableau: each row is built from the integer rows the LP's matrix keeps
+(`RatMatrix.int_rows`, read once by `ratmat.over_common_den`) and its
+right-hand side, each row is kept over its own positive denominator, and
+the reduced costs are carried as one more row.  A pivot is an
+Edmonds-Bareiss step on the rows that are nonzero in the pivot column
+only; every other row keeps its integers and its denominator.  Bland's
+rule never visits a basis twice, so a stage stops within C(width, m)
+iterations, and raises InternalError past that.  The pivots are exactly those of Bland's
 rule on the rational tableau, so x, y, bases and certificates are the same;
 they become Fractions only when the result is read off, each built once
 from integers.  A tie-break cost adds a third, lexicographic stage on the
@@ -18,10 +21,12 @@ Instances come in three flavors: standard form (min cx, Ax = b, x >= 0),
 upper-bounded standard form (0 <= x <= u, with None entries meaning
 unbounded), and the affine-subspace form (x in W + d, x >= 0) which
 standardizes immediately.  `LPInstance.violation` is the one test of a
-point against the region.
+point against the region, decided in integers.
 
 Vertex enumeration, the vertex-edge graph, and fractionality (the lcm of
 vertex denominators) run over the standardized system and are exact.
+Each scans all C(width, m) column sets of its m x width standardized
+matrix, with no cap.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .errors import (
@@ -40,7 +46,6 @@ from .errors import (
 )
 from .ratmat import (
     RatMatrix,
-    _int_rows,
     as_fraction,
     bareiss_step,
     bases,
@@ -82,7 +87,7 @@ class LPInstance(namedtuple("LPInstance", "A b c u", defaults=(None,))):
     @classmethod
     def bounded(cls, A: RatMatrix, b, c, u) -> "LPInstance":
         uu = tuple(None if x is None else as_fraction(x) for x in u)
-        if any(x is not None and x < 0 for x in uu):
+        if any(x is not None and x.numerator < 0 for x in uu):
             raise BadParameters("upper bounds must be nonnegative")
         return cls(A=A, b=vec(b), c=vec(c), u=uu)
 
@@ -97,12 +102,33 @@ class LPInstance(namedtuple("LPInstance", "A b c u", defaults=(None,))):
     def n(self) -> int:
         return self.A.cols
 
+    @property
+    def bounded_idx(self) -> list:
+        """The columns with a finite upper bound, ascending."""
+        return [] if self.u is None else [i for i, x in enumerate(self.u) if x is not None]
+
     def violation(self, x) -> str | None:
         """What the point x breaks of the region: "equations" when A x = b
-        or x >= 0 fails, else "upper" when x <= u fails, else None."""
-        if self.A.matvec(x) != self.b or any(v < 0 for v in x):
+        or x >= 0 fails, else "upper" when x <= u fails, else None.
+
+        Decided in integers, with no Fraction built or compared: x = X / q
+        over its common denominator (`ratmat.over_common_den`), row i of A
+        the integers P_i over s_i that A keeps (`RatMatrix.int_rows`), and
+        b_i = p_i / q_i.  Row i holds when (P_i . X) q_i = p_i s_i q, x >= 0
+        when X >= 0, and x_j <= u_j = p / r when X_j r <= p q.  An x of the
+        wrong length is a DimensionMismatch."""
+        if len(x) != self.A.cols:
+            raise DimensionMismatch("matvec width mismatch")
+        X, q = over_common_den(x)
+        rows, scales = self.A.int_rows
+        if min(X, default=0) < 0 or any(
+            sum(map(mul, row, X)) * bi.denominator != bi.numerator * s * q
+            for row, s, bi in zip(rows, scales, self.b)
+        ):
             return "equations"
-        if self.u is not None and any(ui is not None and xi > ui for xi, ui in zip(x, self.u)):
+        if self.u is not None and any(
+            uj is not None and xj * uj.denominator > uj.numerator * q for xj, uj in zip(X, self.u)
+        ):
             return "upper"
         return None
 
@@ -112,9 +138,8 @@ class LPInstance(namedtuple("LPInstance", "A b c u", defaults=(None,))):
         b = list(self.b)
         c = list(self.c)
         n = self.A.cols
-        bounded_idx = []
-        if self.u is not None:
-            bounded_idx = [i for i, x in enumerate(self.u) if x is not None]
+        bounded_idx = self.bounded_idx
+        if bounded_idx:
             f = len(bounded_idx)
             for r in rows:
                 r.extend([Fraction(0)] * f)
@@ -142,14 +167,21 @@ class LPResult(NamedTuple):
 class _Tableau:
     """Fraction-free simplex tableau over the integers, one denominator per row.
 
-    Row i of the input, sign-flipped so that its right-hand side is >= 0, is
+    The tableau of an LPInstance's standardized system: its rows, then one
+    row x_j + slack = u_j per finite upper bound, m rows in all over n
+    columns.  Row i, sign-flipped so that its right-hand side is >= 0, is
     scaled by the least positive integer s_i that clears its denominators,
-    and gets the artificial column n + i.  Each row is read once, with its
-    right-hand side, through `ratmat._int_rows`, and then negated when that
-    right-hand side is negative.  Row r is stored as integers T[r] over its own
-    denominator den[r] > 0, and its tableau entries are T[r][k] / den[r].
-    D > 0 is the absolute value of the current basis determinant, and
-    T[r] * D / den[r] is the integer Bareiss row at D.
+    and gets the artificial column n + i.  No Fraction of the matrix is read
+    here: row i of A comes from the integer row P_i over a_i that A keeps
+    (`RatMatrix.int_rows`), and with b_i = p / q it is P_i times
+    sign(p) s_i / a_i followed by |p| s_i / q, where s_i = lcm(a_i, q); a
+    bound row holds the ints q_j, q_j and p_j of u_j = p_j / q_j.  These are
+    the integers `ratmat.over_common_den` would give the row with its
+    right-hand side, so the tableau is the same.  Row r is stored as
+    integers T[r] over its own denominator den[r] > 0, and its tableau
+    entries are T[r][k] / den[r].  D > 0 is the absolute value of the
+    current basis determinant, and T[r] * D / den[r] is the integer
+    Bareiss row at D.
 
     A pivot on (r, j) with p = T[r][j] takes D to |p * D / den[r]|.  Each
     other row that is nonzero in column j takes one `ratmat.bareiss_step`,
@@ -160,32 +192,41 @@ class _Tableau:
     The reduced costs of the current phase are one more such row, `reduced`
     over `red_den`, holding L times the reduced cost, where L clears the
     denominators of the cost vector; its integers are read from the costs
-    by `ratmat.over_common_den`, the reader behind `_int_rows`.
+    by `ratmat.over_common_den`.
 
     The scaling substitutes s_i * a_i for artificial a_i, so artificial i
     costs 1/s_i in phase 1.  Every reduced cost keeps its sign and every
     ratio-test quotient keeps its order, since a row's denominator cancels
     from T[r][-1] / T[r][j], so Bland's rule takes the same pivots as it
-    would over the unscaled rational tableau.  The column count n is given,
-    so an LP with no rows is a tableau with no rows: phase 1 ends at once
-    and phase 2 prices every column.
+    would over the unscaled rational tableau.  An LP with no rows is a
+    tableau with no rows: phase 1 ends at once and phase 2 prices every
+    column.
     """
 
-    def __init__(self, rows: list[list[Fraction]], b: list[Fraction], n: int):
-        self.m = m = len(rows)
-        self.n = n
-        self.flip: list[int] = []
+    def __init__(self, lp: LPInstance):
+        A, u = lp.A, lp.u
+        bounded = lp.bounded_idx
+        self.m = m = A.rows + len(bounded)
+        self.n = n = A.cols + len(bounded)
+        lines = list(zip(*A.int_rows, lp.b))
+        for t, j in enumerate(bounded):
+            unit = [0] * n  # e_j + e_(A.cols + t) = u_j, integers over 1
+            unit[j] = unit[A.cols + t] = 1
+            lines.append((unit, 1, u[j]))
         self.T: list[list[int]] = []
-        ints, self.scale = _int_rows([(*row, bi) for row, bi in zip(rows, b)])
-        for i, row in enumerate(ints):
-            sign = -1 if row[-1] < 0 else 1
-            if sign < 0:
-                row = [-a for a in row]
-            rhs = row.pop()
-            row += [0] * m
+        self.scale: list[int] = []
+        self.flip: list[int] = []
+        for i, (row, a, bi) in enumerate(lines):
+            p, q = bi.numerator, bi.denominator
+            g = math.gcd(a, q)
+            sign = -1 if p < 0 else 1
+            k = sign * (q // g)  # s_i / a_i, with the sign folded in
+            row = [v * k for v in row] if k != 1 else list(row)
+            row += [0] * (n + m - len(row))
             row[n + i] = 1
-            row.append(rhs)
+            row.append(abs(p) * (a // g))
             self.T.append(row)
+            self.scale.append(a // g * q)
             self.flip.append(sign)
         self.den = [1] * self.m
         self.D = 1
@@ -270,8 +311,10 @@ class _Tableau:
 
     def run(self, cols):
         """Bland iterations over the ascending columns `cols` to optimality
-        or unboundedness."""
-        while True:
+        or unboundedness.  Bland's rule never returns to a basis under one
+        cost row, so a stage visits at most C(width, m) bases of the m rows
+        left; a stage that would pivot past that bound raises InternalError."""
+        for _ in range(math.comb(self.width, len(self.T))):
             reduced = self.reduced
             enter = next((j for j in cols if reduced[j] < 0), None)
             if enter is None:
@@ -291,6 +334,7 @@ class _Tableau:
             if leave is None:
                 return UNBOUNDED, enter
             self.pivot(leave, enter)
+        raise InternalError("a simplex stage pivoted more often than the tableau has bases")
 
     def install(self, x: list[Fraction]):
         """Make the support of the standardized point x >= 0 basic: each
@@ -300,9 +344,9 @@ class _Tableau:
         basic value T[r][-1] / den[r] is compared with its x_j = p / q as
         the integers T[r][-1] q and p den[r], so no Fraction is built.  A
         negative x, a dependent support or a misread raises InternalError."""
-        if any(v < 0 for v in x):
+        if any(v.numerator < 0 for v in x):
             raise InternalError("start is not feasible: a coordinate is negative or over its bound")
-        support = [j for j, v in enumerate(x) if v]
+        support = [j for j, v in enumerate(x) if v.numerator]
         for j in support:
             r = next(
                 (r for r, row in enumerate(self.T) if self.basis[r] >= self.n and row[j]),
@@ -341,8 +385,9 @@ class _Tableau:
         return x
 
 
-def _solve_standard(rows, b, c, c2=None, start=None):
-    """Two-phase simplex on min c x, rows x = b, x >= 0 (lists of Fractions).
+def _solve_standard(lp: LPInstance, c2=None, start=None):
+    """Two-phase simplex on the standardized system of `lp` (`_Tableau`),
+    min c x with c = lp.c and 0 on the slack columns.
 
     A third stage minimizes c2 from the optimal basis, pricing only the
     columns of reduced cost 0 under c: their pivots leave c's reduced-cost
@@ -353,26 +398,26 @@ def _solve_standard(rows, b, c, c2=None, start=None):
     artificial, all at 0, then take their highest nonzero column, not the
     lowest: on the nearest-point LPs of `proximity` those are deviation and
     cap columns, and phase 2 took fewer pivots and less time from there."""
-    tab = _Tableau(rows, b, len(c))
+    tab = _Tableau(lp)
     if start is None:
-        tab.set_costs([Fraction(0)] * tab.n + [Fraction(1, s) for s in tab.scale])
+        tab.set_costs([0] * tab.n + [Fraction(1, s) for s in tab.scale])
         status, _ = tab.run(range(tab.width))
         if status != OPTIMAL:
             raise InternalError("phase 1 of the simplex reported an unbounded objective")
-        if tab.objective() > 0:
+        if tab.reduced[-1] < 0:  # the objective -reduced[-1] / (L red_den) is > 0
             return {"status": INFEASIBLE, "certificate": tab.duals(), "pivots": tab.pivots}
         tab.reduced = None  # phase 2 installs its own cost row after drive-out
         tab.drive_out_artificials(range(tab.n))
     else:
         tab.install(start)
         tab.drive_out_artificials(range(tab.n - 1, -1, -1))
-    tab.set_costs(list(c) + [Fraction(0)] * tab.m)
+    tab.set_costs([*lp.c, *[0] * (tab.width - lp.n)])
     status, enter = tab.run(range(tab.n))
     if status == OPTIMAL:
         objective, y = tab.objective(), tab.duals()
         if c2 is not None:
             face = [j for j in range(tab.n) if tab.reduced[j] == 0]
-            tab.set_costs(list(c2) + [Fraction(0)] * tab.m)
+            tab.set_costs([*c2, *[0] * tab.m])
             status, enter = tab.run(face)
     if status == UNBOUNDED:
         ray = [Fraction(0)] * tab.width
@@ -409,17 +454,20 @@ def solve(lp: LPInstance, tiebreak=None, start=None) -> LPResult:
     InternalError: the caller's invariant is broken, and the solve does not
     fall back to phase 1.
     """
-    rows, b, c, _, bounded_idx = lp.standardized()
-    c2 = None if tiebreak is None else list(vec(tiebreak)) + [Fraction(0)] * (len(c) - lp.n)
-    if c2 is not None and len(c2) != len(c):
-        raise DimensionMismatch("tie-break cost has the wrong length")
+    bounded_idx = lp.bounded_idx
+    c2 = None
+    if tiebreak is not None:
+        c2 = list(vec(tiebreak))
+        if len(c2) != lp.n:
+            raise DimensionMismatch("tie-break cost has the wrong length")
+        c2 += [0] * len(bounded_idx)
     x0 = None
     if start is not None:
         x0 = list(vec(start))
         if len(x0) != lp.n:
             raise DimensionMismatch("start has the wrong length")
         x0 += [lp.u[i] - x0[i] for i in bounded_idx]
-    return _result(lp, bounded_idx, _solve_standard(rows, b, c, c2, x0))
+    return _result(lp, bounded_idx, _solve_standard(lp, c2, x0))
 
 
 def _result(lp: LPInstance, bounded_idx, out: dict) -> LPResult:
@@ -464,8 +512,10 @@ def _std_system(lp: LPInstance):
 def _std_vertices(A: RatMatrix, b):
     """Vertices of the standardized region {x >= 0 : A x = b}, as full
     standardized vectors: x_B is the last column of the form of [A_red | b]
-    for each basis B."""
+    for each basis B.  The scan runs over all C(width, rank A) column sets
+    of the width columns, with no cap."""
     width = A.cols
+    region = LPInstance.standard(A, b, vec_zero(width))
     # Consistency of dropped rows is checked per candidate solution below via
     # the full system, so redundant-but-inconsistent data cannot slip through.
     keep = greedy_basis(A.transpose(), range(A.rows))
@@ -478,7 +528,7 @@ def _std_vertices(A: RatMatrix, b):
         for j, r in zip(B, form.data):
             x[j] = r[-1]
         xt = tuple(x)
-        if all(v >= 0 for v in xt) and A.matvec(xt) == b:
+        if region.violation(xt) is None:
             seen.setdefault(xt, B)
     return seen
 
@@ -489,7 +539,9 @@ def vertices(lp: LPInstance) -> list[tuple]:
     Vertices come back in the instance's original coordinates; the basis is
     a representative column set of the standardized system (slack columns
     for finite upper bounds sit at indices >= n).  Degenerate bases of the
-    same vertex are deduplicated.
+    same vertex are deduplicated.  `_std_vertices` scans all C(width, m)
+    column sets of the m x width standardized system, width = n plus one
+    slack per finite bound, with no cap.
     """
     A, b, n = _std_system(lp)
     out = {}
@@ -513,7 +565,9 @@ def edge_graph(lp: LPInstance):
 
     Two vertices are adjacent iff the minimal face containing both is a
     segment: |S| - rank(A_S) = 1 for S the union of their supports.  The
-    test is basis-free, so degeneracy cannot split or merge vertices.
+    test is basis-free, so degeneracy cannot split or merge vertices.  The
+    vertices come from the scan of all C(width, m) column sets of the
+    standardized system (`vertices`), with no cap.
     """
     return _edge_graph(*_std_system(lp))
 
@@ -563,7 +617,9 @@ def edge_graph_diameter(lp: LPInstance) -> int:
 
 
 def fractionality(lp: LPInstance) -> int:
-    """Least k such that every vertex of the region is 1/k-integral."""
+    """Least k such that every vertex of the region is 1/k-integral, over
+    the vertices of `vertices`, a scan of all C(width, m) column sets of
+    the standardized system, with no cap."""
     verts = vertices(lp)
     if not verts:
         raise InfeasibleSystem("empty region has no vertices")

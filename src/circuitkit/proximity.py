@@ -53,7 +53,6 @@ from .ratmat import (
     RatMatrix,
     Vec,
     _gauss_jordan,
-    _int_rows,
     as_fraction,
     neg_part,
     norm1,
@@ -105,12 +104,12 @@ def lambda_set(d, c) -> tuple[int, ...]:
     c = vec(c)
     if len(d) != len(c):
         raise DimensionMismatch("d and c length mismatch")
-    out = {i for i, x in enumerate(d) if x < 0}
-    out |= {i for i, x in enumerate(c) if x > 0}
+    out = {i for i, x in enumerate(d) if x.numerator < 0}
+    out |= {i for i, x in enumerate(c) if x.numerator > 0}
     return tuple(sorted(out))
 
 
-def _nearest_point(rows, b, anchor, vertex, K):
+def _nearest_point(A: RatMatrix, b, anchor, vertex, K):
     """Exact minimization of ||x - anchor|| over Ax = b, x >= 0 and x_j = 0
     off the ascending columns K: the sup-norm distance tau, then the 1-norm
     among points attaining it.  Returns (x, tau).
@@ -130,11 +129,14 @@ def _nearest_point(rows, b, anchor, vertex, K):
     floor row) fixes tau and the other cap rows fix w_i (and z).  The
     region is therefore nonempty, so a result that is not optimal is an
     InternalError, as is a point failing its re-verification against the
-    full rows.  `rows`, each n wide, `b` and `anchor` hold Fractions, as
-    the callers' vectors do.
+    integer rows of A (`RatMatrix.int_rows`).  The crash point is worked
+    out in integers over the common denominator of vertex_K, anchor_K and
+    F.  A is n wide; `b` and `anchor` hold Fractions, as the callers'
+    vectors do.
     """
     zero, one = Fraction(0), Fraction(1)
     n = len(anchor)
+    rows = A.data
     k = len(K)
     kept = set(K)
     off = [abs(anchor[j]) for j in range(n) if j not in kept]
@@ -160,33 +162,42 @@ def _nearest_point(rows, b, anchor, vertex, K):
         ext_b.append(floor)
     tau_cost = (0,) * (4 * k) + (1,) + (0,) * cut
     l1_cost = (zero,) * k + (one,) * (2 * k) + (zero,) * (k + 1 + cut)
-    dev = [vertex[j] - anchor[j] for j in K]
-    top = max((floor, *map(abs, dev)))
-    start = [
-        *(vertex[j] for j in K),
-        *(max(v, zero) for v in dev),
-        *(max(-v, zero) for v in dev),
+    # The crash point over the common denominator h of vertex_K, anchor_K, F.
+    V, h = over_common_den((*(vertex[j] for j in K), *(anchor[j] for j in K), floor))
+    dev = [v - a for v, a in zip(V[:k], V[k : 2 * k])]
+    F = V[-1]
+    top = max((F, *map(abs, dev)))
+    ints = (
+        *(max(v, 0) for v in dev),
+        *(max(-v, 0) for v in dev),
         *(top - abs(v) for v in dev),
         top,
-        *[top - floor] * cut,
-    ]
+        *[top - F] * cut,
+    )
+    start = [*(vertex[j] for j in K), *(Fraction(v, h) if v else zero for v in ints)]
     lp = LPInstance(RatMatrix(data=tuple(ext_rows), cols=width), tuple(ext_b), tau_cost)
     res = solve(lp, tiebreak=l1_cost, start=start)
     if res.status != OPTIMAL:
         raise InternalError(f"nearest-point LP of a nonempty region is {res.status}")
     # The re-verification in integers: the solution is X / q, the anchor
-    # P / qa, and gap = L (x_K - anchor_K) with L = lcm(q, qa).  Off K, x is
-    # 0, so those coordinates put the floor under tau and add norm1(off) to
-    # both sides of the 1-norm equation, which leaves sum |gap| = L sum(r + s).
+    # P / qa, and gap = L (x_K - anchor_K) with L = lcm(q, qa).  Row i of A
+    # is R_i / s_i and b_i = p / r, so it holds when (R_i . X) r = p s_i q.
+    # Off K, x is 0, so those coordinates put the floor under tau and add
+    # norm1(off) to both sides of the 1-norm equation, which leaves
+    # sum |gap| = L sum(r + s).
     tau = res.objective
     X, q = over_common_den(res.x)
     P, qa = over_common_den(anchor)
     L = lcm(q, qa)
     gap = [X[i] * (L // q) - P[j] * (L // qa) for i, j in enumerate(K)]  # L (x_K - anchor_K)
     far = max((floor.numerator * (L // floor.denominator), *map(abs, gap)))  # L tau
+    R, scales = A.int_rows
     if (
         min(X[:k], default=0) < 0
-        or any(vec_dot([row[j] for j in K], X[:k]) != bi * q for row, bi in zip(rows, b))
+        or any(
+            sum(row[j] * v for j, v in zip(K, X)) * bi.denominator != bi.numerator * s * q
+            for row, s, bi in zip(R, scales, b)
+        )
         or far * tau.denominator != tau.numerator * L
         or sum(map(abs, gap)) * q != sum(X[k : 3 * k]) * L
     ):
@@ -213,11 +224,11 @@ def _sup_dist(x: Vec, anchor: Vec) -> Fraction:
 def _scaled_reduced_costs(A: RatMatrix, c: Vec, y: Vec) -> tuple[list, int]:
     """(R, M) with R = M (c - A^T y) integers and M > 0, so that R carries
     the signs and zeros of the reduced costs: one integer pass over A's
-    rows P_i / a_i (`ratmat._int_rows`), y = Y / q_y and c = C / q_c, with
+    rows P_i / a_i that A keeps (`RatMatrix.int_rows`), y = Y / q_y and c = C / q_c, with
     M = q_c q_y lcm(a_i).  A y of the wrong length is a DimensionMismatch."""
     if len(y) != A.rows:
         raise DimensionMismatch("vecmat height mismatch")
-    P, scales = _int_rows(A.data)
+    P, scales = A.int_rows
     a = lcm(*scales)
     Y, qy = over_common_den(y)
     Ya = [v * (a // s) for v, s in zip(Y, scales)]  # A^T y = P^T Ya / (q_y a)
@@ -269,7 +280,7 @@ def _zero_cost_face(W: Subspace, d: Vec, s: Vec, lp: LPInstance):
     (`LPInstance.violation`), else InternalError.
     """
     G = W.int_kernel_rows
-    Z = [j for j, v in enumerate(s) if v == 0]
+    Z = [j for j, v in enumerate(s) if not v.numerator]
     k = len(Z)
     if k > len(G):
         return None
@@ -296,7 +307,7 @@ def _nearest_on_face(lp: LPInstance, x: Vec, K, anchor: Vec):
     """
     if _independent(lp.A, K):
         return x, _sup_dist(x, anchor)
-    near, tau = _nearest_point(lp.A.data, lp.b, anchor, x, K)
+    near, tau = _nearest_point(lp.A, lp.b, anchor, x, K)
     if vec_dot(lp.c, near) != vec_dot(lp.c, x):
         raise InternalError("nearest optimum fails its re-verification: its cost is not optimal")
     return near, tau
@@ -309,7 +320,7 @@ def _nearest_optimum(W: Subspace, d: Vec, c: Vec, anchor: Vec):
     is optimal and is its own nearest point: (anchor, 0), with no solve.
     """
     lp = LPInstance.from_subspace(W, d, c)
-    if all(v >= 0 for v in c) and vec_dot(c, anchor) == 0 and lp.violation(anchor) is None:
+    if all(v.numerator >= 0 for v in c) and not vec_dot(c, anchor) and lp.violation(anchor) is None:
         return anchor, Fraction(0)
     return _nearest_on_face(lp, *_certified_optimum(lp), anchor)
 
@@ -337,7 +348,7 @@ def hoffman_opt_witness(W: Subspace, d, c) -> ProximityWitness:
     c = vec(c)
     if len(d) != W.ambient_dim or len(c) != W.ambient_dim:
         raise DimensionMismatch("vector length mismatch")
-    if any(ci < 0 for ci in c):
+    if any(ci.numerator < 0 for ci in c):
         raise NegativeCost("the optimality bound needs a nonnegative cost")
     x, tau = _nearest_optimum(W, d, c, d)
     bound = W.measures.kappa * norm1([d[i] for i in lambda_set(d, c)])
@@ -373,11 +384,12 @@ def transfer_bound(W: Subspace, x_tilde, s, d) -> tuple[Fraction, tuple[int, ...
     n = W.ambient_dim
     if len(xt) != n or len(sv) != n or len(dv) != n:
         raise DimensionMismatch("vector length mismatch")
-    if any(v < 0 for v in xt) or any(v < 0 for v in sv) or vec_dot(xt, sv) != 0:
+    if any(v.numerator < 0 for v in (*xt, *sv)) or vec_dot(xt, sv):
         raise NotOptimalPair("need x >= 0, s >= 0 and <x, s> = 0")
     kappa = W.measures.kappa
     bound = (kappa + 1) * norm1(W.project_onto_perp(vec_sub(dv, xt)))
-    R = tuple(i for i in range(n) if xt[i] > bound)
+    p, q = bound.numerator, bound.denominator
+    R = tuple(i for i, v in enumerate(xt) if v.numerator * q > p * v.denominator)
 
     lp = LPInstance.from_subspace(W, dv, sv)
     x_star = xt
@@ -388,7 +400,7 @@ def transfer_bound(W: Subspace, x_tilde, s, d) -> tuple[Fraction, tuple[int, ...
             if tau > bound:
                 detail = f"nearest optimal at {tau}, bound {bound}"
                 raise AuditFailure("transfer-primal", detail=detail)
-    if any(x_star[i] <= 0 for i in R):
+    if any(x_star[i].numerator <= 0 for i in R):
         raise InternalError("an optimum within the transfer bound is not positive on R")
     return bound, R
 
@@ -433,18 +445,19 @@ def fixing_sets_bounds(A, b, u, c1, c2, x1, y1) -> tuple[tuple[int, ...], tuple[
     for i, r in enumerate(rc):
         if r < 0 and (u[i] is None or x1[i] < u[i]):
             raise NotOptimalPair(f"dual slack negative at {i} with x below its bound")
-        if r > 0 and x1[i] > 0:
+        if r > 0 and x1[i].numerator > 0:
             raise NotOptimalPair(f"dual surplus at {i} with x positive")
 
     kappa = Subspace.from_kernel_matrix(A).measures.kappa
     t = M * (kappa + 1) * norm1(vec_sub(lp1.c, c2))
-    R0 = tuple(i for i, r in enumerate(rc) if r > t)
-    Ru = tuple(i for i, r in enumerate(rc) if r < -t)
-    if not R0 and not Ru and None not in u:
+    p, q = t.numerator, t.denominator
+    R0 = tuple(i for i, r in enumerate(rc) if r * q > p)
+    Ru = tuple(i for i, r in enumerate(rc) if r * q < -p)
+    if not R0 and not Ru and all(ui is not None for ui in u):
         return R0, Ru
 
     lp2 = LPInstance(A, lp1.b, c2, u)
-    free = [i for i, v in enumerate(x1) if v > 0 and (u[i] is None or v < u[i])]
+    free = [i for i, v in enumerate(x1) if v.numerator > 0 and (u[i] is None or v < u[i])]
     warm = _independent(A, free)
     res2 = solve(lp2, start=x1 if warm else None)
     if warm and res2.status == UNBOUNDED:

@@ -10,10 +10,14 @@ report pass, the pair maxima and Karp's maximum-mean-cycle search behind
 kappa_star in `imbalance`.  Rationals become ints in one reader,
 `over_common_den`: a vector as integers over its least common
 denominator, each a numerator times the quotient of that denominator by
-its own, with no Fraction product.  `_int_rows` reads each row of a matrix
-through it, and so do the simplex tableau and its cost row in `lp`, the
-dual side of the circuit enumeration and the projection onto W-perp in
-`subspace`, `integer_normalize` and the certificates of `proximity`.  An
+its own, with no Fraction product.  Each matrix is read once: a
+`RatMatrix` keeps its integer rows (`int_rows`, each row through that
+reader by `_int_rows`) and hashes and compares by them, and elimination,
+the simplex tableau and the region test in `lp`, the kernel rows of
+`subspace` and the certificates of `proximity` all take those integers.
+Vectors go through the reader themselves: the cost row of the tableau,
+the dual side of the circuit enumeration, `norm1` and the points
+`proximity` checks.  An
 integer string becomes an int through `int()` (`as_fraction`).  Integer
 data stays integer: the circuits reach every consumer as int vectors.
 Floating point appears only in the explicitly inexact spectral estimator
@@ -34,10 +38,11 @@ submatrices of `imbalance.is_TU`, the bases of `imbalance.chibar`) accept at
 most `MAX_ENUM_COLS` = 12 columns, with no override: each first calls
 `check_desk_scale`, which raises DeskScaleExceeded past it.
 
-Vectors are plain tuples of Fractions; matrices are immutable row tuples.
-`vec_dot` is the one exact dot product: integer numerators added over a
-running common denominator and reduced once.  `matvec`, `vecmat`, `mul`,
-`norm1` and `norm2_sq` go through it.
+Vectors are plain tuples of Fractions; a matrix is an immutable
+`RatMatrix` over a tuple of row tuples.  `vec_dot` is the one exact dot
+product: integer numerators added over a running common denominator and
+reduced once.  `matvec`, `vecmat`, `mul` and `norm2_sq` go through it;
+`norm1` is one integer sum over the common denominator.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DeskScaleExceeded,
@@ -53,7 +58,6 @@ from .errors import (
     InternalError,
     NotSquare,
     SingularBasis,
-    ZeroVector,
 )
 
 Vec = tuple  # tuple[Fraction, ...]
@@ -62,6 +66,8 @@ MAX_ENUM_COLS = 12
 
 # A string holding one of these is no decimal integer literal.
 _NOT_INT = frozenset("/.eE")
+
+_ZERO = Fraction(0)
 
 
 def check_desk_scale(width: int, what: str):
@@ -127,11 +133,13 @@ def vec_dot(a: Vec, b: Vec) -> Fraction:
 
 
 def vec_zero(n: int) -> Vec:
-    return (Fraction(0),) * n
+    return (_ZERO,) * n
 
 
 def norm1(a: Vec) -> Fraction:
-    return vec_dot(map(abs, a), (1,) * len(a))
+    """sum |a_i|: one integer sum over the common denominator of a."""
+    ints, den = over_common_den(a)
+    return Fraction(sum(map(abs, ints)), den)
 
 
 def norm2_sq(a: Vec) -> Fraction:
@@ -139,12 +147,13 @@ def norm2_sq(a: Vec) -> Fraction:
 
 
 def pos_part(a: Vec) -> Vec:
-    return tuple(x if x > 0 else Fraction(0) for x in a)
+    return tuple(x if x.numerator > 0 else _ZERO for x in a)
 
 
 def neg_part(a: Vec) -> Vec:
-    """Componentwise max(-a, 0); a = pos_part(a) - neg_part(a)."""
-    return tuple(-x if x < 0 else Fraction(0) for x in a)
+    """Componentwise max(-a, 0); a = pos_part(a) - neg_part(a).  Each sign
+    is read off a numerator."""
+    return tuple(-x if x.numerator < 0 else _ZERO for x in a)
 
 
 def is_conformal(g: Vec, z: Vec) -> bool:
@@ -152,11 +161,60 @@ def is_conformal(g: Vec, z: Vec) -> bool:
     return all(gi == 0 or gi * zi > 0 for gi, zi in zip(g, z, strict=True))
 
 
-class RatMatrix(NamedTuple):
-    """Immutable dense matrix over Fraction.  Zero-row matrices keep `cols`."""
+class RatMatrix:
+    """Immutable dense matrix over Fraction.  Zero-row matrices keep `cols`.
 
-    data: tuple
-    cols: int
+    `data` is a tuple of row tuples, of Fractions (or ints), `cols` the
+    width.  On first use the matrix keeps its integer rows, `int_rows`,
+    and their hash, so it is read into integers once, and every reader
+    takes those integers.  A row over its least common denominator is
+    canonical, so equality and hash go by (cols, integer rows), and no
+    Fraction is hashed or compared.  No field can be assigned.
+    """
+
+    __slots__ = ("data", "cols", "_ints", "_hash")
+
+    def __init__(self, data: tuple, cols: int):
+        set_field = object.__setattr__
+        set_field(self, "data", data)
+        set_field(self, "cols", cols)
+        set_field(self, "_ints", None)
+        set_field(self, "_hash", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    @property
+    def int_rows(self) -> tuple:
+        """(rows, scales) = `_int_rows(data)`, read on first use and kept:
+        row i is the integer tuple rows[i] over its least common
+        denominator scales[i]."""
+        ints = self._ints
+        if ints is None:
+            ints = _int_rows(self.data)
+            object.__setattr__(self, "_ints", ints)
+            object.__setattr__(self, "_hash", hash((self.cols, ints)))
+        return ints
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.cols == other.cols and self.int_rows == other.int_rows)
+
+    def __hash__(self):
+        if self._hash is None:
+            self.int_rows  # the first read of the integer rows sets the hash
+        return self._hash
+
+    def __repr__(self):
+        return f"RatMatrix(data={self.data!r}, cols={self.cols!r})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, as no field can be set
+        return (RatMatrix, (self.data, self.cols))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], cols: int | None = None) -> "RatMatrix":
@@ -299,16 +357,18 @@ def over_common_den(v) -> tuple[list, int]:
 
 
 def _int_rows(rows: Sequence):
-    """(ints, scales): each row, of ints or Fractions, as its integers over
-    its least common denominator (`over_common_den`).  Scaling a row keeps
-    the row space, so every RREF and every basis form A_B^{-1} A."""
+    """(ints, scales): each row, of ints or Fractions, as the tuple of its
+    integers over its least common denominator (`over_common_den`), and the
+    tuple of those denominators.  Scaling a row keeps the row space, so
+    every RREF and every basis form A_B^{-1} A.  `RatMatrix.int_rows` reads
+    a matrix through it once and keeps the result."""
     read = [over_common_den(r) for r in rows]
-    return [ints for ints, _ in read], [s for _, s in read]
+    return tuple(tuple(ints) for ints, _ in read), tuple(s for _, s in read)
 
 
 def rref(M: RatMatrix):
     """Reduced row echelon form.  Returns (rank, pivot_cols, R)."""
-    T, D, pivots, _ = _gauss_jordan(_int_rows(M.data)[0], range(M.cols))
+    T, D, pivots, _ = _gauss_jordan(M.int_rows[0], range(M.cols))
     return len(pivots), pivots, _over(T, D, M.cols)
 
 
@@ -320,7 +380,7 @@ def rref_nonzero(M: RatMatrix) -> RatMatrix:
 
 def rank(M: RatMatrix) -> int:
     """The pivot count of `_gauss_jordan`, with no Fraction RREF built."""
-    return len(_gauss_jordan(_int_rows(M.data)[0], range(M.cols))[2])
+    return len(_gauss_jordan(M.int_rows[0], range(M.cols))[2])
 
 
 def rref_kernel(M: RatMatrix):
@@ -347,8 +407,12 @@ def solve_linear(A: RatMatrix, b: Vec):
     """One exact solution of Ax = b, or None when inconsistent."""
     if len(b) != A.rows:
         raise DimensionMismatch("rhs height mismatch")
-    aug = [(*r, bb) for r, bb in zip(A.data, vec(b))]
-    T, D, pivots, _ = _gauss_jordan(_int_rows(aug)[0], range(A.cols + 1))
+    # Row i of [A | b] times s_i q, from A's integer rows P_i / s_i and
+    # b = B / q: the same row space, so the same reduced rows.
+    rows, scales = A.int_rows
+    B, q = over_common_den(vec(b))
+    aug = [[*(a * q for a in r), bi * s] for r, s, bi in zip(rows, scales, B)]
+    T, D, pivots, _ = _gauss_jordan(aug, range(A.cols + 1))
     if A.cols in pivots:
         return None
     x = [Fraction(0)] * A.cols
@@ -361,10 +425,10 @@ def invert(M: RatMatrix) -> RatMatrix:
     if M.rows != M.cols:
         raise NotSquare("inverse needs a square matrix")
     n = M.rows
-    rows, scales = _int_rows(M.data)
+    rows, scales = M.int_rows
     # Row i carries its scale s_i as its identity entry: [S M | S] reduces
     # to [I | M^{-1}].
-    aug = [r + [0] * i + [s] + [0] * (n - 1 - i) for i, (r, s) in enumerate(zip(rows, scales))]
+    aug = [[*r, *[0] * i, s, *[0] * (n - 1 - i)] for i, (r, s) in enumerate(zip(rows, scales))]
     T, D, pivots, _ = _gauss_jordan(aug, range(n))
     if len(pivots) < n:
         raise SingularBasis("matrix is singular")
@@ -374,7 +438,7 @@ def invert(M: RatMatrix) -> RatMatrix:
 def greedy_basis(A: RatMatrix, order: Sequence[int]) -> tuple:
     """Each column of `order` independent of those kept before it, in scan
     order: the pivots of `_gauss_jordan` taking A's columns in `order`."""
-    return _gauss_jordan(_int_rows(A.data)[0], order)[2]
+    return _gauss_jordan(A.int_rows[0], order)[2]
 
 
 def basis_form(A: RatMatrix, basis: Sequence[int]) -> RatMatrix:
@@ -382,7 +446,7 @@ def basis_form(A: RatMatrix, basis: Sequence[int]) -> RatMatrix:
     basis = list(basis)
     if len(basis) != A.rows:
         raise SingularBasis(f"basis needs exactly {A.rows} columns, got {len(basis)}")
-    T, D, pivots, _ = _gauss_jordan(_int_rows(A.data)[0], basis)
+    T, D, pivots, _ = _gauss_jordan(A.int_rows[0], basis)
     if len(pivots) < A.rows:
         raise SingularBasis("matrix is singular")
     return _over(T, D, A.cols)
@@ -394,7 +458,7 @@ def bases(A: RatMatrix, over: Sequence[int] | None = None):
     B is a basis exactly when each of its columns finds a pivot, and its
     rows over D are then A_B^{-1} A."""
     over = range(A.cols) if over is None else over
-    rows = _int_rows(A.data)[0]
+    rows = A.int_rows[0]
     for B in itertools.combinations(over, A.rows):
         T, D, pivots, _ = _gauss_jordan(rows, B)
         if len(pivots) == A.rows:
@@ -430,27 +494,9 @@ def bareiss_det(M: RatMatrix) -> Fraction:
         raise NotSquare("determinant needs a square matrix")
     if M.rows == 0:
         return Fraction(1)
-    rows, scales = _int_rows(M.data)
+    rows, scales = M.int_rows
     _, D, pivots, sign = _gauss_jordan(rows, range(M.cols))
     return Fraction(sign * D, math.prod(scales)) if len(pivots) == M.rows else Fraction(0)
-
-
-def integer_normalize(v: Vec):
-    """Scale a nonzero rational vector to a coprime integer vector.
-
-    Returns (g, scale) with v = scale * g, g integer entries with gcd 1,
-    and the first nonzero entry of g positive.
-    """
-    ints, den = over_common_den(vec(v))
-    if not any(ints):
-        raise ZeroVector("cannot normalize the zero vector")
-    g = math.gcd(*ints)
-    ints = [x // g for x in ints]
-    first = next(x for x in ints if x != 0)
-    flip = -1 if first < 0 else 1
-    ints = [flip * x for x in ints]
-    scale = Fraction(flip * g, den)
-    return tuple(ints), scale
 
 
 def int_nth_root(x: int, n: int):

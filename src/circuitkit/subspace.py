@@ -29,7 +29,6 @@ from .ratmat import (
     _gauss_jordan,
     bareiss_step,
     check_desk_scale,
-    integer_normalize,
     is_conformal,
     over_common_den,
     rref_kernel,
@@ -154,12 +153,14 @@ class Subspace:
     def is_trivial(self) -> bool:
         return self.dim == 0 or self.dim == self.ambient_dim
 
-    @cached_property
+    @property
     def int_kernel_rows(self) -> tuple:
         """The rows of kernel_rep as coprime integer tuples, first nonzero
         entry positive: they span W-perp, and the circuit enumeration and
-        `project_onto_perp` work on them."""
-        return tuple(integer_normalize(row)[0] for row in self.kernel_rep.data)
+        `project_onto_perp` work on them.  These are the integer rows that
+        kernel_rep keeps (`RatMatrix.int_rows`): a row over its least common
+        denominator is coprime, and an RREF row starts with its pivot 1."""
+        return self.kernel_rep.int_rows[0]
 
     @cached_property
     def circuit_list(self) -> tuple:

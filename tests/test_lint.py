@@ -192,6 +192,40 @@ def test_only_ratmat_reads_integer_ratios():
     assert found == []
 
 
+def _matrix_rereads(tree):
+    """Lines of `_int_rows(<expr>.data)` calls under tree outside a class
+    named RatMatrix: a matrix's Fractions read into integers again."""
+    inside = {
+        id(n)
+        for c in ast.walk(tree)
+        if isinstance(c, ast.ClassDef) and c.name == "RatMatrix"
+        for n in ast.walk(c)
+    }
+    return [
+        n.lineno
+        for n in _calls(tree, "_int_rows")
+        if id(n) not in inside
+        and n.args
+        and isinstance(n.args[0], ast.Attribute)
+        and n.args[0].attr == "data"
+    ]
+
+
+def test_only_ratmat_matrix_reads_its_rows_into_integers():
+    # Each matrix is read once: RatMatrix.int_rows keeps the integer rows
+    # of its data, and every other reader takes them from there.
+    assert _matrix_rereads(ast.parse("rows, scales = _int_rows(A.data)")) == [1]
+    kept = "class RatMatrix:\n    def int_rows(self):\n        return _int_rows(self.data)"
+    assert _matrix_rereads(ast.parse(kept)) == []
+    paths = sorted(SRC.glob("*.py"))
+    assert any(p.name == "ratmat.py" for p in paths)
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _matrix_rereads(tree)]
+    assert found == []
+
+
 def test_the_package_reads_no_environment():
     # ROADMAP item 4: "Add no environment variable."  The column cap is the
     # constant ratmat.MAX_ENUM_COLS, and no knob outside the arguments may

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from math import lcm
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circuitkit.errors import InfeasibleSystem, InternalError, UnboundedRegion
+from circuitkit.errors import DimensionMismatch, InfeasibleSystem, InternalError, UnboundedRegion
 from circuitkit.lp import (
     INFEASIBLE,
     OPTIMAL,
@@ -26,6 +27,7 @@ from circuitkit.subspace import Subspace
 from util import (
     _FractionTableau,
     box_region_is_unbounded,
+    fraction_violation,
     oracle_solve,
     per_entry_tableau,
     random_int_matrix,
@@ -369,7 +371,7 @@ def test_recession_cone_lp_matches_the_box_lp(lp):
 
 
 def test_inexact_bareiss_step_is_an_internal_error():
-    tab = _Tableau([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]], [Fraction(1)] * 2, 2)
+    tab = _Tableau(LPInstance.standard(RatMatrix.from_rows([[2, 1], [1, 3]]), [1, 1], [0, 0]))
     tab.pivot(0, 0)
     tab.T[1][1] += 1  # no longer an integer minor, so the next step cannot divide
     with pytest.raises(InternalError):
@@ -377,13 +379,54 @@ def test_inexact_bareiss_step_is_an_internal_error():
     # Rows over different denominators: row 1 is over D = 15 and the pivot
     # row 0 over 3, so row 1's step divides by 3, which a raised entry breaks.
     rows = [[3, 1, 0], [1, 2, 1], [0, 2, 5]]
-    tab = _Tableau([[Fraction(v) for v in r] for r in rows], [Fraction(1)] * 3, 3)
+    tab = _Tableau(LPInstance.standard(RatMatrix.from_rows(rows), [1] * 3, [0] * 3))
     tab.pivot(0, 0)
     tab.pivot(2, 2)
     assert (tab.D, tab.den) == (15, [3, 15, 5])
     tab.T[1][0] += 1
     with pytest.raises(InternalError):
         tab.pivot(0, 1)
+
+
+def test_a_stage_past_its_pivot_bound_is_an_internal_error(monkeypatch):
+    # Bland's rule visits a basis at most once in a stage, so `run` allows
+    # C(width, m) iterations: one more than the pivots of a stage that
+    # visits every basis.  With the bound lowered to the pivots this
+    # phase 1 takes, the iteration that would see its optimum is missing.
+    lp = LPInstance.standard(RatMatrix.from_rows([[1, 1, 0], [0, 1, 1]]), [1, 1], [1, 2, 3])
+
+    def phase_one(bound):
+        monkeypatch.setattr(math, "comb", lambda width, m: bound)
+        tab = _Tableau(lp)
+        tab.set_costs([0] * tab.n + [Fraction(1, s) for s in tab.scale])
+        return tab.run(range(tab.width)), tab.pivots
+
+    (status, _), pivots = phase_one(math.comb(5, 2))  # the stated bound
+    assert status == OPTIMAL and pivots > 0
+    assert phase_one(pivots + 1)[0] == (OPTIMAL, None)
+    with pytest.raises(InternalError):
+        phase_one(pivots)
+
+
+@given(lp_instances(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_the_integer_region_test_matches_the_fraction_oracle(lp, data):
+    n = lp.n
+    x = vec(data.draw(st.lists(small_fracs.map(abs), min_size=n, max_size=n)))
+    j = data.draw(st.integers(0, n - 1))
+    # x, then x off by one unit in coordinate j either way
+    points = [x, *(tuple(v + step * (i == j) for i, v in enumerate(x)) for step in (-1, 1))]
+    regions = [lp, LPInstance(lp.A, lp.A.matvec(x), lp.c, lp.u)]  # the second holds A x = b
+    if lp.u is not None and lp.u[j] is not None:
+        over = tuple(lp.u[j] + 1 if i == j else v for i, v in enumerate(x))
+        points.append(over)
+        regions.append(LPInstance(lp.A, lp.A.matvec(over), lp.c, lp.u))
+        assert regions[-1].violation(over) == "upper"
+    for region in regions:
+        for p in points:
+            assert region.violation(p) == fraction_violation(region, p)
+        with pytest.raises(DimensionMismatch):
+            region.violation(x + (Fraction(0),))
 
 
 sparse_ints = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
@@ -402,7 +445,7 @@ def test_a_pivot_rewrites_only_the_rows_nonzero_in_its_column(data):
     rows = [[Fraction(v) for v in data.draw(ints)] for _ in range(m)]
     b = [Fraction(v) for v in data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))]
     costs = [Fraction(v) for v in data.draw(st.lists(sparse_ints, min_size=n + m, max_size=n + m))]
-    tab = _Tableau(rows, b, n)
+    tab = _Tableau(LPInstance.standard(RatMatrix.from_rows(rows, cols=n), b, [0] * n))
     ref = _FractionTableau(rows, b)
     tab.set_costs(costs)
     for _ in range(data.draw(st.integers(1, 6))):
@@ -430,8 +473,8 @@ def test_a_pivot_rewrites_only_the_rows_nonzero_in_its_column(data):
 @settings(max_examples=300, deadline=None)
 def test_the_tableau_starts_as_the_per_entry_construction(lp):
     # zeros, negative right-hand sides and mixed denominators, as drawn
-    rows, b, c, _, _ = lp.standardized()
-    tab = _Tableau(rows, b, len(c))
+    rows, b, _, _, _ = lp.standardized()
+    tab = _Tableau(lp)
     assert (tab.T, tab.den, tab.scale, tab.flip) == per_entry_tableau(rows, b)
     assert all(type(a) is int for row in tab.T for a in row)
 
@@ -440,8 +483,8 @@ def _duals_where_read(lp):
     """(where, duals, three-operation duals) at each point `_solve_standard`
     reads duals: the end of an infeasible phase 1 ("certificate"), else a
     phase-2 optimum ("optimum"), if there is one."""
-    rows, b, c, _, _ = lp.standardized()
-    tab = _Tableau(rows, b, len(c))
+    c = lp.standardized()[2]
+    tab = _Tableau(lp)
     tab.set_costs([Fraction(0)] * tab.n + [Fraction(1, s) for s in tab.scale])
     assert tab.run(range(tab.width))[0] == OPTIMAL
     if tab.objective() > 0:

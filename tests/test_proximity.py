@@ -40,6 +40,7 @@ from util import (
     always_solve_transfer_bound,
     face_row_solve,
     fraction_certified_optimum,
+    fraction_lambda_set,
     random_int_matrix,
     two_stage_nearest_point,
 )
@@ -67,6 +68,15 @@ def seeded_subspace_and_shift(seed, n=5, m=2):
 def test_lambda_set():
     assert lambda_set([1, -2, 0, -1], [3, 0, -5, 2]) == (0, 1, 3)
     assert lambda_set([1, 1], [-1, -1]) == ()
+
+
+signed_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(*[st.lists(signed_fracs, min_size=n, max_size=n)] * 2)))
+def test_lambda_set_matches_its_fraction_form(dc):
+    d, c = dc
+    assert lambda_set(d, c) == fraction_lambda_set(d, c)
 
 
 def test_feasibility_witness_sweep():
@@ -402,7 +412,8 @@ def nearest_point_instances(draw):
 @settings(max_examples=200, deadline=None)
 def test_nearest_point_matches_the_two_stage_oracle(inst):
     rows, b, anchor, vertex = inst
-    x, tau = _nearest_point(rows, b, anchor, vertex, range(len(anchor)))
+    A = RatMatrix.from_rows(rows, cols=len(anchor))
+    x, tau = _nearest_point(A, b, anchor, vertex, range(len(anchor)))
     _, otau, one_norm = two_stage_nearest_point(rows, b, anchor)
     assert tau == otau
     assert sum(abs(v - a) for v, a in zip(x, anchor)) == one_norm
@@ -432,6 +443,15 @@ def test_nearest_point_in_the_zero_subspace():
         hoffman_feasibility_witness(W, vec([1, -1, 2]))
 
 
+def test_nearest_point_with_no_kept_column():
+    # K empty: x = 0 is the one point, tau the floor max |anchor_j| and the
+    # crash point (tau, tau - F) = (3, 0); with no column at all, tau = 0.
+    A = RatMatrix.from_rows([[1, -1, 0]])
+    anchor = vec([Fraction(1, 2), -3, 2])
+    assert _nearest_point(A, vec([0]), anchor, vec([0, 0, 0]), ()) == (vec([0, 0, 0]), 3)
+    assert _nearest_point(RatMatrix.zeros(0, 0), (), (), (), ()) == ((), 0)
+
+
 @pytest.mark.parametrize("field", ["objective", "x"])
 def test_a_nearest_point_failing_its_recheck_is_an_internal_error(monkeypatch, field):
     def tampered(lp, tiebreak=None, start=None):
@@ -448,7 +468,8 @@ def test_a_nearest_point_failing_its_recheck_is_an_internal_error(monkeypatch, f
 
     monkeypatch.setattr(proximity, "solve", tampered)
     with pytest.raises(InternalError):
-        _nearest_point([vec([1, 1, 0])], vec([2]), vec([0, 3, 1]), vec([2, 0, 0]), range(3))
+        A = RatMatrix.from_rows([[1, 1, 0]])
+        _nearest_point(A, vec([2]), vec([0, 3, 1]), vec([2, 0, 0]), range(3))
 
 
 def _face_row_oracle(W, d, c, anchor):
@@ -867,7 +888,7 @@ def test_a_feasible_zero_cost_anchor_is_its_own_nearest_optimum(inst):
     assert (spy.calls, spy.nearest_point) == ([], False)
     lp = LPInstance.from_subspace(W, d, c)
     res = solve(lp)
-    assert _nearest_point(lp.A.data, lp.b, anchor, res.x, range(lp.n)) == (anchor, 0)
+    assert _nearest_point(lp.A, lp.b, anchor, res.x, range(lp.n)) == (anchor, 0)
 
 
 @given(nearest_optimum_instances())
@@ -882,7 +903,7 @@ def test_independent_kept_columns_are_the_one_point_of_the_face(inst):
     res = solve(lp)
     rc = vec_sub(c, lp.A.vecmat(res.y))
     keep = [j for j, v in enumerate(rc) if v == 0]
-    assert _nearest_point(lp.A.data, lp.b, anchor, res.x, keep) == (x, tau)
+    assert _nearest_point(lp.A, lp.b, anchor, res.x, keep) == (x, tau)
     ox, otau, _ = two_stage_nearest_point([*lp.A.data, c], [*lp.b, res.objective], anchor)
     assert (ox, otau) == (x, tau)
 

@@ -22,7 +22,6 @@ from circuitkit.ratmat import (
     fraction_nth_root,
     greedy_basis,
     int_nth_root,
-    integer_normalize,
     invert,
     is_conformal,
     neg_part,
@@ -40,13 +39,16 @@ from circuitkit.subspace import Subspace
 from util import (
     bases_by_det,
     fraction_matvec,
+    fraction_neg_part,
     fraction_norm1,
     fraction_norm2_sq,
+    fraction_pos_part,
     fraction_rref,
     fraction_vec_dot,
     fraction_vecmat,
     greedy_basis_by_rank,
     int_kernel_line,
+    integer_normalize,
     naive_det,
     random_int_matrix,
     rational_matrices,
@@ -101,6 +103,42 @@ def test_the_dot_kernels_equal_the_per_term_fraction_sums(case):
         assert type(got) is Fraction and got == want
     for got, want in [(M.matvec(v), fraction_matvec(M, v)), (M.vecmat(w), fraction_vecmat(M, w))]:
         assert all(type(x) is Fraction for x in got) and got == want
+
+
+@given(kernel_cases())
+@settings(max_examples=150, deadline=None)
+def test_a_matrix_keeps_the_integer_rows_of_its_data(case):
+    _, _, M, _, _ = case
+    assert M.int_rows == ratmat._int_rows(M.data)
+    assert M.int_rows is M.int_rows  # read once and kept
+    # The same values held as Fractions: an equal matrix with an equal hash.
+    twin = RatMatrix.from_rows(M.data, cols=M.cols)
+    assert twin == M and hash(twin) == hash(M)
+    if M.rows and M.cols:
+        bumped = list(map(list, M.data))
+        bumped[-1][-1] += Fraction(1, 2)
+        assert RatMatrix.from_rows(bumped, cols=M.cols) != M
+
+
+@given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3), max_size=4))
+def test_matrices_of_ints_and_of_fractions_are_equal_and_hash_equal(rows):
+    ints = RatMatrix(data=tuple(map(tuple, rows)), cols=3)
+    fractions = RatMatrix.from_rows(rows, cols=3)
+    assert ints == fractions and hash(ints) == hash(fractions)
+    assert all(type(x) is Fraction for r in fractions.data for x in r)
+    assert ints != RatMatrix(data=ints.data, cols=4)
+
+
+@given(st.lists(fracs, max_size=6))
+def test_the_sign_parts_and_norm1_match_their_fraction_forms(entries):
+    a = vec(entries)
+    for got, want in [
+        (pos_part(a), fraction_pos_part(a)),
+        (neg_part(a), fraction_neg_part(a)),
+        (norm1(a), fraction_norm1(a)),
+    ]:
+        assert got == want
+    assert all(type(x) is Fraction for x in (*pos_part(a), *neg_part(a), norm1(a)))
 
 
 def test_a_dot_of_unequal_lengths_raises():

@@ -1,6 +1,8 @@
 """The records: immutable, checked on construction, compared, hashed and
 printed by their fields, as the frozen dataclasses they replace were."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -55,6 +57,25 @@ def test_records_refuse_assignment():
         res.status = "infeasible"
     # The cached properties still fill on first use.
     assert W.circuit_list is W.circuit_list
+
+
+def test_a_matrix_refuses_assignment():
+    M = RatMatrix.from_rows([[1, 2], [3, 4]])
+    M.int_rows  # the kept integer rows and hash are set by the class alone
+    for name in ("data", "cols", "_ints", "_hash", "other"):
+        with pytest.raises(AttributeError):
+            setattr(M, name, None)
+    with pytest.raises(AttributeError):
+        del M.data
+    assert M == RatMatrix.from_rows([[1, 2], [3, 4]])
+    assert repr(M) == (
+        "RatMatrix(data=((Fraction(1, 1), Fraction(2, 1)), (Fraction(3, 1), Fraction(4, 1))), cols=2)"
+    )
+    assert M != (M.data, M.cols)
+    # pickle and copy go through the constructor
+    assert pickle.loads(pickle.dumps(M)) == M and copy.deepcopy(M) == M
+    W = Subspace.from_kernel_matrix(M)
+    assert pickle.loads(pickle.dumps(W)) == W
 
 
 def test_subspace_equality_and_hash_follow_its_fields():

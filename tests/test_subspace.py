@@ -38,6 +38,7 @@ from util import (
     fraction_project_onto_perp,
     hypergraph_components,
     int_enumerate_circuits,
+    integer_normalize,
     random_int_matrix,
     rational_matrices,
     unpruned_enumerate_circuits,
@@ -102,6 +103,17 @@ def test_oriented_circuits_are_int_vectors_in_both_signs(A):
         for g in (plus, minus):
             assert type(g.vector) is tuple and all(type(x) is int for x in g.vector)
         assert next(x for x in plus.vector if x) > 0
+
+
+@given(rational_matrices(rows=(1, 4), cols=(1, 7)))
+@settings(max_examples=100, deadline=None)
+def test_the_int_kernel_rows_are_the_gcd_normalized_rows(A):
+    # The integer rows kernel_rep keeps are coprime with a positive first
+    # entry, since each RREF row has a pivot 1: the gcd normalization.
+    W = Subspace.from_kernel_matrix(A)
+    want = tuple(integer_normalize(row)[0] for row in W.kernel_rep.data)
+    assert W.int_kernel_rows == want
+    assert all(type(x) is int for row in W.int_kernel_rows for x in row)
 
 
 def test_conformal_decompose_int(A_int):

@@ -4,7 +4,8 @@ Everything here is deliberately naive: cofactor determinants, support-set
 circuit search, augmenting-path max flow, a Fraction simplex tableau that
 recomputes every reduced cost on every iteration, and the slower forms of
 what the package runs faster: the dot products, matrix-vector products
-and norms as per-term Fraction sums, the projection onto W-perp through
+and norms as per-term Fraction sums, the sign parts, Lambda sets and the
+region test by Fraction comparisons, the projection onto W-perp through
 a Fraction Gram matrix, the simplex tableau built and its
 duals read with per-entry Fraction arithmetic, the RREF over Fractions,
 the circuit enumeration support by support (over Fractions, and over
@@ -56,6 +57,7 @@ from circuitkit.errors import (
     RankDeficient,
     SeparableInput,
     UnboundedDirection,
+    ZeroVector,
 )
 from circuitkit.ratmat import (
     RatMatrix,
@@ -64,10 +66,10 @@ from circuitkit.ratmat import (
     bases,
     basis_form,
     check_desk_scale,
-    integer_normalize,
     invert,
     is_conformal,
     norm1,
+    over_common_den,
     rank,
     rref,
     rref_kernel,
@@ -137,6 +139,44 @@ def fraction_norm1(a) -> Fraction:
 
 def fraction_norm2_sq(a) -> Fraction:
     return sum((x * x for x in a), Fraction(0))
+
+
+def integer_normalize(v):
+    """(g, scale) with v = scale * g, g coprime integers with the first
+    nonzero entry positive: the gcd normalization of each row that
+    `Subspace.int_kernel_rows` replaced with the integer rows its RREF
+    kernel_rep keeps."""
+    ints, den = over_common_den(vec(v))
+    if not any(ints):
+        raise ZeroVector("cannot normalize the zero vector")
+    g = gcd(*ints)
+    ints = [x // g for x in ints]
+    flip = -1 if next(x for x in ints if x) < 0 else 1
+    return tuple(flip * x for x in ints), Fraction(flip * g, den)
+
+
+def fraction_neg_part(a) -> tuple:
+    return tuple(-x if x < 0 else Fraction(0) for x in a)
+
+
+def fraction_pos_part(a) -> tuple:
+    return tuple(x if x > 0 else Fraction(0) for x in a)
+
+
+def fraction_lambda_set(d, c) -> tuple:
+    """`proximity.lambda_set` by Fraction comparisons: supp(d^-) union
+    supp(c^+)."""
+    return tuple(sorted({i for i, x in enumerate(d) if x < 0} | {i for i, x in enumerate(c) if x > 0}))
+
+
+def fraction_violation(lp, x):
+    """`LPInstance.violation` as the Fraction region test it replaced: a
+    Fraction matvec compared with b, then x >= 0 and x <= u entry by entry."""
+    if fraction_matvec(lp.A, x) != tuple(lp.b) or any(v < 0 for v in x):
+        return "equations"
+    if lp.u is not None and any(ui is not None and xi > ui for xi, ui in zip(x, lp.u)):
+        return "upper"
+    return None
 
 
 def fraction_rref(rows: list, ncols: int):
