@@ -301,7 +301,7 @@ def _cmd_diameter(args):
     rep = W.measures
     # The bound is for the measured system, standardized with a slack column
     # and a row per finite upper bound: kappa of ker A, rank m = rank A + f.
-    f = sum(x is not None for x in lp.u or ())
+    f = len(lp.bounded_idx)
     n = lp.A.cols + f
     m = W.codim + f
     try:

@@ -409,7 +409,7 @@ def hk_check(W: Subspace, trials: int, seed: int) -> HKReport:
             x = [Fraction(0)] * n
             for j in basis_cols:
                 x[j] = t + g[j]
-            if A.matvec(vec(x)) != A.matvec(vec(d)) or any(v < 0 for v in x):
+            if LPInstance.from_subspace(W, d, vec_zero(n)).violation(x) is not None:
                 raise InternalError("kappa_dot witness point is not in W + d and >= 0")
             for v in x:
                 witness_lcm = lcm(witness_lcm, v.denominator)

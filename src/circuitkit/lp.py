@@ -23,10 +23,13 @@ unbounded), and the affine-subspace form (x in W + d, x >= 0) which
 standardizes immediately.  `LPInstance.violation` is the one test of a
 point against the region, decided in integers.
 
-Vertex enumeration, the vertex-edge graph, and fractionality (the lcm of
-vertex denominators) run over the standardized system and are exact.
-Each scans all C(width, m) column sets of its m x width standardized
-matrix, with no cap.
+`_Tableau` is the one layout of the standardized system, a slack column
+and a row per finite upper bound, and `_solve_standard` the one reading
+of a tableau into an `LPResult`.  Vertex enumeration, the vertex-edge
+graph, and fractionality (the lcm of vertex denominators) read the
+tableau's integer rows (`_std_system`), so they scan exactly the system
+the simplex solves, and are exact.  Each scans all C(width, m) column
+sets of its m x width standardized matrix, with no cap.
 """
 
 from __future__ import annotations
@@ -132,26 +135,6 @@ class LPInstance(namedtuple("LPInstance", "A b c u", defaults=(None,))):
             return "upper"
         return None
 
-    def standardized(self):
-        """(rows, b, c, n_orig, bounded_idx) with slack rows for finite bounds."""
-        rows = [list(r) for r in self.A.data]
-        b = list(self.b)
-        c = list(self.c)
-        n = self.A.cols
-        bounded_idx = self.bounded_idx
-        if bounded_idx:
-            f = len(bounded_idx)
-            for r in rows:
-                r.extend([Fraction(0)] * f)
-            for k, i in enumerate(bounded_idx):
-                row = [Fraction(0)] * (n + f)
-                row[i] = Fraction(1)
-                row[n + k] = Fraction(1)
-                rows.append(row)
-                b.append(self.u[i])
-            c.extend([Fraction(0)] * f)
-        return rows, b, c, n, bounded_idx
-
 
 class LPResult(NamedTuple):
     status: str
@@ -177,7 +160,9 @@ class _Tableau:
     sign(p) s_i / a_i followed by |p| s_i / q, where s_i = lcm(a_i, q); a
     bound row holds the ints q_j, q_j and p_j of u_j = p_j / q_j.  These are
     the integers `ratmat.over_common_den` would give the row with its
-    right-hand side, so the tableau is the same.  Row r is stored as
+    right-hand side, so the tableau is the same.  No other code lays out
+    the standardized system: the vertex scans read these rows, without
+    their artificial columns, through `_std_system`.  Row r is stored as
     integers T[r] over its own denominator den[r] > 0, and its tableau
     entries are T[r][k] / den[r].  D > 0 is the absolute value of the
     current basis determinant, and T[r] * D / den[r] is the integer
@@ -385,9 +370,13 @@ class _Tableau:
         return x
 
 
-def _solve_standard(lp: LPInstance, c2=None, start=None):
+def _solve_standard(lp: LPInstance, c2=None, start=None) -> LPResult:
     """Two-phase simplex on the standardized system of `lp` (`_Tableau`),
-    min c x with c = lp.c and 0 on the slack columns.
+    min c x with c = lp.c and 0 on the slack columns; the one reading of a
+    tableau into the LPResult of `lp`.  x, basis and ray are cut to the
+    LP's n columns, y is the duals of A's rows and `dual_upper` the
+    negated duals of the bound rows; an infeasibility certificate keeps
+    every row's dual.
 
     A third stage minimizes c2 from the optimal basis, pricing only the
     columns of reduced cost 0 under c: their pivots leave c's reduced-cost
@@ -405,7 +394,7 @@ def _solve_standard(lp: LPInstance, c2=None, start=None):
         if status != OPTIMAL:
             raise InternalError("phase 1 of the simplex reported an unbounded objective")
         if tab.reduced[-1] < 0:  # the objective -reduced[-1] / (L red_den) is > 0
-            return {"status": INFEASIBLE, "certificate": tab.duals(), "pivots": tab.pivots}
+            return LPResult(INFEASIBLE, certificate=tuple(tab.duals()), pivots=tab.pivots)
         tab.reduced = None  # phase 2 installs its own cost row after drive-out
         tab.drive_out_artificials(range(tab.n))
     else:
@@ -419,21 +408,28 @@ def _solve_standard(lp: LPInstance, c2=None, start=None):
             face = [j for j in range(tab.n) if tab.reduced[j] == 0]
             tab.set_costs([*c2, *[0] * tab.m])
             status, enter = tab.run(face)
+    n = lp.n
     if status == UNBOUNDED:
         ray = [Fraction(0)] * tab.width
         ray[enter] = Fraction(1)
         for r, row in enumerate(tab.T):
             ray[tab.basis[r]] = Fraction(-row[enter], tab.den[r])
-        return {"status": UNBOUNDED, "certificate": ray[: tab.n], "pivots": tab.pivots}
-    x = tab.solution()
-    return {
-        "status": OPTIMAL,
-        "x": x[: tab.n],
-        "objective": objective,
-        "basis": sorted(tab.basis),
-        "y": y,
-        "pivots": tab.pivots,
-    }
+        return LPResult(UNBOUNDED, certificate=tuple(ray[:n]), pivots=tab.pivots)
+    dual_upper = None
+    if lp.u is not None:
+        t = [Fraction(0)] * n
+        for i, yi in zip(lp.bounded_idx, y[lp.A.rows :]):
+            t[i] = -yi
+        dual_upper = tuple(t)
+    return LPResult(
+        OPTIMAL,
+        x=tuple(tab.solution()[:n]),
+        objective=objective,
+        basis=tuple(j for j in sorted(tab.basis) if j < n),
+        y=tuple(y[: lp.A.rows]),
+        dual_upper=dual_upper,
+        pivots=tab.pivots,
+    )
 
 
 def solve(lp: LPInstance, tiebreak=None, start=None) -> LPResult:
@@ -467,46 +463,20 @@ def solve(lp: LPInstance, tiebreak=None, start=None) -> LPResult:
         if len(x0) != lp.n:
             raise DimensionMismatch("start has the wrong length")
         x0 += [lp.u[i] - x0[i] for i in bounded_idx]
-    return _result(lp, bounded_idx, _solve_standard(lp, c2, x0))
-
-
-def _result(lp: LPInstance, bounded_idx, out: dict) -> LPResult:
-    """The LPResult of `lp` from a solve of its standardized system."""
-    n = lp.n
-    if out["status"] == INFEASIBLE:
-        return LPResult(
-            status=INFEASIBLE, certificate=tuple(out["certificate"]), pivots=out["pivots"]
-        )
-    if out["status"] == UNBOUNDED:
-        ray = tuple(out["certificate"][:n])
-        return LPResult(status=UNBOUNDED, certificate=ray, pivots=out["pivots"])
-    x = tuple(out["x"][:n])
-    y_std = out["y"]
-    y = tuple(y_std[: lp.A.rows])
-    dual_upper = None
-    if lp.u is not None:
-        t = [Fraction(0)] * n
-        for k, i in enumerate(bounded_idx):
-            t[i] = -y_std[lp.A.rows + k]
-        dual_upper = tuple(t)
-    return LPResult(
-        status=OPTIMAL,
-        x=x,
-        objective=out["objective"],
-        basis=tuple(j for j in out["basis"] if j < n),
-        y=y,
-        dual_upper=dual_upper,
-        pivots=out["pivots"],
-    )
+    return _solve_standard(lp, c2, x0)
 
 
 def _std_system(lp: LPInstance):
-    """(A_std, b_std, n): the standardized constraint matrix, with a slack
-    column per finite upper bound, its right-hand side and the LP's own
-    column count n."""
-    rows, b, _, n, _ = lp.standardized()
-    width = len(rows[0]) if rows else n
-    return RatMatrix.from_rows(rows, cols=width), vec(b), n
+    """(A_std, b_std, n): the rows of `_Tableau(lp)` without their
+    artificial columns, as an integer matrix with a slack column per finite
+    upper bound, their right-hand sides and the LP's own column count n.
+    Each row is the LP's row scaled by a positive integer and sign-flipped
+    to a right-hand side >= 0, so the region, its vertices and every rank
+    of its columns are those of the LP; the vertex scans thus read the
+    system the simplex solves."""
+    tab = _Tableau(lp)
+    rows = tuple(tuple(row[: tab.n]) for row in tab.T)
+    return RatMatrix(data=rows, cols=tab.n), vec(row[-1] for row in tab.T), lp.n
 
 
 def _std_vertices(A: RatMatrix, b):

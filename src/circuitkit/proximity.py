@@ -109,10 +109,11 @@ def lambda_set(d, c) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def _nearest_point(A: RatMatrix, b, anchor, vertex, K):
-    """Exact minimization of ||x - anchor|| over Ax = b, x >= 0 and x_j = 0
-    off the ascending columns K: the sup-norm distance tau, then the 1-norm
-    among points attaining it.  Returns (x, tau).
+def _nearest_point(lp: LPInstance, anchor, vertex, K):
+    """Exact minimization of ||x - anchor|| over the region of `lp`,
+    A x = b and x >= 0, with x_j = 0 off the ascending columns K: the
+    sup-norm distance tau, then the 1-norm among points attaining it.
+    Returns (x, tau).
 
     The LP is written over the kept columns K alone.  A deleted coordinate
     is 0, so it adds the constant |anchor_j| to the 1-norm and puts the
@@ -128,15 +129,15 @@ def _nearest_point(A: RatMatrix, b, anchor, vertex, K):
     row then fixes r_i or s_i, the cap row of largest deviation (or the
     floor row) fixes tau and the other cap rows fix w_i (and z).  The
     region is therefore nonempty, so a result that is not optimal is an
-    InternalError, as is a point failing its re-verification against the
-    integer rows of A (`RatMatrix.int_rows`).  The crash point is worked
-    out in integers over the common denominator of vertex_K, anchor_K and
-    F.  A is n wide; `b` and `anchor` hold Fractions, as the callers'
-    vectors do.
+    InternalError, as is a point failing its re-verification: the region
+    test of `lp` (`LPInstance.violation`) on the n-wide point, then tau and
+    the 1-norm.  The crash point is worked out in integers over the common
+    denominator of vertex_K, anchor_K and F.  `lp` is n wide, its cost is
+    not read, and `anchor` holds Fractions, as the callers' vectors do.
     """
     zero, one = Fraction(0), Fraction(1)
     n = len(anchor)
-    rows = A.data
+    rows = lp.A.data
     k = len(K)
     kept = set(K)
     off = [abs(anchor[j]) for j in range(n) if j not in kept]
@@ -149,7 +150,7 @@ def _nearest_point(A: RatMatrix, b, anchor, vertex, K):
     # as they are, and the padding is one shared zero.
     pad = (0,) * (width - k)
     ext_rows = [(*(row[j] for j in K), *pad) for row in rows]
-    ext_b = list(b)
+    ext_b = list(lp.b)
     for i, j in enumerate(K):
         dev, cap = [0] * width, [0] * width
         dev[i], dev[k + i], dev[2 * k + i] = 1, -1, 1
@@ -175,37 +176,31 @@ def _nearest_point(A: RatMatrix, b, anchor, vertex, K):
         *[top - F] * cut,
     )
     start = [*(vertex[j] for j in K), *(Fraction(v, h) if v else zero for v in ints)]
-    lp = LPInstance(RatMatrix(data=tuple(ext_rows), cols=width), tuple(ext_b), tau_cost)
-    res = solve(lp, tiebreak=l1_cost, start=start)
+    ext = LPInstance(RatMatrix(data=tuple(ext_rows), cols=width), tuple(ext_b), tau_cost)
+    res = solve(ext, tiebreak=l1_cost, start=start)
     if res.status != OPTIMAL:
         raise InternalError(f"nearest-point LP of a nonempty region is {res.status}")
-    # The re-verification in integers: the solution is X / q, the anchor
-    # P / qa, and gap = L (x_K - anchor_K) with L = lcm(q, qa).  Row i of A
-    # is R_i / s_i and b_i = p / r, so it holds when (R_i . X) r = p s_i q.
-    # Off K, x is 0, so those coordinates put the floor under tau and add
-    # norm1(off) to both sides of the 1-norm equation, which leaves
-    # sum |gap| = L sum(r + s).
+    # The re-verification: the point x, lifted to n coordinates with 0 off
+    # K, must lie in the region of `lp`.  Then in integers, over the common
+    # denominator h of the solution and the anchor: V = h (res.x, anchor)
+    # and gap = h (x_K - anchor_K).  Off K, x is 0, so those coordinates put
+    # the floor under tau and add norm1(off) to both sides of the 1-norm
+    # equation, which leaves sum |gap| = h sum(r + s).
     tau = res.objective
-    X, q = over_common_den(res.x)
-    P, qa = over_common_den(anchor)
-    L = lcm(q, qa)
-    gap = [X[i] * (L // q) - P[j] * (L // qa) for i, j in enumerate(K)]  # L (x_K - anchor_K)
-    far = max((floor.numerator * (L // floor.denominator), *map(abs, gap)))  # L tau
-    R, scales = A.int_rows
-    if (
-        min(X[:k], default=0) < 0
-        or any(
-            sum(row[j] * v for j, v in zip(K, X)) * bi.denominator != bi.numerator * s * q
-            for row, s, bi in zip(R, scales, b)
-        )
-        or far * tau.denominator != tau.numerator * L
-        or sum(map(abs, gap)) * q != sum(X[k : 3 * k]) * L
-    ):
-        raise InternalError("nearest point fails its re-verification")
     x = [zero] * n
     for j, v in zip(K, res.x):
         x[j] = v
-    return tuple(x), tau
+    x = tuple(x)
+    V, h = over_common_den((*res.x, *anchor))
+    gap = [V[i] - V[width + j] for i, j in enumerate(K)]
+    far = max((floor.numerator * (h // floor.denominator), *map(abs, gap)))  # h tau
+    if (
+        lp.violation(x) is not None
+        or far * tau.denominator != tau.numerator * h
+        or sum(map(abs, gap)) != sum(V[k : 3 * k])
+    ):
+        raise InternalError("nearest point fails its re-verification")
+    return x, tau
 
 
 def _independent(A: RatMatrix, cols) -> bool:
@@ -307,7 +302,7 @@ def _nearest_on_face(lp: LPInstance, x: Vec, K, anchor: Vec):
     """
     if _independent(lp.A, K):
         return x, _sup_dist(x, anchor)
-    near, tau = _nearest_point(lp.A, lp.b, anchor, x, K)
+    near, tau = _nearest_point(lp, anchor, x, K)
     if vec_dot(lp.c, near) != vec_dot(lp.c, x):
         raise InternalError("nearest optimum fails its re-verification: its cost is not optimal")
     return near, tau
@@ -548,7 +543,7 @@ def _feasibility_rec(W: Subspace, d: Vec, eps: Fraction, seed: int, depth: int, 
         p = vec_sub(z, vec(xt[j] for j in J))
         x = vec_add(xt, lift_min_norm(W, J, p))
         if all(v >= 0 for v in x):
-            if W.kernel_rep.matvec(x) != W.kernel_rep.matvec(d):
+            if LPInstance.from_subspace(W, d, vec_zero(n)).violation(x) is not None:
                 raise InternalError("lifted point left W + d")
             return x
     # No coordinate is confidently large, the recursion allowance is spent,

@@ -13,8 +13,10 @@ from circuitkit.lp import (
     OPTIMAL,
     UNBOUNDED,
     LPInstance,
+    _edge_graph,
     _region_is_unbounded,
     _std_system,
+    _std_vertices,
     _Tableau,
     edge_graph,
     edge_graph_diameter,
@@ -27,6 +29,7 @@ from circuitkit.subspace import Subspace
 from util import (
     _FractionTableau,
     box_region_is_unbounded,
+    fraction_standardized,
     fraction_violation,
     oracle_solve,
     per_entry_tableau,
@@ -193,12 +196,12 @@ small_fracs = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 
 
 
 @st.composite
-def lp_instances(draw):
+def lp_instances(draw, max_n=6):
     """Standard or bounded LPs with fractional data, any sign of b, and
     scaled copies of earlier rows (consistent or not) so that phase 1 ends
-    with redundant rows to drop."""
+    with redundant rows to drop; at most `max_n` columns."""
     m = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, max_n))
     row = st.lists(small_fracs, min_size=n, max_size=n)
     rows = draw(st.lists(row, min_size=m, max_size=m))
     b = draw(st.lists(small_fracs, min_size=m, max_size=m))
@@ -370,6 +373,32 @@ def test_recession_cone_lp_matches_the_box_lp(lp):
     assert _region_is_unbounded(_std_system(lp)[0]) == box_region_is_unbounded(lp)
 
 
+def _scan(f, *args):
+    """f(*args), or InfeasibleSystem when it raises that."""
+    try:
+        return f(*args)
+    except InfeasibleSystem:
+        return InfeasibleSystem
+
+
+@given(tiebreak_instances(lp_instances(max_n=4)))
+@settings(max_examples=200, deadline=None)
+def test_the_vertex_scans_read_the_tableau_as_the_fraction_standardization(inst):
+    # The tableau's rows are the standardized rows, each scaled by a positive
+    # integer and sign-flipped, which moves no vertex, no basis and no rank.
+    # Half the draws are made feasible, so many have vertices to compare.
+    lp, _ = inst
+    rows, b, c, n, _ = fraction_standardized(lp)
+    A, b = RatMatrix.from_rows(rows, cols=len(c)), vec(b)
+    A_std, b_std, _ = _std_system(lp)
+    want = _std_vertices(A, b)
+    assert _std_vertices(A_std, b_std) == want
+    dens = [x.denominator for v in want for x in v[:n]]
+    assert _scan(fractionality, lp) == (math.lcm(*dens) if want else InfeasibleSystem)
+    assert _scan(edge_graph, lp) == _scan(_edge_graph, A, b, n)
+    assert _region_is_unbounded(A_std) == box_region_is_unbounded(lp)
+
+
 def test_inexact_bareiss_step_is_an_internal_error():
     tab = _Tableau(LPInstance.standard(RatMatrix.from_rows([[2, 1], [1, 3]]), [1, 1], [0, 0]))
     tab.pivot(0, 0)
@@ -473,7 +502,7 @@ def test_a_pivot_rewrites_only_the_rows_nonzero_in_its_column(data):
 @settings(max_examples=300, deadline=None)
 def test_the_tableau_starts_as_the_per_entry_construction(lp):
     # zeros, negative right-hand sides and mixed denominators, as drawn
-    rows, b, _, _, _ = lp.standardized()
+    rows, b, _, _, _ = fraction_standardized(lp)
     tab = _Tableau(lp)
     assert (tab.T, tab.den, tab.scale, tab.flip) == per_entry_tableau(rows, b)
     assert all(type(a) is int for row in tab.T for a in row)
@@ -483,7 +512,7 @@ def _duals_where_read(lp):
     """(where, duals, three-operation duals) at each point `_solve_standard`
     reads duals: the end of an infeasible phase 1 ("certificate"), else a
     phase-2 optimum ("optimum"), if there is one."""
-    c = lp.standardized()[2]
+    c = fraction_standardized(lp)[2]
     tab = _Tableau(lp)
     tab.set_costs([Fraction(0)] * tab.n + [Fraction(1, s) for s in tab.scale])
     assert tab.run(range(tab.width))[0] == OPTIMAL

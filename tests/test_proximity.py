@@ -412,8 +412,8 @@ def nearest_point_instances(draw):
 @settings(max_examples=200, deadline=None)
 def test_nearest_point_matches_the_two_stage_oracle(inst):
     rows, b, anchor, vertex = inst
-    A = RatMatrix.from_rows(rows, cols=len(anchor))
-    x, tau = _nearest_point(A, b, anchor, vertex, range(len(anchor)))
+    lp = LPInstance.standard(RatMatrix.from_rows(rows, cols=len(anchor)), b, [0] * len(anchor))
+    x, tau = _nearest_point(lp, anchor, vertex, range(len(anchor)))
     _, otau, one_norm = two_stage_nearest_point(rows, b, anchor)
     assert tau == otau
     assert sum(abs(v - a) for v, a in zip(x, anchor)) == one_norm
@@ -446,10 +446,11 @@ def test_nearest_point_in_the_zero_subspace():
 def test_nearest_point_with_no_kept_column():
     # K empty: x = 0 is the one point, tau the floor max |anchor_j| and the
     # crash point (tau, tau - F) = (3, 0); with no column at all, tau = 0.
-    A = RatMatrix.from_rows([[1, -1, 0]])
+    lp = LPInstance.standard(RatMatrix.from_rows([[1, -1, 0]]), [0], [0, 0, 0])
     anchor = vec([Fraction(1, 2), -3, 2])
-    assert _nearest_point(A, vec([0]), anchor, vec([0, 0, 0]), ()) == (vec([0, 0, 0]), 3)
-    assert _nearest_point(RatMatrix.zeros(0, 0), (), (), (), ()) == ((), 0)
+    assert _nearest_point(lp, anchor, vec([0, 0, 0]), ()) == (vec([0, 0, 0]), 3)
+    empty = LPInstance.standard(RatMatrix.zeros(0, 0), (), ())
+    assert _nearest_point(empty, (), (), ()) == ((), 0)
 
 
 @pytest.mark.parametrize("field", ["objective", "x"])
@@ -468,8 +469,8 @@ def test_a_nearest_point_failing_its_recheck_is_an_internal_error(monkeypatch, f
 
     monkeypatch.setattr(proximity, "solve", tampered)
     with pytest.raises(InternalError):
-        A = RatMatrix.from_rows([[1, 1, 0]])
-        _nearest_point(A, vec([2]), vec([0, 3, 1]), vec([2, 0, 0]), range(3))
+        lp = LPInstance.standard(RatMatrix.from_rows([[1, 1, 0]]), [2], [0, 0, 0])
+        _nearest_point(lp, vec([0, 3, 1]), vec([2, 0, 0]), range(3))
 
 
 def _face_row_oracle(W, d, c, anchor):
@@ -888,7 +889,7 @@ def test_a_feasible_zero_cost_anchor_is_its_own_nearest_optimum(inst):
     assert (spy.calls, spy.nearest_point) == ([], False)
     lp = LPInstance.from_subspace(W, d, c)
     res = solve(lp)
-    assert _nearest_point(lp.A, lp.b, anchor, res.x, range(lp.n)) == (anchor, 0)
+    assert _nearest_point(lp, anchor, res.x, range(lp.n)) == (anchor, 0)
 
 
 @given(nearest_optimum_instances())
@@ -903,7 +904,7 @@ def test_independent_kept_columns_are_the_one_point_of_the_face(inst):
     res = solve(lp)
     rc = vec_sub(c, lp.A.vecmat(res.y))
     keep = [j for j, v in enumerate(rc) if v == 0]
-    assert _nearest_point(lp.A, lp.b, anchor, res.x, keep) == (x, tau)
+    assert _nearest_point(lp, anchor, res.x, keep) == (x, tau)
     ox, otau, _ = two_stage_nearest_point([*lp.A.data, c], [*lp.b, res.objective], anchor)
     assert (ox, otau) == (x, tau)
 

@@ -6,8 +6,9 @@ recomputes every reduced cost on every iteration, and the slower forms of
 what the package runs faster: the dot products, matrix-vector products
 and norms as per-term Fraction sums, the sign parts, Lambda sets and the
 region test by Fraction comparisons, the projection onto W-perp through
-a Fraction Gram matrix, the simplex tableau built and its
-duals read with per-entry Fraction arithmetic, the RREF over Fractions,
+a Fraction Gram matrix, the standardized system as Fraction lists and
+the LPResult read off the Fraction simplex, the simplex tableau built and
+its duals read with per-entry Fraction arithmetic, the RREF over Fractions,
 the circuit enumeration support by support (over Fractions, and over
 ints with `int_kernel_line`) and as the independent-set growth without its coloop
 cut, the imbalance scan and the pair maxima with one Fraction per pair,
@@ -571,20 +572,66 @@ def fraction_simplex(rows, b, c, c2=None, start=None):
     }
 
 
+def fraction_standardized(lp):
+    """(rows, b, c, n, bounded_idx): the standardized system of `lp` as
+    Fraction lists, a slack column and a row x_i + slack = u_i per finite
+    upper bound, the oracle's own input path beside `lp._Tableau`."""
+    rows = [list(r) for r in lp.A.data]
+    b = list(lp.b)
+    c = list(lp.c)
+    n = lp.A.cols
+    bounded_idx = [i for i, x in enumerate(lp.u or ()) if x is not None]
+    f = len(bounded_idx)
+    for r in rows:
+        r.extend([Fraction(0)] * f)
+    for k, i in enumerate(bounded_idx):
+        row = [Fraction(0)] * (n + f)
+        row[i] = Fraction(1)
+        row[n + k] = Fraction(1)
+        rows.append(row)
+        b.append(lp.u[i])
+    c.extend([Fraction(0)] * f)
+    return rows, b, c, n, bounded_idx
+
+
 def oracle_solve(lp, tiebreak=None, start=None):
-    """lp.solve with the Fraction simplex above in place of the integer tableau."""
-    rows, b, c, _, bounded_idx = lp.standardized()
-    c2 = None if tiebreak is None else list(vec(tiebreak)) + [Fraction(0)] * (len(c) - lp.n)
+    """lp.solve with the Fraction simplex above in place of the integer
+    tableau, over `fraction_standardized`, its LPResult read off here: x,
+    basis and ray cut to the LP's n columns, y the duals of A's rows and
+    dual_upper the negated duals of the bound rows."""
+    rows, b, c, n, bounded_idx = fraction_standardized(lp)
+    c2 = None if tiebreak is None else list(vec(tiebreak)) + [Fraction(0)] * (len(c) - n)
     x0 = None if start is None else list(start) + [lp.u[i] - start[i] for i in bounded_idx]
-    return lpmod._result(lp, bounded_idx, fraction_simplex(rows, b, c, c2, x0))
+    out = fraction_simplex(rows, b, c, c2, x0)
+    if out["status"] != lpmod.OPTIMAL:
+        cert = out["certificate"]
+        if out["status"] == lpmod.UNBOUNDED:
+            cert = cert[:n]
+        return lpmod.LPResult(out["status"], certificate=tuple(cert), pivots=out["pivots"])
+    m = lp.A.rows
+    dual_upper = None
+    if lp.u is not None:
+        t = [Fraction(0)] * n
+        for k, i in enumerate(bounded_idx):
+            t[i] = -out["y"][m + k]
+        dual_upper = tuple(t)
+    return lpmod.LPResult(
+        lpmod.OPTIMAL,
+        x=tuple(out["x"][:n]),
+        objective=out["objective"],
+        basis=tuple(j for j in out["basis"] if j < n),
+        y=tuple(out["y"][:m]),
+        dual_upper=dual_upper,
+        pivots=out["pivots"],
+    )
 
 
 def box_region_is_unbounded(lp):
     """`lp._region_is_unbounded` as a box LP: max 1^T d over A_std d = 0,
     0 <= d <= 1, whose optimum is positive exactly when the standardized
-    region has a nonzero recession direction."""
-    rows, b, c, n, bounded_idx = lp.standardized()
-    width = len(rows[0]) if rows else n
+    region (`fraction_standardized`) has a nonzero recession direction."""
+    rows, _, c, _, _ = fraction_standardized(lp)
+    width = len(c)
     if width == 0:
         return False
     A = RatMatrix.from_rows(rows, cols=width) if rows else RatMatrix.zeros(0, width)
